@@ -125,14 +125,6 @@ def generate_connected_corpus(max_n: int = 8, check_counts: bool = True) -> list
     return out
 
 
-def write_corpus_file(path: str, max_n: int = 8) -> int:
-    graphs = generate_connected_corpus(max_n)
-    lines = [graph_to_graph6(g) for g in graphs]
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return len(lines)
-
-
 def load_connected_corpus(max_n: int = 8) -> list[Graph]:
     """Connected graphs up to isomorphism from the shipped data file."""
     if max_n > 8:

@@ -3,8 +3,9 @@
 The search is a DFS branch-and-bound over simple paths anchored at each
 cycle's minimum vertex. Two prunes run at every node: a reachability upper
 bound on the extendable length, and a check that the anchor can still be
-closed into. Exceeding the node budget is a hard error, never a silent
-approximation.
+closed into. Enumeration is the same single pass: it finds c(G) and the
+cycles of that length together, and ``budget`` bounds the whole pass.
+Exceeding the node budget is a hard error, never a silent approximation.
 """
 
 from __future__ import annotations
@@ -105,49 +106,77 @@ class CycleSet:
 
 
 class _Search:
-    """Anchored branch-and-bound over simple paths in one graph."""
+    """Anchored branch-and-bound over simple paths in one graph.
 
-    def __init__(self, g: Graph, budget: int):
+    A node is expanded only while its length bound reaches ``floor``. A
+    length-only search keeps ``floor = best + 1``. A collecting search keeps
+    ``floor = best``, so it meets every cycle of the best length, and keeps
+    each once by closing in one direction only. Once ``limit`` cycles are
+    kept it is truncated: ``floor`` returns to ``best + 1`` and the rest of
+    the pass only looks for a longer cycle, which resets the kept set.
+    """
+
+    def __init__(self, g: Graph, budget: int, collect: bool = False, limit: Optional[int] = None):
         self.g = g
         self.rows = g._rows
         self.budget = budget
+        self.collect = collect
+        self.limit = limit
         self.nodes = 0
         self.best = 0
+        self.floor = 0 if collect else 1
         self.best_witness: Optional[tuple[int, ...]] = None
+        self.found: list[tuple[int, ...]] = []
+        self.truncated = False
 
-    def _tick(self) -> None:
+    def run(self) -> "_Search":
+        if is_forest(self.g):
+            raise ValueError("forest has no cycle")
+        n = self.g.n
+        for anchor in range(n):
+            # cycles whose minimum vertex is the anchor
+            allowed = ((1 << n) - 1) >> anchor << anchor
+            if allowed.bit_count() < self.floor:
+                break
+            self._extend(anchor, [anchor], 1 << anchor, allowed)
+        return self
+
+    def _extend(self, anchor: int, path: list[int], used: int, allowed: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(
                 f"search budget of {self.budget} node expansions exceeded",
                 best_length=self.best,
             )
-
-    def run_longest(self) -> None:
-        n = self.g.n
-        for anchor in range(n):
-            # cycles whose minimum vertex is the anchor
-            allowed = ((1 << n) - 1) >> anchor << anchor
-            if self.best >= allowed.bit_count():
-                break
-            self._extend_longest(anchor, [anchor], 1 << anchor, allowed)
-
-    def _extend_longest(self, anchor: int, path: list[int], used: int, allowed: int) -> None:
-        self._tick()
         head = path[-1]
         free = allowed & ~used
         reach = self.g.reach_mask(1 << head, free | (1 << head))
         if not reach & self.rows[anchor]:
             return
-        if len(path) + (reach & free).bit_count() <= self.best:
+        if len(path) + (reach & free).bit_count() < self.floor:
             return
-        if len(path) > max(self.best, 2) and self.rows[head] >> anchor & 1:
+        if len(path) >= max(self.floor, 3) and self.rows[head] >> anchor & 1:
+            self._close(path)
+        candidates = self.rows[head] & free
+        if not candidates:
+            return
+        for v in self._ordered(candidates, free):
+            path.append(v)
+            self._extend(anchor, path, used | (1 << v), allowed)
+            path.pop()
+
+    def _close(self, path: list[int]) -> None:
+        """Record the cycle closed by path, of length at least floor."""
+        if len(path) > self.best:
             self.best = len(path)
             self.best_witness = tuple(path)
-        for v in self._ordered(self.rows[head] & free, free):
-            path.append(v)
-            self._extend_longest(anchor, path, used | (1 << v), allowed)
-            path.pop()
+            self.found.clear()
+            self.truncated = False
+        if self.collect and path[1] < path[-1]:
+            # anchored at its minimum and read this way round, path is canonical
+            self.found.append(tuple(path))
+            self.truncated = self.limit is not None and len(self.found) >= self.limit
+        self.floor = self.best + (not self.collect or self.truncated)
 
     def _ordered(self, candidates: int, free: int) -> list[int]:
         """Candidates with the fewest onward free neighbors first (ties by id);
@@ -156,92 +185,29 @@ class _Search:
         out.sort()
         return [v for _, v in out]
 
-    def run_enumerate(self, target: int, limit: Optional[int]) -> tuple[set[tuple[int, ...]], bool]:
-        found: set[tuple[int, ...]] = set()
-        n = self.g.n
-        truncated = False
-        for anchor in range(n):
-            allowed = ((1 << n) - 1) >> anchor << anchor
-            if allowed.bit_count() < target:
-                break
-            try:
-                self._extend_enum(anchor, [anchor], 1 << anchor, allowed, target, found, limit)
-            except _EnumLimit:
-                truncated = True
-                break
-        return found, truncated
-
-    def _extend_enum(
-        self,
-        anchor: int,
-        path: list[int],
-        used: int,
-        allowed: int,
-        target: int,
-        found: set[tuple[int, ...]],
-        limit: Optional[int],
-    ) -> None:
-        self._tick()
-        head = path[-1]
-        free = allowed & ~used
-        reach = self.g.reach_mask(1 << head, free | (1 << head))
-        if not reach & self.rows[anchor]:
-            return
-        if len(path) + (reach & free).bit_count() < target:
-            return
-        if len(path) == target:
-            # close only in one direction to skip mirror traversals
-            if self.rows[head] >> anchor & 1 and path[1] < path[-1]:
-                found.add(canonical_cycle(path))
-                if limit is not None and len(found) >= limit:
-                    raise _EnumLimit
-            return
-        for v in self._ordered(self.rows[head] & free, free):
-            path.append(v)
-            self._extend_enum(anchor, path, used | (1 << v), allowed, target, found, limit)
-            path.pop()
-
-
-class _EnumLimit(Exception):
-    pass
-
 
 def longest_cycle_length(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact length c(G) of a longest cycle."""
-    if is_forest(g):
-        raise ValueError("forest has no cycle")
-    search = _Search(g, budget)
-    search.run_longest()
-    return search.best
+    return longest_cycle_witness(g, budget).length
 
 
 def longest_cycle_witness(g: Graph, budget: int = DEFAULT_BUDGET) -> CycleEmbedding:
     """One longest cycle (canonical form)."""
-    if is_forest(g):
-        raise ValueError("forest has no cycle")
-    search = _Search(g, budget)
-    search.run_longest()
-    assert search.best_witness is not None
-    return CycleEmbedding(canonical_cycle(search.best_witness))
+    witness = _Search(g, budget).run().best_witness
+    assert witness is not None
+    return CycleEmbedding(canonical_cycle(witness))
 
 
 def enumerate_longest_cycles(
     g: Graph, limit: Optional[int] = None, budget: int = DEFAULT_BUDGET
 ) -> CycleSet:
-    """All longest cycles, deduplicated up to rotation and reflection."""
-    if is_forest(g):
-        raise ValueError("forest has no cycle")
-    length_search = _Search(g, budget)
-    length_search.run_longest()
-    target = length_search.best
-    enum_search = _Search(g, budget)
-    try:
-        found, truncated = enum_search.run_enumerate(target, limit)
-    except BudgetExceededError as err:
-        # the length phase already established c(G)
-        raise BudgetExceededError(str(err), best_length=target) from None
-    cycles = tuple(CycleEmbedding(c) for c in sorted(found))
-    return CycleSet(length=target, cycles=cycles, truncated=truncated)
+    """All longest cycles, deduplicated up to rotation and reflection.
+
+    One pass finds c(G) and its cycles together; ``budget`` bounds that pass.
+    """
+    search = _Search(g, budget, collect=True, limit=limit).run()
+    cycles = tuple(CycleEmbedding(c) for c in sorted(search.found))
+    return CycleSet(length=search.best, cycles=cycles, truncated=search.truncated)
 
 
 @lru_cache(maxsize=256)

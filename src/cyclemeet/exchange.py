@@ -123,23 +123,6 @@ def _orient_path(
     raise ValueError("path endpoints are not on the cycle remainders")
 
 
-def prop22_exchange(
-    g: Graph,
-    x: CycleEmbedding,
-    y: CycleEmbedding,
-    path1: Sequence[int],
-    path2: Sequence[int],
-) -> CycleEmbedding:
-    """Absorb a same-segment-pair path pair into a strictly longer cycle.
-
-    The shorter of the two bridged stretches is replaced by the detour
-    through the other cycle, so the result beats the cycle it modifies
-    (both, when |x| = |y|).
-    """
-    cert = prop22_certificate(g, x, y, path1, path2)
-    return cert.q1
-
-
 def prop22_certificate(
     g: Graph,
     x: CycleEmbedding,
@@ -147,6 +130,12 @@ def prop22_certificate(
     path1: Sequence[int],
     path2: Sequence[int],
 ) -> WinningCertificate:
+    """Absorb a same-segment-pair path pair into a strictly longer cycle.
+
+    The shorter of the two bridged stretches is replaced by the detour
+    through the other cycle, so ``q1`` beats the cycle it modifies (both,
+    when |x| = |y|).
+    """
     dec = decompose(g, x, y)
     shared = dec.shared()
     p1 = _orient_path(path1, x, y, shared)

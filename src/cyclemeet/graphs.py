@@ -177,23 +177,6 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def eccentricity_bfs(g: Graph, s: int) -> list[int]:
-    """Distances from s to every vertex (-1 when unreachable)."""
-    dist = [-1] * g.n
-    dist[s] = 0
-    frontier = 1 << s
-    seen = frontier
-    d = 0
-    while frontier:
-        nxt = g.neighbors_of_mask(frontier) & ~seen
-        d += 1
-        for v in iter_bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
-
-
 def is_regular(g: Graph) -> Optional[int]:
     """The common degree d when g is d-regular, else None."""
     if g.n == 0:

@@ -38,11 +38,12 @@ from .cycles import (
     DEFAULT_BUDGET,
     enumerate_longest_cycles,
     is_t_transversal,
+    longest_cycle_length,
     min_pairwise_intersection,
 )
 from .exchange import improve_by_exchange
 from .flow import max_disjoint_paths, separator_bound_holds, xy_separator
-from .graphs import Graph, graph_to_graph6, is_connected, is_regular, vertex_connectivity
+from .graphs import Graph, graph_to_graph6, is_connected, is_forest, is_regular, vertex_connectivity
 from .transitive import is_vertex_transitive
 
 
@@ -77,8 +78,6 @@ def verify_babai(g: Graph, budget: int = DEFAULT_BUDGET) -> Outcome:
     if not is_vertex_transitive(g):
         return Outcome("babai", "skipped", detail="not vertex-transitive")
     try:
-        from .cycles import longest_cycle_length
-
         c = longest_cycle_length(g, budget)
     except BudgetExceededError as err:
         return Outcome("babai", "inconclusive", detail=str(err))
@@ -317,10 +316,9 @@ def analyze_instance(instance_id: str, g: Graph, spec: CorpusSpec, suite: str) -
     m_min = None
     cs: Optional[CycleSet] = None
     try:
-        cs = enumerate_longest_cycles(g, limit=spec.enumeration_limit, budget=spec.budget)
-        cycle_length, cycle_count, truncated = cs.length, len(cs), cs.truncated
-    except ValueError:
-        pass  # forests carry no cycle checks
+        if not is_forest(g):  # forests carry no cycle checks
+            cs = enumerate_longest_cycles(g, limit=spec.enumeration_limit, budget=spec.budget)
+            cycle_length, cycle_count, truncated = cs.length, len(cs), cs.truncated
     except BudgetExceededError as err:
         outcomes.append(Outcome("enumeration", "inconclusive", detail=str(err)))
 

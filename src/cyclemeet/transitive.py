@@ -35,10 +35,6 @@ class Automorphism:
             for v in range(u + 1, g.n)
         )
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: v -> self(other(v))."""
-        return Automorphism(tuple(self.perm[other.perm[v]] for v in range(len(self.perm))))
-
     def inverse(self) -> "Automorphism":
         inv = [0] * len(self.perm)
         for v, w in enumerate(self.perm):
@@ -120,10 +116,6 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Automorphism]:
     base_h = tuple(0 for _ in range(h.n))
     perm = _search_mapping(g, h, base_g, base_h)
     return None if perm is None else Automorphism(perm)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g == h or find_isomorphism(g, h) is not None
 
 
 def automorphism_mapping(g: Graph, a: int, b: int) -> Optional[Automorphism]:

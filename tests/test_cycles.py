@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclemeet.cycles import (
@@ -21,6 +21,7 @@ from cyclemeet.graphs import (
     cycle_graph,
     disjoint_union,
     is_connected,
+    is_forest,
     path_graph,
     petersen_graph,
 )
@@ -102,6 +103,65 @@ def test_oracle_equivalence_touches_ten_vertices():
 def test_enumeration_limit_flags_truncation():
     cs = enumerate_longest_cycles(complete_graph(6), limit=5)
     assert cs.truncated and len(cs) == 5
+
+
+@st.composite
+def small_graphs_with_cycles(draw):
+    """Graphs on at most 10 vertices with at most 2n edges and a cycle."""
+    n = draw(st.integers(3, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
+    g = Graph(n, edges)
+    assume(not is_forest(g))
+    return g
+
+
+def _networkx_longest_cycles(g: Graph) -> set[tuple[int, ...]]:
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(list(g.edges()))
+    cycles = [canonical_cycle(c) for c in nx.simple_cycles(h, length_bound=g.n)]
+    longest = max(len(c) for c in cycles)
+    return {c for c in cycles if len(c) == longest}
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs_with_cycles())
+def test_search_matches_networkx_simple_cycles(g):
+    expected = _networkx_longest_cycles(g)
+    length = len(next(iter(expected)))
+    assert longest_cycle_length(g) == length
+    assert longest_cycle_witness(g).vertices in expected
+    cs = enumerate_longest_cycles(g)
+    assert cs.length == length and not cs.truncated
+    assert {c.vertices for c in cs} == expected
+
+
+def _check_limited_enumeration(g: Graph) -> None:
+    full = {c.vertices for c in enumerate_longest_cycles(g)}
+    length = longest_cycle_length(g)
+    for limit in (1, 2, 3):
+        cs = enumerate_longest_cycles(g, limit=limit)
+        kept = {c.vertices for c in cs}
+        assert cs.length == length
+        assert kept <= full
+        assert len(kept) == min(limit, len(full))
+        assert cs.truncated == (len(full) >= limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs_with_cycles())
+def test_limited_enumeration_keeps_longest_cycles(g):
+    _check_limited_enumeration(g)
+
+
+def test_limit_reached_below_c_is_reset_by_longer_cycle():
+    # the search closes the triangle 0-1-2 first, then meets the 4-cycle
+    # 0-3-5-4 as 0-4-5-3, the way round it does not keep, before its mirror
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 5), (5, 4), (4, 0), (3, 6)])
+    _check_limited_enumeration(g)
+    cs = enumerate_longest_cycles(g, limit=1)
+    assert cs.length == 4 and cs.truncated
+    assert [c.vertices for c in cs] == [(0, 3, 5, 4)]
 
 
 def test_witness_is_valid_longest():

@@ -10,7 +10,6 @@ from cyclemeet.exchange import (
     improve_by_exchange,
     lemma33_certificate,
     prop22_certificate,
-    prop22_exchange,
     type00_certificate,
 )
 from cyclemeet.graphs import Graph, cycle_graph, petersen_graph
@@ -23,7 +22,7 @@ from hosts import lemma33_host, merge_host, prop22_host, type00_host
 
 def test_prop22_lengthens_the_cycle():
     g, x, y, p1, p2 = prop22_host()
-    out = prop22_exchange(g, x, y, p1, p2)
+    out = prop22_certificate(g, x, y, p1, p2).q1
     # |X| - |X_i[u1,u2]| + |L1| + |Y_j[v1,v2]| + |L2| = 8 - 1 + 1 + 2 + 1
     assert out.length == 11
     assert out.is_valid(g)
@@ -44,14 +43,14 @@ def test_prop22_tie_still_wins():
     g = Graph(14, x_edges + y_edges + [(2, 8), (3, 9)])
     x = CycleEmbedding.from_sequence(g, [0, 2, 3, 4, 1, 5, 6, 7])
     y = CycleEmbedding.from_sequence(g, [0, 8, 9, 10, 1, 11, 12, 13])
-    out = prop22_exchange(g, x, y, (2, 8), (3, 9))
+    out = prop22_certificate(g, x, y, (2, 8), (3, 9)).q1
     assert out.length == 8 - 1 + 1 + 1 + 1 == 10
 
 
 def test_prop22_rejects_shared_endpoint():
     g, x, y, p1, _ = prop22_host()
     with pytest.raises(ValueError, match="disjoint"):
-        prop22_exchange(g, x, y, p1, p1)
+        prop22_certificate(g, x, y, p1, p1).q1
 
 
 def test_prop22_rejects_split_segments():
@@ -61,7 +60,7 @@ def test_prop22_rejects_split_segments():
     x2 = CycleEmbedding.from_sequence(h, x.vertices)
     y2 = CycleEmbedding.from_sequence(h, y.vertices)
     with pytest.raises(ValueError, match="segment pair"):
-        prop22_exchange(h, x2, y2, (2, 8), (5, 11))
+        prop22_certificate(h, x2, y2, (2, 8), (5, 11)).q1
 
 
 # -- type (0,0) ----------------------------------------------------------------

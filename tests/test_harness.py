@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cyclemeet
 from cyclemeet.cli import main
 from cyclemeet.corpus import two_triangles_shared_vertex
 from cyclemeet.cycles import enumerate_longest_cycles
@@ -193,10 +196,13 @@ def test_cli_verify_determinism_bytes(tmp_path):
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
+    # the child imports the package under test, installed or not
+    src = str(Path(cyclemeet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "cyclemeet.cli", "gen", "random", "--n", "8", "--p",
          "0.5", "--seed", "3"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.stdout.strip()
 
