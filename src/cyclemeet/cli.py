@@ -7,6 +7,7 @@ the output), 2 budget exhaustion left something inconclusive, 3 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -166,9 +167,7 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     spec = CorpusSpec.parse(args.corpus, seed=args.seed)
     if args.budget:
-        spec = CorpusSpec(kind=spec.kind, params=spec.params, seed=spec.seed,
-                          budget=args.budget, pair_limit=spec.pair_limit,
-                          enumeration_limit=spec.enumeration_limit)
+        spec = dataclasses.replace(spec, budget=args.budget)
     reports = run_corpus(spec, suite=args.suite)
     text = reports_to_json(reports, spec, args.suite)
     if args.out:

@@ -11,7 +11,6 @@ Exceeding the node budget is a hard error, never a silent approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .graphs import Graph, check_vertex_set, is_forest, iter_bits
@@ -67,9 +66,6 @@ class CycleEmbedding:
         for a, b in zip(self.vertices, self.vertices[1:] + self.vertices[:1]):
             out.add((a, b) if a < b else (b, a))
         return frozenset(out)
-
-    def index_of(self, v: int) -> int:
-        return self.vertices.index(v)
 
     def is_valid(self, g: Graph) -> bool:
         try:
@@ -210,16 +206,6 @@ def enumerate_longest_cycles(
     return CycleSet(length=search.best, cycles=cycles, truncated=search.truncated)
 
 
-@lru_cache(maxsize=256)
-def _cached_longest_cycles(g: Graph, budget: int) -> CycleSet:
-    return enumerate_longest_cycles(g, budget=budget)
-
-
-def cached_longest_cycles(g: Graph, budget: int = DEFAULT_BUDGET) -> CycleSet:
-    """Memoized full enumeration; graphs are immutable so caching is sound."""
-    return _cached_longest_cycles(g, budget)
-
-
 def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, CycleEmbedding]]:
     """Minimum |V(X) ∩ V(Y)| over unordered cycle pairs, with one witnessing pair.
 
@@ -253,10 +239,11 @@ def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, 
     return best, witness
 
 
-def is_t_transversal(g: Graph, a: Iterable[int], t: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff every longest cycle of g meets a in at least t vertices."""
+def is_t_transversal(g: Graph, cs: CycleSet, a: Iterable[int], t: int) -> bool:
+    """True iff every longest cycle of g, all listed in cs, meets a in at least t vertices."""
     if t < 1:
         raise ValueError("t must be at least 1")
+    if cs.truncated:
+        raise ValueError("truncated cycle set does not list every longest cycle")
     avs = check_vertex_set(g, a)
-    cs = cached_longest_cycles(g, budget)
     return all(len(avs & c.vertex_set()) >= t for c in cs.cycles)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .cycles import CycleEmbedding, DEFAULT_BUDGET, is_t_transversal
+from .cycles import CycleEmbedding
 from .graphs import Graph, check_vertex_set, iter_bits, mask_of
 
 
@@ -307,13 +307,6 @@ def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorRep
         bound=bound,
         shared=frozenset(shared),
     )
-
-
-def separator_is_transversal(
-    g: Graph, rep: SeparatorReport, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """True iff the reported cut meets every longest cycle of g."""
-    return is_t_transversal(g, rep.cut, 1, budget=budget)
 
 
 def local_vertex_connectivity(g: Graph, s: int, t: int) -> int:

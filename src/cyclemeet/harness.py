@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from itertools import combinations, islice
+from typing import Optional, Union
 
 from .auxgraph import (
     SameSegmentPairError,
@@ -38,13 +40,15 @@ from .cycles import (
     DEFAULT_BUDGET,
     enumerate_longest_cycles,
     is_t_transversal,
-    longest_cycle_length,
     min_pairwise_intersection,
 )
 from .exchange import improve_by_exchange
 from .flow import max_disjoint_paths, separator_bound_holds, xy_separator
 from .graphs import Graph, graph_to_graph6, is_connected, is_forest, is_regular, vertex_connectivity
 from .transitive import is_vertex_transitive
+
+ENUMERATION_LIMIT = 5000  # longest cycles kept per graph; more leaves the set truncated
+PAIR_LIMIT = 25  # cycle pairs checked per instance by each pairwise check
 
 
 @dataclass(frozen=True)
@@ -59,26 +63,58 @@ class Outcome:
     witness: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"name": self.name, "status": self.status}
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        if self.detail:
-            out["detail"] = self.detail
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        """The fields that are set; name and status always are."""
+        return {k: v for k, v in vars(self).items() if v is not None and v != ""}
 
 
-def verify_babai(g: Graph, budget: int = DEFAULT_BUDGET) -> Outcome:
+class InstanceFacts:
+    """The facts the checks read about one graph, each computed at most once.
+
+    ``cycles`` is the graph's one longest-cycle enumeration, None for a
+    forest. If it runs out of budget the error is kept and raised again on
+    every read, so the search never runs twice. The automorphism search
+    behind ``vertex_transitive`` has no budget, so it runs only for the
+    checks that read the flag.
+    """
+
+    def __init__(self, g: Graph, budget: int):
+        self.g = g
+        self.budget = budget
+
+    @cached_property
+    def connectivity(self) -> int:
+        return vertex_connectivity(self.g)
+
+    @cached_property
+    def vertex_transitive(self) -> bool:
+        return is_connected(self.g) and is_vertex_transitive(self.g)
+
+    @cached_property
+    def _cycles(self) -> Union[CycleSet, BudgetExceededError, None]:
+        if is_forest(self.g):
+            return None
+        try:
+            return enumerate_longest_cycles(self.g, limit=ENUMERATION_LIMIT, budget=self.budget)
+        except BudgetExceededError as err:
+            return err
+
+    @property
+    def cycles(self) -> Optional[CycleSet]:
+        """Longest cycles, at most ENUMERATION_LIMIT of them; c(G) is exact either way."""
+        if isinstance(self._cycles, BudgetExceededError):
+            raise self._cycles
+        return self._cycles
+
+
+def verify_babai(facts: InstanceFacts) -> Outcome:
     """c(G) >= sqrt(3n) for connected vertex-transitive graphs on n >= 3 vertices."""
+    g = facts.g
     if g.n < 3 or not is_connected(g):
         return Outcome("babai", "skipped", detail="needs a connected graph on >= 3 vertices")
-    if not is_vertex_transitive(g):
+    if not facts.vertex_transitive:
         return Outcome("babai", "skipped", detail="not vertex-transitive")
     try:
-        c = longest_cycle_length(g, budget)
+        c = facts.cycles.length
     except BudgetExceededError as err:
         return Outcome("babai", "inconclusive", detail=str(err))
     ok = c * c >= 3 * g.n
@@ -88,15 +124,21 @@ def verify_babai(g: Graph, budget: int = DEFAULT_BUDGET) -> Outcome:
     )
 
 
-def verify_smith(g: Graph, budget: int = DEFAULT_BUDGET) -> Outcome:
+def verify_smith(facts: InstanceFacts) -> Outcome:
     """Two longest cycles meet in >= k vertices; asserted only for k <= 8."""
+    g = facts.g
+    try:
+        if facts.cycles is not None and facts.cycles.truncated:
+            return Outcome("smith_k", "inconclusive", detail="enumeration truncated")
+    except BudgetExceededError:
+        pass  # reported below, once the check applies
     if g.n < 3 or not is_connected(g):
         return Outcome("smith_k", "skipped", detail="needs a connected graph")
-    k = vertex_connectivity(g)
+    k = facts.connectivity
     if k < 2:
         return Outcome("smith_k", "skipped", detail="connectivity below 2")
     try:
-        cs = enumerate_longest_cycles(g, budget=budget)
+        cs = facts.cycles
     except BudgetExceededError as err:
         return Outcome("smith_k", "inconclusive", detail=str(err))
     if len(cs) < 2:
@@ -143,16 +185,17 @@ def verify_thm14(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> Outcome:
     )
 
 
-def verify_devos(g: Graph, a: frozenset[int], t: int, budget: int = DEFAULT_BUDGET) -> Outcome:
+def verify_devos(facts: InstanceFacts, a: frozenset[int], t: int) -> Outcome:
     """c(G) >= t*n/|A| for a verified t-transversal A of a vertex-transitive graph."""
-    if not is_connected(g) or not is_vertex_transitive(g):
+    g = facts.g
+    if not facts.vertex_transitive:
         return Outcome("devos", "skipped", detail="needs a connected vertex-transitive graph")
     try:
-        if not is_t_transversal(g, a, t, budget=budget):
-            return Outcome("devos", "skipped", detail="given set is not a t-transversal")
-        cs = enumerate_longest_cycles(g, budget=budget)
+        cs = facts.cycles
     except BudgetExceededError as err:
         return Outcome("devos", "inconclusive", detail=str(err))
+    if not is_t_transversal(g, cs, a, t):
+        return Outcome("devos", "skipped", detail="given set is not a t-transversal")
     c = cs.length
     ok = c * len(a) >= t * g.n
     return Outcome(
@@ -183,21 +226,7 @@ class VerificationReport:
         return min(statuses, key=lambda s: order[s])
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "n": self.n,
-            "degree": self.degree,
-            "connectivity": self.connectivity,
-            "cycle_length": self.cycle_length,
-            "cycle_count": self.cycle_count,
-            "truncated": self.truncated,
-            "m_min": self.m_min,
-            "separator_size": self.separator_size,
-            "separator_bound": self.separator_bound,
-            "outcomes": [o.to_json_dict() for o in self.outcomes],
-            "observations": self.observations,
-            "stats": self.stats,
-        }
+        return {**vars(self), "outcomes": [o.to_json_dict() for o in self.outcomes]}
 
 
 @dataclass(frozen=True)
@@ -208,8 +237,6 @@ class CorpusSpec:
     params: tuple[tuple[str, str], ...] = ()
     seed: int = 0
     budget: int = DEFAULT_BUDGET
-    pair_limit: Optional[int] = 25
-    enumeration_limit: Optional[int] = 5000
 
     @staticmethod
     def parse(text: str, seed: int = 0) -> "CorpusSpec":
@@ -285,42 +312,40 @@ def _enumerable_only(graphs: list[Graph], spec: CorpusSpec) -> list[Graph]:
     """
     kept = []
     for g in graphs:
+        if is_forest(g):
+            continue
         try:
-            cs = enumerate_longest_cycles(g, limit=spec.enumeration_limit, budget=spec.budget)
-        except (ValueError, BudgetExceededError):
+            cs = enumerate_longest_cycles(g, limit=ENUMERATION_LIMIT, budget=spec.budget)
+        except BudgetExceededError:
             continue
         if not cs.truncated:
             kept.append(g)
     return kept
 
 
-def _pair_iter(cs: CycleSet, limit: Optional[int]):
-    count = 0
-    for i in range(len(cs.cycles)):
-        for j in range(i + 1, len(cs.cycles)):
-            yield cs.cycles[i], cs.cycles[j]
-            count += 1
-            if limit is not None and count >= limit:
-                return
+def _pair_iter(cs: CycleSet):
+    """The first PAIR_LIMIT cycle pairs in index order."""
+    return islice(combinations(cs.cycles, 2), PAIR_LIMIT)
 
 
 def analyze_instance(instance_id: str, g: Graph, spec: CorpusSpec, suite: str) -> VerificationReport:
     """Run the requested checks on one graph."""
+    facts = InstanceFacts(g, spec.budget)
     outcomes: list[Outcome] = []
     observations: dict = {}
     stats: dict = {}
     degree = is_regular(g)
-    connectivity = vertex_connectivity(g) if g.n >= 2 else None
+    connectivity = facts.connectivity if g.n >= 2 else None
     cycle_length = cycle_count = None
     truncated = False
     m_min = None
-    cs: Optional[CycleSet] = None
     try:
-        if not is_forest(g):  # forests carry no cycle checks
-            cs = enumerate_longest_cycles(g, limit=spec.enumeration_limit, budget=spec.budget)
-            cycle_length, cycle_count, truncated = cs.length, len(cs), cs.truncated
+        cs = facts.cycles  # None for a forest: it carries no cycle checks
     except BudgetExceededError as err:
+        cs = None
         outcomes.append(Outcome("enumeration", "inconclusive", detail=str(err)))
+    if cs is not None:
+        cycle_length, cycle_count, truncated = cs.length, len(cs), cs.truncated
 
     separator_size = separator_bound = None
     if cs is not None and len(cs) >= 2 and not truncated:
@@ -333,16 +358,13 @@ def analyze_instance(instance_id: str, g: Graph, spec: CorpusSpec, suite: str) -
         return suite in ("all", name)
 
     if want("babai"):
-        outcomes.append(verify_babai(g, budget=spec.budget))
+        outcomes.append(verify_babai(facts))
     if want("smith"):
-        if truncated:
-            outcomes.append(Outcome("smith_k", "inconclusive", detail="enumeration truncated"))
-        else:
-            outcomes.append(verify_smith(g, budget=spec.budget))
+        outcomes.append(verify_smith(facts))
     if want("devos") and cs is not None and not truncated:
         a = cs.cycles[0].vertex_set()
         t = m_min if m_min is not None else cs.length
-        outcomes.append(verify_devos(g, a, t, budget=spec.budget))
+        outcomes.append(verify_devos(facts, a, t))
     if want("thm14") and cs is not None and not truncated and len(cs) >= 1:
         worst: Optional[Outcome] = None
         pairs = 0
@@ -350,7 +372,7 @@ def analyze_instance(instance_id: str, g: Graph, spec: CorpusSpec, suite: str) -
             # degenerate pair: the cut is the cycle itself and the bound still holds
             worst = verify_thm14(g, cs.cycles[0], cs.cycles[0])
             pairs = 1
-        for x, y in _pair_iter(cs, spec.pair_limit):
+        for x, y in _pair_iter(cs):
             out = verify_thm14(g, x, y)
             pairs += 1
             if worst is None or out.status == "fail":
@@ -361,7 +383,7 @@ def analyze_instance(instance_id: str, g: Graph, spec: CorpusSpec, suite: str) -
         if worst is not None:
             outcomes.append(worst)
     if suite == "all" and cs is not None and not truncated:
-        outcomes.extend(_structural_checks(g, cs, spec, stats))
+        outcomes.extend(_structural_checks(facts, cs, stats))
 
     if degree is not None and connectivity is not None and degree >= 2 and cs is not None:
         # observational ratios for the asymptotic statements (no pass/fail)
@@ -390,10 +412,11 @@ def analyze_instance(instance_id: str, g: Graph, spec: CorpusSpec, suite: str) -
     )
 
 
-def _structural_checks(g: Graph, cs: CycleSet, spec: CorpusSpec, stats: dict) -> list[Outcome]:
+def _structural_checks(facts: InstanceFacts, cs: CycleSet, stats: dict) -> list[Outcome]:
     """Pairwise checks: nonempty intersections, transversal cuts, clean aux graphs."""
+    g = facts.g
     outcomes: list[Outcome] = []
-    two_connected = g.n >= 3 and vertex_connectivity(g) >= 2
+    two_connected = g.n >= 3 and facts.connectivity >= 2
     intersect_ok = True
     transversal_ok = True
     lemma32_ok = True
@@ -402,7 +425,7 @@ def _structural_checks(g: Graph, cs: CycleSet, spec: CorpusSpec, stats: dict) ->
     exchange_ok = True
     witness: Optional[dict] = None
     pairs = 0
-    for x, y in _pair_iter(cs, spec.pair_limit):
+    for x, y in _pair_iter(cs):
         pairs += 1
         shared = x.vertex_set() & y.vertex_set()
         if two_connected and not shared:
@@ -411,7 +434,7 @@ def _structural_checks(g: Graph, cs: CycleSet, spec: CorpusSpec, stats: dict) ->
             break
         if two_connected:
             rep = xy_separator(g, x, y)
-            if not is_t_transversal(g, rep.cut, 1, budget=spec.budget):
+            if not is_t_transversal(g, cs, rep.cut, 1):
                 transversal_ok = False
                 witness = {"cut": sorted(rep.cut)}
                 break

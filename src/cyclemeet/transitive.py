@@ -356,10 +356,6 @@ def cayley_elements(gp: GroupPresentation) -> tuple:
     return tuple(_closure(tuple(range(len(gens[0]))), gens))
 
 
-def cyclic_group(n: int, connection: Iterable[int]) -> GroupPresentation:
-    return GroupPresentation(kind="cyclic", order=n, generators=tuple(connection))
-
-
 def symmetric_transpositions(n: int) -> GroupPresentation:
     """S_n presented by all transpositions (used with itself as connection)."""
     gens = []

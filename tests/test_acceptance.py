@@ -27,14 +27,18 @@ from cyclemeet.corpus import (
     pairwise_corpus,
     vertex_transitive_corpus,
 )
-from cyclemeet.cycles import enumerate_longest_cycles, longest_cycle_length, min_pairwise_intersection
+from cyclemeet.cycles import (
+    enumerate_longest_cycles,
+    is_t_transversal,
+    longest_cycle_length,
+    min_pairwise_intersection,
+)
 from cyclemeet.exchange import certificate_is_sound, improve_by_exchange, lemma33_certificate, type00_certificate
 from cyclemeet.flow import (
     edge_bound_holds,
     max_disjoint_paths,
     min_vertex_cut,
     separator_bound_holds,
-    separator_is_transversal,
     xy_separator,
 )
 from cyclemeet.graphs import petersen_graph, vertex_connectivity
@@ -95,7 +99,7 @@ def pair_scan() -> PairScan:
                 rep = xy_separator(g, x, y)
                 if not separator_bound_holds(len(rep.cut), m):
                     scan.separator_bound_violations += 1
-                if two_conn and not separator_is_transversal(g, rep):
+                if two_conn and not is_t_transversal(g, cs, rep.cut, 1):
                     scan.transversal_failures += 1
                 xs, ys = x.vertex_set() - shared, y.vertex_set() - shared
                 if shared and m <= 10:

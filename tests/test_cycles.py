@@ -212,14 +212,25 @@ def test_min_pairwise_intersection():
 
 
 def test_is_t_transversal():
-    assert is_t_transversal(cycle_graph(5), {0}, 1)
-    assert not is_t_transversal(complete_graph(4), {0, 1}, 3)
+    c5, k4 = cycle_graph(5), complete_graph(4)
+    assert is_t_transversal(c5, enumerate_longest_cycles(c5), {0}, 1)
+    assert not is_t_transversal(k4, enumerate_longest_cycles(k4), {0, 1}, 3)
     pet = petersen_graph()
     cs = enumerate_longest_cycles(pet)
     m_star, _ = min_pairwise_intersection(cs)
-    assert is_t_transversal(pet, cs.cycles[0].vertex_set(), m_star)
+    assert is_t_transversal(pet, cs, cs.cycles[0].vertex_set(), m_star)
     with pytest.raises(ValueError):
-        is_t_transversal(cycle_graph(5), {0}, 0)
+        is_t_transversal(c5, enumerate_longest_cycles(c5), {0}, 0)
+
+
+def test_is_t_transversal_rejects_truncated_set():
+    k5 = complete_graph(5)
+    cs = enumerate_longest_cycles(k5, limit=2)
+    assert cs.truncated
+    with pytest.raises(ValueError, match="truncated"):
+        is_t_transversal(k5, cs, range(5), 1)
+    with pytest.raises(ValueError):
+        is_t_transversal(k5, enumerate_longest_cycles(k5), {5}, 1)
 
 
 def test_prop21_nonempty_intersections_small_corpus():

@@ -12,13 +12,12 @@ import pytest
 
 from cyclemeet.auxgraph import build_aux, l_set, pairwise_noncrossing, type_census
 from cyclemeet.corpus import is_biconnected, load_connected_corpus
-from cyclemeet.cycles import enumerate_longest_cycles
+from cyclemeet.cycles import enumerate_longest_cycles, is_t_transversal
 from cyclemeet.exchange import improve_by_exchange
 from cyclemeet.flow import (
     edge_bound_holds,
     max_disjoint_paths,
     separator_bound_holds,
-    separator_is_transversal,
     xy_separator,
 )
 
@@ -51,7 +50,7 @@ def test_every_pair_in_the_stored_corpus():
                 assert separator_bound_holds(len(rep.cut), m), (g, x, y)
             if two_conn:
                 assert shared, (g, x, y)
-                assert separator_is_transversal(g, rep), (g, x, y)
+                assert is_t_transversal(g, cs, rep.cut, 1), (g, x, y)
             xs, ys = x.vertex_set() - shared, y.vertex_set() - shared
             if shared and xs and ys:
                 fam = max_disjoint_paths(g, xs, ys, allowed=frozenset(range(g.n)) - shared)

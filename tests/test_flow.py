@@ -3,14 +3,13 @@ import random
 import pytest
 
 from cyclemeet.corpus import menger_instances, two_triangles_shared_vertex
-from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles
+from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles, is_t_transversal
 from cyclemeet.flow import (
     PathFamily,
     local_vertex_connectivity,
     max_disjoint_paths,
     min_vertex_cut,
     separator_bound_holds,
-    separator_is_transversal,
     xy_separator,
 )
 from cyclemeet.graphs import (
@@ -104,7 +103,7 @@ def test_xy_separator_shared_vertex_host():
     rep = xy_separator(g, x, y)
     assert rep.cut == {2} and rep.m == 1
     assert rep.bound_satisfied
-    assert separator_is_transversal(g, rep)
+    assert is_t_transversal(g, enumerate_longest_cycles(g), rep.cut, 1)
 
 
 def test_xy_separator_same_cycle_degenerate():
@@ -121,7 +120,7 @@ def test_xy_separator_petersen_bound():
     rep = xy_separator(petersen_graph(), x, y)
     assert rep.m is not None and rep.m >= 3
     assert separator_bound_holds(len(rep.cut), rep.m)
-    assert separator_is_transversal(petersen_graph(), rep)
+    assert is_t_transversal(petersen_graph(), cs, rep.cut, 1)
 
 
 def test_separator_report_json():

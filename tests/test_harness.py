@@ -9,16 +9,20 @@ import pytest
 import cyclemeet
 from cyclemeet.cli import main
 from cyclemeet.corpus import two_triangles_shared_vertex
-from cyclemeet.cycles import enumerate_longest_cycles
+from cyclemeet import harness
+from cyclemeet.cycles import DEFAULT_BUDGET, enumerate_longest_cycles
 from cyclemeet.graphs import (
     complete_graph,
     cycle_graph,
     graph_to_graph6,
+    path_graph,
     petersen_graph,
     wheel_graph,
 )
 from cyclemeet.harness import (
     CorpusSpec,
+    InstanceFacts,
+    analyze_instance,
     reports_to_json,
     run_corpus,
     verify_babai,
@@ -28,19 +32,26 @@ from cyclemeet.harness import (
 )
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def facts(g):
+    return InstanceFacts(g, DEFAULT_BUDGET)
+
+
 def test_verify_babai():
-    assert verify_babai(cycle_graph(9)).status == "pass"
-    assert verify_babai(petersen_graph()).status == "pass"
-    out = verify_babai(wheel_graph(6))
+    assert verify_babai(facts(cycle_graph(9))).status == "pass"
+    assert verify_babai(facts(petersen_graph())).status == "pass"
+    out = verify_babai(facts(wheel_graph(6)))
     assert out.status == "skipped"  # hub breaks transitivity
 
 
 def test_verify_smith():
-    out = verify_smith(complete_graph(5))
+    out = verify_smith(facts(complete_graph(5)))
     assert out.status == "pass" and out.lhs == 5 and out.rhs == 4
-    pet = verify_smith(petersen_graph())
+    pet = verify_smith(facts(petersen_graph()))
     assert pet.status == "pass" and pet.lhs == 8 and pet.rhs == 3
-    w6 = verify_smith(wheel_graph(6))
+    w6 = verify_smith(facts(wheel_graph(6)))
     assert w6.status == "pass" and w6.lhs >= 3
 
 
@@ -56,12 +67,70 @@ def test_verify_thm14():
 
 def test_verify_devos():
     g = cycle_graph(7)
-    out = verify_devos(g, frozenset({0}), 1)
+    out = verify_devos(facts(g), frozenset({0}), 1)
     assert out.status == "pass" and out.lhs == 7 and out.rhs == 7.0
-    allv = verify_devos(petersen_graph(), frozenset(range(10)), 3)
+    allv = verify_devos(facts(petersen_graph()), frozenset(range(10)), 3)
     assert allv.status == "pass"
-    notrans = verify_devos(petersen_graph(), frozenset({0}), 1)
+    notrans = verify_devos(facts(petersen_graph()), frozenset({0}), 1)
     assert notrans.status == "skipped"
+
+
+def test_truncated_enumeration():
+    k9 = facts(complete_graph(9))  # 20160 Hamiltonian cycles, above the enumeration limit
+    assert k9.cycles.truncated
+    smith = verify_smith(k9)
+    assert smith.status == "inconclusive" and smith.detail == "enumeration truncated"
+    assert verify_babai(k9).lhs == 9  # c(G) is exact on a truncated set
+
+
+def count_calls(monkeypatch, *names):
+    """Replace harness functions by counting wrappers; returns name -> call count."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(harness, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+    return counts
+
+
+def test_analyze_instance_computes_each_fact_once(monkeypatch):
+    counts = count_calls(
+        monkeypatch, "enumerate_longest_cycles", "vertex_connectivity", "is_vertex_transitive"
+    )
+    report = analyze_instance("petersen", petersen_graph(), CorpusSpec("smoke"), "all")
+    assert report.worst_status() == "pass"
+    assert report.cycle_length == 9 and report.connectivity == 3 and report.m_min == 8
+    assert counts == {
+        "enumerate_longest_cycles": 1,
+        "vertex_connectivity": 1,
+        "is_vertex_transitive": 1,
+    }
+
+
+def test_exhausted_enumeration_runs_once(monkeypatch):
+    counts = count_calls(monkeypatch, "enumerate_longest_cycles")
+    spec = CorpusSpec("smoke", budget=50)
+    report = analyze_instance("petersen", petersen_graph(), spec, "all")
+    status = {o.name: o.status for o in report.outcomes}
+    assert status["enumeration"] == "inconclusive"
+    assert status["babai"] == "inconclusive"
+    assert status["smith_k"] == "inconclusive"
+    assert report.cycle_length is None and report.connectivity == 3
+    assert counts["enumerate_longest_cycles"] == 1
+
+
+def test_facts_keep_the_budget_error():
+    f = InstanceFacts(petersen_graph(), 50)
+    with pytest.raises(harness.BudgetExceededError) as first:
+        f.cycles
+    with pytest.raises(harness.BudgetExceededError) as second:
+        f.cycles
+    assert first.value is second.value
+    assert InstanceFacts(path_graph(4), DEFAULT_BUDGET).cycles is None
 
 
 def test_run_corpus_smoke_all_pass():
@@ -183,6 +252,17 @@ def test_cli_verify_exit_codes(tmp_path):
     code = main(["verify", "--suite", "smith", "--corpus", "smoke", "--seed", "1",
                  "--budget", "2", "--out", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("args, golden, code", [
+    (["--corpus", "smoke", "--seed", "42"], "verify_all_smoke_seed42.json", 0),
+    (["--corpus", "smoke", "--seed", "1", "--budget", "2"],
+     "verify_all_smoke_seed1_budget2.json", 2),
+])
+def test_cli_verify_matches_golden_report(tmp_path, args, golden, code):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", *args, "--out", str(out)]) == code
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_cli_verify_determinism_bytes(tmp_path):

@@ -180,7 +180,7 @@ def test_devos_inequality_on_transversals():
         cs = enumerate_longest_cycles(g)
         a = cs.cycles[0].vertex_set()
         t = 1
-        assert is_t_transversal(g, a, t)
+        assert is_t_transversal(g, cs, a, t)
         assert cs.length * len(a) >= t * g.n
 
 
