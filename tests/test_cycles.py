@@ -20,12 +20,14 @@ from cyclemeet.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    graph_from_graph6,
     is_connected,
     is_forest,
     path_graph,
     petersen_graph,
 )
 
+from make_search_pins import PINS, search_facts
 from oracles import all_cycles_of_length_by_permutations, longest_cycle_by_permutations
 
 
@@ -98,6 +100,19 @@ def test_oracle_equivalence_touches_ten_vertices():
         except ValueError:
             continue
         assert ours == longest_cycle_by_permutations(g)
+
+
+def test_search_outputs_match_pins():
+    # pins made with the reach-only bound: any exact bound keeps the close
+    # order, so every output is the same and only the node count may fall
+    for record in json.loads(PINS.read_text()):
+        g = graph_from_graph6(record["graph6"])
+        for mode, pinned in record["searches"].items():
+            got = search_facts(g, mode)
+            label = (record["name"], mode)
+            assert got["nodes"] <= pinned.pop("nodes"), label
+            del got["nodes"]
+            assert got == pinned, label
 
 
 def test_enumeration_limit_flags_truncation():
