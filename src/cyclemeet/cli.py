@@ -47,7 +47,16 @@ class _UsageError(Exception):
 def _read_graph(path: str) -> Graph:
     with open(path, "r", encoding="ascii") as handle:
         text = handle.read().strip()
+    if not text:
+        raise ValueError("empty graph file")
     return graph_from_graph6(text.splitlines()[0])
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_cycle(g: Graph, text: str) -> CycleEmbedding:
@@ -97,19 +106,14 @@ def cmd_intersect(args) -> int:
     except BudgetExceededError as err:
         _emit({"error": str(err)})
         return EXIT_INCONCLUSIVE
-    if len(cs) < 2:
-        _emit({"length": cs.length, "count": len(cs), "m_min": None,
-               "note": "single longest cycle"})
-        return EXIT_PASS
-    m_min, (x, y) = min_pairwise_intersection(cs)
-    _emit({
-        "length": cs.length,
-        "count": len(cs),
-        "truncated": cs.truncated,
-        "m_min": m_min,
-        "witness_x": list(x.vertices),
-        "witness_y": list(y.vertices),
-    })
+    payload = {"length": cs.length, "count": len(cs), "truncated": cs.truncated, "m_min": None}
+    if len(cs) >= 2:
+        # over a truncated set, m_min only bounds the true minimum from above
+        m_min, (x, y) = min_pairwise_intersection(cs)
+        payload.update(m_min=m_min, witness_x=list(x.vertices), witness_y=list(y.vertices))
+    elif not cs.truncated:
+        payload["note"] = "single longest cycle"
+    _emit(payload)
     return EXIT_INCONCLUSIVE if cs.truncated else EXIT_PASS
 
 
@@ -166,7 +170,7 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = CorpusSpec.parse(args.corpus, seed=args.seed)
-    if args.budget:
+    if args.budget is not None:
         spec = dataclasses.replace(spec, budget=args.budget)
     reports = run_corpus(spec, suite=args.suite)
     text = reports_to_json(reports, spec, args.suite)
@@ -203,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     cyc = sub.add_parser("cycles", help="longest cycle length or full enumeration")
     cyc.add_argument("--in", dest="infile", required=True)
     cyc.add_argument("--enumerate", action="store_true")
-    cyc.add_argument("--limit", type=int, default=None)
-    cyc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    cyc.add_argument("--limit", type=_positive_int, default=None)
+    cyc.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     cyc.set_defaults(func=cmd_cycles)
 
     inter = sub.add_parser("intersect", help="minimum pairwise longest-cycle intersection")
     inter.add_argument("--in", dest="infile", required=True)
-    inter.add_argument("--limit", type=int, default=None)
-    inter.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    inter.add_argument("--limit", type=_positive_int, default=None)
+    inter.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     inter.set_defaults(func=cmd_intersect)
 
     sep = sub.add_parser("separator", help="vertex cut separating two cycles")
@@ -236,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                      required=True)
     ver.add_argument("--corpus", type=str, default="default")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--budget", type=int, default=0)
+    ver.add_argument("--budget", type=_positive_int, default=None,
+                     help=f"node budget per search (default {DEFAULT_BUDGET})")
     ver.add_argument("--out", type=str, default=None)
     ver.set_defaults(func=cmd_verify)
     return parser

@@ -1,11 +1,16 @@
 """Exact longest-cycle computation and enumeration.
 
 The search is a DFS branch-and-bound over simple paths anchored at each
-cycle's minimum vertex. Two prunes run at every node: a reachability upper
-bound on the extendable length, and a check that the anchor can still be
-closed into. Enumeration is the same single pass: it finds c(G) and the
-cycles of that length together, and ``budget`` bounds the whole pass.
-Exceeding the node budget is a hard error, never a silent approximation.
+cycle's minimum vertex. At every node it peels away the free vertices that
+cannot lie inside the rest of the cycle (fewer than two neighbours among the
+kept free vertices, the head and the anchor), then bounds by the region the
+head reaches inside what is kept: the node is cut if the region cannot close
+into the anchor or is too small to reach the length floor. The bound is
+exact, so the search closes the same cycles in the same order as a plain
+reachability bound, only in fewer nodes. Enumeration is the same single
+pass: it finds c(G) and the cycles of that length together, and ``budget``
+bounds the whole pass. Exceeding the node budget is a hard error, never a
+silent approximation.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import Graph, check_vertex_set, is_forest, iter_bits
+from .graphs import Graph, check_vertex_set, is_forest
 
 DEFAULT_BUDGET = 10**8
 
@@ -110,11 +115,29 @@ class _Search:
     each once by closing in one direction only. Once ``limit`` cycles are
     kept it is truncated: ``floor`` returns to ``best + 1`` and the rest of
     the pass only looks for a longer cycle, which resets the kept set.
+
+    The bound at a node is the region of free vertices that can still lie
+    inside the head -> anchor remainder of a cycle. Peeling drops every free
+    vertex with fewer than two neighbours among the kept free vertices, the
+    head and the anchor, until none is left; the region is what the head
+    reaches inside the kept vertices. A node is cut when the region misses
+    the anchor's neighbours or ``len(path) + |region| < floor``, and its
+    children are drawn from the region. Each cut subtree holds no cycle of
+    length at least ``floor``, and ``floor`` never falls, so the cut would
+    never have reached ``_close``. Children keep their order (fewest onward
+    free neighbours first, ties by id), so the ``_close`` calls, the kept
+    set, the witness and ``truncated`` are those of the plain reachability
+    bound, and no search expands more nodes than that bound did.
     """
 
     def __init__(self, g: Graph, budget: int, collect: bool = False, limit: Optional[int] = None):
+        if budget < 1:
+            raise ValueError("search budget must be at least 1")
+        if limit is not None and limit < 1:
+            raise ValueError("enumeration limit must be at least 1")
         self.g = g
         self.rows = g._rows
+        self.shift = g.n.bit_length()
         self.budget = budget
         self.collect = collect
         self.limit = limit
@@ -134,31 +157,69 @@ class _Search:
             allowed = ((1 << n) - 1) >> anchor << anchor
             if allowed.bit_count() < self.floor:
                 break
-            self._extend(anchor, [anchor], 1 << anchor, allowed)
+            free = allowed ^ 1 << anchor
+            self._extend(anchor, [anchor], free, free)
         return self
 
-    def _extend(self, anchor: int, path: list[int], used: int, allowed: int) -> None:
+    def _extend(self, anchor: int, path: list[int], free: int, kept: int) -> None:
+        """Expand path; kept is the parent's region less the head (at the root, free)."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(
                 f"search budget of {self.budget} node expansions exceeded",
                 best_length=self.best,
             )
+        rows = self.rows
         head = path[-1]
-        free = allowed & ~used
-        reach = self.g.reach_mask(1 << head, free | (1 << head))
-        if not reach & self.rows[anchor]:
+        depth = len(path)
+        # The parent's region was peeled against its own head. Moving the head
+        # onto v leaves every count unchanged except next to the old head, so
+        # only its neighbours (all of kept, at the root) need a fresh look.
+        if depth > 2:
+            work = rows[path[-2]] & kept
+        else:
+            work = kept if depth == 1 else 0
+        if work:
+            ends = 1 << head | 1 << anchor
+            while work:
+                low = work & -work
+                work ^= low
+                row = rows[low.bit_length() - 1]
+                if (row & (kept | ends)).bit_count() < 2:
+                    kept ^= low
+                    work |= row & kept
+        floor = self.floor
+        region = frontier = rows[head] & kept
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & kept & ~region
+            region |= frontier
+        if not (region | 1 << head) & rows[anchor]:
             return
-        if len(path) + (reach & free).bit_count() < self.floor:
+        if depth + region.bit_count() < floor:
             return
-        if len(path) >= max(self.floor, 3) and self.rows[head] >> anchor & 1:
+        if depth >= 3 and depth >= floor and rows[head] >> anchor & 1:
             self._close(path)
-        candidates = self.rows[head] & free
-        if not candidates:
-            return
-        for v in self._ordered(candidates, free):
+        # children with the fewest onward free neighbours first, ties by id:
+        # drastically cuts backtracking on structured instances
+        candidates = rows[head] & region
+        shift = self.shift
+        keys = []
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            keys.append((rows[v] & free).bit_count() << shift | v)
+        keys.sort()
+        mask = (1 << shift) - 1
+        for key in keys:
+            v = key & mask
             path.append(v)
-            self._extend(anchor, path, used | (1 << v), allowed)
+            self._extend(anchor, path, free ^ 1 << v, region ^ 1 << v)
             path.pop()
 
     def _close(self, path: list[int]) -> None:
@@ -173,13 +234,6 @@ class _Search:
             self.found.append(tuple(path))
             self.truncated = self.limit is not None and len(self.found) >= self.limit
         self.floor = self.best + (not self.collect or self.truncated)
-
-    def _ordered(self, candidates: int, free: int) -> list[int]:
-        """Candidates with the fewest onward free neighbors first (ties by id);
-        drastically cuts backtracking on structured instances."""
-        out = [((self.rows[v] & free).bit_count(), v) for v in iter_bits(candidates)]
-        out.sort()
-        return [v for _, v in out]
 
 
 def longest_cycle_length(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -94,19 +94,24 @@ class Graph:
 
     def neighbors_of_mask(self, mask: int) -> int:
         """Union of neighbor rows over the vertices in mask (may overlap mask)."""
+        rows = self._rows
         out = 0
-        for v in iter_bits(mask):
-            out |= self._rows[v]
+        while mask:
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def reach_mask(self, start: int, allowed: int) -> int:
         """Vertices reachable from the start mask inside allowed (start included)."""
-        seen = start & allowed
-        frontier = seen
+        rows = self._rows
+        seen = frontier = start & allowed
         while frontier:
             nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self._rows[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & allowed & ~seen
             seen |= frontier
         return seen

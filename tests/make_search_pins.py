@@ -1,9 +1,12 @@
 """Write tests/data/search_pins.json: the pinned outputs of the longest-cycle search.
 
 Run from the repository root with ``PYTHONPATH=src python tests/make_search_pins.py``.
-The file was made with the reach-only bound, so its node counts are upper
-bounds: a tighter exact bound must reproduce every other field and may only
-lower ``nodes``. Regenerating it with a tighter bound would weaken that pin.
+Every field but ``nodes`` is an output that any exact bound must reproduce:
+c(G), the witness, the kept cycles and ``truncated``. ``nodes`` is an upper
+bound, so a weaker bound fails the pin. The outputs were first pinned with
+the plain reachability bound and are unchanged by degree-2 peeling; the node
+counts are the peeling bound's. Regenerate the file only for a change that
+lowers node counts, after checking that no other field moved.
 """
 
 from __future__ import annotations

@@ -53,6 +53,16 @@ def test_budget_error_carries_lower_bound():
     assert info.value.best_length >= 3
 
 
+def test_budget_or_limit_below_one_is_rejected():
+    g = complete_graph(4)
+    for budget in (0, -4):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            longest_cycle_length(g, budget=budget)
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            enumerate_longest_cycles(g, limit=limit)
+
+
 def test_enumeration_counts():
     assert len(enumerate_longest_cycles(complete_graph(4))) == 3
     assert len(enumerate_longest_cycles(cycle_graph(9))) == 1
@@ -103,8 +113,8 @@ def test_oracle_equivalence_touches_ten_vertices():
 
 
 def test_search_outputs_match_pins():
-    # pins made with the reach-only bound: any exact bound keeps the close
-    # order, so every output is the same and only the node count may fall
+    # any exact bound keeps the close order, so every output is the pinned
+    # one; a weaker bound shows up as more nodes than pinned
     for record in json.loads(PINS.read_text()):
         g = graph_from_graph6(record["graph6"])
         for mode, pinned in record["searches"].items():

@@ -30,6 +30,7 @@ from cyclemeet.harness import (
     verify_smith,
     verify_thm14,
 )
+from cyclemeet.transitive import circulant
 
 
 DATA = Path(__file__).parent / "data"
@@ -219,6 +220,49 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["cycles", "--in", str(tmp_path / "missing.g6")]) == 3
     capsys.readouterr()
     assert main(["gen", "circulant", "--n", "7", "--conn", "1"]) == 3
+
+
+def test_cli_empty_graph_file_is_a_usage_error(tmp_path, capsys):
+    for text in ("", "  \n\n"):
+        path = tmp_path / "empty.g6"
+        path.write_text(text)
+        assert main(["cycles", "--in", str(path)]) == 3
+        assert "empty graph file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["cycles", "--budget", "0"],
+    ["cycles", "--budget", "-4"],
+    ["cycles", "--enumerate", "--limit", "0"],
+    ["cycles", "--enumerate", "--limit", "-3"],
+    ["intersect", "--budget", "0"],
+    ["intersect", "--limit", "0"],
+])
+def test_cli_rejects_budget_or_limit_below_one(tmp_path, capsys, args):
+    path = tmp_path / "k4.g6"
+    path.write_text(graph_to_graph6(complete_graph(4)) + "\n")
+    assert main([*args, "--in", str(path)]) == 3
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_budget_below_one(capsys):
+    assert main(["verify", "--suite", "babai", "--corpus", "smoke", "--budget", "0"]) == 3
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_intersect_truncated_set_is_inconclusive(tmp_path, capsys):
+    # C8(1,2) has 29 longest cycles; one kept cycle is not "single longest cycle"
+    path = tmp_path / "c8.g6"
+    path.write_text(graph_to_graph6(circulant(8, {1, 2, 6, 7})) + "\n")
+    assert main(["intersect", "--in", str(path), "--limit", "1"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["truncated"] is True and payload["count"] == 1
+    assert payload["m_min"] is None and "note" not in payload
+    assert main(["intersect", "--in", str(path), "--limit", "2"]) == 2
+    assert json.loads(capsys.readouterr().out)["truncated"] is True
+    assert main(["intersect", "--in", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 29 and payload["truncated"] is False
 
 
 def test_cli_cycles_budget_inconclusive(tmp_path, capsys):
