@@ -104,15 +104,9 @@ class Graph:
 
     def reach_mask(self, start: int, allowed: int) -> int:
         """Vertices reachable from the start mask inside allowed (start included)."""
-        rows = self._rows
         seen = frontier = start & allowed
         while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & allowed & ~seen
+            frontier = self.neighbors_of_mask(frontier) & allowed & ~seen
             seen |= frontier
         return seen
 
