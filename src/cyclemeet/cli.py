@@ -1,7 +1,8 @@
 """Command-line interface: generators, cycle reports, separators, verification.
 
 Exit codes: 0 all checks pass, 1 a theorem-backed check failed (witness in
-the output), 2 budget exhaustion left something inconclusive, 3 usage error.
+the output) or an internal invariant failed (a one-line JSON error on
+stderr), 2 budget exhaustion left something inconclusive, 3 usage error.
 """
 
 from __future__ import annotations
@@ -258,6 +259,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExceededError as err:
+        print(json.dumps({"error": str(err)}), file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except RuntimeError as err:
+        # an internal invariant failed (say, a Menger violation in min_vertex_cut)
+        print(json.dumps({"error": "internal invariant failed", "detail": str(err)}),
+              file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ silent approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .graphs import Graph, check_vertex_set, is_forest
+from .graphs import Graph, check_vertex_set, is_forest, mask_of
 
 DEFAULT_BUDGET = 10**8
 
@@ -96,6 +97,11 @@ class CycleSet:
 
     def __iter__(self):
         return iter(self.cycles)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The vertex bitmask of each cycle, built on first use."""
+        return tuple(mask_of(c.vertices) for c in self.cycles)
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,5 +305,5 @@ def is_t_transversal(g: Graph, cs: CycleSet, a: Iterable[int], t: int) -> bool:
         raise ValueError("t must be at least 1")
     if cs.truncated:
         raise ValueError("truncated cycle set does not list every longest cycle")
-    avs = check_vertex_set(g, a)
-    return all(len(avs & c.vertex_set()) >= t for c in cs.cycles)
+    amask = mask_of(check_vertex_set(g, a))
+    return all((amask & cmask).bit_count() >= t for cmask in cs.masks)

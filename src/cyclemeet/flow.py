@@ -108,12 +108,22 @@ def edge_bound_holds(edge_count: int, m: int) -> bool:
 class _SplitNetwork:
     """Unit-capacity flow network for internally disjoint path packing.
 
-    Vertex v becomes v_in=2v and v_out=2v+1 joined by one unit of capacity;
-    terminals get effectively unlimited vertex capacity only when asked
-    (local connectivity), otherwise a unit like everyone else.
+    Vertex v becomes v_in=2v and v_out=2v+1 joined by one unit of capacity,
+    and each edge uv of the allowed subgraph becomes the unit arcs
+    u_out->v_in and v_out->u_in. Terminal sets, when given, hang off a
+    super-source and a super-sink. Without them the network serves every
+    vertex pair: a flow from s_out to t_in counts internally disjoint
+    (s,t)-paths. The network is built once; each flow restarts from the
+    base capacities.
     """
 
-    def __init__(self, g: Graph, allowed_mask: int):
+    def __init__(
+        self,
+        g: Graph,
+        allowed_mask: int,
+        sources: frozenset[int] = frozenset(),
+        targets: frozenset[int] = frozenset(),
+    ):
         self.g = g
         self.node_count = 2 * g.n + 2
         self.source = 2 * g.n
@@ -121,24 +131,10 @@ class _SplitNetwork:
         self.adj: list[list[int]] = [[] for _ in range(self.node_count)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.allowed = allowed_mask
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def build(self, sources: frozenset[int], targets: frozenset[int], big_terminals: bool) -> None:
-        big = self.g.n + 1
-        for v in iter_bits(self.allowed):
-            terminal = v in sources or v in targets
-            capacity = big if (terminal and big_terminals) else 1
-            self.add_edge(2 * v, 2 * v + 1, capacity)
-        for u, v in self.g.edges():
-            if not (self.allowed >> u & 1 and self.allowed >> v & 1):
+        for v in iter_bits(allowed_mask):
+            self.add_edge(2 * v, 2 * v + 1, 1)
+        for u, v in g.edges():
+            if not (allowed_mask >> u & 1 and allowed_mask >> v & 1):
                 continue
             # sources are entered only from the super-source, targets left
             # only toward the super-sink: (A,B)-paths touch A and B once.
@@ -149,35 +145,53 @@ class _SplitNetwork:
                 self.add_edge(2 * v + 1, 2 * u, 1)
         # big source/sink arcs force every min cut across the split arcs,
         # so the cut reads off as a genuine vertex set
+        big = g.n + 1
         for s in sorted(sources):
             self.add_edge(self.source, 2 * s, big)
         for t in sorted(targets):
             self.add_edge(2 * t + 1, self.sink, big)
+        self.base = tuple(self.cap)
 
-    def max_flow(self) -> int:
+    def add_edge(self, u: int, v: int, cap: int) -> None:
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, source: int, sink: int, cutoff: int) -> int:
+        """Flow value from node source to node sink, or cutoff once it is reached.
+
+        Starts from the base capacities and augments along BFS-shortest
+        residual paths; the final flow stays in ``cap``.
+        """
+        adj, to = self.adj, self.to
+        cap = self.cap = list(self.base)
         total = 0
-        while True:
+        while total < cutoff:
             parent_edge = [-1] * self.node_count
-            parent_edge[self.source] = -2
-            queue = [self.source]
-            head = 0
-            while head < len(queue) and parent_edge[self.sink] == -1:
-                u = queue[head]
-                head += 1
-                for eid in self.adj[u]:
-                    v = self.to[eid]
-                    if parent_edge[v] == -1 and self.cap[eid] > 0:
-                        parent_edge[v] = eid
-                        queue.append(v)
-            if parent_edge[self.sink] == -1:
+            parent_edge[source] = -2
+            queue = [source]
+            for u in queue:
+                for eid in adj[u]:
+                    if cap[eid]:
+                        v = to[eid]
+                        if parent_edge[v] == -1:
+                            parent_edge[v] = eid
+                            queue.append(v)
+                if parent_edge[sink] != -1:
+                    break
+            else:
                 return total
-            v = self.sink
-            while v != self.source:
+            v = sink
+            while v != source:
                 eid = parent_edge[v]
-                self.cap[eid] -= 1
-                self.cap[eid ^ 1] += 1
-                v = self.to[eid ^ 1]
+                cap[eid] -= 1
+                cap[eid ^ 1] += 1
+                v = to[eid ^ 1]
             total += 1
+        return total
 
     def residual_reachable(self) -> set[int]:
         seen = {self.source}
@@ -214,9 +228,9 @@ class _SplitNetwork:
 
 
 def _solve(g: Graph, a: frozenset[int], b: frozenset[int], allowed_mask: int):
-    net = _SplitNetwork(g, allowed_mask)
-    net.build(a, b, big_terminals=False)
-    value = net.max_flow()
+    net = _SplitNetwork(g, allowed_mask, a, b)
+    # each source vertex carries one unit, so no flow exceeds min(|a|, |b|)
+    value = net.max_flow(net.source, net.sink, min(len(a), len(b)))
     paths = net.extract_paths(a)
     reach = net.residual_reachable()
     cut = frozenset(
@@ -311,6 +325,8 @@ def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorRep
 
 def local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
     """Maximum number of internally disjoint (s,t)-paths (direct edge counts)."""
-    net = _SplitNetwork(g, g.full_mask)
-    net.build(frozenset([s]), frozenset([t]), big_terminals=True)
-    return net.max_flow()
+    check_vertex_set(g, (s, t))
+    if s == t:
+        raise ValueError("local connectivity needs two distinct vertices")
+    # no vertex has n disjoint paths to another, so the cutoff g.n never bites
+    return _SplitNetwork(g, g.full_mask).max_flow(2 * s + 1, 2 * t, g.n)

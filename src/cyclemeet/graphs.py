@@ -8,6 +8,7 @@ an allowed-vertex mask instead.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 VERTEX_CAP = 128
@@ -189,8 +190,15 @@ def is_regular(g: Graph) -> Optional[int]:
 def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertices whose removal disconnects g or leaves one vertex.
 
-    Equals n-1 for complete graphs; computed by minimizing the local
-    vertex connectivity over all non-adjacent pairs.
+    Equals n-1 for complete graphs. Otherwise it follows Esfahanian and
+    Hakimi (1984): take v of least degree d; N(v) is a cut, so the answer
+    is at most d. A minimum cut S either misses v, and then separates v
+    from some non-neighbour w, or contains v; then v has a neighbour in
+    every component of g - S (else S - v would still be a cut), so S
+    separates two non-adjacent neighbours of v. Hence the answer is the
+    least of d, the local connectivity of v to each non-neighbour, and that
+    of each non-adjacent pair in N(v). All these flows share one split
+    network, and each stops once it reaches the best value so far.
     """
     if g.n < 2:
         raise ValueError("undefined connectivity")
@@ -198,16 +206,16 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     if not is_connected(g):
         return 0
-    from .flow import local_vertex_connectivity
+    from .flow import _SplitNetwork
 
-    best = g.n - 1
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            if g.has_edge(s, t):
-                continue
-            best = min(best, local_vertex_connectivity(g, s, t))
-            if best == 0:
-                return 0
+    v = min(range(g.n), key=g.degree)
+    around = g.row(v)
+    pairs = [(v, w) for w in iter_bits(g.full_mask & ~around & ~(1 << v))]
+    pairs += [(x, y) for x, y in combinations(iter_bits(around), 2) if not g.has_edge(x, y)]
+    net = _SplitNetwork(g, g.full_mask)
+    best = g.degree(v)
+    for s, t in pairs:
+        best = net.max_flow(2 * s + 1, 2 * t, best)
     return best
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from cyclemeet.cycles import canonical_cycle
-from cyclemeet.graphs import Graph
+from cyclemeet.graphs import Graph, is_connected
 
 
 def longest_cycle_by_permutations(g: Graph) -> int:
@@ -51,6 +51,22 @@ def diameter_floyd_warshall(g: Graph) -> int:
     best = max(dist[i][j] for i in range(g.n) for j in range(g.n))
     if best >= big:
         raise ValueError("infinite diameter")
+    return best
+
+
+def vertex_connectivity_by_all_pairs(g: Graph) -> int:
+    """κ(G) as the least local connectivity over every non-adjacent pair."""
+    from cyclemeet.flow import local_vertex_connectivity
+
+    if g.n < 2:
+        raise ValueError("undefined connectivity")
+    if not is_connected(g):
+        return 0
+    best = g.n - 1
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            if not g.has_edge(s, t):
+                best = min(best, local_vertex_connectivity(g, s, t))
     return best
 
 

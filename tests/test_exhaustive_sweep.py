@@ -1,8 +1,9 @@
 """Opt-in deep sweep: every longest-cycle pair of every stored graph.
 
-Set CYCLEMEET_EXHAUSTIVE=1 to run (about a minute). The regular acceptance
+Set CYCLEMEET_EXHAUSTIVE=1 to run (a few minutes). The regular acceptance
 suite covers the required corpora; this pushes the same checks across all
-~1.7M pairs of the full n <= 8 corpus.
+~1.7M pairs of the full n <= 8 corpus, and checks the connectivity of every
+stored graph against the all-pairs oracle.
 """
 
 import itertools
@@ -20,6 +21,9 @@ from cyclemeet.flow import (
     separator_bound_holds,
     xy_separator,
 )
+from cyclemeet.graphs import vertex_connectivity
+
+from oracles import vertex_connectivity_by_all_pairs
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("CYCLEMEET_EXHAUSTIVE"),
@@ -60,3 +64,12 @@ def test_every_pair_in_the_stored_corpus():
                 assert edge_bound_holds(f.edge_count(), f.m), (g, x, y)
             assert improve_by_exchange(g, x, y) is None, (g, x, y)
     assert pairs > 1_500_000
+
+
+def test_connectivity_of_every_stored_graph():
+    checked = 0
+    for g in load_connected_corpus(8):
+        if g.n >= 2:
+            assert vertex_connectivity(g) == vertex_connectivity_by_all_pairs(g), g
+            checked += 1
+    assert checked == 12_112

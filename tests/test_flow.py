@@ -154,6 +154,14 @@ def test_local_connectivity_matches_global():
         assert k == best
 
 
+def test_local_connectivity_needs_two_vertices_of_the_graph():
+    g = petersen_graph()
+    with pytest.raises(ValueError):
+        local_vertex_connectivity(g, 2, 2)
+    with pytest.raises(ValueError):
+        local_vertex_connectivity(g, 0, 10)
+
+
 def test_allowed_mask_restricts_interiors():
     g = bridge_graph()
     # removing the bridge head from the allowed set kills the only path

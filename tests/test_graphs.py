@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclemeet.corpus import load_connected_corpus
 from cyclemeet.graphs import (
     Graph,
     complete_graph,
@@ -18,9 +19,10 @@ from cyclemeet.graphs import (
     path_graph,
     petersen_graph,
     vertex_connectivity,
+    wheel_graph,
 )
 
-from oracles import diameter_floyd_warshall
+from oracles import diameter_floyd_warshall, vertex_connectivity_by_all_pairs
 
 
 def test_construction_rejects_bad_edges():
@@ -75,6 +77,54 @@ def test_vertex_connectivity_vs_networkx():
         h.add_edges_from(edges)
         if n >= 2:
             assert vertex_connectivity(g) == nx.node_connectivity(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_vertex_connectivity_matches_networkx_on_random_graphs(n, data):
+    nx = pytest.importorskip("networkx")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    assert vertex_connectivity(Graph(n, edges)) == nx.node_connectivity(h)
+
+
+def test_vertex_connectivity_matches_all_pairs_oracle_up_to_seven_vertices():
+    checked = 0
+    for g in load_connected_corpus(max_n=7):
+        if g.n >= 2:
+            assert vertex_connectivity(g) == vertex_connectivity_by_all_pairs(g), graph_to_graph6(g)
+            checked += 1
+    assert checked == 995
+
+
+def test_vertex_connectivity_runs_few_flows_on_one_network(monkeypatch):
+    from cyclemeet import flow
+
+    counts = {"networks": 0, "flows": 0}
+    build, max_flow = flow._SplitNetwork.__init__, flow._SplitNetwork.max_flow
+
+    def counting_build(self, *args):
+        counts["networks"] += 1
+        build(self, *args)
+
+    def counting_max_flow(self, *args):
+        counts["flows"] += 1
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(flow._SplitNetwork, "__init__", counting_build)
+    monkeypatch.setattr(flow._SplitNetwork, "max_flow", counting_max_flow)
+    # (n - 1 - d) flows to the non-neighbours of a least-degree vertex plus
+    # C(d, 2) among its neighbours: 9 on Petersen, against its 30 non-adjacent
+    # pairs; on a wheel the hub would need C(n - 1, 2) - (n - 1) instead
+    for g, kappa in [(petersen_graph(), 3), (wheel_graph(12), 3)]:
+        counts.update(networks=0, flows=0)
+        assert vertex_connectivity(g) == kappa
+        d = min(g.degree(v) for v in range(g.n))
+        assert counts["flows"] <= (g.n - 1 - d) + d * (d - 1) // 2
+        assert counts["networks"] == 1
 
 
 def test_vertex_connectivity_at_most_min_degree():

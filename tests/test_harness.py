@@ -285,6 +285,46 @@ def test_cli_auxgraph_disjoint_cycles_fails(tmp_path, capsys):
     assert "empty intersection" in capsys.readouterr().out
 
 
+def test_cli_invariant_failure_exits_one_with_json_error(tmp_path, capsys, monkeypatch):
+    from cyclemeet import flow
+
+    solve = flow._solve
+
+    def cut_one_too_big(g, a, b, allowed_mask):
+        value, paths, cut = solve(g, a, b, allowed_mask)
+        return value, paths, cut | {min(set(range(g.n)) - cut)}
+
+    monkeypatch.setattr(flow, "_solve", cut_one_too_big)
+    g = petersen_graph()
+    path = tmp_path / "pet.g6"
+    path.write_text(graph_to_graph6(g) + "\n")
+    cs = enumerate_longest_cycles(g)
+    x = ",".join(map(str, cs.cycles[0].vertices))
+    y = ",".join(map(str, cs.cycles[1].vertices))
+    assert main(["separator", "--in", str(path), "--x", x, "--y", y]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "internal invariant failed"
+    assert "Menger equality violated" in payload["detail"]
+
+
+def test_cli_budget_error_leaving_a_command_exits_two(tmp_path, capsys, monkeypatch):
+    from cyclemeet import cli
+    from cyclemeet.cycles import BudgetExceededError
+
+    def exhausted(g, x, y):
+        raise BudgetExceededError("search budget of 1 node expansions exceeded")
+
+    monkeypatch.setattr(cli, "improve_by_exchange", exhausted)
+    path = tmp_path / "c5.g6"
+    path.write_text(graph_to_graph6(cycle_graph(5)) + "\n")
+    assert main(["certify", "--in", str(path), "--x", "0,1,2,3,4", "--y", "0,1,2,3,4"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "budget" in json.loads(line)["error"]
+
+
 def test_cli_verify_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", "babai", "--corpus", "smoke", "--seed", "1",
