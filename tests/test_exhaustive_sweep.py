@@ -1,6 +1,6 @@
 """Opt-in deep sweep: every longest-cycle pair of every stored graph.
 
-Set CYCLEMEET_EXHAUSTIVE=1 to run (a few minutes). The regular acceptance
+Set CYCLEMEET_EXHAUSTIVE=1 to run (about a minute). The regular acceptance
 suite covers the required corpora; this pushes the same checks across all
 ~1.7M pairs of the full n <= 8 corpus, and checks the connectivity of every
 stored graph against the all-pairs oracle.
