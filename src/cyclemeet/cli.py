@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .auxgraph import build_aux, l_set, supersaturation_report, type_census
+from .auxgraph import SameSegmentPairError, build_aux, l_set, supersaturation_report, type_census
 from .corpus import random_graph
 from .cycles import (
     BudgetExceededError,
@@ -140,7 +140,13 @@ def cmd_auxgraph(args) -> int:
         _emit({"m": len(shared), "edges": [], "note": "one cycle inside the other"})
         return EXIT_PASS
     family = max_disjoint_paths(g, xs, ys, allowed=frozenset(range(g.n)) - shared)
-    f = build_aux(g, x, y, family)
+    try:
+        f = build_aux(g, x, y, family)
+    except SameSegmentPairError as err:
+        # Prop. 2.2 rules this out for longest cycles; `certify` turns it into a longer cycle
+        _emit({"error": "same segment pair", "pair": list(err.pair),
+               "path1": list(err.path1), "path2": list(err.path2)})
+        return EXIT_FAIL
     census = {f"({a},{b})": count for (a, b), count in sorted(type_census(f).items())}
     _emit({
         "aux": f.to_json_dict(),

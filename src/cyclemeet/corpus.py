@@ -9,7 +9,6 @@ through silently.
 
 from __future__ import annotations
 
-import gzip
 import random
 from importlib import resources
 from typing import Iterable, Optional
@@ -100,23 +99,19 @@ def all_graphs_exactly(n: int, parents: Optional[list[Graph]] = None) -> list[Gr
     return store.graphs()
 
 
-def generate_connected_corpus(max_n: int = 8, check_counts: bool = True) -> list[Graph]:
+def generate_connected_corpus(max_n: int = 8) -> list[Graph]:
     """All connected graphs with 1..max_n vertices, up to isomorphism."""
     out: list[Graph] = []
     level = [Graph(1)]
     for n in range(1, max_n + 1):
         if n > 1:
             level = all_graphs_exactly(n, parents=level)
-        if check_counts and n <= len(ALL_GRAPH_COUNTS) and len(level) != ALL_GRAPH_COUNTS[n - 1]:
+        if n <= len(ALL_GRAPH_COUNTS) and len(level) != ALL_GRAPH_COUNTS[n - 1]:
             raise RuntimeError(
                 f"graph census wrong at n={n}: got {len(level)}, expected {ALL_GRAPH_COUNTS[n-1]}"
             )
         connected = [g for g in level if is_connected(g)]
-        if (
-            check_counts
-            and n <= len(CONNECTED_GRAPH_COUNTS)
-            and len(connected) != CONNECTED_GRAPH_COUNTS[n - 1]
-        ):
+        if n <= len(CONNECTED_GRAPH_COUNTS) and len(connected) != CONNECTED_GRAPH_COUNTS[n - 1]:
             raise RuntimeError(
                 f"connected census wrong at n={n}: got {len(connected)}, "
                 f"expected {CONNECTED_GRAPH_COUNTS[n-1]}"
@@ -130,11 +125,10 @@ def load_connected_corpus(max_n: int = 8) -> list[Graph]:
     if max_n > 8:
         raise ValueError("stored corpus covers n <= 8")
     ref = resources.files("cyclemeet").joinpath("data").joinpath(DATA_FILE)
-    raw = ref.read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
-    graphs = [graph_from_graph6(line) for line in raw.decode("ascii").split()]
-    return [g for g in graphs if g.n <= max_n]
+    # a graph6 line of a graph with n <= 62 starts with the byte n + 63, so
+    # lines of larger graphs are skipped before they are parsed
+    lines = ref.read_bytes().split()
+    return [graph_from_graph6(line.decode("ascii")) for line in lines if line[0] - 63 <= max_n]
 
 
 # -- seeded families ----------------------------------------------------------
@@ -305,54 +299,3 @@ def pairwise_corpus(max_n: int = 14, seed: int = 11, random_count: int = 30) -> 
             zoo.append(g)
             drawn += 1
     return [g for g in zoo if g.n <= max_n]
-
-
-def nine_vertex_sample(count: int = 120, seed: int = 5) -> list[Graph]:
-    """Structured plus seeded-random connected graphs on exactly 9 vertices."""
-    structured = [
-        cycle_graph(9),
-        complete_graph(9),
-        complete_bipartite(4, 5),
-        wheel_graph(8),
-        grid_graph(3, 3),
-        circulant(9, {1, 8}),
-        circulant(9, {1, 8, 3, 6}),
-        circulant(9, {2, 7, 3, 6}),
-        theta_graph(2, 3, 5),
-        petersen_minus_vertex(),
-    ]
-    random_part = random_connected_graphs(
-        max(0, count - len(structured)),
-        seed,
-        n_choices=[9],
-        p_choices=[0.2, 0.25, 0.3, 0.4, 0.55, 0.75],
-    )
-    return structured + random_part
-
-
-def petersen_minus_vertex() -> Graph:
-    p = petersen_graph()
-    edges = [(u, v) for u, v in p.edges() if u != 9 and v != 9]
-    return Graph(9, edges)
-
-
-def menger_instances(
-    count: int = 1000, seed: int = 3, max_n: int = 40
-) -> list[tuple[Graph, frozenset[int], frozenset[int]]]:
-    """Seeded (graph, a, b) triples with disjoint nonempty terminal sets."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randrange(4, max_n + 1)
-        p = rng.choice([0.08, 0.15, 0.25, 0.4])
-        g = random_graph(n, p, rng.randrange(1 << 30))
-        vertices = list(range(n))
-        rng.shuffle(vertices)
-        a_size = rng.randrange(1, max(2, n // 3))
-        b_size = rng.randrange(1, max(2, n // 3))
-        if a_size + b_size > n:
-            continue
-        a = frozenset(vertices[:a_size])
-        b = frozenset(vertices[a_size : a_size + b_size])
-        out.append((g, a, b))
-    return out

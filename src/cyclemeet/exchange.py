@@ -22,7 +22,7 @@ from .auxgraph import (
     four_cycles,
     is_crossing,
 )
-from .cycles import CycleEmbedding, canonical_cycle
+from .cycles import CycleEmbedding
 from .flow import max_disjoint_paths
 from .graphs import Graph
 
@@ -37,7 +37,7 @@ class WinningCertificate:
 
     q1: CycleEmbedding
     q2: CycleEmbedding
-    origin: str  # prop22 | type00 | lemma33 | merge
+    origin: str  # prop22 | type00 | lemma33
     surplus: int
     case: Optional[tuple[int, int]] = None
     covers_union: bool = True
@@ -270,9 +270,6 @@ class _Block:
     def oriented(self, start: int) -> tuple[int, ...]:
         return self.seq if self.seq[0] == start else tuple(reversed(self.seq))
 
-    def other(self, start: int) -> int:
-        return self.b if self.a == start else self.a
-
 
 def _decompose_into_two_cycles(
     g: Graph, blocks: list[_Block]
@@ -419,115 +416,6 @@ def _lemma33_case(f: AuxGraph, c1, c2) -> tuple[int, int]:
     bit_x = seg(f.endpoints[(i2, k2)][0])[1] < seg(f.endpoints[(i2, l2)][0])[1]
     bit_y = seg_y(f.endpoints[(i2, k2)][1])[1] < seg_y(f.endpoints[(j2, k2)][1])[1]
     return (int(bit_x ^ flip_x), int(bit_y ^ flip_y))
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    """Matched subpath substitutions between a cycle and a donor cycle."""
-
-    substitutions: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    donor: Optional[CycleEmbedding] = None
-
-
-def _is_subpath_of_cycle(cycle: CycleEmbedding, path: Sequence[int]) -> bool:
-    seq = cycle.vertices
-    n = len(seq)
-    if len(path) > n:
-        return False
-    start = seq.index(path[0]) if path[0] in seq else -1
-    if start < 0:
-        return False
-    for step in (1, -1):
-        if all(seq[(start + step * t) % n] == path[t] for t in range(len(path))):
-            return True
-    return False
-
-
-def cycle_merge(g: Graph, x: CycleEmbedding, plan: MergePlan) -> CycleEmbedding:
-    """Replace matched subpaths of x by their donor counterparts.
-
-    Validates the three merge conditions (shared endpoints, matching cyclic
-    endpoint order, donor paths touching x only inside replaced subpaths) and
-    names the violated one on failure.
-    """
-    subs = []
-    for p, q in plan.substitutions:
-        p, q = tuple(p), tuple(q)
-        if len(p) < 2 or len(q) < 2 or p[0] == p[-1] or q[0] == q[-1]:
-            raise ValueError("bullet 1: substitution paths need two distinct endpoints")
-        if {q[0], q[-1]} != {p[0], p[-1]}:
-            raise ValueError("bullet 1: endpoints differ")
-        if q[0] != p[0]:
-            q = tuple(reversed(q))
-        subs.append((p, q))
-    if not subs:
-        return x
-    for p, _ in subs:
-        if not _is_subpath_of_cycle(x, p):
-            raise ValueError("bullet 1: replaced piece is not a subpath of the cycle")
-    for _, q in subs:
-        for a, b in zip(q, q[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"bullet 1: donor piece misses edge ({a},{b})")
-        if len(set(q)) != len(q):
-            raise ValueError("bullet 1: donor piece repeats a vertex")
-        if plan.donor is not None and not _is_subpath_of_cycle(plan.donor, q):
-            raise ValueError("bullet 1: donor piece is not a subpath of the donor cycle")
-    p_all: set[int] = set()
-    q_all: set[int] = set()
-    for p, q in subs:
-        if p_all & set(p):
-            raise ValueError("bullet 1: replaced pieces overlap")
-        if q_all & set(q):
-            raise ValueError("bullet 1: donor pieces overlap")
-        p_all |= set(p)
-        q_all |= set(q)
-
-    endpoints = [w for p, _ in subs for w in (p[0], p[-1])]
-    if len(subs) >= 2:
-        if plan.donor is None:
-            raise ValueError("bullet 2: donor cycle required to check endpoint order")
-        order_x = tuple(v for v in x.vertices if v in endpoints)
-        order_y = tuple(v for v in plan.donor.vertices if v in endpoints)
-        if canonical_cycle(order_x) != canonical_cycle(order_y):
-            raise ValueError("bullet 2: endpoint cyclic orders differ")
-
-    xset = x.vertex_set()
-    for _, q in subs:
-        stray = (set(q) & xset) - p_all
-        if stray:
-            raise ValueError(f"bullet 3: donor piece touches the cycle at {sorted(stray)}")
-
-    edges = set(x.edge_set())
-    for p, q in subs:
-        for a, b in zip(p, p[1:]):
-            edges.discard((a, b) if a < b else (b, a))
-        for a, b in zip(q, q[1:]):
-            edges.add((a, b) if a < b else (b, a))
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if any(len(nb) != 2 for nb in adj.values()):
-        raise RuntimeError("merge produced a vertex of degree != 2")
-    start = min(adj)
-    walk = [start]
-    prev = None
-    while True:
-        nbs = adj[walk[-1]]
-        nxt = nbs[0] if nbs[0] != prev else nbs[1]
-        if nxt == start:
-            break
-        prev = walk[-1]
-        walk.append(nxt)
-        if len(walk) > len(adj):
-            raise RuntimeError("merge produced disconnected edge set")
-    if len(walk) != len(adj):
-        raise RuntimeError("merge produced more than one cycle")
-    merged = CycleEmbedding.from_sequence(g, walk)
-    expected = x.length + sum(len(q) - len(p) for p, q in subs)
-    assert merged.length == expected
-    return merged
 
 
 def improve_by_exchange(

@@ -31,11 +31,11 @@ class Graph:
 
     __slots__ = ("n", "_rows", "edge_count", "_hash")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), *, cap: int = VERTEX_CAP):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if n > cap:
-            raise ValueError(f"graph has {n} vertices, above the cap of {cap}")
+        if n > VERTEX_CAP:
+            raise ValueError(f"graph has {n} vertices, above the cap of {VERTEX_CAP}")
         rows = [0] * n
         count = 0
         for u, v in edges:
@@ -150,33 +150,6 @@ def connected_components(g: Graph) -> list[int]:
     return comps
 
 
-def neighborhood(g: Graph, a: Iterable[int]) -> frozenset[int]:
-    """All vertices outside a adjacent to some vertex of a."""
-    avs = check_vertex_set(g, a)
-    amask = mask_of(avs)
-    return frozenset(iter_bits(g.neighbors_of_mask(amask) & ~amask))
-
-
-def diameter(g: Graph) -> int:
-    """Maximum over vertex pairs of the shortest-path length."""
-    if g.n == 0 or not is_connected(g):
-        raise ValueError("infinite diameter")
-    best = 0
-    full = g.full_mask
-    for s in range(g.n):
-        seen = 1 << s
-        frontier = seen
-        dist = 0
-        while seen != full:
-            nxt = g.neighbors_of_mask(frontier) & ~seen
-            frontier = nxt
-            seen |= nxt
-            dist += 1
-        # distance to the last layer reached from s
-        best = max(best, dist)
-    return best
-
-
 def is_regular(g: Graph) -> Optional[int]:
     """The common degree d when g is d-regular, else None."""
     if g.n == 0:
@@ -223,47 +196,6 @@ def is_forest(g: Graph) -> bool:
     return g.edge_count == g.n - len(connected_components(g))
 
 
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
-def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle, or None for forests."""
-    best: Optional[int] = None
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in g.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    length = dist[u] + dist[v] + 1
-                    if best is None or length < best:
-                        best = length
-    return best
-
-
 # -- named graphs -----------------------------------------------------------
 
 
@@ -271,10 +203,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n: int) -> Graph:
@@ -324,11 +252,6 @@ def prism_graph(n: int) -> Graph:
     return Graph(2 * n, edges)
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
-    return Graph(a.n + b.n, edges)
-
-
 # -- graph6 format ----------------------------------------------------------
 #
 # De-facto standard format: printable bytes 63..126, a size header followed
@@ -360,7 +283,7 @@ def graph_to_graph6(g: Graph) -> str:
     return (header + bytes(body)).decode("ascii")
 
 
-def graph_from_graph6(text: str, *, cap: int = VERTEX_CAP) -> Graph:
+def graph_from_graph6(text: str) -> Graph:
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[10:]
@@ -397,41 +320,4 @@ def graph_from_graph6(text: str, *, cap: int = VERTEX_CAP) -> Graph:
             idx += 1
     if any(bits[idx:]):
         raise ValueError("nonzero padding bits in graph6 body")
-    return Graph(n, edges, cap=cap)
-
-
-# -- edge-list text format ----------------------------------------------------
-
-
-def graph_to_edge_list(g: Graph) -> str:
-    lines = [f"# n={g.n}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_edge_list(text: str, n: Optional[int] = None, *, cap: int = VERTEX_CAP) -> Graph:
-    """Parse "u v" pairs, one per line; '#' starts a comment.
-
-    The vertex count is max id + 1 unless given explicitly or recorded in a
-    "# n=N" comment (which the writer emits so isolated vertices survive).
-    """
-    edges = []
-    seen_max = -1
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if n is None and body.startswith("n="):
-                n = int(body[2:])
-            continue
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
-        seen_max = max(seen_max, u, v)
-    if n is None:
-        n = seen_max + 1
-    return Graph(max(n, 0), edges, cap=cap)
+    return Graph(n, edges)

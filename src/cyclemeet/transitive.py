@@ -1,8 +1,9 @@
-"""Vertex-transitive graph generation, automorphism search, and cycle images.
+"""Vertex-transitive graph generation and automorphism search.
 
 Automorphisms are found by equitable-partition refinement plus backtracking
 over color classes; no external canonical-labeling dependency. Adequate for
-the toolkit's instance sizes (the search cap defaults to 64 vertices).
+the toolkit's instance sizes (vertex-transitivity is decided up to 64
+vertices).
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cycles import BudgetExceededError, CycleEmbedding
-from .exchange import MergePlan, cycle_merge
 from .graphs import Graph, iter_bits
 
 AUTOMORPHISM_CAP = 64
@@ -40,10 +39,6 @@ class Automorphism:
         for v, w in enumerate(self.perm):
             inv[w] = v
         return Automorphism(tuple(inv))
-
-    @staticmethod
-    def identity(n: int) -> "Automorphism":
-        return Automorphism(tuple(range(n)))
 
 
 def _refine(g: Graph, colors: tuple[int, ...]) -> tuple[int, ...]:
@@ -127,10 +122,8 @@ def automorphism_mapping(g: Graph, a: int, b: int) -> Optional[Automorphism]:
     return None if perm is None else Automorphism(perm)
 
 
-def vertex_orbit_of_zero(g: Graph, cap: int = AUTOMORPHISM_CAP) -> frozenset[int]:
+def vertex_orbit_of_zero(g: Graph) -> frozenset[int]:
     """Orbit of vertex 0 under the automorphism group."""
-    if g.n > cap:
-        raise ValueError(f"automorphism search capped at {cap} vertices")
     if g.n == 0:
         return frozenset()
     orbit = {0}
@@ -156,39 +149,16 @@ def vertex_orbit_of_zero(g: Graph, cap: int = AUTOMORPHISM_CAP) -> frozenset[int
     return frozenset(orbit)
 
 
-def is_vertex_transitive(g: Graph, cap: int = AUTOMORPHISM_CAP) -> bool:
+def is_vertex_transitive(g: Graph) -> bool:
     """True iff the automorphism group has a single vertex orbit."""
-    if g.n > cap:
-        raise ValueError(f"automorphism search capped at {cap} vertices")
+    if g.n > AUTOMORPHISM_CAP:
+        raise ValueError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
     if g.n <= 1:
         return True
     d = g.degree(0)
     if any(g.degree(v) != d for v in range(1, g.n)):
         return False
-    return len(vertex_orbit_of_zero(g, cap)) == g.n
-
-
-def automorphism_sample(g: Graph, limit: int = 16, cap: int = AUTOMORPHISM_CAP) -> list[Automorphism]:
-    """Some non-identity automorphisms of g (vertex-0 coset maps), up to limit."""
-    if g.n > cap:
-        raise ValueError(f"automorphism search capped at {cap} vertices")
-    out: list[Automorphism] = []
-    seen = {tuple(range(g.n))}
-    for v in range(1, g.n):
-        if len(out) >= limit:
-            break
-        auto = automorphism_mapping(g, 0, v)
-        if auto is not None and auto.perm not in seen:
-            seen.add(auto.perm)
-            out.append(auto)
-    return out
-
-
-def apply_automorphism(x: CycleEmbedding, a: Automorphism) -> CycleEmbedding:
-    """Image cycle under the automorphism, canonicalized; length is preserved."""
-    from .cycles import canonical_cycle
-
-    return CycleEmbedding(canonical_cycle(a(v) for v in x.vertices))
+    return len(vertex_orbit_of_zero(g)) == g.n
 
 
 # -- generators ---------------------------------------------------------------
@@ -196,6 +166,8 @@ def apply_automorphism(x: CycleEmbedding, a: Automorphism) -> CycleEmbedding:
 
 def circulant(n: int, connection: Iterable[int]) -> Graph:
     """Circulant graph: i ~ i+s (mod n) for each s in the connection set."""
+    if n < 1:
+        raise ValueError(f"circulant order must be at least 1, got {n}")
     conn = sorted({s % n for s in connection})
     if not conn:
         raise ValueError("empty connection set")
@@ -225,6 +197,8 @@ class GroupPresentation:
             raise ValueError(f"bad group header: {head!r}")
         kind, n_str = parts[0].lower(), parts[1]
         n = int(n_str)
+        if n < 1:
+            raise ValueError(f"group order must be at least 1, got {n}")
         if kind == "cyclic":
             gens = tuple(int(tok) for tok in body.replace(",", " ").split())
             return GroupPresentation(kind="cyclic", order=n, generators=gens)
@@ -241,14 +215,22 @@ class GroupPresentation:
 
 
 def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
+    """One permutation of 0..n-1 in disjoint cycle notation."""
     perm = list(range(n))
     depth = 0
     current: list[int] = []
+    seen: set[int] = set()
     token = ""
 
     def flush_token():
         if token:
-            current.append(int(token))
+            v = int(token)
+            if not 0 <= v < n:
+                raise ValueError(f"point {v} outside 0..{n - 1} in cycle notation")
+            if v in seen:
+                raise ValueError(f"point {v} repeated in one permutation")
+            seen.add(v)
+            current.append(v)
 
     for ch in text:
         if ch == "(":
@@ -258,6 +240,8 @@ def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
             current = []
             token = ""
         elif ch == ")":
+            if not depth:
+                raise ValueError("unbalanced parenthesis in cycle notation")
             flush_token()
             token = ""
             depth = 0
@@ -267,6 +251,8 @@ def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
             flush_token()
             token = ""
         elif ch.isdigit():
+            if not depth:
+                raise ValueError("point outside parentheses in cycle notation")
             token += ch
         else:
             raise ValueError(f"bad character {ch!r} in cycle notation")
@@ -346,16 +332,6 @@ def cayley(gp: GroupPresentation, connection: Optional[Iterable] = None) -> Grap
     return Graph(len(elements), sorted(edges))
 
 
-def cayley_elements(gp: GroupPresentation) -> tuple:
-    """The relabeling used by cayley(): vertex i is the i-th element here."""
-    if gp.kind == "cyclic":
-        return tuple(range(gp.order))
-    gens = tuple(tuple(p) for p in gp.generators)
-    if not gens:
-        raise ValueError("permutation group needs generators")
-    return tuple(_closure(tuple(range(len(gens[0]))), gens))
-
-
 def symmetric_transpositions(n: int) -> GroupPresentation:
     """S_n presented by all transpositions (used with itself as connection)."""
     gens = []
@@ -375,67 +351,3 @@ def elementary_abelian_cube() -> GroupPresentation:
     # realize Z_2^3 by permutations of 0..7 via XOR with each unit vector
     gens = tuple(tuple(v ^ (1 << b) for v in range(8)) for b in range(3))
     return GroupPresentation(kind="permutation", order=8, generators=gens)
-
-
-# -- automorphism-driven cycle improvement -----------------------------------
-
-
-def automorphism_merge_search(
-    g: Graph, x: CycleEmbedding, budget: int = 10000, cap: int = AUTOMORPHISM_CAP
-) -> Optional[CycleEmbedding]:
-    """Hunt for a longer cycle by splicing x with one of its automorphism images.
-
-    Greedy single-substitution plans between x and each image x^a: every
-    common vertex pair anchors four candidate arc swaps; a swap is taken when
-    the donor arc is longer and touches x only inside the replaced arc. The
-    budget bounds the number of candidate plans validated.
-    """
-    spent = 0
-    for auto in automorphism_sample(g, limit=min(g.n, 32), cap=cap):
-        image = apply_automorphism(x, auto)
-        if image == x:
-            continue
-        common = sorted(x.vertex_set() & image.vertex_set())
-        for ai in range(len(common)):
-            for bi in range(ai + 1, len(common)):
-                a, b = common[ai], common[bi]
-                for p_arc in _arcs_between(x, a, b):
-                    for q_arc in _arcs_between(image, a, b):
-                        spent += 1
-                        if spent > budget:
-                            raise BudgetExceededError(
-                                f"merge search budget of {budget} plans exceeded",
-                                best_length=x.length,
-                            )
-                        if len(q_arc) <= len(p_arc):
-                            continue
-                        if (set(q_arc) & x.vertex_set()) - set(p_arc):
-                            continue
-                        plan = MergePlan(substitutions=((p_arc, q_arc),), donor=image)
-                        try:
-                            merged = cycle_merge(g, x, plan)
-                        except ValueError:
-                            continue
-                        if merged.length > x.length:
-                            return merged
-    return None
-
-
-def _arcs_between(cycle: CycleEmbedding, a: int, b: int) -> list[tuple[int, ...]]:
-    seq = cycle.vertices
-    n = len(seq)
-    ia = seq.index(a)
-    out = []
-    arc = [a]
-    i = ia
-    while arc[-1] != b:
-        i = (i + 1) % n
-        arc.append(seq[i])
-    out.append(tuple(arc))
-    arc2 = [a]
-    i = ia
-    while arc2[-1] != b:
-        i = (i - 1) % n
-        arc2.append(seq[i])
-    out.append(tuple(arc2))
-    return out

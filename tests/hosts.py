@@ -1,10 +1,81 @@
-"""Hand-built host graphs realizing the exchange configurations."""
+"""Host graphs and seeded instance families that only the tests use.
+
+The hand-built hosts realize the exchange configurations; the families feed
+the oracle and Menger acceptance criteria.
+"""
 
 from __future__ import annotations
 
+import random
+
+from cyclemeet.corpus import random_connected_graphs, random_graph, theta_graph
 from cyclemeet.cycles import CycleEmbedding
 from cyclemeet.flow import PathFamily
-from cyclemeet.graphs import Graph
+from cyclemeet.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    petersen_graph,
+    wheel_graph,
+)
+from cyclemeet.transitive import circulant
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def petersen_minus_vertex() -> Graph:
+    p = petersen_graph()
+    edges = [(u, v) for u, v in p.edges() if u != 9 and v != 9]
+    return Graph(9, edges)
+
+
+def nine_vertex_sample(count: int = 120, seed: int = 5) -> list[Graph]:
+    """Structured plus seeded-random connected graphs on exactly 9 vertices."""
+    structured = [
+        cycle_graph(9),
+        complete_graph(9),
+        complete_bipartite(4, 5),
+        wheel_graph(8),
+        grid_graph(3, 3),
+        circulant(9, {1, 8}),
+        circulant(9, {1, 8, 3, 6}),
+        circulant(9, {2, 7, 3, 6}),
+        theta_graph(2, 3, 5),
+        petersen_minus_vertex(),
+    ]
+    random_part = random_connected_graphs(
+        max(0, count - len(structured)),
+        seed,
+        n_choices=[9],
+        p_choices=[0.2, 0.25, 0.3, 0.4, 0.55, 0.75],
+    )
+    return structured + random_part
+
+
+def menger_instances(
+    count: int = 1000, seed: int = 3, max_n: int = 40
+) -> list[tuple[Graph, frozenset[int], frozenset[int]]]:
+    """Seeded (graph, a, b) triples with disjoint nonempty terminal sets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randrange(4, max_n + 1)
+        p = rng.choice([0.08, 0.15, 0.25, 0.4])
+        g = random_graph(n, p, rng.randrange(1 << 30))
+        vertices = list(range(n))
+        rng.shuffle(vertices)
+        a_size = rng.randrange(1, max(2, n // 3))
+        b_size = rng.randrange(1, max(2, n // 3))
+        if a_size + b_size > n:
+            continue
+        a = frozenset(vertices[:a_size])
+        b = frozenset(vertices[a_size : a_size + b_size])
+        out.append((g, a, b))
+    return out
 
 
 def type00_host(long_path: bool = False):
@@ -91,14 +162,3 @@ def lemma33_host_long_path(bit_x: int = 0, bit_y: int = 0):
     x2 = CycleEmbedding.from_sequence(g2, x.vertices)
     y2 = CycleEmbedding.from_sequence(g2, y.vertices)
     return g2, x2, y2, fam
-
-
-def merge_host():
-    """A 6-cycle plus a 4-vertex detour replacing one of its edges."""
-    # cycle 0..5; detour 1 - 6 - 7 - 8 - 2 parallels the edge (1, 2)
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
-             (1, 6), (6, 7), (7, 8), (8, 2)]
-    g = Graph(9, edges)
-    x = CycleEmbedding.from_sequence(g, [0, 1, 2, 3, 4, 5])
-    donor = CycleEmbedding.from_sequence(g, [1, 6, 7, 8, 2])
-    return g, x, donor

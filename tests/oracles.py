@@ -38,22 +38,6 @@ def all_cycles_of_length_by_permutations(g: Graph, k: int) -> set[tuple[int, ...
     return found
 
 
-def diameter_floyd_warshall(g: Graph) -> int:
-    """Diameter via the cubic all-pairs recurrence."""
-    big = 10**9
-    dist = [[0 if i == j else (1 if g.has_edge(i, j) else big) for j in range(g.n)]
-            for i in range(g.n)]
-    for k in range(g.n):
-        for i in range(g.n):
-            for j in range(g.n):
-                if dist[i][k] + dist[k][j] < dist[i][j]:
-                    dist[i][j] = dist[i][k] + dist[k][j]
-    best = max(dist[i][j] for i in range(g.n) for j in range(g.n))
-    if best >= big:
-        raise ValueError("infinite diameter")
-    return best
-
-
 def vertex_connectivity_by_all_pairs(g: Graph) -> int:
     """κ(G) as the least local connectivity over every non-adjacent pair."""
     from cyclemeet.flow import local_vertex_connectivity

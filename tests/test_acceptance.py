@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from cyclemeet.auxgraph import (
+    SameSegmentPairError,
     build_aux,
     l_set,
     max_noncrossing_family,
@@ -22,8 +23,6 @@ from cyclemeet.auxgraph import (
 from cyclemeet.corpus import (
     is_biconnected,
     load_connected_corpus,
-    menger_instances,
-    nine_vertex_sample,
     pairwise_corpus,
     vertex_transitive_corpus,
 )
@@ -44,7 +43,7 @@ from cyclemeet.flow import (
 from cyclemeet.graphs import petersen_graph, vertex_connectivity
 from cyclemeet.transitive import is_vertex_transitive
 
-from hosts import lemma33_host, type00_host
+from hosts import lemma33_host, menger_instances, nine_vertex_sample, type00_host
 from oracles import longest_cycle_by_permutations
 
 PETERSEN_M_STAR = 8  # regression constant: exact min pairwise 9-cycle intersection
@@ -111,7 +110,7 @@ def pair_scan() -> PairScan:
                     )
                     try:
                         f = build_aux(g, x, y, family)
-                    except Exception:
+                    except SameSegmentPairError:
                         scan.prop22_violations += 1
                         continue
                     if type_census(f)[(0, 0)]:

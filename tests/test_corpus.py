@@ -7,12 +7,12 @@ from cyclemeet.corpus import (
     generate_connected_corpus,
     is_biconnected,
     load_connected_corpus,
-    menger_instances,
-    nine_vertex_sample,
     random_circulants,
     vertex_transitive_corpus,
 )
-from cyclemeet.graphs import cycle_graph, graph_to_graph6, is_connected, path_graph
+from cyclemeet.graphs import cycle_graph, graph_to_graph6, is_connected
+
+from hosts import menger_instances, nine_vertex_sample, path_graph
 
 
 def test_census_matches_known_counts_through_six():

@@ -19,14 +19,13 @@ from cyclemeet.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     graph_from_graph6,
     is_connected,
     is_forest,
-    path_graph,
     petersen_graph,
 )
 
+from hosts import path_graph
 from make_search_pins import PINS, search_facts
 from oracles import all_cycles_of_length_by_permutations, longest_cycle_by_permutations
 
@@ -224,7 +223,7 @@ def test_min_pairwise_intersection():
     size, (x, y) = min_pairwise_intersection(k4)
     assert size == 4 and x != y
 
-    g = disjoint_union(cycle_graph(3), cycle_graph(3))
+    g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])  # two disjoint triangles
     cs = enumerate_longest_cycles(g)
     assert min_pairwise_intersection(cs)[0] == 0
 

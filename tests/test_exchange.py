@@ -4,9 +4,7 @@ from cyclemeet.auxgraph import build_aux, classify_four_cycle
 from cyclemeet.corpus import pairwise_corpus
 from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles
 from cyclemeet.exchange import (
-    MergePlan,
     certificate_is_sound,
-    cycle_merge,
     improve_by_exchange,
     lemma33_certificate,
     prop22_certificate,
@@ -14,7 +12,7 @@ from cyclemeet.exchange import (
 )
 from cyclemeet.graphs import Graph, cycle_graph, petersen_graph
 
-from hosts import lemma33_host, merge_host, prop22_host, type00_host
+from hosts import lemma33_host, prop22_host, type00_host
 
 
 # -- prop22 -------------------------------------------------------------------
@@ -151,46 +149,6 @@ def test_lemma33_crossing_y_pairs_returns_none():
     assert lemma33_certificate(g, x, y, f, (1, 1, 3, 2), (2, 1, 4, 3)) is None
 
 
-# -- merges -------------------------------------------------------------------
-
-
-def test_cycle_merge_empty_plan_is_identity():
-    g, x, _ = merge_host()
-    assert cycle_merge(g, x, MergePlan(substitutions=())) == x
-
-
-def test_cycle_merge_single_substitution():
-    g, x, donor = merge_host()
-    plan = MergePlan(substitutions=(((1, 2), (1, 6, 7, 8, 2)),), donor=donor)
-    merged = cycle_merge(g, x, plan)
-    assert merged.length == x.length + 3
-    assert merged.is_valid(g)
-
-
-def test_cycle_merge_bullet1_violations():
-    g, x, donor = merge_host()
-    with pytest.raises(ValueError, match="bullet 1"):
-        cycle_merge(g, x, MergePlan(substitutions=(((1, 3), (1, 6, 7, 8, 2)),)))
-    with pytest.raises(ValueError, match="bullet 1"):
-        cycle_merge(g, x, MergePlan(substitutions=(((1, 2), (1, 6, 7, 8, 3)),)))
-
-
-def test_cycle_merge_bullet3_violation():
-    # donor piece passing through a cycle vertex outside the replaced subpath
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 6), (6, 4)]
-    g = Graph(7, edges + [(4, 2)])
-    x = CycleEmbedding.from_sequence(g, [0, 1, 2, 3, 4, 5])
-    with pytest.raises(ValueError, match="bullet 3"):
-        cycle_merge(g, x, MergePlan(substitutions=(((1, 2), (1, 6, 4, 2)),)))
-
-
-def test_cycle_merge_bullet2_needs_donor():
-    g, x, donor = merge_host()
-    two = MergePlan(substitutions=(((1, 2), (1, 6, 7, 8, 2)), ((3, 4), (3, 4))))
-    with pytest.raises(ValueError, match="bullet"):
-        cycle_merge(g, x, two)
-
-
 # -- the driver ----------------------------------------------------------------
 
 
@@ -229,21 +187,6 @@ def test_improve_never_fires_on_longest_pairs():
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
                 assert improve_by_exchange(g, cycles[i], cycles[j]) is None
-
-
-def test_cycle_merge_two_substitutions():
-    # hexagon with two disjoint detours, each replacing one edge
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
-             (1, 6), (6, 2), (4, 7), (7, 5)]
-    g = Graph(8, edges)
-    x = CycleEmbedding.from_sequence(g, [0, 1, 2, 3, 4, 5])
-    donor = CycleEmbedding.from_sequence(g, [0, 1, 6, 2, 3, 4, 7, 5])
-    plan = MergePlan(
-        substitutions=(((1, 2), (1, 6, 2)), ((4, 5), (4, 7, 5))), donor=donor
-    )
-    merged = cycle_merge(g, x, plan)
-    assert merged.length == 8
-    assert merged == donor
 
 
 def test_improve_fuzz_on_arbitrary_cycle_pairs():
@@ -288,11 +231,11 @@ def test_improve_fuzz_on_arbitrary_cycle_pairs():
 
 def test_improve_on_nonmaximal_petersen_cycles():
     g = petersen_graph()
-    cs = enumerate_longest_cycles(g)
-    short = CycleEmbedding.from_sequence(g, [0, 1, 2, 3, 4])  # outer pentagon
-    improved = improve_by_exchange(g, short, cs.cycles[0])
-    # success is not guaranteed; any result must be a valid strictly better pair
-    if improved is not None:
-        q1, q2 = improved
-        assert q1.is_valid(g) and q2.is_valid(g)
-        assert q1.length + q2.length > short.length + cs.cycles[0].length
+    x = CycleEmbedding.from_sequence(g, [0, 4, 3, 2, 1, 6, 8, 5])
+    y = CycleEmbedding.from_sequence(g, [2, 3, 4, 9, 7])
+    improved = improve_by_exchange(g, x, y)
+    assert improved is not None
+    q1, q2 = improved
+    assert q1.is_valid(g) and q2.is_valid(g)
+    assert sorted((q1.length, q2.length)) == [8, 9]
+    assert (q1.edge_set() | q2.edge_set()) >= (x.edge_set() | y.edge_set())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cyclemeet.corpus import menger_instances, two_triangles_shared_vertex
+from cyclemeet.corpus import two_triangles_shared_vertex
 from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles, is_t_transversal
 from cyclemeet.flow import (
     PathFamily,
@@ -21,6 +21,7 @@ from cyclemeet.graphs import (
     vertex_connectivity,
 )
 
+from hosts import menger_instances
 from oracles import min_vertex_cut_by_subsets
 
 

@@ -7,22 +7,18 @@ from cyclemeet.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    diameter,
-    disjoint_union,
-    graph_from_edge_list,
     graph_from_graph6,
-    graph_to_edge_list,
     graph_to_graph6,
     is_connected,
     is_regular,
-    neighborhood,
-    path_graph,
+    mask_of,
     petersen_graph,
     vertex_connectivity,
     wheel_graph,
 )
 
-from oracles import diameter_floyd_warshall, vertex_connectivity_by_all_pairs
+from hosts import path_graph
+from oracles import vertex_connectivity_by_all_pairs
 
 
 def test_construction_rejects_bad_edges():
@@ -32,6 +28,17 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(200, [])
+
+
+def test_vertex_cap_holds_for_construction_and_graph6():
+    assert Graph(128).n == 128
+    with pytest.raises(ValueError, match="above the cap of 128"):
+        Graph(129)
+    assert graph_from_graph6(graph_to_graph6(cycle_graph(128))) == cycle_graph(128)
+    # the edgeless graph on 129 vertices: long header, then C(129, 2) = 8256
+    # zero bits in 1376 body bytes
+    with pytest.raises(ValueError, match="above the cap of 128"):
+        graph_from_graph6("~?A@" + "?" * 1376)
 
 
 def test_duplicate_edges_collapse():
@@ -152,32 +159,10 @@ def test_petersen_connectivity_by_subset_brute_force():
 
 def test_neighborhood():
     c5 = cycle_graph(5)
-    assert neighborhood(c5, {0}) == {1, 4}
-    assert neighborhood(c5, range(5)) == frozenset()
-    assert neighborhood(petersen_graph(), {0, 1, 2, 3, 4}) == {5, 6, 7, 8, 9}
-
-
-def test_diameter():
-    assert diameter(complete_graph(4)) == 1
-    assert diameter(cycle_graph(6)) == 3
-    assert diameter(petersen_graph()) == 2
-    with pytest.raises(ValueError):
-        diameter(disjoint_union(cycle_graph(3), cycle_graph(3)))
-
-
-def test_diameter_matches_floyd_warshall_oracle():
-    import random
-
-    rng = random.Random(4)
-    checked = 0
-    while checked < 30:
-        n = rng.randrange(3, 13)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
-        g = Graph(n, edges)
-        if not is_connected(g):
-            continue
-        assert diameter(g) == diameter_floyd_warshall(g)
-        checked += 1
+    assert c5.neighbors_of_mask(mask_of({0})) == mask_of({1, 4})
+    assert c5.neighbors_of_mask(c5.full_mask) == c5.full_mask
+    outer = mask_of(range(5))
+    assert petersen_graph().neighbors_of_mask(outer) & ~outer == mask_of(range(5, 10))
 
 
 def test_is_regular():
@@ -223,18 +208,3 @@ def test_graph6_roundtrip_random(n, data):
     picks = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     g = Graph(n, picks)
     assert graph_from_graph6(graph_to_graph6(g)) == g
-
-
-def test_edge_list_roundtrip():
-    g = petersen_graph()
-    text = graph_to_edge_list(g)
-    assert graph_from_edge_list(text) == g
-    # isolated vertices survive via the count comment
-    h = Graph(5, [(0, 1)])
-    assert graph_from_edge_list(graph_to_edge_list(h)) == h
-
-
-def test_edge_list_comments_and_whitespace():
-    text = "# a comment\n0 1\n\n  1 2 \n# another\n"
-    g = graph_from_edge_list(text)
-    assert g.n == 3 and g.edge_count == 2

@@ -15,7 +15,6 @@ from cyclemeet.graphs import (
     complete_graph,
     cycle_graph,
     graph_to_graph6,
-    path_graph,
     petersen_graph,
     wheel_graph,
 )
@@ -32,6 +31,7 @@ from cyclemeet.harness import (
 )
 from cyclemeet.transitive import circulant
 
+from hosts import path_graph, prop22_host
 
 DATA = Path(__file__).parent / "data"
 
@@ -283,6 +283,37 @@ def test_cli_auxgraph_disjoint_cycles_fails(tmp_path, capsys):
     path.write_text(graph_to_graph6(g) + "\n")
     assert main(["auxgraph", "--in", str(path), "--x", "0,1,2", "--y", "3,4,5"]) == 1
     assert "empty intersection" in capsys.readouterr().out
+
+
+def test_cli_auxgraph_same_segment_pair_fails(tmp_path, capsys):
+    g, x, y, _, _ = prop22_host()
+    path = tmp_path / "prop22.g6"
+    path.write_text(graph_to_graph6(g) + "\n")
+    pair = ["--in", str(path), "--x", "0,2,3,4,1,5,6,7", "--y", "0,8,9,10,1,11,12,13"]
+    assert main(["auxgraph", *pair]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"error": "same segment pair", "pair": [1, 1],
+                       "path1": [2, 8], "path2": [3, 10]}
+    assert main(["certify", *pair]) == 0
+    assert json.loads(capsys.readouterr().out)["improved"] is True
+
+
+@pytest.mark.parametrize("generator, group", [
+    (["circulant", "--n", "0", "--conn", "1"], None),
+    (["cayley"], "cyclic 0: 1"),
+    (["cayley"], "perm 3: (0 1 5)"),
+    (["cayley"], "perm 0: (0)"),
+    (["cayley"], "perm 3: (0 1 1)"),
+    (["cayley"], "perm 3: (0 1) 2"),
+])
+def test_cli_gen_rejects_bad_generator_input(tmp_path, capsys, generator, group):
+    if group is not None:
+        grp = tmp_path / "grp.txt"
+        grp.write_text(group + "\n")
+        generator = [*generator, "--file", str(grp)]
+    assert main(["gen", *generator]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
 
 
 def test_cli_invariant_failure_exits_one_with_json_error(tmp_path, capsys, monkeypatch):
