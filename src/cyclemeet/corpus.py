@@ -135,16 +135,21 @@ def load_connected_corpus(max_n: int = 8) -> list[Graph]:
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
+    if not 0 <= p <= 1:
+        raise ValueError(f"edge probability p must lie in [0, 1], got {p}")
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
 
 
 def random_connected_graphs(
-    count: int, seed: int, n_choices: Iterable[int], p_choices: Iterable[float]
+    count: int, seed: int, max_n: int, p_choices: Iterable[float], min_n: int = 5
 ) -> list[Graph]:
+    """Seeded connected graphs on min_n..max_n vertices, each edge kept with a drawn p."""
+    if max_n < min_n:
+        raise ValueError(f"max_n must be at least {min_n}, got {max_n}")
     rng = random.Random(seed)
-    ns = list(n_choices)
+    ns = list(range(min_n, max_n + 1))
     ps = list(p_choices)
     out: list[Graph] = []
     attempts = 0
@@ -156,7 +161,9 @@ def random_connected_graphs(
         if g.edge_count and is_connected(g):
             out.append(g)
     if len(out) < count:
-        raise RuntimeError("could not draw enough connected graphs")
+        raise ValueError(
+            f"could not draw count={count} connected graphs on {min_n}..{max_n} vertices"
+        )
     return out
 
 
@@ -174,7 +181,9 @@ def is_biconnected(g: Graph) -> bool:
 
 
 def random_circulants(count: int, seed: int, max_n: int = 32) -> list[Graph]:
-    """Seeded connected circulants, distinct as (n, connection) descriptions."""
+    """Seeded connected circulants on 5..max_n vertices, distinct as (n, connection) descriptions."""
+    if max_n < 5:
+        raise ValueError(f"max_n must be at least 5, got {max_n}")
     rng = random.Random(seed)
     seen: set[tuple[int, tuple[int, ...]]] = set()
     out: list[Graph] = []
@@ -197,7 +206,7 @@ def random_circulants(count: int, seed: int, max_n: int = 32) -> list[Graph]:
         if is_connected(g):
             out.append(g)
     if len(out) < count:
-        raise RuntimeError("could not draw enough circulants")
+        raise ValueError(f"could not draw count={count} distinct circulants on 5..{max_n} vertices")
     return out
 
 
@@ -225,15 +234,16 @@ def cayley_zoo() -> list[Graph]:
 
 def vertex_transitive_corpus(count: int = 200, seed: int = 7, max_n: int = 32) -> list[Graph]:
     """At least `count` connected vertex-transitive graphs on <= max_n vertices."""
-    out = [cycle_graph(n) for n in range(3, 13)]
-    out += [complete_graph(n) for n in range(3, 9)]
-    out.append(petersen_graph())
-    out += [prism_graph(n) for n in range(3, 9)]
-    out += [complete_bipartite(k, k) for k in range(2, 6)]
-    out += [g for g in cayley_zoo() if g.n <= max_n]
-    need = max(0, count - len(out))
-    out += random_circulants(need, seed, max_n=max_n)
-    return out[: max(count, len(out))]
+    fixed = [cycle_graph(n) for n in range(3, 13)]
+    fixed += [complete_graph(n) for n in range(3, 9)]
+    fixed.append(petersen_graph())
+    fixed += [prism_graph(n) for n in range(3, 9)]
+    fixed += [complete_bipartite(k, k) for k in range(2, 6)]
+    fixed += cayley_zoo()
+    out = [g for g in fixed if g.n <= max_n]
+    if len(out) < count:
+        out += random_circulants(count - len(out), seed, max_n=max_n)
+    return out
 
 
 def two_triangles_shared_vertex() -> Graph:

@@ -5,9 +5,12 @@ cycle's minimum vertex. At every node it peels away the free vertices that
 cannot lie inside the rest of the cycle (fewer than two neighbours among the
 kept free vertices, the head and the anchor), then bounds by the region the
 head reaches inside what is kept: the node is cut if the region cannot close
-into the anchor or is too small to reach the length floor. The bound is
-exact, so the search closes the same cycles in the same order as a plain
-reachability bound, only in fewer nodes. Enumeration is the same single
+into the anchor or is too small to reach the length floor. When the region is
+exactly large enough (slack zero), the rest of the cycle must be a Hamiltonian
+head -> anchor path through it, and Rubin's required-edge rule (J. ACM 21(4),
+1974) applies: a region vertex with only two neighbours left must use both.
+The bound is exact, so the search closes the same cycles in the same order as
+a plain reachability bound, only in fewer nodes. Enumeration is the same single
 pass: it finds c(G) and the cycles of that length together, and ``budget``
 bounds the whole pass. Exceeding the node budget is a hard error, never a
 silent approximation.
@@ -128,12 +131,22 @@ class _Search:
     head and the anchor, until none is left; the region is what the head
     reaches inside the kept vertices. A node is cut when the region misses
     the anchor's neighbours or ``len(path) + |region| < floor``, and its
-    children are drawn from the region. Each cut subtree holds no cycle of
-    length at least ``floor``, and ``floor`` never falls, so the cut would
-    never have reached ``_close``. Children keep their order (fewest onward
-    free neighbours first, ties by id), so the ``_close`` calls, the kept
-    set, the witness and ``truncated`` are those of the plain reachability
-    bound, and no search expands more nodes than that bound did.
+    children are drawn from the region.
+
+    At slack zero (``len(path) + |region| == floor``, past the root) any
+    cycle left to close runs from the head through every region vertex to
+    the anchor, so a region vertex with exactly two neighbours among the
+    region, the head and the anchor is forced onto both. The head and the
+    anchor each have one edge left: the node is cut when two forced vertices
+    sit next to the anchor or two next to the head, and a single forced
+    vertex next to the head is the only child.
+
+    Each cut subtree holds no cycle of length at least ``floor``, and
+    ``floor`` never falls, so the cut would never have reached ``_close``.
+    Children keep their order (fewest onward free neighbours first, ties by
+    id), so the ``_close`` calls, the kept set, the witness and ``truncated``
+    are those of the plain reachability bound, and no search expands more
+    nodes than that bound did.
     """
 
     def __init__(self, g: Graph, budget: int, collect: bool = False, limit: Optional[int] = None):
@@ -164,11 +177,18 @@ class _Search:
             if allowed.bit_count() < self.floor:
                 break
             free = allowed ^ 1 << anchor
-            self._extend(anchor, [anchor], free, free)
+            self._extend(anchor, [anchor], free, free, 0)
         return self
 
-    def _extend(self, anchor: int, path: list[int], free: int, kept: int) -> None:
-        """Expand path; kept is the parent's region less the head (at the root, free)."""
+    def _extend(self, anchor: int, path: list[int], free: int, kept: int, two: int) -> None:
+        """Expand path; kept is the parent's region less the head (at the root, free).
+
+        Among kept vertices, two marks those with exactly two neighbours among
+        the kept vertices and the ends. It starts at 0 at the root, where every
+        count is taken afresh. Counts only fall down the path, so the peeling
+        adds a vertex when its count reaches 2 and never has to clear one;
+        bits of vertices no longer kept are stale and never read.
+        """
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(
@@ -191,7 +211,10 @@ class _Search:
                 low = work & -work
                 work ^= low
                 row = rows[low.bit_length() - 1]
-                if (row & (kept | ends)).bit_count() < 2:
+                count = (row & (kept | ends)).bit_count()
+                if count == 2:
+                    two |= low
+                elif count < 2:
                     kept ^= low
                     work |= row & kept
         floor = self.floor
@@ -206,13 +229,27 @@ class _Search:
             region |= frontier
         if not (region | 1 << head) & rows[anchor]:
             return
-        if depth + region.bit_count() < floor:
+        slack = depth + region.bit_count() - floor
+        if slack < 0:
             return
         if depth >= 3 and depth >= floor and rows[head] >> anchor & 1:
             self._close(path)
+        candidates = rows[head] & region
+        if slack == 0 and depth >= 2:
+            # The rest of the cycle must be a head -> anchor path through all
+            # of the region, so a region vertex with two neighbours left uses
+            # both edges, and the anchor and the head each take only one.
+            forced = two & region
+            if forced:
+                if (forced & rows[anchor]).bit_count() > 1:
+                    return
+                onto = forced & candidates
+                if onto:
+                    if onto & (onto - 1):
+                        return
+                    candidates = onto
         # children with the fewest onward free neighbours first, ties by id:
         # drastically cuts backtracking on structured instances
-        candidates = rows[head] & region
         shift = self.shift
         keys = []
         while candidates:
@@ -225,7 +262,7 @@ class _Search:
         for key in keys:
             v = key & mask
             path.append(v)
-            self._extend(anchor, path, free ^ 1 << v, region ^ 1 << v)
+            self._extend(anchor, path, free ^ 1 << v, region ^ 1 << v, two)
             path.pop()
 
     def _close(self, path: list[int]) -> None:

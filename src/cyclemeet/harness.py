@@ -292,7 +292,7 @@ def corpus_instances(spec: CorpusSpec) -> list[tuple[str, Graph]]:
         graphs = random_connected_graphs(
             count=int(spec.param("count", "50")),
             seed=spec.seed or 3,
-            n_choices=range(5, int(spec.param("max_n", "12")) + 1),
+            max_n=int(spec.param("max_n", "12")),
             p_choices=(0.2, 0.3, 0.5),
         )
     else:

@@ -188,6 +188,10 @@ class GroupPresentation:
     order: int
     generators: tuple = ()
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"group order must be at least 1, got {self.order}")
+
     @staticmethod
     def parse(text: str) -> "GroupPresentation":
         """Parse `cyclic n: s1,s2,...` or `perm n: (c y c l e)(...); ...`."""
@@ -197,12 +201,12 @@ class GroupPresentation:
             raise ValueError(f"bad group header: {head!r}")
         kind, n_str = parts[0].lower(), parts[1]
         n = int(n_str)
-        if n < 1:
-            raise ValueError(f"group order must be at least 1, got {n}")
         if kind == "cyclic":
             gens = tuple(int(tok) for tok in body.replace(",", " ").split())
             return GroupPresentation(kind="cyclic", order=n, generators=gens)
         if kind == "perm":
+            if n < 1:
+                raise ValueError(f"permutation degree must be at least 1, got {n}")
             perms = []
             for chunk in body.split(";"):
                 chunk = chunk.strip()

@@ -11,6 +11,7 @@ from cyclemeet.corpus import (
     vertex_transitive_corpus,
 )
 from cyclemeet.graphs import cycle_graph, graph_to_graph6, is_connected
+from cyclemeet.transitive import is_vertex_transitive
 
 from hosts import menger_instances, nine_vertex_sample, path_graph
 
@@ -63,6 +64,15 @@ def test_vertex_transitive_corpus_size_and_range():
     assert len(corpus) >= 200
     assert all(g.n <= 32 for g in corpus)
     assert all(is_connected(g) for g in corpus)
+
+
+def test_vertex_transitive_corpus_respects_small_max_n():
+    corpus = vertex_transitive_corpus(count=40, seed=7, max_n=8)
+    assert len(corpus) == 40
+    assert max(g.n for g in corpus) == 8
+    assert all(is_connected(g) and is_vertex_transitive(g) for g in corpus)
+    # the fixed families alone cover a small count
+    assert all(g.n <= 3 for g in vertex_transitive_corpus(count=2, seed=7, max_n=3))
 
 
 def test_nine_vertex_sample():

@@ -160,6 +160,36 @@ def test_search_matches_networkx_simple_cycles(g):
     assert {c.vertices for c in cs} == expected
 
 
+@st.composite
+def hamiltonian_rich_graphs(draw):
+    """A random Hamiltonian cycle on 4..9 vertices plus up to n random chords."""
+    n = draw(st.integers(4, 9))
+    order = draw(st.permutations(range(n)))
+    ring = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:] + order[:1])}
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in ring]
+    edges = ring | set(draw(st.lists(st.sampled_from(chords), max_size=n, unique=True)))
+    return Graph(n, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hamiltonian_rich_graphs())
+def test_enumeration_of_hamiltonian_graphs_matches_networkx(g):
+    # every longest cycle is Hamiltonian, so the collecting search runs at
+    # slack zero from the root, where the forced-edge rule cuts
+    expected = _networkx_longest_cycles(g)
+    assert len(next(iter(expected))) == g.n
+    cs = enumerate_longest_cycles(g)
+    assert cs.length == g.n and not cs.truncated
+    assert {c.vertices for c in cs} == expected
+    assert longest_cycle_witness(g).vertices in expected
+    for limit in (1, 7):
+        kept = enumerate_longest_cycles(g, limit=limit)
+        assert kept.length == g.n
+        assert {c.vertices for c in kept} <= expected
+        assert len(kept) == min(limit, len(expected))
+        assert kept.truncated == (len(expected) >= limit)
+
+
 def _check_limited_enumeration(g: Graph) -> None:
     full = {c.vertices for c in enumerate_longest_cycles(g)}
     length = longest_cycle_length(g)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclemeet.corpus import two_triangles_shared_vertex
 from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles, is_t_transversal
@@ -95,6 +97,22 @@ def test_min_cut_matches_subset_oracle_small():
         rep = min_vertex_cut(g, a, b)
         assert len(rep.cut) == min_vertex_cut_by_subsets(g, a, b)
         checked += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_min_cut_size_matches_networkx_between_super_terminals(n, data):
+    nx = pytest.importorskip("networkx")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    order = data.draw(st.permutations(range(n)))
+    a_size = data.draw(st.integers(1, n - 1))
+    b_size = data.draw(st.integers(1, n - a_size))
+    a, b = order[:a_size], order[a_size:a_size + b_size]
+    h = nx.Graph(edges)
+    h.add_nodes_from(range(n))
+    h.add_edges_from([("s", v) for v in a] + [(v, "t") for v in b])
+    assert len(min_vertex_cut(Graph(n, edges), a, b).cut) == len(nx.minimum_node_cut(h, "s", "t"))
 
 
 def test_xy_separator_shared_vertex_host():

@@ -316,6 +316,18 @@ def test_cli_gen_rejects_bad_generator_input(tmp_path, capsys, generator, group)
     assert out.out == "" and out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args, names", [
+    (["verify", "--suite", "babai", "--corpus", "circulants:count=50,max_n=5"], "count=50"),
+    (["verify", "--suite", "all", "--corpus", "random:count=2,max_n=3"], "max_n"),
+    (["verify", "--suite", "babai", "--corpus", "circulants:count=2,max_n=2"], "max_n"),
+    (["gen", "random", "--n", "5", "--p", "1.5"], "p must lie in [0, 1]"),
+])
+def test_cli_bad_corpus_or_generator_input_is_a_usage_error(capsys, args, names):
+    assert main(args) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and names in out.err
+
+
 def test_cli_invariant_failure_exits_one_with_json_error(tmp_path, capsys, monkeypatch):
     from cyclemeet import flow
 

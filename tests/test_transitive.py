@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclemeet.corpus import cayley_zoo, random_circulants
 from cyclemeet.cycles import (
@@ -9,6 +11,7 @@ from cyclemeet.cycles import (
     longest_cycle_length,
 )
 from cyclemeet.graphs import (
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -27,6 +30,7 @@ from cyclemeet.transitive import (
     find_isomorphism,
     is_vertex_transitive,
     symmetric_transpositions,
+    vertex_orbit_of_zero,
 )
 
 from hosts import path_graph
@@ -56,6 +60,17 @@ def test_cayley_cyclic():
         cayley(GroupPresentation.parse("cyclic 7: 1"))
     with pytest.raises(ValueError, match="identity"):
         cayley(GroupPresentation.parse("cyclic 6: 0,1,5"))
+
+
+def test_group_order_below_one_is_rejected_by_every_constructor():
+    # built in code, an order-0 cyclic group once reached cayley and divided by 0
+    for kind, order in (("cyclic", 0), ("cyclic", -3), ("permutation", 0)):
+        with pytest.raises(ValueError, match="group order must be at least 1"):
+            GroupPresentation(kind, order, (1,))
+    with pytest.raises(ValueError, match="group order must be at least 1"):
+        GroupPresentation.parse("cyclic 0: 1")
+    with pytest.raises(ValueError, match="permutation degree must be at least 1"):
+        GroupPresentation.parse("perm 0:")
 
 
 def test_cayley_s3_transpositions_is_k33_like():
@@ -111,6 +126,40 @@ def test_is_vertex_transitive_cases():
         assert is_vertex_transitive(g)
     with pytest.raises(ValueError, match="capped"):
         is_vertex_transitive(cycle_graph(70))
+
+
+@st.composite
+def circulants_maybe_less_an_edge(draw):
+    """A circulant on 5..12 vertices with 1..3 steps, half of the time less one edge."""
+    n = draw(st.integers(5, 12))
+    # more steps make VF2 slow on the edge-deleted copies
+    steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+    edges = sorted(circulant(n, steps | {n - s for s in steps}).edges())
+    if draw(st.booleans()):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circulants_maybe_less_an_edge())
+def test_orbit_and_transitivity_match_networkx_graph_matcher(g):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def marked(v):
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        nx.set_node_attributes(h, {u: u == v for u in range(g.n)}, "mark")
+        return h
+
+    def same_mark(a, b):
+        return a["mark"] == b["mark"]
+
+    # an automorphism sends 0 to v iff the copies marked at 0 and at v are isomorphic
+    zero = marked(0)
+    orbit = {v for v in range(g.n) if GraphMatcher(zero, marked(v), same_mark).is_isomorphic()}
+    assert vertex_orbit_of_zero(g) == orbit
+    assert is_vertex_transitive(g) == (len(orbit) == g.n)
 
 
 def test_automorphism_validity_and_sampling():
