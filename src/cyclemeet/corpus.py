@@ -181,7 +181,7 @@ def is_biconnected(g: Graph) -> bool:
 
 
 def random_circulants(count: int, seed: int, max_n: int = 32) -> list[Graph]:
-    """Seeded connected circulants on 5..max_n vertices, distinct as (n, connection) descriptions."""
+    """Seeded connected circulants on 5..max_n vertices, distinct as (n, connection) pairs."""
     if max_n < 5:
         raise ValueError(f"max_n must be at least 5, got {max_n}")
     rng = random.Random(seed)
@@ -206,7 +206,9 @@ def random_circulants(count: int, seed: int, max_n: int = 32) -> list[Graph]:
         if is_connected(g):
             out.append(g)
     if len(out) < count:
-        raise ValueError(f"could not draw count={count} distinct circulants on 5..{max_n} vertices")
+        raise ValueError(
+            f"could not draw count={count} distinct circulants on 5..{max_n} vertices"
+        )
     return out
 
 
