@@ -143,13 +143,13 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def random_connected_graphs(
-    count: int, seed: int, max_n: int, p_choices: Iterable[float], min_n: int = 5
+    count: int, seed: int, n_choices: Iterable[int], p_choices: Iterable[float]
 ) -> list[Graph]:
-    """Seeded connected graphs on min_n..max_n vertices, each edge kept with a drawn p."""
-    if max_n < min_n:
-        raise ValueError(f"max_n must be at least {min_n}, got {max_n}")
+    """Seeded connected graphs, each on a drawn n with each edge kept with a drawn p."""
     rng = random.Random(seed)
-    ns = list(range(min_n, max_n + 1))
+    ns = list(n_choices)
+    if not ns:
+        raise ValueError("n_choices must not be empty")
     ps = list(p_choices)
     out: list[Graph] = []
     attempts = 0
@@ -162,7 +162,7 @@ def random_connected_graphs(
             out.append(g)
     if len(out) < count:
         raise ValueError(
-            f"could not draw count={count} connected graphs on {min_n}..{max_n} vertices"
+            f"could not draw count={count} connected graphs on {min(ns)}..{max(ns)} vertices"
         )
     return out
 
@@ -244,7 +244,12 @@ def vertex_transitive_corpus(count: int = 200, seed: int = 7, max_n: int = 32) -
     fixed += cayley_zoo()
     out = [g for g in fixed if g.n <= max_n]
     if len(out) < count:
-        out += random_circulants(count - len(out), seed, max_n=max_n)
+        try:
+            out += random_circulants(count - len(out), seed, max_n=max_n)
+        except ValueError:
+            raise ValueError(
+                f"could not draw count={count} vertex-transitive graphs on <= {max_n} vertices"
+            ) from None
     return out
 
 

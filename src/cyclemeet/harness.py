@@ -289,10 +289,13 @@ def corpus_instances(spec: CorpusSpec) -> list[tuple[str, Graph]]:
             max_n=int(spec.param("max_n", "24")),
         )
     elif kind == "random":
+        max_n = int(spec.param("max_n", "12"))
+        if max_n < 5:
+            raise ValueError(f"max_n must be at least 5, got {max_n}")
         graphs = random_connected_graphs(
             count=int(spec.param("count", "50")),
             seed=spec.seed or 3,
-            max_n=int(spec.param("max_n", "12")),
+            n_choices=range(5, max_n + 1),
             p_choices=(0.2, 0.3, 0.5),
         )
     else:

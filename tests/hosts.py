@@ -50,8 +50,7 @@ def nine_vertex_sample(count: int = 120, seed: int = 5) -> list[Graph]:
     random_part = random_connected_graphs(
         max(0, count - len(structured)),
         seed,
-        max_n=9,
-        min_n=9,
+        n_choices=[9],
         p_choices=[0.2, 0.25, 0.3, 0.4, 0.55, 0.75],
     )
     return structured + random_part

@@ -320,6 +320,7 @@ def test_cli_gen_rejects_bad_generator_input(tmp_path, capsys, generator, group)
     (["verify", "--suite", "babai", "--corpus", "circulants:count=50,max_n=5"], "count=50"),
     (["verify", "--suite", "all", "--corpus", "random:count=2,max_n=3"], "max_n"),
     (["verify", "--suite", "babai", "--corpus", "circulants:count=2,max_n=2"], "max_n"),
+    (["verify", "--suite", "babai", "--corpus", "vt:count=50,max_n=8"], "count=50"),
     (["gen", "random", "--n", "5", "--p", "1.5"], "p must lie in [0, 1]"),
 ])
 def test_cli_bad_corpus_or_generator_input_is_a_usage_error(capsys, args, names):
