@@ -268,19 +268,16 @@ def graph_to_graph6(g: Graph) -> str:
         )
     else:
         raise ValueError("graph too large for graph6")
-    bits = []
+    acc = 0  # the upper triangle, column by column, first bit highest
     for j in range(1, g.n):
+        row = g._rows[j]
         for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for k in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[k : k + 6]:
-            val = val << 1 | bit
-        body.append(val + 63)
-    return (header + bytes(body)).decode("ascii")
+            acc = acc << 1 | (row >> i & 1)
+    length = g.n * (g.n - 1) // 2
+    pad = -length % 6
+    acc <<= pad
+    body = bytes([(acc >> k & 63) + 63 for k in range(length + pad - 6, -1, -6)])
+    return (header + body).decode("ascii")
 
 
 def graph_from_graph6(text: str) -> Graph:

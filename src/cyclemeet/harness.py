@@ -12,6 +12,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,6 +76,11 @@ class InstanceFacts:
     every read, so the search never runs twice. The automorphism search
     behind ``vertex_transitive`` has no budget, so it runs only for the
     checks that read the flag.
+
+    ``corpus_instances`` makes one per instance, and a fact read while the
+    corpus is set up (the ``default`` filter reads ``cycles``) is reused by
+    the analysis. ``analyze_instance`` works on a shallow copy, so what the
+    analysis computes dies with the instance.
     """
 
     def __init__(self, g: Graph, budget: int):
@@ -259,13 +265,17 @@ class CorpusSpec:
         return default
 
 
-def corpus_instances(spec: CorpusSpec) -> list[tuple[str, Graph]]:
-    """Materialize the corpus; ids embed the graph6 form for reproducibility."""
+def corpus_instances(spec: CorpusSpec) -> list[tuple[str, InstanceFacts]]:
+    """Materialize the corpus as (id, facts) pairs; ids embed the graph6 form.
+
+    Each instance gets one ``InstanceFacts`` under ``spec.budget``. The
+    ``default`` corpus keeps only graphs whose longest-cycle set is complete,
+    so its facts arrive with that set already enumerated.
+    """
     kind = spec.kind
     if kind == "default":
         graphs = pairwise_corpus(max_n=12, seed=spec.seed or 11, random_count=10)
         graphs += vertex_transitive_corpus(count=40, seed=spec.seed or 7, max_n=16)
-        graphs = _enumerable_only(graphs, spec)
     elif kind == "smoke":
         graphs = pairwise_corpus(max_n=10, seed=spec.seed or 11, random_count=4)[:12]
     elif kind.startswith("exhaustive"):
@@ -300,30 +310,24 @@ def corpus_instances(spec: CorpusSpec) -> list[tuple[str, Graph]]:
         )
     else:
         raise ValueError(f"unknown corpus kind {kind!r}")
-    out = []
-    for idx, g in enumerate(graphs):
-        out.append((f"{kind}[{idx}]:{graph_to_graph6(g)}", g))
-    return out
+    facts = (InstanceFacts(g, spec.budget) for g in graphs)
+    if kind == "default":
+        facts = filter(_enumerable, facts)  # a dropped graph's facts are freed at once
+    return [(f"{kind}[{idx}]:{graph_to_graph6(f.g)}", f) for idx, f in enumerate(facts)]
 
 
-def _enumerable_only(graphs: list[Graph], spec: CorpusSpec) -> list[Graph]:
-    """Drop graphs whose longest-cycle sets exceed the enumeration limit.
+def _enumerable(facts: InstanceFacts) -> bool:
+    """Whether the graph has a cycle and its longest cycles were all enumerated.
 
     Deterministic given the spec, so filtered corpora stay reproducible;
     cycle-saturated dense graphs would otherwise leave every pairwise check
     inconclusive.
     """
-    kept = []
-    for g in graphs:
-        if is_forest(g):
-            continue
-        try:
-            cs = enumerate_longest_cycles(g, limit=ENUMERATION_LIMIT, budget=spec.budget)
-        except BudgetExceededError:
-            continue
-        if not cs.truncated:
-            kept.append(g)
-    return kept
+    try:
+        cs = facts.cycles
+    except BudgetExceededError:
+        return False
+    return cs is not None and not cs.truncated
 
 
 def _pair_iter(cs: CycleSet):
@@ -331,9 +335,17 @@ def _pair_iter(cs: CycleSet):
     return islice(combinations(cs.cycles, 2), PAIR_LIMIT)
 
 
-def analyze_instance(instance_id: str, g: Graph, spec: CorpusSpec, suite: str) -> VerificationReport:
-    """Run the requested checks on one graph."""
-    facts = InstanceFacts(g, spec.budget)
+def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
+                     suite: str) -> VerificationReport:
+    """Run the requested checks on one instance's graph, ``facts.g``.
+
+    Facts set-up already found are reused. The analysis fills a shallow copy,
+    so the set-up object, which the corpus list keeps for the whole pass,
+    holds only what set-up computed. ``spec`` is not read, since the budget
+    comes with the facts; it stays so that four-argument callers keep working.
+    """
+    facts = copy.copy(facts)
+    g = facts.g
     outcomes: list[Outcome] = []
     observations: dict = {}
     stats: dict = {}
@@ -493,8 +505,8 @@ def _structural_checks(facts: InstanceFacts, cs: CycleSet, stats: dict) -> list[
 def run_corpus(spec: CorpusSpec, suite: str = "all") -> list[VerificationReport]:
     """Analyze every corpus instance; abort on the first theorem-check failure."""
     reports = []
-    for instance_id, g in corpus_instances(spec):
-        report = analyze_instance(instance_id, g, spec, suite)
+    for instance_id, facts in corpus_instances(spec):
+        report = analyze_instance(instance_id, facts, spec, suite)
         reports.append(report)
         if report.worst_status() == "fail":
             break

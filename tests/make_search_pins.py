@@ -42,7 +42,8 @@ def pin_graphs() -> list[tuple[str, Graph]]:
         ("wheel7", wheel_graph(7)),
         ("grid3x4", grid_graph(3, 4)),
     ]
-    return named + corpus_instances(CorpusSpec.parse("circulants:count=20,max_n=16", seed=1))
+    instances = corpus_instances(CorpusSpec.parse("circulants:count=20,max_n=16", seed=1))
+    return named + [(name, f.g) for name, f in instances]
 
 
 def search_facts(g: Graph, mode: str) -> dict:

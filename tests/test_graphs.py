@@ -208,3 +208,18 @@ def test_graph6_roundtrip_random(n, data):
     picks = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     g = Graph(n, picks)
     assert graph_from_graph6(graph_to_graph6(g)) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 62), st.data())
+def test_graph6_matches_networkx_encoder(n, data):
+    nx = pytest.importorskip("networkx")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picks = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [pair for k, pair in enumerate(pairs) if picks >> k & 1]
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    text = graph_to_graph6(Graph(n, edges))
+    assert text == nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+    assert graph_from_graph6(text) == Graph(n, edges)

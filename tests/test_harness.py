@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -102,7 +103,7 @@ def test_analyze_instance_computes_each_fact_once(monkeypatch):
     counts = count_calls(
         monkeypatch, "enumerate_longest_cycles", "vertex_connectivity", "is_vertex_transitive"
     )
-    report = analyze_instance("petersen", petersen_graph(), CorpusSpec("smoke"), "all")
+    report = analyze_instance("petersen", facts(petersen_graph()), CorpusSpec("smoke"), "all")
     assert report.worst_status() == "pass"
     assert report.cycle_length == 9 and report.connectivity == 3 and report.m_min == 8
     assert counts == {
@@ -115,13 +116,42 @@ def test_analyze_instance_computes_each_fact_once(monkeypatch):
 def test_exhausted_enumeration_runs_once(monkeypatch):
     counts = count_calls(monkeypatch, "enumerate_longest_cycles")
     spec = CorpusSpec("smoke", budget=50)
-    report = analyze_instance("petersen", petersen_graph(), spec, "all")
+    report = analyze_instance("petersen", InstanceFacts(petersen_graph(), spec.budget), spec, "all")
     status = {o.name: o.status for o in report.outcomes}
     assert status["enumeration"] == "inconclusive"
     assert status["babai"] == "inconclusive"
     assert status["smith_k"] == "inconclusive"
     assert report.cycle_length is None and report.connectivity == 3
     assert counts["enumerate_longest_cycles"] == 1
+
+
+def test_default_corpus_enumerates_each_graph_once(monkeypatch):
+    counts = count_calls(monkeypatch, "enumerate_longest_cycles")
+    setup = harness.corpus_instances
+    after_setup = []
+
+    def counted_setup(spec):
+        instances = setup(spec)
+        after_setup.append(counts["enumerate_longest_cycles"])
+        return instances
+
+    monkeypatch.setattr(harness, "corpus_instances", counted_setup)
+    reports = run_corpus(CorpusSpec.parse("default", seed=42), "all")
+    assert len(reports) == 72
+    # one enumeration per non-forest generated graph (3 are dropped), none in analysis
+    assert after_setup == [75] and counts["enumerate_longest_cycles"] == 75
+
+
+def test_analysis_leaves_setup_facts_unchanged():
+    instance_id, setup_facts = harness.corpus_instances(CorpusSpec("smoke"))[0]
+    before = dict(vars(setup_facts))
+    report = analyze_instance(instance_id, setup_facts, CorpusSpec("smoke"), "all")
+    assert report.cycle_length is not None and report.connectivity is not None
+    assert vars(setup_facts) == before
+
+
+def test_default_corpus_filter_uses_the_spec_budget():
+    assert len(harness.corpus_instances(CorpusSpec("default", seed=1, budget=400))) == 65
 
 
 def test_facts_keep_the_budget_error():
@@ -391,6 +421,20 @@ def test_cli_verify_matches_golden_report(tmp_path, args, golden, code):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", *args, "--out", str(out)]) == code
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("args, count, digest", [
+    (["--seed", "42"], 72,
+     "8960c872eeccc47dd16d682fbddfb132f0423021e11ede00974b6bbdcdefce78"),
+    (["--corpus", "default", "--seed", "1", "--budget", "400"], 65,
+     "6cb0f737bbc85721b05efb90ea6a0ebd5294fdc52589c7840fbe44e4f00e3059"),
+])
+def test_cli_verify_default_corpus_report_digest(tmp_path, args, count, digest):
+    # the goldens use the smoke corpus, which never runs the default filter
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", *args, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["instances"]) == count
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_verify_determinism_bytes(tmp_path):
