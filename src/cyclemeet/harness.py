@@ -77,10 +77,9 @@ class InstanceFacts:
     behind ``vertex_transitive`` has no budget, so it runs only for the
     checks that read the flag.
 
-    ``corpus_instances`` makes one per instance, and a fact read while the
-    corpus is set up (the ``default`` filter reads ``cycles``) is reused by
-    the analysis. ``analyze_instance`` works on a shallow copy, so what the
-    analysis computes dies with the instance.
+    ``corpus_instances`` makes one per instance. A fact that set-up reads
+    (the ``default`` filter reads ``cycles``) is reused by the analysis,
+    which works on a shallow copy, so what the analysis adds dies with it.
     """
 
     def __init__(self, g: Graph, budget: int):
@@ -339,10 +338,9 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
                      suite: str) -> VerificationReport:
     """Run the requested checks on one instance's graph, ``facts.g``.
 
-    Facts set-up already found are reused. The analysis fills a shallow copy,
-    so the set-up object, which the corpus list keeps for the whole pass,
-    holds only what set-up computed. ``spec`` is not read, since the budget
-    comes with the facts; it stays so that four-argument callers keep working.
+    Works on a shallow copy of ``facts``: what set-up computed is reused, and
+    what the analysis adds dies with the call. ``spec`` is unread (the budget
+    comes with the facts); it stays so that four-argument callers still work.
     """
     facts = copy.copy(facts)
     g = facts.g
