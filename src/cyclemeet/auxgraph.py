@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .cycles import CycleEmbedding
-from .flow import PathFamily, edge_bound_holds
+from .flow import PathFamily, edge_bound_holds, max_disjoint_paths
 from .graphs import Graph
 
 
@@ -161,6 +161,22 @@ def build_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding, p: PathFamily) -> 
                    decomposition=dec)
     assert aux.edge_count() == len(p.paths)
     return aux
+
+
+def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> Optional[AuxGraph]:
+    """The auxiliary graph of a maximum family of (X-M, Y-M)-paths that avoid M.
+
+    None when the cycles share no vertex or either remainder is empty. Two
+    family paths on one segment pair raise SameSegmentPairError, as in
+    ``build_aux``.
+    """
+    shared = x.vertex_set() & y.vertex_set()
+    xs = x.vertex_set() - shared
+    ys = y.vertex_set() - shared
+    if not (shared and xs and ys):
+        return None
+    family = max_disjoint_paths(g, xs, ys, allowed=frozenset(range(g.n)) - shared)
+    return build_aux(g, x, y, family)
 
 
 def classify_four_cycle(f: AuxGraph, i: int, j: int, k: int, l: int) -> FourCycleType:

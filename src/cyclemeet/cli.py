@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .auxgraph import SameSegmentPairError, build_aux, l_set, supersaturation_report, type_census
+from .auxgraph import SameSegmentPairError, l_set, pair_aux, supersaturation_report, type_census
 from .corpus import random_graph
 from .cycles import (
     BudgetExceededError,
@@ -24,7 +24,7 @@ from .cycles import (
     min_pairwise_intersection,
 )
 from .exchange import improve_by_exchange
-from .flow import max_disjoint_paths, xy_separator
+from .flow import xy_separator
 from .graphs import Graph, graph_from_graph6, graph_to_graph6
 from .harness import CorpusSpec, reports_to_json, run_corpus
 from .transitive import GroupPresentation, cayley, circulant
@@ -135,18 +135,16 @@ def cmd_auxgraph(args) -> int:
     if not shared:
         _emit({"error": "empty intersection"})
         return EXIT_FAIL
-    xs, ys = x.vertex_set() - shared, y.vertex_set() - shared
-    if not xs or not ys:
-        _emit({"m": len(shared), "edges": [], "note": "one cycle inside the other"})
-        return EXIT_PASS
-    family = max_disjoint_paths(g, xs, ys, allowed=frozenset(range(g.n)) - shared)
     try:
-        f = build_aux(g, x, y, family)
+        f = pair_aux(g, x, y)
     except SameSegmentPairError as err:
         # Prop. 2.2 rules this out for longest cycles; `certify` turns it into a longer cycle
         _emit({"error": "same segment pair", "pair": list(err.pair),
                "path1": list(err.path1), "path2": list(err.path2)})
         return EXIT_FAIL
+    if f is None:
+        _emit({"m": len(shared), "edges": [], "note": "one cycle inside the other"})
+        return EXIT_PASS
     census = {f"({a},{b})": count for (a, b), count in sorted(type_census(f).items())}
     _emit({
         "aux": f.to_json_dict(),

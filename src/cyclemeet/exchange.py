@@ -16,14 +16,13 @@ from .auxgraph import (
     AuxGraph,
     FourCycleType,
     SameSegmentPairError,
-    build_aux,
     classify_four_cycle,
     decompose,
     four_cycles,
     is_crossing,
+    pair_aux,
 )
 from .cycles import CycleEmbedding
-from .flow import max_disjoint_paths
 from .graphs import Graph
 
 
@@ -32,7 +31,7 @@ class WinningCertificate:
     """Two cycles covering E(X) ∪ E(Y) with |q1| + |q2| > |X| + |Y|.
 
     Constructors only return certificates whose invariants were machine
-    checked; the booleans ride along in the serialized form.
+    checked by ``certificate_is_sound``.
     """
 
     q1: CycleEmbedding
@@ -40,8 +39,6 @@ class WinningCertificate:
     origin: str  # prop22 | type00 | lemma33
     surplus: int
     case: Optional[tuple[int, int]] = None
-    covers_union: bool = True
-    strictly_longer: bool = True
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,8 +47,6 @@ class WinningCertificate:
             "origin": self.origin,
             "surplus": self.surplus,
             "case": None if self.case is None else list(self.case),
-            "covers_union": self.covers_union,
-            "strictly_longer": self.strictly_longer,
         }
 
 
@@ -425,25 +420,26 @@ def improve_by_exchange(
 
     Returns an improved pair covering the original edges, or None. On a pair
     of genuinely longest cycles this must always return None; a success there
-    is a correctness bug in the searcher or in the exchanges.
+    is a correctness bug in the searcher or in the exchanges. A caller that
+    already holds the pair's ``pair_aux`` graph calls ``improve_by_four_cycles``.
     """
-    shared = x.vertex_set() & y.vertex_set()
-    if not shared:
-        return None
-    xs = x.vertex_set() - shared
-    ys = y.vertex_set() - shared
-    if not xs or not ys:
-        return None
-    allowed = frozenset(range(g.n)) - shared
-    family = max_disjoint_paths(g, xs, ys, allowed=allowed)
     try:
-        f = build_aux(g, x, y, family)
+        f = pair_aux(g, x, y)
     except SameSegmentPairError as err:
         cert = prop22_certificate(g, x, y, err.path1, err.path2)
         return cert.q1, cert.q2
-    cycles4 = four_cycles(f)
+    return None if f is None else improve_by_four_cycles(g, x, y, f)
+
+
+def improve_by_four_cycles(
+    g: Graph, x: CycleEmbedding, y: CycleEmbedding, f: AuxGraph
+) -> Optional[tuple[CycleEmbedding, CycleEmbedding]]:
+    """The type-(0,0) and Lemma 3.3 exchanges on the pair's auxiliary graph ``f``.
+
+    Returns an improved pair covering the original edges, or None.
+    """
     type10: list[tuple[int, int, int, int]] = []
-    for (i, k, j, l) in cycles4:
+    for (i, k, j, l) in four_cycles(f):
         kind = classify_four_cycle(f, i, j, k, l)
         if kind == FourCycleType(0, 0):
             cert = type00_certificate(g, x, y, f, (i, k, j, l))

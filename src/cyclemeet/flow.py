@@ -10,7 +10,7 @@ come out of one run and can be cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .cycles import CycleEmbedding
@@ -72,7 +72,6 @@ class SeparatorReport:
     witness: PathFamily
     m: Optional[int] = None
     bound: Optional[float] = None
-    shared: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def bound_satisfied(self) -> Optional[bool]:
@@ -227,6 +226,17 @@ class _SplitNetwork:
         return paths
 
 
+def _terminals(g: Graph, a: Iterable[int], b: Iterable[int],
+               allowed: Optional[Iterable[int]]) -> tuple[frozenset[int], frozenset[int], int]:
+    """Checked disjoint terminal sets and the allowed mask, terminals included."""
+    avs = check_vertex_set(g, a)
+    bvs = check_vertex_set(g, b)
+    if avs & bvs:
+        raise ValueError("overlapping terminals")
+    allowed_mask = g.full_mask if allowed is None else mask_of(check_vertex_set(g, allowed))
+    return avs, bvs, allowed_mask | mask_of(avs) | mask_of(bvs)
+
+
 def _solve(g: Graph, a: frozenset[int], b: frozenset[int], allowed_mask: int):
     net = _SplitNetwork(g, allowed_mask, a, b)
     # each source vertex carries one unit, so no flow exceeds min(|a|, |b|)
@@ -250,12 +260,7 @@ def max_disjoint_paths(
     Paths meet a exactly in their first vertex and b exactly in their last;
     interior vertices may be anything inside `allowed` (default: all).
     """
-    avs = check_vertex_set(g, a)
-    bvs = check_vertex_set(g, b)
-    if avs & bvs:
-        raise ValueError("overlapping terminals")
-    allowed_mask = g.full_mask if allowed is None else mask_of(check_vertex_set(g, allowed))
-    allowed_mask |= mask_of(avs) | mask_of(bvs)
+    avs, bvs, allowed_mask = _terminals(g, a, b, allowed)
     value, paths, _ = _solve(g, avs, bvs, allowed_mask)
     family = PathFamily(paths=tuple(paths), source_set=avs, target_set=bvs)
     if len(family.paths) != value:
@@ -271,12 +276,7 @@ def min_vertex_cut(
     allowed: Optional[Iterable[int]] = None,
 ) -> SeparatorReport:
     """Minimum vertex set meeting every (a,b)-path, with its Menger witness."""
-    avs = check_vertex_set(g, a)
-    bvs = check_vertex_set(g, b)
-    if avs & bvs:
-        raise ValueError("overlapping terminals")
-    allowed_mask = g.full_mask if allowed is None else mask_of(check_vertex_set(g, allowed))
-    allowed_mask |= mask_of(avs) | mask_of(bvs)
+    avs, bvs, allowed_mask = _terminals(g, a, b, allowed)
     value, paths, cut = _solve(g, avs, bvs, allowed_mask)
     family = PathFamily(paths=tuple(paths), source_set=avs, target_set=bvs)
     family.validate(g)
@@ -309,8 +309,7 @@ def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorRep
     if not a or not b:
         empty = PathFamily(paths=(), source_set=frozenset(a), target_set=frozenset(b))
         return SeparatorReport(
-            cut=frozenset(shared), max_disjoint_paths=0, witness=empty, m=m, bound=bound,
-            shared=frozenset(shared),
+            cut=frozenset(shared), max_disjoint_paths=0, witness=empty, m=m, bound=bound
         )
     base = min_vertex_cut(g, a, b)
     return SeparatorReport(
@@ -319,7 +318,6 @@ def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorRep
         witness=base.witness,
         m=m,
         bound=bound,
-        shared=frozenset(shared),
     )
 
 

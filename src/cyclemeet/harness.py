@@ -21,8 +21,8 @@ from typing import Optional, Union
 
 from .auxgraph import (
     SameSegmentPairError,
-    build_aux,
     l_set,
+    pair_aux,
     pairwise_noncrossing,
     supersaturation_report,
     type_census,
@@ -43,8 +43,8 @@ from .cycles import (
     is_t_transversal,
     min_pairwise_intersection,
 )
-from .exchange import improve_by_exchange
-from .flow import max_disjoint_paths, separator_bound_holds, xy_separator
+from .exchange import improve_by_four_cycles
+from .flow import SeparatorReport, separator_bound_holds, xy_separator
 from .graphs import Graph, graph_to_graph6, is_connected, is_forest, is_regular, vertex_connectivity
 from .transitive import is_vertex_transitive
 
@@ -164,13 +164,15 @@ def verify_smith(facts: InstanceFacts) -> Outcome:
     )
 
 
-def verify_thm14(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> Outcome:
+def verify_thm14(g: Graph, x: CycleEmbedding, y: CycleEmbedding,
+                 rep: SeparatorReport) -> Outcome:
     """Separator size against sqrt(10)*m^1.5 + 1.5*m for one longest-cycle pair.
 
-    Disjoint longest cycles only occur across blocks, where one cut vertex
-    separates them; that size-1 cut is the certified ceiling for m = 0.
+    ``rep`` is the pair's ``xy_separator`` report, which the caller builds once
+    and shares with the structural checks. Disjoint longest cycles only occur
+    across blocks, where one cut vertex separates them; that size-1 cut is the
+    certified ceiling for m = 0.
     """
-    rep = xy_separator(g, x, y)
     m = rep.m or 0
     detail = ""
     if m == 0:
@@ -329,11 +331,6 @@ def _enumerable(facts: InstanceFacts) -> bool:
     return cs is not None and not cs.truncated
 
 
-def _pair_iter(cs: CycleSet):
-    """The first PAIR_LIMIT cycle pairs in index order."""
-    return islice(combinations(cs.cycles, 2), PAIR_LIMIT)
-
-
 def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
                      suite: str) -> VerificationReport:
     """Run the requested checks on one instance's graph, ``facts.g``.
@@ -378,25 +375,20 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         a = cs.cycles[0].vertex_set()
         t = m_min if m_min is not None else cs.length
         outcomes.append(verify_devos(facts, a, t))
-    if want("thm14") and cs is not None and not truncated and len(cs) >= 1:
-        worst: Optional[Outcome] = None
-        pairs = 0
-        if len(cs) == 1:
-            # degenerate pair: the cut is the cycle itself and the bound still holds
-            worst = verify_thm14(g, cs.cycles[0], cs.cycles[0])
-            pairs = 1
-        for x, y in _pair_iter(cs):
-            out = verify_thm14(g, x, y)
-            pairs += 1
-            if worst is None or out.status == "fail":
-                worst = out
-            if out.status == "fail":
+    if want("thm14") and cs is not None and not truncated:
+        # the first PAIR_LIMIT pairs with their separators, read by both pairwise scans
+        pairs = [(x, y, xy_separator(g, x, y))
+                 for x, y in islice(combinations(cs.cycles, 2), PAIR_LIMIT)]
+        thm14: list[Outcome] = []
+        # a lone longest cycle c is the degenerate pair (c, c): its cut is c itself
+        for x, y, rep in pairs or [(c, c, xy_separator(g, c, c)) for c in cs.cycles]:
+            thm14.append(verify_thm14(g, x, y, rep))
+            if thm14[-1].status == "fail":
                 break
-        stats["thm14_pairs_checked"] = pairs
-        if worst is not None:
-            outcomes.append(worst)
-    if suite == "all" and cs is not None and not truncated:
-        outcomes.extend(_structural_checks(facts, cs, stats))
+        stats["thm14_pairs_checked"] = len(thm14)
+        outcomes.append(thm14[-1] if thm14[-1].status == "fail" else thm14[0])
+        if suite == "all":
+            outcomes.extend(_structural_checks(facts, cs, pairs, stats))
 
     if degree is not None and connectivity is not None and degree >= 2 and cs is not None:
         # observational ratios for the asymptotic statements (no pass/fail)
@@ -425,79 +417,60 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     )
 
 
-def _structural_checks(facts: InstanceFacts, cs: CycleSet, stats: dict) -> list[Outcome]:
-    """Pairwise checks: nonempty intersections, transversal cuts, clean aux graphs."""
+STRUCTURAL_CHECKS = ("prop21_nonempty", "prop21_transversal", "lemma32_clean",
+                     "lemma35_clean", "supersaturation", "exchange_absent")
+
+
+def _structural_checks(facts: InstanceFacts, cs: CycleSet, pairs: list,
+                       stats: dict) -> list[Outcome]:
+    """Pairwise checks: nonempty intersections, transversal cuts, clean aux graphs.
+
+    ``pairs`` holds each checked pair with the separator that thm14 read; each
+    pair's aux graph is built once, for the aux-graph checks and the exchange.
+    The scan stops at the first failing pair: its first failed check fails with
+    the witness and every other check passes. prop21 needs a 2-connected graph.
+    """
     g = facts.g
-    outcomes: list[Outcome] = []
     two_connected = g.n >= 3 and facts.connectivity >= 2
-    intersect_ok = True
-    transversal_ok = True
-    lemma32_ok = True
-    lemma35_ok = True
-    super_ok = True
-    exchange_ok = True
-    witness: Optional[dict] = None
-    pairs = 0
-    for x, y in _pair_iter(cs):
-        pairs += 1
-        shared = x.vertex_set() & y.vertex_set()
-        if two_connected and not shared:
-            intersect_ok = False
-            witness = {"x": list(x.vertices), "y": list(y.vertices)}
+    failed = witness = None
+    checked = 0
+    for x, y, rep in pairs:
+        checked += 1
+        failed, witness = _pair_failure(g, cs, x, y, rep, two_connected)
+        if failed is not None:
             break
-        if two_connected:
-            rep = xy_separator(g, x, y)
-            if not is_t_transversal(g, cs, rep.cut, 1):
-                transversal_ok = False
-                witness = {"cut": sorted(rep.cut)}
-                break
-        if shared and (x.vertex_set() - shared) and (y.vertex_set() - shared):
-            allowed = frozenset(range(g.n)) - shared
-            family = max_disjoint_paths(
-                g, x.vertex_set() - shared, y.vertex_set() - shared, allowed=allowed
-            )
-            try:
-                f = build_aux(g, x, y, family)
-            except SameSegmentPairError:
-                lemma32_ok = False
-                witness = {"x": list(x.vertices), "y": list(y.vertices)}
-                break
-            census = type_census(f)
-            if any(kind == (0, 0) and count for kind, count in census.items()):
-                lemma32_ok = False
-                witness = {"x": list(x.vertices), "y": list(y.vertices)}
-                break
-            if not pairwise_noncrossing(sorted(l_set(f))):
-                lemma35_ok = False
-                witness = {"l_set": sorted(l_set(f))}
-                break
-            rep = supersaturation_report(f)
-            if rep.assumption_met and not (rep.sum_ok and rep.l_ok and rep.edge_bound_ok):
-                super_ok = False
-                witness = {"m": rep.m, "edges": rep.edge_count}
-                break
-        improved = improve_by_exchange(g, x, y)
-        if improved is not None:
-            exchange_ok = False
-            witness = {
-                "x": list(x.vertices),
-                "y": list(y.vertices),
-                "improved": [list(c.vertices) for c in improved],
-            }
-            break
-    stats["structural_pairs_checked"] = pairs
+    stats["structural_pairs_checked"] = checked
+    names = STRUCTURAL_CHECKS if two_connected else STRUCTURAL_CHECKS[2:]
+    return [Outcome(name, "fail", witness=witness) if name == failed else Outcome(name, "pass")
+            for name in names]
 
-    def outcome(name: str, ok: bool) -> Outcome:
-        return Outcome(name, "pass" if ok else "fail", witness=None if ok else witness)
 
-    if two_connected:
-        outcomes.append(outcome("prop21_nonempty", intersect_ok))
-        outcomes.append(outcome("prop21_transversal", transversal_ok))
-    outcomes.append(outcome("lemma32_clean", lemma32_ok))
-    outcomes.append(outcome("lemma35_clean", lemma35_ok))
-    outcomes.append(outcome("supersaturation", super_ok))
-    outcomes.append(outcome("exchange_absent", exchange_ok))
-    return outcomes
+def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
+                  rep: SeparatorReport, two_connected: bool):
+    """The first structural check one pair fails, with its witness, or (None, None)."""
+    pair = {"x": list(x.vertices), "y": list(y.vertices)}
+    if two_connected and not rep.m:
+        return "prop21_nonempty", pair
+    if two_connected and not is_t_transversal(g, cs, rep.cut, 1):
+        return "prop21_transversal", {"cut": sorted(rep.cut)}
+    try:
+        f = pair_aux(g, x, y)
+    except SameSegmentPairError:
+        return "lemma32_clean", pair
+    if f is None:
+        return None, None  # an empty remainder leaves nothing to connect or exchange
+    if type_census(f)[(0, 0)]:
+        return "lemma32_clean", pair
+    ls = sorted(l_set(f))
+    if not pairwise_noncrossing(ls):
+        return "lemma35_clean", {"l_set": ls}
+    sat = supersaturation_report(f)
+    if sat.assumption_met and not (sat.sum_ok and sat.l_ok and sat.edge_bound_ok):
+        return "supersaturation", {"m": sat.m, "edges": sat.edge_count}
+    improved = improve_by_four_cycles(g, x, y, f)
+    if improved is not None:
+        return "exchange_absent", {**pair, "improved": [list(c.vertices) for c in improved]}
+    return None, None
 
 
 def run_corpus(spec: CorpusSpec, suite: str = "all") -> list[VerificationReport]:

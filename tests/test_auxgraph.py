@@ -19,14 +19,15 @@ from cyclemeet.auxgraph import (
     l_set,
     max_noncrossing_family,
     noncrossing_witness,
+    pair_aux,
     pairwise_noncrossing,
     supersaturation_report,
 )
 from cyclemeet.cycles import CycleEmbedding
-from cyclemeet.flow import PathFamily
+from cyclemeet.flow import PathFamily, max_disjoint_paths
 from cyclemeet.graphs import Graph
 
-from hosts import type00_host
+from hosts import prop22_host, type00_host
 from oracles import max_noncrossing_by_subsets
 
 
@@ -77,6 +78,32 @@ def test_build_aux_k22_host():
     assert f.m == 2
     assert f.edges == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert f.edge_count() == len(family)
+
+
+def test_pair_aux_is_none_without_two_remainders():
+    g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    x = CycleEmbedding.from_sequence(g, [0, 1, 2])
+    y = CycleEmbedding.from_sequence(g, [3, 4, 5])
+    assert pair_aux(g, x, y) is None  # disjoint cycles
+    assert pair_aux(g, x, x) is None  # both remainders empty
+
+
+def test_pair_aux_lets_the_same_segment_pair_through():
+    g, x, y, path1, path2 = prop22_host()
+    with pytest.raises(SameSegmentPairError) as info:
+        pair_aux(g, x, y)
+    assert {info.value.path1, info.value.path2} == {path1, path2}
+
+
+def test_pair_aux_matches_build_aux_over_a_maximum_family():
+    g, x, y, _ = type00_host()
+    shared = x.vertex_set() & y.vertex_set()
+    family = max_disjoint_paths(g, x.vertex_set() - shared, y.vertex_set() - shared,
+                                allowed=frozenset(range(g.n)) - shared)
+    expected = build_aux(g, x, y, family)
+    f = pair_aux(g, x, y)
+    assert f.edges == expected.edges == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert f.witness == expected.witness and f.endpoints == expected.endpoints
 
 
 def test_build_aux_empty_family():

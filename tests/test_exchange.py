@@ -82,7 +82,6 @@ def test_certificate_json_carries_verification():
     payload = cert.to_json_dict()
     assert payload["origin"] == "type00"
     assert payload["surplus"] == 8
-    assert payload["covers_union"] is True and payload["strictly_longer"] is True
 
 
 def test_type00_certificate_longer_path():

@@ -1,13 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import cyclemeet
+from cyclemeet import auxgraph, flow
+from cyclemeet.auxgraph import FourCycleType, build_aux, l_set
 from cyclemeet.cli import main
 from cyclemeet.corpus import two_triangles_shared_vertex
 from cyclemeet import harness
@@ -15,10 +19,12 @@ from cyclemeet.cycles import DEFAULT_BUDGET, enumerate_longest_cycles
 from cyclemeet.graphs import (
     complete_graph,
     cycle_graph,
+    graph_from_graph6,
     graph_to_graph6,
     petersen_graph,
     wheel_graph,
 )
+from cyclemeet.flow import max_disjoint_paths, xy_separator
 from cyclemeet.harness import (
     CorpusSpec,
     InstanceFacts,
@@ -61,9 +67,9 @@ def test_verify_thm14():
     g = two_triangles_shared_vertex()
     cs = enumerate_longest_cycles(g)
     x, y = cs.cycles[0], cs.cycles[1]
-    out = verify_thm14(g, x, y)
+    out = verify_thm14(g, x, y, xy_separator(g, x, y))
     assert out.status == "pass" and out.lhs == 1
-    same = verify_thm14(g, x, x)
+    same = verify_thm14(g, x, x, xy_separator(g, x, x))
     assert same.status == "pass"
 
 
@@ -140,6 +146,87 @@ def test_default_corpus_enumerates_each_graph_once(monkeypatch):
     assert len(reports) == 72
     # one enumeration per non-forest generated graph (3 are dropped), none in analysis
     assert after_setup == [75] and counts["enumerate_longest_cycles"] == 75
+
+
+def count_module_calls(monkeypatch, *functions):
+    """Count calls as the benchmark tracer does: wrap each function under every
+    cyclemeet module attribute bound to it. Returns name -> call count."""
+    counts = {fn.__name__: 0 for fn in functions}
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "cyclemeet" or name.startswith("cyclemeet."))]
+    for fn in functions:
+        def wrapper(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+def test_each_checked_pair_is_built_once(monkeypatch):
+    counts = count_module_calls(
+        monkeypatch, flow.xy_separator, flow.max_disjoint_paths, auxgraph.build_aux
+    )
+    report = analyze_instance("petersen", facts(petersen_graph()), CorpusSpec("smoke"), "all")
+    assert report.worst_status() == "pass"
+    # Petersen has 20 longest cycles, so both scans reach PAIR_LIMIT
+    assert report.stats == {"thm14_pairs_checked": 25, "structural_pairs_checked": 25}
+    # one separator per checked pair plus the m_min pair; 23 of the 25 pairs
+    # leave both remainders nonempty and get a path family and an aux graph
+    assert counts == {"xy_separator": 26, "max_disjoint_paths": 23, "build_aux": 23}
+
+
+# pairwise12[18]: 2-connected and not vertex-transitive (so devos never reads
+# is_t_transversal); its 5 longest cycles give 10 pairs, each with an aux graph
+PAIRWISE12_18 = "HkSg_SD"
+
+
+@pytest.mark.parametrize("name", [
+    "is_t_transversal", "type_census", "pairwise_noncrossing", "supersaturation_report",
+])
+def test_structural_scan_stops_at_the_first_failing_pair(monkeypatch, name):
+    k = 3
+    instance = facts(graph_from_graph6(PAIRWISE12_18))
+    g = instance.g
+    x, y = list(combinations(instance.cycles.cycles, 2))[k - 1]
+    shared = x.vertex_set() & y.vertex_set()
+    family = max_disjoint_paths(g, x.vertex_set() - shared, y.vertex_set() - shared,
+                                allowed=frozenset(range(g.n)) - shared)
+    aux = build_aux(g, x, y, family)
+    pair = {"x": list(x.vertices), "y": list(y.vertices)}
+    sat = harness.supersaturation_report(aux)
+    check, failing, witness = {
+        "is_t_transversal": (
+            "prop21_transversal", lambda *args: False, {"cut": sorted(xy_separator(g, x, y).cut)},
+        ),
+        "type_census": ("lemma32_clean", lambda f: {FourCycleType(0, 0): 1}, pair),
+        "pairwise_noncrossing": ("lemma35_clean", lambda pairs: False, {"l_set": sorted(l_set(aux))}),
+        "supersaturation_report": (
+            "supersaturation",
+            lambda f: dataclasses.replace(sat, assumption_met=True, sum_ok=False),
+            {"m": sat.m, "edges": sat.edge_count},
+        ),
+    }[name]
+    original = getattr(harness, name)
+    calls = []
+
+    def fail_on_kth_call(*args):
+        calls.append(args)
+        return failing(*args) if len(calls) == k else original(*args)
+
+    monkeypatch.setattr(harness, name, fail_on_kth_call)
+    report = analyze_instance("pairwise12[18]", instance, CorpusSpec("pairwise12"), "all")
+    failed = [(o.name, o.witness) for o in report.outcomes if o.status == "fail"]
+    assert failed == [(check, witness)]
+    structural = ["prop21_nonempty", "prop21_transversal", "lemma32_clean", "lemma35_clean",
+                  "supersaturation", "exchange_absent"]
+    assert [(o.name, o.status) for o in report.outcomes][-6:] == [
+        (n, "fail" if n == check else "pass") for n in structural
+    ]
+    assert report.stats == {"thm14_pairs_checked": 10, "structural_pairs_checked": k}
 
 
 def test_analysis_leaves_setup_facts_unchanged():
@@ -435,6 +522,16 @@ def test_cli_verify_default_corpus_report_digest(tmp_path, args, count, digest):
     assert main(["verify", "--suite", "all", *args, "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["instances"]) == count
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_verify_thm14_suite_report_digest(tmp_path):
+    # the goldens and the digests above cover only --suite all
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "thm14", "--seed", "42", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["instances"]) == 72
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8d8d5b546d2c8aad934e405bfb6d9bf5f630d6fb845d5fe82e90ba0c01b3382c"
+    )
 
 
 def test_cli_verify_determinism_bytes(tmp_path):
