@@ -9,11 +9,14 @@ into the anchor or is too small to reach the length floor. When the region is
 exactly large enough (slack zero), the rest of the cycle must be a Hamiltonian
 head -> anchor path through it, and Rubin's required-edge rule (J. ACM 21(4),
 1974) applies: a region vertex with only two neighbours left must use both.
-The bound is exact, so the search closes the same cycles in the same order as
-a plain reachability bound, only in fewer nodes. Enumeration is the same single
-pass: it finds c(G) and the cycles of that length together, and ``budget``
-bounds the whole pass. Exceeding the node budget is a hard error, never a
-silent approximation.
+There the outcome depends only on the head and the region (the Held-Karp
+subproblem), so states whose subtree closed nothing are remembered and
+skipped when reached again, as in the transposition tables of Vandegriend and
+Culberson (JAIR 9, 1998). The bound is exact, so the search closes the same
+cycles in the same order as a plain reachability bound, only in fewer nodes.
+Enumeration is the same single pass: it finds c(G) and the cycles of that
+length together, and ``budget`` bounds the whole pass. Exceeding the node
+budget is a hard error, never a silent approximation.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Iterable, Optional
 from .graphs import Graph, check_vertex_set, is_forest, mask_of
 
 DEFAULT_BUDGET = 10**8
+DEAD_STATE_CAP = 1 << 15  # dead slack-zero states remembered per anchor
 
 
 class BudgetExceededError(RuntimeError):
@@ -141,8 +145,14 @@ class _Search:
     sit next to the anchor or two next to the head, and a single forced
     vertex next to the head is the only child.
 
-    Each cut subtree holds no cycle of length at least ``floor``, and
-    ``floor`` never falls, so the cut would never have reached ``_close``.
+    At slack zero a child closes a cycle exactly when a Hamiltonian path runs
+    from its head through its kept set to the anchor, whatever the path
+    before it. ``dead`` holds the (kept set, head) states of this anchor whose
+    subtree closed nothing, at most ``DEAD_STATE_CAP`` of them; a child found
+    there is skipped and not counted as a node.
+
+    Each cut or skipped subtree holds no cycle of length at least ``floor``,
+    and ``floor`` never falls, so it would never have reached ``_close``.
     Children keep their order (fewest onward free neighbours first, ties by
     id), so the ``_close`` calls, the kept set, the witness and ``truncated``
     are those of the plain reachability bound, and no search expands more
@@ -166,6 +176,7 @@ class _Search:
         self.best_witness: Optional[tuple[int, ...]] = None
         self.found: list[tuple[int, ...]] = []
         self.truncated = False
+        self.dead: set[int] = set()
 
     def run(self) -> "_Search":
         if is_forest(self.g):
@@ -177,11 +188,14 @@ class _Search:
             if allowed.bit_count() < self.floor:
                 break
             free = allowed ^ 1 << anchor
+            self.dead.clear()  # states are (kept set, head) under this anchor
             self._extend(anchor, [anchor], free, free, 0)
         return self
 
-    def _extend(self, anchor: int, path: list[int], free: int, kept: int, two: int) -> None:
-        """Expand path; kept is the parent's region less the head (at the root, free).
+    def _extend(self, anchor: int, path: list[int], free: int, kept: int, two: int) -> bool:
+        """Expand path and say whether its subtree called ``_close``.
+
+        kept is the parent's region less the head (at the root, free).
 
         Among kept vertices, two marks those with exactly two neighbours among
         the kept vertices and the ends. It starts at 0 at the root, where every
@@ -228,25 +242,28 @@ class _Search:
             frontier = nxt & kept & ~region
             region |= frontier
         if not (region | 1 << head) & rows[anchor]:
-            return
+            return False
         slack = depth + region.bit_count() - floor
         if slack < 0:
-            return
+            return False
+        closed = False
         if depth >= 3 and depth >= floor and rows[head] >> anchor & 1:
             self._close(path)
+            closed = True
         candidates = rows[head] & region
-        if slack == 0 and depth >= 2:
+        tight = slack == 0 and depth >= 2
+        if tight:
             # The rest of the cycle must be a head -> anchor path through all
             # of the region, so a region vertex with two neighbours left uses
             # both edges, and the anchor and the head each take only one.
             forced = two & region
             if forced:
                 if (forced & rows[anchor]).bit_count() > 1:
-                    return
+                    return False
                 onto = forced & candidates
                 if onto:
                     if onto & (onto - 1):
-                        return
+                        return False
                     candidates = onto
         # children with the fewest onward free neighbours first, ties by id:
         # drastically cuts backtracking on structured instances
@@ -259,11 +276,23 @@ class _Search:
             keys.append((rows[v] & free).bit_count() << shift | v)
         keys.sort()
         mask = (1 << shift) - 1
+        dead = self.dead
         for key in keys:
             v = key & mask
+            kept = region ^ 1 << v
+            if tight:
+                # a slack-zero child is decided by its kept set and head; one
+                # that closed nothing never will, since floor never falls
+                state = kept << shift | v
+                if state in dead:
+                    continue
             path.append(v)
-            self._extend(anchor, path, free ^ 1 << v, region ^ 1 << v, two)
+            if self._extend(anchor, path, free ^ 1 << v, kept, two):
+                closed = True
+            elif tight and len(dead) < DEAD_STATE_CAP:
+                dead.add(state)
             path.pop()
+        return closed
 
     def _close(self, path: list[int]) -> None:
         """Record the cycle closed by path, of length at least floor."""

@@ -358,11 +358,12 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         cycle_length, cycle_count, truncated = cs.length, len(cs), cs.truncated
 
     separator_size = separator_bound = None
+    m_pair = m_rep = None
     if cs is not None and len(cs) >= 2 and not truncated:
-        m_min, (wx, wy) = min_pairwise_intersection(cs)
-        rep = xy_separator(g, wx, wy)
-        separator_size = len(rep.cut)
-        separator_bound = rep.bound
+        m_min, m_pair = min_pairwise_intersection(cs)
+        m_rep = xy_separator(g, *m_pair)
+        separator_size = len(m_rep.cut)
+        separator_bound = m_rep.bound
 
     def want(name: str) -> bool:
         return suite in ("all", name)
@@ -376,8 +377,9 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         t = m_min if m_min is not None else cs.length
         outcomes.append(verify_devos(facts, a, t))
     if want("thm14") and cs is not None and not truncated:
-        # the first PAIR_LIMIT pairs with their separators, read by both pairwise scans
-        pairs = [(x, y, xy_separator(g, x, y))
+        # the first PAIR_LIMIT pairs with their separators, read by both pairwise
+        # scans; the m_min pair, when among them, keeps the report built above
+        pairs = [(x, y, m_rep if (x, y) == m_pair else xy_separator(g, x, y))
                  for x, y in islice(combinations(cs.cycles, 2), PAIR_LIMIT)]
         thm14: list[Outcome] = []
         # a lone longest cycle c is the degenerate pair (c, c): its cut is c itself

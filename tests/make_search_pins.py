@@ -4,10 +4,10 @@ Run from the repository root with ``PYTHONPATH=src python tests/make_search_pins
 Every field but ``nodes`` is an output that any exact bound must reproduce:
 c(G), the witness, the kept cycles and ``truncated``. ``nodes`` is an upper
 bound, so a weaker bound fails the pin. The outputs were first pinned with
-the plain reachability bound and are unchanged by degree-2 peeling and by
-the slack-zero forced-edge rule; the node counts are those of peeling plus
-the forced-edge rule. Regenerate the file only for a change that lowers node
-counts, after checking that no other field moved.
+the plain reachability bound and are unchanged by degree-2 peeling, by the
+slack-zero forced-edge rule and by the slack-zero dead-state memo; the node
+counts are those of all three. Regenerate the file only for a change that
+lowers node counts, after checking that no other field moved.
 """
 
 from __future__ import annotations

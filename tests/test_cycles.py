@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyclemeet import cycles
 from cyclemeet.cycles import (
     BudgetExceededError,
     CycleEmbedding,
@@ -24,6 +25,7 @@ from cyclemeet.graphs import (
     is_forest,
     petersen_graph,
 )
+from cyclemeet.transitive import circulant
 
 from hosts import path_graph
 from make_search_pins import PINS, search_facts
@@ -122,6 +124,51 @@ def test_search_outputs_match_pins():
             assert got["nodes"] <= pinned.pop("nodes"), label
             del got["nodes"]
             assert got == pinned, label
+
+
+def _pinned_searches():
+    for record in json.loads(PINS.read_text()):
+        g = graph_from_graph6(record["graph6"])
+        for mode in record["searches"]:
+            yield (record["name"], mode), g, mode
+
+
+def test_dead_state_memo_moves_only_node_counts(monkeypatch):
+    # the memo skips only subtrees that close nothing, so with it switched
+    # off (cap 0) or nearly so (cap 3) every output stays the same
+    with_memo = {label: search_facts(g, mode) for label, g, mode in _pinned_searches()}
+    for cap in (0, 3):
+        monkeypatch.setattr(cycles, "DEAD_STATE_CAP", cap)
+        for label, g, mode in _pinned_searches():
+            got = search_facts(g, mode)
+            want = dict(with_memo[label])
+            if cap == 0:
+                assert want["nodes"] <= got["nodes"], label
+            del got["nodes"], want["nodes"]
+            assert got == want, label
+
+
+@pytest.mark.parametrize("g6", ["Gg\\QVk", "HUKg`@|"])
+def test_dead_state_memo_is_kept_per_anchor(g6):
+    # non-Hamiltonian graphs whose later anchors meet a (kept set, head) state
+    # that an earlier anchor left dead and that closes into the later anchor
+    g = graph_from_graph6(g6)
+    cs = enumerate_longest_cycles(g)
+    assert {c.vertices for c in cs} == all_cycles_of_length_by_permutations(g, cs.length)
+
+
+def test_dead_state_memo_on_the_dominant_babai_circulant(monkeypatch):
+    # C24(±1, ±3, ±10, 12) is circulants[6] of the babai-circulants benchmark
+    # corpus and most of its enumeration nodes: dead ends met while its
+    # Hamiltonian cycles are collected (396,123 nodes without the memo)
+    g = circulant(24, {1, 3, 10, 12, 14, 21, 23})
+    got = search_facts(g, "5000")
+    assert got["nodes"] <= 67_828
+    monkeypatch.setattr(cycles, "DEAD_STATE_CAP", 0)
+    plain = search_facts(g, "5000")
+    del got["nodes"], plain["nodes"]
+    assert got == plain
+    assert got["c"] == 24 and len(got["cycles"]) == 5000 and got["truncated"]
 
 
 def test_enumeration_limit_flags_truncation():

@@ -174,9 +174,10 @@ def test_each_checked_pair_is_built_once(monkeypatch):
     assert report.worst_status() == "pass"
     # Petersen has 20 longest cycles, so both scans reach PAIR_LIMIT
     assert report.stats == {"thm14_pairs_checked": 25, "structural_pairs_checked": 25}
-    # one separator per checked pair plus the m_min pair; 23 of the 25 pairs
-    # leave both remainders nonempty and get a path family and an aux graph
-    assert counts == {"xy_separator": 26, "max_disjoint_paths": 23, "build_aux": 23}
+    # one separator per checked pair, the m_min pair (pair 0) among them; 23
+    # of the 25 pairs leave both remainders nonempty and get a path family and
+    # an aux graph
+    assert counts == {"xy_separator": 25, "max_disjoint_paths": 23, "build_aux": 23}
 
 
 # pairwise12[18]: 2-connected and not vertex-transitive (so devos never reads
