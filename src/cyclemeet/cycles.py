@@ -10,10 +10,11 @@ exactly large enough (slack zero), the rest of the cycle must be a Hamiltonian
 head -> anchor path through it, and Rubin's required-edge rule (J. ACM 21(4),
 1974) applies: a region vertex with only two neighbours left must use both.
 There the outcome depends only on the head and the region (the Held-Karp
-subproblem), so states whose subtree closed nothing are remembered and
-skipped when reached again, as in the transposition tables of Vandegriend and
-Culberson (JAIR 9, 1998). The bound is exact, so the search closes the same
-cycles in the same order as a plain reachability bound, only in fewer nodes.
+subproblem), so states searched at slack zero whose subtree closed nothing
+are remembered and skipped when reached again, as in the transposition tables
+of Vandegriend and Culberson (JAIR 9, 1998). The bound is exact, so the
+search closes the same cycles in the same order as a plain reachability
+bound, only in fewer nodes.
 Enumeration is the same single pass: it finds c(G) and the cycles of that
 length together, and ``budget`` bounds the whole pass. Exceeding the node
 budget is a hard error, never a silent approximation.
@@ -29,6 +30,7 @@ from .graphs import Graph, check_vertex_set, is_forest, mask_of
 
 DEFAULT_BUDGET = 10**8
 DEAD_STATE_CAP = 1 << 15  # dead slack-zero states remembered per anchor
+DEAD_STATE_MIN_KEPT = 4  # smaller slack-zero subtrees cost less to search again
 
 
 class BudgetExceededError(RuntimeError):
@@ -148,8 +150,16 @@ class _Search:
     At slack zero a child closes a cycle exactly when a Hamiltonian path runs
     from its head through its kept set to the anchor, whatever the path
     before it. ``dead`` holds the (kept set, head) states of this anchor whose
-    subtree closed nothing, at most ``DEAD_STATE_CAP`` of them; a child found
-    there is skipped and not counted as a node.
+    subtree closed nothing (``closes`` counts the ``_close`` calls), at most
+    ``DEAD_STATE_CAP`` of them; a child found there is skipped and not counted
+    as a node. A state is added only if ``floor`` is where it stood when the
+    parent was entered: a child entered after a sibling's close raised
+    ``floor`` is cut for length without a search, and its state may still
+    complete a longer path. Only children that keep at least
+    ``DEAD_STATE_MIN_KEPT`` vertices are looked up, and only states whose
+    subtree took more than one node are added: smaller subtrees cost less
+    to search again than to remember. Other nodes run a loop with no memo
+    work.
 
     Each cut or skipped subtree holds no cycle of length at least ``floor``,
     and ``floor`` never falls, so it would never have reached ``_close``.
@@ -167,6 +177,7 @@ class _Search:
         self.g = g
         self.rows = g._rows
         self.shift = g.n.bit_length()
+        self.mask = (1 << self.shift) - 1
         self.budget = budget
         self.collect = collect
         self.limit = limit
@@ -177,6 +188,7 @@ class _Search:
         self.found: list[tuple[int, ...]] = []
         self.truncated = False
         self.dead: set[int] = set()
+        self.closes = 0
 
     def run(self) -> "_Search":
         if is_forest(self.g):
@@ -192,10 +204,8 @@ class _Search:
             self._extend(anchor, [anchor], free, free, 0)
         return self
 
-    def _extend(self, anchor: int, path: list[int], free: int, kept: int, two: int) -> bool:
-        """Expand path and say whether its subtree called ``_close``.
-
-        kept is the parent's region less the head (at the root, free).
+    def _extend(self, anchor: int, path: list[int], free: int, kept: int, two: int) -> None:
+        """Expand path; kept is the parent's region less the head (at the root, free).
 
         Among kept vertices, two marks those with exactly two neighbours among
         the kept vertices and the ends. It starts at 0 at the root, where every
@@ -242,15 +252,15 @@ class _Search:
             frontier = nxt & kept & ~region
             region |= frontier
         if not (region | 1 << head) & rows[anchor]:
-            return False
+            return
         slack = depth + region.bit_count() - floor
         if slack < 0:
-            return False
-        closed = False
+            return
         if depth >= 3 and depth >= floor and rows[head] >> anchor & 1:
             self._close(path)
-            closed = True
         candidates = rows[head] & region
+        if not candidates:
+            return
         tight = slack == 0 and depth >= 2
         if tight:
             # The rest of the cycle must be a head -> anchor path through all
@@ -259,43 +269,60 @@ class _Search:
             forced = two & region
             if forced:
                 if (forced & rows[anchor]).bit_count() > 1:
-                    return False
+                    return
                 onto = forced & candidates
                 if onto:
                     if onto & (onto - 1):
-                        return False
+                        return
                     candidates = onto
         # children with the fewest onward free neighbours first, ties by id:
         # drastically cuts backtracking on structured instances
         shift = self.shift
-        keys = []
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            v = low.bit_length() - 1
-            keys.append((rows[v] & free).bit_count() << shift | v)
-        keys.sort()
-        mask = (1 << shift) - 1
+        if candidates & (candidates - 1):
+            keys = []
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                v = low.bit_length() - 1
+                keys.append((rows[v] & free).bit_count() << shift | v)
+            keys.sort()
+        else:
+            keys = [candidates.bit_length() - 1]
+        mask = self.mask
+        # at slack zero each child keeps floor - depth - 1 vertices
+        if not (tight and floor - depth > DEAD_STATE_MIN_KEPT):
+            for key in keys:
+                v = key & mask
+                path.append(v)
+                self._extend(anchor, path, free ^ 1 << v, region ^ 1 << v, two)
+                path.pop()
+            return
+        # A slack-zero child is decided by its kept set and head. One searched
+        # at this floor whose subtree closed nothing never closes, since floor
+        # never falls; one entered after a sibling raised floor was cut unsearched.
         dead = self.dead
         for key in keys:
             v = key & mask
             kept = region ^ 1 << v
-            if tight:
-                # a slack-zero child is decided by its kept set and head; one
-                # that closed nothing never will, since floor never falls
-                state = kept << shift | v
-                if state in dead:
-                    continue
+            state = kept << shift | v
+            if state in dead:
+                continue
+            closes, nodes = self.closes, self.nodes
             path.append(v)
-            if self._extend(anchor, path, free ^ 1 << v, kept, two):
-                closed = True
-            elif tight and len(dead) < DEAD_STATE_CAP:
-                dead.add(state)
+            self._extend(anchor, path, free ^ 1 << v, kept, two)
             path.pop()
-        return closed
+            # a child cut at its own node is cheaper to cut again than to keep
+            if (
+                self.closes == closes
+                and self.floor == floor
+                and self.nodes - nodes > 1
+                and len(dead) < DEAD_STATE_CAP
+            ):
+                dead.add(state)
 
     def _close(self, path: list[int]) -> None:
         """Record the cycle closed by path, of length at least floor."""
+        self.closes += 1
         if len(path) > self.best:
             self.best = len(path)
             self.best_witness = tuple(path)
