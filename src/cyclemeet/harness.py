@@ -41,6 +41,7 @@ from .cycles import (
     DEFAULT_BUDGET,
     enumerate_longest_cycles,
     is_t_transversal,
+    longest_cycle_length,
     min_pairwise_intersection,
 )
 from .exchange import improve_by_four_cycles
@@ -71,11 +72,14 @@ class Outcome:
 class InstanceFacts:
     """The facts the checks read about one graph, each computed at most once.
 
-    ``cycles`` is the graph's one longest-cycle enumeration, None for a
-    forest. If it runs out of budget the error is kept and raised again on
-    every read, so the search never runs twice. The automorphism search
-    behind ``vertex_transitive`` has no budget, so it runs only for the
-    checks that read the flag.
+    ``cycles`` is the graph's one longest-cycle enumeration and ``length``
+    its c(G), both None for a forest. ``length`` is read from the enumeration
+    when that has already run; otherwise it comes from a length-only search,
+    which keeps no cycles and never expands more nodes than the enumeration.
+    A search that runs out of budget keeps its error, raised again on every
+    read, so it never runs twice. The automorphism search behind
+    ``vertex_transitive`` has no budget, so it runs only for the checks that
+    read the flag.
 
     ``corpus_instances`` makes one per instance. A fact that set-up reads
     (the ``default`` filter reads ``cycles``) is reused by the analysis,
@@ -103,12 +107,32 @@ class InstanceFacts:
         except BudgetExceededError as err:
             return err
 
+    @cached_property
+    def _length(self) -> Union[int, BudgetExceededError, None]:
+        if "_cycles" in vars(self) or is_forest(self.g):
+            cs = self._cycles  # the enumeration that ran, or None for a forest
+            return cs.length if isinstance(cs, CycleSet) else cs
+        try:
+            return longest_cycle_length(self.g, self.budget)
+        except BudgetExceededError as err:
+            return err
+
     @property
     def cycles(self) -> Optional[CycleSet]:
         """Longest cycles, at most ENUMERATION_LIMIT of them; c(G) is exact either way."""
-        if isinstance(self._cycles, BudgetExceededError):
-            raise self._cycles
-        return self._cycles
+        return _unless_exhausted(self._cycles)
+
+    @property
+    def length(self) -> Optional[int]:
+        """c(G), exact; the cycles are enumerated only if something else read them."""
+        return _unless_exhausted(self._length)
+
+
+def _unless_exhausted(fact):
+    """The kept fact, or its kept budget error raised again."""
+    if isinstance(fact, BudgetExceededError):
+        raise fact
+    return fact
 
 
 def verify_babai(facts: InstanceFacts) -> Outcome:
@@ -119,7 +143,7 @@ def verify_babai(facts: InstanceFacts) -> Outcome:
     if not facts.vertex_transitive:
         return Outcome("babai", "skipped", detail="not vertex-transitive")
     try:
-        c = facts.cycles.length
+        c = facts.length
     except BudgetExceededError as err:
         return Outcome("babai", "inconclusive", detail=str(err))
     ok = c * c >= 3 * g.n
@@ -219,7 +243,7 @@ class VerificationReport:
     connectivity: Optional[int]
     cycle_length: Optional[int]
     cycle_count: Optional[int]
-    truncated: bool
+    truncated: Optional[bool]
     m_min: Optional[int]
     separator_size: Optional[int] = None
     separator_bound: Optional[float] = None
@@ -338,6 +362,12 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     Works on a shallow copy of ``facts``: what set-up computed is reused, and
     what the analysis adds dies with the call. ``spec`` is unread (the budget
     comes with the facts); it stays so that four-argument callers still work.
+
+    The ``babai`` suite reads only c(G), so it reads ``facts.length`` and
+    enumerates no cycles: its reports give ``cycle_length`` and leave
+    ``cycle_count``, ``truncated``, ``m_min`` and the separator fields null.
+    Every other suite reads ``facts.cycles``. Either search running out of
+    budget is reported as an inconclusive ``enumeration`` outcome.
     """
     facts = copy.copy(facts)
     g = facts.g
@@ -346,13 +376,15 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     stats: dict = {}
     degree = is_regular(g)
     connectivity = facts.connectivity if g.n >= 2 else None
-    cycle_length = cycle_count = None
-    truncated = False
+    cycle_length = cycle_count = cs = None
+    truncated = None if suite == "babai" else False
     m_min = None
     try:
-        cs = facts.cycles  # None for a forest: it carries no cycle checks
+        if suite == "babai":
+            cycle_length = facts.length
+        else:
+            cs = facts.cycles  # None for a forest: it carries no cycle checks
     except BudgetExceededError as err:
-        cs = None
         outcomes.append(Outcome("enumeration", "inconclusive", detail=str(err)))
     if cs is not None:
         cycle_length, cycle_count, truncated = cs.length, len(cs), cs.truncated
@@ -392,7 +424,7 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         if suite == "all":
             outcomes.extend(_structural_checks(facts, cs, pairs, stats))
 
-    if degree is not None and connectivity is not None and degree >= 2 and cs is not None:
+    if degree is not None and connectivity is not None and degree >= 2 and cycle_length is not None:
         # observational ratios for the asymptotic statements (no pass/fail)
         if m_min is not None and connectivity >= 1:
             observations["m_min_over_k23"] = round(m_min / connectivity ** (2 / 3), 6)

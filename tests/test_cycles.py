@@ -6,9 +6,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclemeet import cycles
+from cyclemeet.corpus import load_connected_corpus
 from cyclemeet.cycles import (
     BudgetExceededError,
     CycleEmbedding,
+    DEFAULT_BUDGET,
     canonical_cycle,
     enumerate_longest_cycles,
     is_t_transversal,
@@ -21,10 +23,12 @@ from cyclemeet.graphs import (
     complete_graph,
     cycle_graph,
     graph_from_graph6,
+    graph_to_graph6,
     is_connected,
     is_forest,
     petersen_graph,
 )
+from cyclemeet.harness import ENUMERATION_LIMIT
 from cyclemeet.transitive import circulant
 
 from hosts import path_graph
@@ -211,6 +215,19 @@ def test_dead_state_memo_matches_the_search_without_it(g):
                 got = search_facts(g, mode)
             assert got.pop("nodes") <= nodes, (mode, min_kept)
             assert got == plain, (mode, min_kept)
+
+
+def test_length_search_expands_no_more_nodes_than_the_enumeration():
+    # floor = best + 1 against the collecting floor = best: on every exhaustive7
+    # graph c(G) agrees and a budget that sufficed to enumerate suffices for c(G)
+    for g in load_connected_corpus(max_n=7):
+        if is_forest(g):
+            continue
+        length = cycles._Search(g, DEFAULT_BUDGET).run()
+        full = cycles._Search(g, DEFAULT_BUDGET, collect=True, limit=ENUMERATION_LIMIT).run()
+        label = graph_to_graph6(g)
+        assert length.best == full.best, label
+        assert length.nodes <= full.nodes, label
 
 
 def test_enumeration_limit_flags_truncation():

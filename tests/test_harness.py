@@ -120,7 +120,7 @@ def test_analyze_instance_computes_each_fact_once(monkeypatch):
 
 
 def test_exhausted_enumeration_runs_once(monkeypatch):
-    counts = count_calls(monkeypatch, "enumerate_longest_cycles")
+    counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
     spec = CorpusSpec("smoke", budget=50)
     report = analyze_instance("petersen", InstanceFacts(petersen_graph(), spec.budget), spec, "all")
     status = {o.name: o.status for o in report.outcomes}
@@ -128,7 +128,51 @@ def test_exhausted_enumeration_runs_once(monkeypatch):
     assert status["babai"] == "inconclusive"
     assert status["smith_k"] == "inconclusive"
     assert report.cycle_length is None and report.connectivity == 3
-    assert counts["enumerate_longest_cycles"] == 1
+    # babai reads c(G) from the enumeration that ran, and keeps its error
+    assert counts == {"enumerate_longest_cycles": 1, "longest_cycle_length": 0}
+
+
+def test_exhausted_length_search_runs_once(monkeypatch):
+    counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
+    spec = CorpusSpec("smoke", budget=50)  # Petersen's length search takes 74 nodes
+    report = analyze_instance("petersen", InstanceFacts(petersen_graph(), spec.budget), spec, "babai")
+    assert [(o.name, o.status) for o in report.outcomes] == [
+        ("enumeration", "inconclusive"), ("babai", "inconclusive"),
+    ]
+    assert report.cycle_length is None and report.truncated is None and report.connectivity == 3
+    assert report.observations == {}
+    assert counts == {"enumerate_longest_cycles": 0, "longest_cycle_length": 1}
+
+
+def test_babai_suite_runs_only_the_length_search(monkeypatch):
+    counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
+    reports = run_corpus(CorpusSpec.parse("circulants:count=20,max_n=16", seed=1), "babai")
+    assert len(reports) == 20 and all(r.worst_status() == "pass" for r in reports)
+    assert counts == {"enumerate_longest_cycles": 0, "longest_cycle_length": 20}
+    for r in reports:
+        assert r.cycle_length is not None
+        # fields read off the cycle set are null; truncated must not read as "complete"
+        assert (r.cycle_count, r.truncated, r.m_min, r.separator_size, r.separator_bound) == (
+            None, None, None, None, None)
+
+
+def test_babai_suite_reads_c_from_the_setup_enumeration(monkeypatch):
+    counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
+    reports = run_corpus(CorpusSpec.parse("default", seed=42), "babai")
+    assert len(reports) == 72 and all(r.cycle_length is not None for r in reports)
+    # the default filter enumerated every graph, so no length search runs
+    assert counts == {"enumerate_longest_cycles": 75, "longest_cycle_length": 0}
+
+
+def test_length_read_before_the_cycles_agrees_with_them(monkeypatch):
+    counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
+    graphs = [petersen_graph(), complete_graph(9), wheel_graph(6),
+              graph_from_graph6(PAIRWISE12_18)]
+    for g in graphs:
+        f = facts(g)
+        length = f.length
+        assert f.cycles.length == length == f.length
+    assert counts == {"enumerate_longest_cycles": 4, "longest_cycle_length": 4}
 
 
 def test_default_corpus_enumerates_each_graph_once(monkeypatch):
@@ -249,7 +293,11 @@ def test_facts_keep_the_budget_error():
     with pytest.raises(harness.BudgetExceededError) as second:
         f.cycles
     assert first.value is second.value
-    assert InstanceFacts(path_graph(4), DEFAULT_BUDGET).cycles is None
+    with pytest.raises(harness.BudgetExceededError) as length:
+        f.length
+    assert length.value is first.value
+    forest = InstanceFacts(path_graph(4), DEFAULT_BUDGET)
+    assert forest.length is None and forest.cycles is None
 
 
 def test_run_corpus_smoke_all_pass():
@@ -533,6 +581,28 @@ def test_cli_verify_thm14_suite_report_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "8d8d5b546d2c8aad934e405bfb6d9bf5f630d6fb845d5fe82e90ba0c01b3382c"
     )
+
+
+def test_cli_verify_babai_suite_report_digest(tmp_path):
+    # the babai suite reads c(G) from a length-only search and enumerates nothing,
+    # so the fields read off the cycle set are null
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "babai", "--corpus", "circulants:count=50,max_n=24",
+                 "--seed", "5", "--out", str(out)]) == 0
+    instances = json.loads(out.read_text())["instances"]
+    assert len(instances) == 50
+    assert all(r["cycle_length"] is not None and r["truncated"] is None for r in instances)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b3748d3e8a729915f7e1b73d60ad227e2f2f700757d24de9b89456c670c428e9"
+    )
+
+
+def test_cli_verify_babai_suite_needs_no_enumeration_budget(tmp_path):
+    # circulants[1] takes 21,071 enumeration nodes but 43 length-search nodes
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "babai", "--corpus", "circulants:count=5,max_n=12",
+                 "--seed", "1", "--budget", "200", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"] == {"total": 5, "failed": 0, "inconclusive": 0}
 
 
 def test_cli_verify_determinism_bytes(tmp_path):
