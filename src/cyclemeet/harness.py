@@ -75,7 +75,8 @@ class InstanceFacts:
     ``cycles`` is the graph's one longest-cycle enumeration and ``length``
     its c(G), both None for a forest. ``length`` is read from the enumeration
     when that has already run; otherwise it comes from a length-only search,
-    which keeps no cycles and never expands more nodes than the enumeration.
+    which keeps no cycles and, on every corpus measured, expands no more
+    nodes than the enumeration.
     A search that runs out of budget keeps its error, raised again on every
     read, so it never runs twice. The automorphism search behind
     ``vertex_transitive`` has no budget, so it runs only for the checks that
