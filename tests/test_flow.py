@@ -1,10 +1,13 @@
+import hashlib
 import random
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclemeet.corpus import two_triangles_shared_vertex
+from cyclemeet.auxgraph import SameSegmentPairError, pair_aux
+from cyclemeet.corpus import load_connected_corpus, two_triangles_shared_vertex
 from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles, is_t_transversal
 from cyclemeet.flow import (
     PathFamily,
@@ -19,9 +22,11 @@ from cyclemeet.graphs import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    is_forest,
     petersen_graph,
     vertex_connectivity,
 )
+from cyclemeet.harness import PAIR_LIMIT
 
 from hosts import menger_instances
 from oracles import min_vertex_cut_by_subsets
@@ -186,3 +191,40 @@ def test_allowed_mask_restricts_interiors():
     # removing the bridge head from the allowed set kills the only path
     fam = max_disjoint_paths(g, {0, 1}, {4, 5}, allowed={0, 1, 4, 5})
     assert len(fam) == 0
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_path_families_and_cuts_are_pinned():
+    # which maximum family the flow finds is a choice the aux graphs and the
+    # certificates read; these digests keep it from drifting unnoticed
+    rng = random.Random(47)
+    lines = []
+    for g, a, b in menger_instances(count=400, seed=23, max_n=24):
+        allowed = [v for v in range(g.n) if rng.random() < 0.7]
+        fam = max_disjoint_paths(g, a, b, allowed)
+        rep = min_vertex_cut(g, a, b, allowed)
+        lines.append(repr((fam.paths, rep.witness.paths, sorted(rep.cut))))
+    assert _digest(lines) == "8fba7dc9cdac8dfdd0812668d12a53c3976644a8221713da63872f37f461edf1"
+
+
+def test_pair_aux_graphs_are_pinned_on_exhaustive7():
+    # the first PAIR_LIMIT pairs of each cycle set, as the harness checks them;
+    # most of these aux graphs are empty, so each pair's separator is pinned too
+    lines = []
+    for g in load_connected_corpus(max_n=7):
+        if is_forest(g):
+            continue
+        cs = enumerate_longest_cycles(g)
+        for x, y in islice(combinations(cs.cycles, 2), PAIR_LIMIT):
+            rep = xy_separator(g, x, y)
+            lines.append(repr((sorted(rep.cut), rep.witness.paths)))
+            try:
+                f = pair_aux(g, x, y)
+            except SameSegmentPairError as err:
+                lines.append(f"same {err}")
+                continue
+            lines.append("none" if f is None else repr((sorted(f.edges), sorted(f.endpoints.items()))))
+    assert _digest(lines) == "69f2bd2e61d3c0911ea1fad7d14264bcababdca6b3ea8a6da803ea3e59e0083f"
