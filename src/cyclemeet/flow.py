@@ -1,10 +1,12 @@
-"""Vertex-disjoint path families and minimum vertex cuts between vertex sets.
+"""Vertex-disjoint path families, minimum vertex cuts and local connectivity.
 
-Vertex capacities are realized by the standard in/out splitting; unit
-capacities everywhere (terminals included, so families are disjoint down to
-their endpoints), augmenting paths found by BFS. Instance sizes make
-asymptotics irrelevant; the payoff is that both sides of Menger's equality
-come out of one run and can be cross-checked.
+One routine, ``_menger``, finds every augmenting path. Each vertex has unit
+capacity (terminals included, so families are disjoint down to their
+endpoints) and is split into an entry and an exit side, but no network is
+built: the flow lives in per-vertex successor and predecessor lists, and BFS
+frontiers come off the adjacency bitmasks. Instance sizes make asymptotics
+irrelevant; the payoff is that both sides of Menger's equality come out of
+one run and can be cross-checked.
 """
 
 from __future__ import annotations
@@ -104,126 +106,85 @@ def edge_bound_holds(edge_count: int, m: int) -> bool:
     return lhs <= 0 or lhs * lhs <= 40 * m**3
 
 
-class _SplitNetwork:
-    """Unit-capacity flow network for internally disjoint path packing.
+def _menger(g: Graph, a: int, b: int, allowed: int, cutoff: Optional[int]):
+    """Most vertex-disjoint (a,b)-paths inside allowed, by unit augmenting paths.
 
-    Vertex v becomes v_in=2v and v_out=2v+1 joined by one unit of capacity,
-    and each edge uv of the allowed subgraph becomes the unit arcs
-    u_out->v_in and v_out->u_in. Terminal sets, when given, hang off a
-    super-source and a super-sink. Without them the network serves every
-    vertex pair: a flow from s_out to t_in counts internally disjoint
-    (s,t)-paths. The network is built once; each flow restarts from the
-    base capacities.
+    a and b are disjoint vertex masks inside the allowed mask. Each vertex
+    has an entry and an exit side joined by one unit of capacity (Even,
+    *Graph Algorithms*, 1979), so the residual graph stays implicit: a
+    vertex on a path is in ``carry`` with its flow predecessor and
+    successor, -1 at a path's ends. Each round is one BFS that visits the
+    sides in a fixed order: the sources' entry sides, ascending; from an
+    entry side, its own exit side if the vertex is free, else the exit side
+    of its flow predecessor; from an exit side, its entry side if the vertex
+    carries flow, then its unused edges to allowed non-source neighbours,
+    ascending. The first target exit side reached ends the round.
+
+    Returns the flow value (at most cutoff, when given), the successor list,
+    the mask of sources that start paths, and the (entry, exit) masks of the
+    final residual reach, or None when the cutoff ended the run.
     """
-
-    def __init__(
-        self,
-        g: Graph,
-        allowed_mask: int,
-        sources: frozenset[int] = frozenset(),
-        targets: frozenset[int] = frozenset(),
-    ):
-        self.g = g
-        self.node_count = 2 * g.n + 2
-        self.source = 2 * g.n
-        self.sink = 2 * g.n + 1
-        self.adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        for v in iter_bits(allowed_mask):
-            self.add_edge(2 * v, 2 * v + 1, 1)
-        for u, v in g.edges():
-            if not (allowed_mask >> u & 1 and allowed_mask >> v & 1):
+    rows = g._rows
+    n = g.n
+    succ = [-1] * n
+    pred = [-1] * n
+    carry = 0
+    enter = allowed & ~a  # the vertices an edge of the flow may enter
+    heads = [2 * s for s in iter_bits(a)]
+    value = 0
+    while value != cutoff:
+        # node 2v is the entry side of v and 2v + 1 its exit side
+        parent = [-1] * (2 * n)
+        seen_in = a
+        seen_out = 0
+        queue = heads[:]
+        end = -1
+        for node in queue:
+            v = node >> 1
+            if node & 1:
+                if carry >> v & 1 and not seen_in >> v & 1:
+                    seen_in |= 1 << v
+                    parent[node - 1] = node
+                    queue.append(node - 1)
+                fresh = rows[v] & enter & ~seen_in
+                if succ[v] >= 0:
+                    fresh &= ~(1 << succ[v])
+                seen_in |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    w = 2 * low.bit_length() - 2
+                    parent[w] = node
+                    queue.append(w)
+                    fresh ^= low
                 continue
-            # sources are entered only from the super-source, targets left
-            # only toward the super-sink: (A,B)-paths touch A and B once.
-            # unit edge capacity keeps a direct source-target edge to one path
-            if v not in sources and u not in targets:
-                self.add_edge(2 * u + 1, 2 * v, 1)
-            if u not in sources and v not in targets:
-                self.add_edge(2 * v + 1, 2 * u, 1)
-        # big source/sink arcs force every min cut across the split arcs,
-        # so the cut reads off as a genuine vertex set
-        big = g.n + 1
-        for s in sorted(sources):
-            self.add_edge(self.source, 2 * s, big)
-        for t in sorted(targets):
-            self.add_edge(2 * t + 1, self.sink, big)
-        self.base = tuple(self.cap)
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, source: int, sink: int, cutoff: int) -> int:
-        """Flow value from node source to node sink, or cutoff once it is reached.
-
-        Starts from the base capacities and augments along BFS-shortest
-        residual paths; the final flow stays in ``cap``.
-        """
-        adj, to = self.adj, self.to
-        cap = self.cap = list(self.base)
-        total = 0
-        while total < cutoff:
-            parent_edge = [-1] * self.node_count
-            parent_edge[source] = -2
-            queue = [source]
-            for u in queue:
-                for eid in adj[u]:
-                    if cap[eid]:
-                        v = to[eid]
-                        if parent_edge[v] == -1:
-                            parent_edge[v] = eid
-                            queue.append(v)
-                if parent_edge[sink] != -1:
-                    break
+            u = pred[v] if carry >> v & 1 else v
+            if u < 0 or seen_out >> u & 1:
+                continue
+            seen_out |= 1 << u
+            parent[2 * u + 1] = node
+            if b >> u & 1:
+                end = 2 * u + 1
+                break
+            queue.append(2 * u + 1)
+        if end < 0:
+            return value, succ, carry & a, (seen_in, seen_out)
+        node = end
+        while (p := parent[node]) >= 0:
+            v, u = node >> 1, p >> 1
+            if u == v:
+                carry ^= 1 << v  # entry to exit fills v, exit to entry empties it
+            elif p & 1:
+                succ[u] = v
+                pred[v] = u
             else:
-                return total
-            v = sink
-            while v != source:
-                eid = parent_edge[v]
-                cap[eid] -= 1
-                cap[eid ^ 1] += 1
-                v = to[eid ^ 1]
-            total += 1
-        return total
-
-    def residual_reachable(self) -> set[int]:
-        seen = {self.source}
-        stack = [self.source]
-        while stack:
-            u = stack.pop()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    def extract_paths(self, sources: frozenset[int]) -> list[tuple[int, ...]]:
-        """Decompose the unit flow into vertex sequences, deterministic order."""
-        # flow_next[v] = successor vertex of v on its unit of flow
-        flow_next: dict[int, int] = {}
-        started: set[int] = set()
-        for v in range(self.g.n):
-            for eid in self.adj[2 * v + 1]:
-                w = self.to[eid]
-                if eid % 2 == 0 and self.cap[eid ^ 1] > 0 and w != self.sink:
-                    flow_next[v] = w // 2
-        for eid in self.adj[self.source]:
-            if eid % 2 == 0 and self.cap[eid ^ 1] > 0:
-                started.add(self.to[eid] // 2)
-        paths = []
-        for s in sorted(started):
-            path = [s]
-            while path[-1] in flow_next:
-                path.append(flow_next[path[-1]])
-            paths.append(tuple(path))
-        return paths
+                # undoes the flow edge from v to u; the walk runs backwards,
+                # so v may already have its new successor
+                pred[u] = -1
+                if succ[v] == u:
+                    succ[v] = -1
+            node = p
+        value += 1
+    return value, succ, carry & a, None
 
 
 def _terminals(g: Graph, a: Iterable[int], b: Iterable[int],
@@ -238,15 +199,15 @@ def _terminals(g: Graph, a: Iterable[int], b: Iterable[int],
 
 
 def _solve(g: Graph, a: frozenset[int], b: frozenset[int], allowed_mask: int):
-    net = _SplitNetwork(g, allowed_mask, a, b)
-    # each source vertex carries one unit, so no flow exceeds min(|a|, |b|)
-    value = net.max_flow(net.source, net.sink, min(len(a), len(b)))
-    paths = net.extract_paths(a)
-    reach = net.residual_reachable()
-    cut = frozenset(
-        v for v in iter_bits(allowed_mask) if 2 * v in reach and 2 * v + 1 not in reach
-    )
-    return value, paths, cut
+    value, succ, starts, (entered, left) = _menger(g, mask_of(a), mask_of(b), allowed_mask, None)
+    paths = []
+    for s in iter_bits(starts):
+        path = [s]
+        while succ[path[-1]] >= 0:
+            path.append(succ[path[-1]])
+        paths.append(tuple(path))
+    # the cut nearest the sources: vertices whose entry side alone is reached
+    return value, paths, frozenset(iter_bits(entered & ~left))
 
 
 def max_disjoint_paths(
@@ -321,10 +282,23 @@ def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorRep
     )
 
 
-def local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
-    """Maximum number of internally disjoint (s,t)-paths (direct edge counts)."""
-    check_vertex_set(g, (s, t))
+def local_vertex_connectivity(g: Graph, s: int, t: int, cutoff: Optional[int] = None) -> int:
+    """Maximum number of internally disjoint (s,t)-paths (direct edge counts).
+
+    Stops at cutoff, when given, and returns it once that many are found. A
+    maximum family can take the edge st and the path s-c-t through each
+    common neighbour c; the other paths are disjoint paths from N(s) to N(t)
+    that avoid s, t and the common neighbours.
+    """
+    if not (0 <= s < g.n and 0 <= t < g.n):
+        raise ValueError(f"vertices {s}, {t} not both in graph of order {g.n}")
     if s == t:
         raise ValueError("local connectivity needs two distinct vertices")
-    # no vertex has n disjoint paths to another, so the cutoff g.n never bites
-    return _SplitNetwork(g, g.full_mask).max_flow(2 * s + 1, 2 * t, g.n)
+    near_s, near_t = g.row(s), g.row(t)
+    common = near_s & near_t
+    base = (near_s >> t & 1) + common.bit_count()
+    if cutoff is not None and base >= cutoff:
+        return cutoff
+    inner = g.full_mask & ~(1 << s | 1 << t | common)
+    rest = None if cutoff is None else cutoff - base
+    return base + _menger(g, near_s & inner, near_t & inner, inner, rest)[0]

@@ -170,8 +170,8 @@ def vertex_connectivity(g: Graph) -> int:
     every component of g - S (else S - v would still be a cut), so S
     separates two non-adjacent neighbours of v. Hence the answer is the
     least of d, the local connectivity of v to each non-neighbour, and that
-    of each non-adjacent pair in N(v). All these flows share one split
-    network, and each stops once it reaches the best value so far.
+    of each non-adjacent pair in N(v). Each local connectivity stops once
+    it reaches the best value so far.
     """
     if g.n < 2:
         raise ValueError("undefined connectivity")
@@ -179,16 +179,15 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     if not is_connected(g):
         return 0
-    from .flow import _SplitNetwork
+    from .flow import local_vertex_connectivity
 
     v = min(range(g.n), key=g.degree)
     around = g.row(v)
     pairs = [(v, w) for w in iter_bits(g.full_mask & ~around & ~(1 << v))]
     pairs += [(x, y) for x, y in combinations(iter_bits(around), 2) if not g.has_edge(x, y)]
-    net = _SplitNetwork(g, g.full_mask)
     best = g.degree(v)
     for s, t in pairs:
-        best = net.max_flow(2 * s + 1, 2 * t, best)
+        best = local_vertex_connectivity(g, s, t, best)
     return best
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from cyclemeet.cycles import canonical_cycle
-from cyclemeet.graphs import Graph, is_connected
+from cyclemeet.graphs import Graph, mask_of
 
 
 def longest_cycle_by_permutations(g: Graph) -> int:
@@ -38,20 +38,20 @@ def all_cycles_of_length_by_permutations(g: Graph, k: int) -> set[tuple[int, ...
     return found
 
 
-def vertex_connectivity_by_all_pairs(g: Graph) -> int:
-    """κ(G) as the least local connectivity over every non-adjacent pair."""
-    from cyclemeet.flow import local_vertex_connectivity
+def vertex_connectivity_by_subsets(g: Graph) -> int:
+    """κ(G) as the size of the smallest vertex set whose removal disconnects G.
 
+    Scans vertex sets by size and tests what is left with a BFS; n - 1 when
+    no set of up to n - 2 vertices disconnects G. Runs no flow code.
+    """
     if g.n < 2:
         raise ValueError("undefined connectivity")
-    if not is_connected(g):
-        return 0
-    best = g.n - 1
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            if not g.has_edge(s, t):
-                best = min(best, local_vertex_connectivity(g, s, t))
-    return best
+    for size in range(g.n - 1):
+        for cut in itertools.combinations(range(g.n), size):
+            live = g.full_mask & ~mask_of(cut)
+            if g.reach_mask(live & -live, live) != live:
+                return size
+    return g.n - 1
 
 
 def min_vertex_cut_by_subsets(g: Graph, a: frozenset[int], b: frozenset[int]) -> int:

@@ -23,7 +23,7 @@ from cyclemeet.flow import (
 )
 from cyclemeet.graphs import vertex_connectivity
 
-from oracles import vertex_connectivity_by_all_pairs
+from oracles import vertex_connectivity_by_subsets
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("CYCLEMEET_EXHAUSTIVE"),
@@ -70,6 +70,6 @@ def test_connectivity_of_every_stored_graph():
     checked = 0
     for g in load_connected_corpus(8):
         if g.n >= 2:
-            assert vertex_connectivity(g) == vertex_connectivity_by_all_pairs(g), g
+            assert vertex_connectivity(g) == vertex_connectivity_by_subsets(g), g
             checked += 1
     assert checked == 12_112

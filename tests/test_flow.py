@@ -178,6 +178,39 @@ def test_local_connectivity_matches_global():
         assert k == best
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_local_connectivity_matches_networkx(n, data):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    s, t = data.draw(st.sampled_from(pairs))
+    g = Graph(n, edges)
+    h = nx.Graph(edges)
+    h.add_nodes_from(range(n))
+    if g.has_edge(s, t):
+        # the direct edge is one path; the others avoid it
+        h.remove_edge(s, t)
+        expected = 1 + local_node_connectivity(h, s, t)
+    else:
+        expected = local_node_connectivity(h, s, t)
+    assert local_vertex_connectivity(g, s, t) == expected
+    cutoff = data.draw(st.integers(1, expected + 1))
+    assert local_vertex_connectivity(g, t, s, cutoff) == min(expected, cutoff)
+
+
+def test_local_connectivity_stops_at_the_cutoff():
+    # pairs whose paths are mostly long, so the cutoff bites inside the flow
+    for g in [petersen_graph(), cycle_graph(8), grid_graph(3, 4)]:
+        for s in range(g.n):
+            for t in range(s + 1, g.n):
+                full = local_vertex_connectivity(g, s, t)
+                for cutoff in range(1, full + 2):
+                    assert local_vertex_connectivity(g, s, t, cutoff) == min(full, cutoff)
+
+
 def test_local_connectivity_needs_two_vertices_of_the_graph():
     g = petersen_graph()
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from cyclemeet.graphs import (
 )
 
 from hosts import path_graph
-from oracles import vertex_connectivity_by_all_pairs
+from oracles import vertex_connectivity_by_subsets
 
 
 def test_construction_rejects_bad_edges():
@@ -98,40 +98,34 @@ def test_vertex_connectivity_matches_networkx_on_random_graphs(n, data):
     assert vertex_connectivity(Graph(n, edges)) == nx.node_connectivity(h)
 
 
-def test_vertex_connectivity_matches_all_pairs_oracle_up_to_seven_vertices():
+def test_vertex_connectivity_matches_subset_oracle_up_to_seven_vertices():
     checked = 0
     for g in load_connected_corpus(max_n=7):
         if g.n >= 2:
-            assert vertex_connectivity(g) == vertex_connectivity_by_all_pairs(g), graph_to_graph6(g)
+            assert vertex_connectivity(g) == vertex_connectivity_by_subsets(g), graph_to_graph6(g)
             checked += 1
     assert checked == 995
 
 
-def test_vertex_connectivity_runs_few_flows_on_one_network(monkeypatch):
+def test_vertex_connectivity_runs_few_local_flows(monkeypatch):
     from cyclemeet import flow
 
-    counts = {"networks": 0, "flows": 0}
-    build, max_flow = flow._SplitNetwork.__init__, flow._SplitNetwork.max_flow
+    calls = []
+    local = flow.local_vertex_connectivity
 
-    def counting_build(self, *args):
-        counts["networks"] += 1
-        build(self, *args)
+    def counting_local(*args):
+        calls.append(args)
+        return local(*args)
 
-    def counting_max_flow(self, *args):
-        counts["flows"] += 1
-        return max_flow(self, *args)
-
-    monkeypatch.setattr(flow._SplitNetwork, "__init__", counting_build)
-    monkeypatch.setattr(flow._SplitNetwork, "max_flow", counting_max_flow)
+    monkeypatch.setattr(flow, "local_vertex_connectivity", counting_local)
     # (n - 1 - d) flows to the non-neighbours of a least-degree vertex plus
     # C(d, 2) among its neighbours: 9 on Petersen, against its 30 non-adjacent
     # pairs; on a wheel the hub would need C(n - 1, 2) - (n - 1) instead
     for g, kappa in [(petersen_graph(), 3), (wheel_graph(12), 3)]:
-        counts.update(networks=0, flows=0)
+        calls.clear()
         assert vertex_connectivity(g) == kappa
         d = min(g.degree(v) for v in range(g.n))
-        assert counts["flows"] <= (g.n - 1 - d) + d * (d - 1) // 2
-        assert counts["networks"] == 1
+        assert 0 < len(calls) <= (g.n - 1 - d) + d * (d - 1) // 2
 
 
 def test_vertex_connectivity_at_most_min_degree():

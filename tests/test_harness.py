@@ -136,12 +136,26 @@ def test_exhausted_length_search_runs_once(monkeypatch):
     counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
     spec = CorpusSpec("smoke", budget=50)  # Petersen's length search takes 74 nodes
     report = analyze_instance("petersen", InstanceFacts(petersen_graph(), spec.budget), spec, "babai")
-    assert [(o.name, o.status) for o in report.outcomes] == [
-        ("enumeration", "inconclusive"), ("babai", "inconclusive"),
-    ]
+    # the babai outcome carries the budget error; no enumeration outcome repeats it
+    assert [(o.name, o.status) for o in report.outcomes] == [("babai", "inconclusive")]
     assert report.cycle_length is None and report.truncated is None and report.connectivity == 3
     assert report.observations == {}
     assert counts == {"enumerate_longest_cycles": 0, "longest_cycle_length": 1}
+
+
+@pytest.mark.parametrize("args, inconclusive", [
+    (["--corpus", "exhaustive7", "--budget", "20"], 1),
+    (["--corpus", "smoke", "--seed", "1", "--budget", "2"], 5),
+])
+def test_babai_suite_is_inconclusive_only_where_babai_applies(tmp_path, args, inconclusive):
+    # an exhausted length search leaves a report open only through the babai
+    # outcome, never where babai is skipped (34 and 12 reports said so before)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "babai", *args, "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["inconclusive"] == inconclusive
+    for r in payload["instances"]:
+        assert [o["name"] for o in r["outcomes"]] == ["babai"]
 
 
 def test_babai_suite_runs_only_the_length_search(monkeypatch):

@@ -16,7 +16,6 @@ SRC = Path(cyclemeet.__file__).parent
 ALLOWED = {
     "generate_connected_corpus": "regenerates the shipped corpus, as the README says",
     "max_noncrossing_family": "acceptance criterion 6 checks the paper's 2m - 3 against it",
-    "local_vertex_connectivity": "the all-pairs connectivity oracle and the benchmark use it",
     "_Parser.error": "overrides argparse.ArgumentParser.error",
 }
 
