@@ -611,6 +611,56 @@ def test_cli_verify_babai_suite_report_digest(tmp_path):
     )
 
 
+@pytest.mark.parametrize("args, count, digest", [
+    (["--suite", "all", "--corpus", "exhaustive7"], 996,
+     "6a5e051c38c866f203a0bc67201dc6ece8e0ba909d5e413717470e611a689f33"),
+    (["--suite", "smith", "--seed", "42"], 72,
+     "21c9f8405ed3bbdeded7797f427e7a8fd1524d1eea24e2f64239c6691f4e02a4"),
+    (["--suite", "devos", "--seed", "42"], 72,
+     "6295c686bcdba446d8821bd86a7379d73f4f14c9c2763d1bd14024f3f30c7803"),
+])
+def test_cli_verify_report_bytes_are_pinned(tmp_path, args, count, digest):
+    # the benchmark's exhaustive7 pass, and the two suites no golden covers
+    out = tmp_path / "report.json"
+    assert main(["verify", *args, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["instances"]) == count
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_pair_commands_stdout_is_pinned(tmp_path, capsys):
+    # every other command that writes JSON, on payloads with floats, nulls,
+    # nested lists and string-keyed dicts
+    pet = tmp_path / "pet.g6"
+    pet.write_text(graph_to_graph6(petersen_graph()) + "\n")
+    cs = enumerate_longest_cycles(petersen_graph())
+    x = ",".join(map(str, cs.cycles[0].vertices))
+    y = ",".join(map(str, cs.cycles[1].vertices))
+    host = tmp_path / "prop22.g6"
+    host.write_text(graph_to_graph6(prop22_host()[0]) + "\n")
+    host_pair = ["--in", str(host), "--x", "0,2,3,4,1,5,6,7", "--y", "0,8,9,10,1,11,12,13"]
+    runs = [
+        (["cycles", "--in", str(pet), "--enumerate"], 0,
+         "a32bc523f6aa4cf21426f51c7d1d361599faa661c41d03cf5df4dd6190ac6e0e"),
+        (["intersect", "--in", str(pet)], 0,
+         "6a3796e91171a5adca0b7164f100ea34095e27192420685af27e95cbb77e7a17"),
+        (["separator", "--in", str(pet), "--x", x, "--y", y], 0,
+         "fad511f2f14c389eefc38c7265e54598db18613fc8a7d87a4d3eead5fa0d5fbb"),
+        (["auxgraph", "--in", str(pet), "--x", x, "--y", y], 0,
+         "f7ad8afa4f477f0304047c74a2eb188a1360b0e51fdae1cb6d56bc6be714c04c"),
+        (["certify", "--in", str(pet), "--x", x, "--y", y], 0,
+         "bcb6b9f41a73756a25e9a36155a552d4972864cb929ab21a8cbd862b00f0f89d"),
+        (["auxgraph", *host_pair], 1,
+         "61c514e77d31305e392f382bcb80d3767e32b83ff56a8d71a0689748a1074256"),
+        (["certify", *host_pair], 0,
+         "0e9e649f67ceed278892bb70c5ae49ed503ade4ab1522516a07cd645a1cd7c27"),
+    ]
+    digests = []
+    for args, code, _ in runs:
+        assert main(args) == code
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [digest for *_, digest in runs]
+
+
 def test_cli_verify_babai_suite_needs_no_enumeration_budget(tmp_path):
     # circulants[1] takes 21,071 enumeration nodes but 43 length-search nodes
     out = tmp_path / "report.json"
