@@ -26,7 +26,7 @@ from .cycles import (
 from .exchange import improve_by_exchange
 from .flow import xy_separator
 from .graphs import Graph, graph_from_graph6, graph_to_graph6
-from .harness import CorpusSpec, reports_to_json, run_corpus
+from .harness import CorpusSpec, json_text, reports_to_json, run_corpus
 from .transitive import GroupPresentation, cayley, circulant
 
 EXIT_PASS = 0
@@ -66,7 +66,7 @@ def _parse_cycle(g: Graph, text: str) -> CycleEmbedding:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(payload))
 
 
 def cmd_gen(args) -> int:

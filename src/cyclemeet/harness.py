@@ -7,16 +7,19 @@ instance; a failure is a repo bug by definition and aborts the run with the
 witness serialized. Budget exhaustion is inconclusive, never a failure.
 
 Reports contain no wall-clock data, so identical corpus + seed reproduce
-byte-identical output.
+byte-identical output. ``json_text`` writes them, and every other JSON
+document of the CLI, exactly as ``json.dumps(..., indent=2, sort_keys=True)``
+would, without building a dict per report.
 """
 
 from __future__ import annotations
 
 import copy
-import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .auxgraph import (
@@ -63,10 +66,6 @@ class Outcome:
     rhs: Optional[float] = None
     detail: str = ""
     witness: Optional[dict] = None
-
-    def to_json_dict(self) -> dict:
-        """The fields that are set; name and status always are."""
-        return {k: v for k, v in vars(self).items() if v is not None and v != ""}
 
 
 class InstanceFacts:
@@ -257,9 +256,6 @@ class VerificationReport:
         statuses = [o.status for o in self.outcomes] or ["pass"]
         return min(statuses, key=lambda s: order[s])
 
-    def to_json_dict(self) -> dict:
-        return {**vars(self), "outcomes": [o.to_json_dict() for o in self.outcomes]}
-
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -298,6 +294,7 @@ def corpus_instances(spec: CorpusSpec) -> list[tuple[str, InstanceFacts]]:
     ``default`` corpus keeps only graphs whose longest-cycle set is complete,
     so its facts arrive with that set already enumerated.
     """
+    _check_params(spec)
     kind = spec.kind
     if kind == "default":
         graphs = pairwise_corpus(max_n=12, seed=spec.seed or 11, random_count=10)
@@ -340,6 +337,30 @@ def corpus_instances(spec: CorpusSpec) -> list[tuple[str, InstanceFacts]]:
     if kind == "default":
         facts = filter(_enumerable, facts)  # a dropped graph's facts are freed at once
     return [(f"{kind}[{idx}]:{graph_to_graph6(f.g)}", f) for idx, f in enumerate(facts)]
+
+
+# the parameters each corpus kind reads; exhaustiveN and pairwiseN go by their stem
+_CORPUS_PARAMS = {
+    "default": (), "smoke": (), "exhaustive": (), "pairwise": ("random_count",),
+    "vt": ("count", "max_n"), "circulants": ("count", "max_n"), "random": ("count", "max_n"),
+}
+
+
+def _check_params(spec: CorpusSpec) -> None:
+    """Reject a parameter the kind does not read, a repeated one, and a negative count."""
+    accepted = _CORPUS_PARAMS.get(spec.kind.rstrip("0123456789"))
+    if accepted is None:
+        raise ValueError(f"unknown corpus kind {spec.kind!r}")
+    seen = set()
+    for key, value in spec.params:
+        if key not in accepted:
+            takes = ", ".join(accepted) or "none"
+            raise ValueError(f"corpus {spec.kind!r} has no parameter {key!r} (it takes: {takes})")
+        if key in seen:
+            raise ValueError(f"corpus parameter {key!r} is given twice")
+        seen.add(key)
+        if key in ("count", "random_count") and int(value) < 0:
+            raise ValueError(f"corpus parameter {key} must be at least 0, got {value}")
 
 
 def _enumerable(facts: InstanceFacts) -> bool:
@@ -523,14 +544,98 @@ def run_corpus(spec: CorpusSpec, suite: str = "all") -> list[VerificationReport]
 
 
 def reports_to_json(reports: list[VerificationReport], spec: CorpusSpec, suite: str) -> str:
-    payload = {
+    """The ``verify`` document: suite, corpus, one object per report, and a summary."""
+    statuses = [r.worst_status() for r in reports]
+    return json_text({
         "suite": suite,
-        "corpus": {"kind": spec.kind, "params": list(map(list, spec.params)), "seed": spec.seed},
-        "instances": [r.to_json_dict() for r in reports],
+        "corpus": {"kind": spec.kind, "params": spec.params, "seed": spec.seed},
+        "instances": reports,
         "summary": {
             "total": len(reports),
-            "failed": sum(1 for r in reports if r.worst_status() == "fail"),
-            "inconclusive": sum(1 for r in reports if r.worst_status() == "inconclusive"),
+            "failed": statuses.count("fail"),
+            "inconclusive": statuses.count("inconclusive"),
         },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` plus a newline, written directly.
+
+    Every JSON document the CLI prints comes from here. A ``VerificationReport``
+    is written as the object of its fields and an ``Outcome`` as the object of
+    its fields that are set (neither None nor ""), with no dict built for
+    either; tuples are written as lists. A dict key that is not a ``str``
+    raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write(value, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``value``; ``newline`` breaks a line at its indent."""
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
+        return
+    if kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out.append(inner)
+                _write(item, out, inner)
+                out.append(",")
+            else:
+                out.append(f"{inner}{scalar(item)},")
+        out[-1] = out[-1][:-1] + newline + "]"  # the last item takes no comma
+        return
+    if kind is dict:
+        items = sorted(value.items())
+    elif kind is VerificationReport:
+        items = sorted(vars(value).items())
+    elif kind is Outcome:
+        items = sorted([(k, v) for k, v in vars(value).items() if v is not None and v != ""])
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    out.append("{")
+    for key, item in items:
+        scalar = _SCALAR_TEXT.get(type(item))
+        if scalar is None:
+            out.append(f"{inner}{encode_basestring_ascii(key)}: ")
+            _write(item, out, inner)
+            out.append(",")
+        else:
+            out.append(f"{inner}{encode_basestring_ascii(key)}: {scalar(item)},")
+    out[-1] = out[-1][:-1] + newline + "}"
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it, non-finite values included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of each scalar, by exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cyclemeet
 from cyclemeet import auxgraph, flow
@@ -28,7 +31,10 @@ from cyclemeet.flow import max_disjoint_paths, xy_separator
 from cyclemeet.harness import (
     CorpusSpec,
     InstanceFacts,
+    Outcome,
+    VerificationReport,
     analyze_instance,
+    json_text,
     reports_to_json,
     run_corpus,
     verify_babai,
@@ -356,6 +362,108 @@ def test_corpus_spec_parsing():
         from cyclemeet.harness import corpus_instances
 
         corpus_instances(CorpusSpec.parse("nonsense"))
+
+
+@pytest.mark.parametrize("corpus, names", [
+    ("circulants:cout=3,max_n=10", "'cout'"),
+    ("vt:count=3,seed=4", "'seed'"),
+    ("random:count=3,random_count=4", "'random_count'"),
+    ("pairwise12:count=3", "'count'"),
+    ("exhaustive6:max_n=5", "'max_n'"),
+    ("smoke:random_count=4", "'random_count'"),
+    ("default:count=3", "'count'"),
+    ("circulants:count=3,count=4", "'count' is given twice"),
+    ("pairwise12:random_count=2,random_count=2", "'random_count' is given twice"),
+    ("circulants:count=-1", "count must be at least 0"),
+    ("random:count=-5", "count must be at least 0"),
+    ("pairwise12:random_count=-1", "random_count must be at least 0"),
+])
+def test_cli_rejects_a_corpus_parameter_the_kind_does_not_read(capsys, corpus, names):
+    # each ran before: an unread key or a repeat was ignored, a negative count ran nothing
+    assert main(["verify", "--suite", "babai", "--corpus", corpus]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and names in out.err
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+JSON_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "caf\u00e9", "\x00\x1f\x7f\n\t\"\\/", "\U0001f600", "\ud800", "\u2028"]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, math.inf, -math.inf, math.nan]),
+    JSON_STRINGS,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example({"a": {}, "b": [], "c": ()})
+@example([[[]], [{}], ({"": ()},)])
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    # json.dumps coerces some of these keys to strings; no payload has one
+    {1: 2}, {"a": 1, 2: 3}, [{"b": {(0, 1): 0}}], {None: 1},
+    {"a": [1, {2, 3}]},  # json cannot write a set either
+])
+def test_json_text_rejects_a_key_that_is_not_a_string(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+def test_failed_report_is_written_as_json_dumps_writes_its_fields():
+    # no corpus reaches a failure's witness: the harness stops at the failure
+    witness = {"graph6": "I?h]@eOWG", "x": [0, 1, 2], "cut": (4, 5),
+               "nested": {"b": None, "a": [1.5, -0.0, {"\u00e9": True}]}}
+    failed = Outcome("smith", "fail", lhs=2.5, rhs=3, detail="\u03ba(G) \u2265 3, m < \u03ba",
+                     witness=witness)
+    passed = Outcome("babai", "pass", lhs=9, rhs=5.196152422706632)
+    bare = Outcome("exchange_absent", "pass", detail="")
+    report = VerificationReport(
+        instance_id="t[0]:I?h]@eOWG", n=10, degree=3, connectivity=3, cycle_length=9,
+        cycle_count=20, truncated=False, m_min=2, separator_size=None, separator_bound=83.5,
+        outcomes=(passed, failed, bare), observations={"m_min_over_k23": 0.961499},
+        stats={"thm14_pairs_checked": 1},
+    )
+    spec = CorpusSpec("pairwise12", params=(("random_count", "4"),), seed=3)
+    expected = {
+        "suite": "all",
+        "corpus": {"kind": "pairwise12", "params": [["random_count", "4"]], "seed": 3},
+        "instances": [{
+            "instance_id": "t[0]:I?h]@eOWG", "n": 10, "degree": 3, "connectivity": 3,
+            "cycle_length": 9, "cycle_count": 20, "truncated": False, "m_min": 2,
+            "separator_size": None, "separator_bound": 83.5,
+            "outcomes": [
+                {"name": "babai", "status": "pass", "lhs": 9, "rhs": 5.196152422706632},
+                {"name": "smith", "status": "fail", "lhs": 2.5, "rhs": 3,
+                 "detail": "\u03ba(G) \u2265 3, m < \u03ba", "witness": witness},
+                {"name": "exchange_absent", "status": "pass"},
+            ],
+            "observations": {"m_min_over_k23": 0.961499},
+            "stats": {"thm14_pairs_checked": 1},
+        }],
+        "summary": {"total": 1, "failed": 1, "inconclusive": 0},
+    }
+    text = reports_to_json([report], spec, "all")
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 # -- CLI ----------------------------------------------------------------------
