@@ -105,6 +105,85 @@ def type00_host(long_path: bool = False):
     return g, x, y, family
 
 
+def exchange_hosts(count: int, seed: int):
+    """Seeded (g, x, y, family) hosts for the exchange certificates.
+
+    X and Y meet in 2 to 4 shared vertices, and Y meets them in a random
+    order. Each segment has 0 to 4 vertices. Each connecting path has 1 to 3
+    edges, its interior on fresh vertices, and a path now and then lands on a
+    segment pair that already has one, so ``build_aux`` raises
+    SameSegmentPairError. Vertex labels are shuffled, so either cycle's
+    canonical start may fall inside a segment.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randrange(2, 5)
+        fresh = iter(range(m, 10**6))
+        x_segs = [[next(fresh) for _ in range(rng.randrange(5))] for _ in range(m)]
+        y_segs = [[next(fresh) for _ in range(rng.randrange(5))] for _ in range(m)]
+        x_seq = [v for w in range(m) for v in (w, *x_segs[w])]
+        y_seq = [v for w, seg in zip(rng.sample(range(m), m), y_segs) for v in (w, *seg)]
+        xs = frozenset(v for seg in x_segs for v in seg)
+        ys = frozenset(v for seg in y_segs for v in seg)
+        if not (xs and ys):
+            continue
+        paths, pairs = [], set()
+        for _ in range(rng.randrange(1, 17)):
+            x_open = [i for i in range(m) if x_segs[i]]
+            y_open = [j for j in range(m) if y_segs[j]]
+            if not (x_open and y_open):
+                break
+            i, j = rng.choice(x_open), rng.choice(y_open)
+            if (i, j) in pairs and rng.random() < 0.9:
+                continue
+            pairs.add((i, j))
+            u = x_segs[i].pop(rng.randrange(len(x_segs[i])))
+            v = y_segs[j].pop(rng.randrange(len(y_segs[j])))
+            paths.append((u, *(next(fresh) for _ in range(rng.randrange(3))), v))
+        n = next(fresh)
+        label = rng.sample(range(n), n)
+        x_seq = [label[v] for v in x_seq]
+        y_seq = [label[v] for v in y_seq]
+        paths = [tuple(label[v] for v in p) for p in paths]
+        edges = [(s[t - 1], s[t]) for s in (x_seq, y_seq) for t in range(len(s))]
+        edges += [(p[t], p[t + 1]) for p in paths for t in range(len(p) - 1)]
+        g = Graph(n, edges)
+        x = CycleEmbedding.from_sequence(g, x_seq)
+        y = CycleEmbedding.from_sequence(g, y_seq)
+        family = PathFamily(
+            paths=tuple(sorted(paths)),
+            source_set=frozenset(label[v] for v in xs),
+            target_set=frozenset(label[v] for v in ys),
+        )
+        out.append((g, x, y, family))
+    return out
+
+
+def random_cycle_pairs(count: int, seed: int):
+    """Seeded (g, x, y): two random walks in one random graph, each closed into a cycle."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_graph(rng.randrange(7, 13), rng.choice([0.3, 0.45]), rng.randrange(1 << 30))
+        x, y = _random_cycle(g, rng), _random_cycle(g, rng)
+        if x is not None and y is not None and x != y:
+            out.append((g, x, y))
+    return out
+
+
+def _random_cycle(g: Graph, rng: random.Random):
+    walk = [rng.randrange(g.n)]
+    while True:
+        closes = len(walk) >= 3 and g.has_edge(walk[-1], walk[0])
+        ahead = [w for w in g.neighbors(walk[-1]) if w not in walk]
+        if closes and (not ahead or rng.random() < 0.3):
+            return CycleEmbedding.from_sequence(g, walk)
+        if not ahead:
+            return None
+        walk.append(rng.choice(ahead))
+
+
 def prop22_host():
     """Two 8-cycles sharing two vertices, two paths landing on one segment pair."""
     x_edges = [(0, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 7), (7, 0)]

@@ -1,6 +1,16 @@
+import hashlib
+import itertools
+from collections import Counter
+
 import pytest
 
-from cyclemeet.auxgraph import build_aux, classify_four_cycle
+from cyclemeet.auxgraph import (
+    SameSegmentPairError,
+    build_aux,
+    classify_four_cycle,
+    four_cycles,
+    pair_aux,
+)
 from cyclemeet.corpus import pairwise_corpus
 from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles
 from cyclemeet.exchange import (
@@ -12,7 +22,14 @@ from cyclemeet.exchange import (
 )
 from cyclemeet.graphs import Graph, cycle_graph, petersen_graph
 
-from hosts import lemma33_host, prop22_host, type00_host
+from hosts import (
+    exchange_hosts,
+    lemma33_host,
+    lemma33_host_long_path,
+    prop22_host,
+    random_cycle_pairs,
+    type00_host,
+)
 
 
 # -- prop22 -------------------------------------------------------------------
@@ -119,8 +136,6 @@ def test_lemma33_all_four_orderings(bit_x, bit_y):
 
 
 def test_lemma33_with_longer_path():
-    from hosts import lemma33_host_long_path
-
     g, x, y, family = lemma33_host_long_path(0, 1)
     f = build_aux(g, x, y, family)
     cert = lemma33_certificate(g, x, y, f, (1, 1, 3, 2), (2, 3, 4, 4))
@@ -146,6 +161,48 @@ def test_lemma33_crossing_y_pairs_returns_none():
     g, x, y, family = lemma33_host(0, 0)
     f = build_aux(g, x, y, family)
     assert lemma33_certificate(g, x, y, f, (1, 1, 3, 2), (2, 1, 4, 3)) is None
+
+
+# -- certificate pins -------------------------------------------------------------
+
+
+def _type00_certificates(g, x, y, f):
+    return [
+        type00_certificate(g, x, y, f, (i, k, j, l))
+        for i, k, j, l in four_cycles(f)
+        if classify_four_cycle(f, i, j, k, l) == (0, 0)
+    ]
+
+
+def _pinned_certificates():
+    certs = []
+    for g, x, y, family in exchange_hosts(2500, seed=7):
+        try:
+            certs += _type00_certificates(g, x, y, build_aux(g, x, y, family))
+        except SameSegmentPairError as err:
+            certs.append(prop22_certificate(g, x, y, err.path1, err.path2))
+    for g, x, y in random_cycle_pairs(400, seed=8):
+        try:
+            f = pair_aux(g, x, y)
+        except SameSegmentPairError as err:
+            certs.append(prop22_certificate(g, x, y, err.path1, err.path2))
+        else:
+            certs += [] if f is None else _type00_certificates(g, x, y, f)
+    hosts = [lemma33_host(*bits) for bits in itertools.product((0, 1), repeat=2)]
+    for g, x, y, family in hosts + [lemma33_host_long_path(0, 1)]:
+        f = build_aux(g, x, y, family)
+        certs.append(lemma33_certificate(g, x, y, f, (1, 1, 3, 2), (2, 3, 4, 4)))
+    return certs
+
+
+def test_certificates_are_pinned():
+    # every certificate's cycles, in order, on generated and hand-built hosts
+    certs = _pinned_certificates()
+    assert Counter(c.origin for c in certs) == {"prop22": 561, "type00": 140, "lemma33": 5}
+    text = repr([(c.origin, c.q1.vertices, c.q2.vertices, c.surplus, c.case) for c in certs])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "785523b01da06c914bf5f5bfb5edb32f50881d4b684500980ee3d45c0f00fe86"
+    )
 
 
 # -- the driver ----------------------------------------------------------------

@@ -44,7 +44,7 @@ from cyclemeet.harness import (
 )
 from cyclemeet.transitive import circulant
 
-from hosts import path_graph, prop22_host
+from hosts import lemma33_host, path_graph, prop22_host, type00_host
 
 DATA = Path(__file__).parent / "data"
 
@@ -737,7 +737,7 @@ def test_cli_verify_report_bytes_are_pinned(tmp_path, args, count, digest):
 
 def test_cli_pair_commands_stdout_is_pinned(tmp_path, capsys):
     # every other command that writes JSON, on payloads with floats, nulls,
-    # nested lists and string-keyed dicts
+    # nested lists and string-keyed dicts; certify once per exchange origin
     pet = tmp_path / "pet.g6"
     pet.write_text(graph_to_graph6(petersen_graph()) + "\n")
     cs = enumerate_longest_cycles(petersen_graph())
@@ -746,6 +746,13 @@ def test_cli_pair_commands_stdout_is_pinned(tmp_path, capsys):
     host = tmp_path / "prop22.g6"
     host.write_text(graph_to_graph6(prop22_host()[0]) + "\n")
     host_pair = ["--in", str(host), "--x", "0,2,3,4,1,5,6,7", "--y", "0,8,9,10,1,11,12,13"]
+
+    def exchange_pair(name, g, x, y, _family):
+        path = tmp_path / f"{name}.g6"
+        path.write_text(graph_to_graph6(g) + "\n")
+        return ["--in", str(path), "--x", ",".join(map(str, x.vertices)),
+                "--y", ",".join(map(str, y.vertices))]
+
     runs = [
         (["cycles", "--in", str(pet), "--enumerate"], 0,
          "a32bc523f6aa4cf21426f51c7d1d361599faa661c41d03cf5df4dd6190ac6e0e"),
@@ -761,6 +768,10 @@ def test_cli_pair_commands_stdout_is_pinned(tmp_path, capsys):
          "61c514e77d31305e392f382bcb80d3767e32b83ff56a8d71a0689748a1074256"),
         (["certify", *host_pair], 0,
          "0e9e649f67ceed278892bb70c5ae49ed503ade4ab1522516a07cd645a1cd7c27"),
+        (["certify", *exchange_pair("type00", *type00_host())], 0,
+         "309f95f5f946656976db49fc6ec1a9e914cf2d1e10229a958a68ce3915354a1c"),
+        (["certify", *exchange_pair("lemma33", *lemma33_host(0, 1))], 0,
+         "20b970c3a0d46798f84d4fa0548aef031c630ef93eabd69dda9faf9153c425bf"),
     ]
     digests = []
     for args, code, _ in runs:
