@@ -11,6 +11,7 @@ Segment labels are 1-based (x_1..x_m, y_1..y_m) throughout this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -343,8 +344,6 @@ class SupersaturationReport:
     edge_bound_ok: Optional[bool] = None
 
     def edge_bound_value(self) -> float:
-        import math
-
         return math.sqrt(10) * self.m**1.5 + self.m / 2
 
     def to_json_dict(self) -> dict:

@@ -89,9 +89,6 @@ class CycleEmbedding:
             return False
         return self.vertices == canonical_cycle(self.vertices)
 
-    def to_json_dict(self) -> list[int]:
-        return list(self.vertices)
-
 
 @dataclass(frozen=True)
 class CycleSet:

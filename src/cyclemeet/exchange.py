@@ -1,16 +1,22 @@
 """Exchange arguments: turning forbidden path configurations into longer cycles.
 
-Every constructor here takes vertex sequences apart and restitches them, then
-validates edge existence and simplicity against the host graph before
-returning; a certificate that fails validation is an internal error, never a
-silent skip. Certificates pair two cycles that jointly cover both original
-cycles' edges with strictly larger total length.
+Certificates pair two cycles that jointly cover both original cycles' edges
+with strictly larger total length. One restitching search, ``_restitch``,
+builds every one of them: the endpoints of the connecting paths cut X and Y
+into arcs, and an exhaustive search splits the arcs, each used once, and the
+paths, each used twice, into two vertex-simple cycles. It closes Prop. 2.2
+(two paths on one segment pair), Lemma 3.2 (a type-(0,0) 4-cycle of the
+auxiliary graph) and Lemma 3.3 (two crossing type-(1,0) 4-cycles). Its pair
+must have surplus 2·Σ|P| and pass ``certificate_is_sound`` against the host
+graph; a failure is an internal error, never a silent skip. The constructors
+check their hypotheses and order the pair: ``q1`` of Prop. 2.2 beats the
+cycle it modifies, and ``q1`` of Lemma 3.2 keeps the X-stretch inside X_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from .auxgraph import (
     AuxGraph,
@@ -40,15 +46,6 @@ class WinningCertificate:
     surplus: int
     case: Optional[tuple[int, int]] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q1": list(self.q1.vertices),
-            "q2": list(self.q2.vertices),
-            "origin": self.origin,
-            "surplus": self.surplus,
-            "case": None if self.case is None else list(self.case),
-        }
-
 
 def certificate_is_sound(
     g: Graph, x: CycleEmbedding, y: CycleEmbedding, cert: WinningCertificate
@@ -61,39 +58,20 @@ def certificate_is_sound(
     return cert.q1.length + cert.q2.length > x.length + y.length
 
 
-def _cyclic_arc(cycle: CycleEmbedding, u: int, v: int, flipped: bool) -> list[int]:
-    """Vertices from u to v inclusive, walking the stored orientation (or its reverse)."""
-    seq = cycle.vertices
-    n = len(seq)
-    i = seq.index(u)
-    step = -1 if flipped else 1
-    out = [u]
-    while out[-1] != v:
-        i = (i + step) % n
-        out.append(seq[i])
-        if len(out) > n:
-            raise ValueError(f"{v} not on cycle")
-    return out
+def _cyclic_arc(cycle: CycleEmbedding, u: int, v: int) -> tuple[int, ...]:
+    """Vertices from u to v inclusive, walking the stored orientation."""
+    i = cycle.vertices.index(u)
+    rotated = cycle.vertices[i:] + cycle.vertices[:i]
+    return rotated[: rotated.index(v) + 1]
 
 
-def _segment_path(segment: Sequence[int], a: int, b: int) -> list[int]:
-    """Subpath of one segment from a to b inclusive."""
-    ia, ib = segment.index(a), segment.index(b)
-    if ia <= ib:
-        return list(segment[ia : ib + 1])
-    return list(segment[ib : ia + 1])[::-1]
-
-
-def _stitch(pieces: list[list[int]]) -> list[int]:
-    """Join path pieces end-to-start into one closed vertex sequence."""
-    out = list(pieces[0])
-    for piece in pieces[1:]:
-        if piece[0] != out[-1]:
-            raise RuntimeError("exchange produced non-cycle: pieces do not meet")
-        out.extend(piece[1:])
-    if out[0] != out[-1]:
-        raise RuntimeError("exchange produced non-cycle: walk does not close")
-    return out[:-1]
+def _holding_first(
+    cert: WinningCertificate, a: int, b: int
+) -> tuple[CycleEmbedding, CycleEmbedding]:
+    """The certificate's two cycles, the one holding the edge ab first."""
+    if (min(a, b), max(a, b)) in cert.q1.edge_set():
+        return cert.q1, cert.q2
+    return cert.q2, cert.q1
 
 
 def _check_clean_interior(path: Sequence[int], x: CycleEmbedding, y: CycleEmbedding) -> None:
@@ -127,9 +105,12 @@ def prop22_certificate(
 ) -> WinningCertificate:
     """Absorb a same-segment-pair path pair into a strictly longer cycle.
 
-    The shorter of the two bridged stretches is replaced by the detour
-    through the other cycle, so ``q1`` beats the cycle it modifies (both,
-    when |x| = |y|).
+    Of the restitched pair, q_x replaces the X-stretch between the path
+    endpoints by the detour through Y; it is the cycle holding the X-edge from
+    the earlier endpoint u to u's predecessor. q_y does the same on Y. ``q1``
+    is q_x unless the X-stretch is longer than the Y-stretch, so ``q1``
+    replaces the shorter stretch and beats the cycle it modifies (both, when
+    |x| = |y|).
     """
     dec = decompose(g, x, y)
     shared = dec.shared()
@@ -148,40 +129,18 @@ def prop22_certificate(
     j2, posv2 = dec.y_segment_of(p2[-1])
     if i1 != i2 or j1 != j2:
         raise ValueError("paths do not land on one segment pair")
-    a_edges = abs(posu1 - posu2)
-    b_edges = abs(posv1 - posv2)
-    seg_x = dec.x_segments[i1 - 1]
-    seg_y = dec.y_segments[j1 - 1]
-
-    # q_x replaces the X-stretch by the detour through Y, q_y the reverse;
-    # the kept arc leaves the later in-segment endpoint so it wraps around
-    # the cycle instead of running through the replaced stretch
-    pa, pb = (p1, p2) if posu1 < posu2 else (p2, p1)
-    q_x = CycleEmbedding.from_sequence(g, _stitch([
-        _cyclic_arc(x, pb[0], pa[0], flipped=False),
-        list(pa),
-        _segment_path(seg_y, pa[-1], pb[-1]),
-        list(reversed(pb)),
-    ]))
-    pa, pb = (p1, p2) if posv1 < posv2 else (p2, p1)
-    q_y = CycleEmbedding.from_sequence(g, _stitch([
-        _cyclic_arc(y, pb[-1], pa[-1], flipped=False),
-        list(reversed(pa)),
-        _segment_path(seg_x, pa[0], pb[0]),
-        list(pb),
-    ]))
-    if a_edges > b_edges:
-        q_x, q_y = q_y, q_x
-        base_len = y.length
+    cert = _restitch(g, x, y, (p1, p2), "prop22")
+    # q_x replaces the X-stretch between the endpoints by the detour through
+    # Y, so it keeps the X-edge from the earlier endpoint to its predecessor
+    u = p1[0] if posu1 < posu2 else p2[0]
+    q_x, q_y = _holding_first(cert, u, x.vertices[x.vertices.index(u) - 1])
+    if abs(posu1 - posu2) > abs(posv1 - posv2):
+        q1, q2, modified = q_y, q_x, y
     else:
-        base_len = x.length
-    if q_x.length <= base_len:
+        q1, q2, modified = q_x, q_y, x
+    if q1.length <= modified.length:
         raise RuntimeError("exchange failed to lengthen the cycle")
-    surplus = q_x.length + q_y.length - x.length - y.length
-    cert = WinningCertificate(q1=q_x, q2=q_y, origin="prop22", surplus=surplus)
-    if not certificate_is_sound(g, x, y, cert):
-        raise RuntimeError("exchange produced unsound certificate")
-    return cert
+    return replace(cert, q1=q1, q2=q2)
 
 
 def type00_certificate(
@@ -193,65 +152,23 @@ def type00_certificate(
 ) -> WinningCertificate:
     """Winning certificate from a type-(0,0) 4-cycle of the auxiliary graph.
 
-    Builds the two restitched cycles exactly as the exchange dictates: each
-    of the four paths is used once per cycle, so the surplus is twice the
-    total path length.
+    The restitching search uses each of the four paths once per cycle, so
+    the surplus is twice the total path length. ``q1`` is the cycle that
+    keeps the X-stretch between the two path endpoints on X_i.
     """
     i, k, j, l = fourcycle
     kind = classify_four_cycle(f, i, j, k, l)
     if kind != FourCycleType(0, 0):
         raise ValueError(f"wrong type: {tuple(kind)} is not (0,0)")
-    dec = f.decomposition
-    paths = {key: f.witness[key] for key in ((i, k), (i, l), (j, k), (j, l))}
-    for p in paths.values():
+    paths = [f.witness[key] for key in ((i, k), (i, l), (j, k), (j, l))]
+    for p in paths:
         _check_clean_interior(p, x, y)
-    u = {key: f.endpoints[key][0] for key in paths}
-    v = {key: f.endpoints[key][1] for key in paths}
-    seg_xi = dec.x_segments[i - 1]
-    seg_xj = dec.x_segments[j - 1]
-    seg_yk = dec.y_segments[k - 1]
-    seg_yl = dec.y_segments[l - 1]
-    # orient both cycles so that the k-endpoints precede the l-endpoints on X
-    # and the i-endpoints precede the j-endpoints on Y
-    flip_x = not seg_xi.index(u[(i, k)]) < seg_xi.index(u[(i, l)])
-    flip_y = not seg_yk.index(v[(i, k)]) < seg_yk.index(v[(j, k)])
-
-    def fwd(key):
-        return list(paths[key])
-
-    def bwd(key):
-        return list(reversed(paths[key]))
-
-    q1_seq = _stitch([
-        fwd((i, k)),
-        _cyclic_arc(y, v[(j, l)], v[(i, k)], flip_y)[::-1],
-        bwd((j, l)),
-        _segment_path(seg_xj, u[(j, l)], u[(j, k)]),
-        fwd((j, k)),
-        _cyclic_arc(y, v[(j, k)], v[(i, l)], flip_y),
-        bwd((i, l)),
-        _segment_path(seg_xi, u[(i, l)], u[(i, k)]),
-    ])
-    q2_seq = _stitch([
-        fwd((i, k)),
-        _segment_path(seg_yk, v[(i, k)], v[(j, k)]),
-        bwd((j, k)),
-        _cyclic_arc(x, u[(i, l)], u[(j, k)], flip_x)[::-1],
-        fwd((i, l)),
-        _segment_path(seg_yl, v[(i, l)], v[(j, l)]),
-        bwd((j, l)),
-        _cyclic_arc(x, u[(j, l)], u[(i, k)], flip_x),
-    ])
-    q1 = CycleEmbedding.from_sequence(g, q1_seq)
-    q2 = CycleEmbedding.from_sequence(g, q2_seq)
-    surplus = q1.length + q2.length - x.length - y.length
-    expected = 2 * sum(len(p) - 1 for p in paths.values())
-    if surplus != expected:
-        raise RuntimeError(f"surplus {surplus} != 2*sum|P| = {expected}")
-    cert = WinningCertificate(q1=q1, q2=q2, origin="type00", surplus=surplus)
-    if not certificate_is_sound(g, x, y, cert):
-        raise RuntimeError("exchange produced unsound certificate")
-    return cert
+    cert = _restitch(g, x, y, paths, "type00")
+    # q1 keeps the X-stretch between the two endpoints on X_i, so it holds
+    # the X-edge from the earlier one to its successor
+    u = min(paths[0][0], paths[1][0], key=lambda v: f.decomposition.x_segment_of(v)[1])
+    q1, q2 = _holding_first(cert, u, x.vertices[(x.vertices.index(u) + 1) % x.length])
+    return replace(cert, q1=q1, q2=q2)
 
 
 @dataclass(frozen=True)
@@ -266,9 +183,7 @@ class _Block:
         return self.seq if self.seq[0] == start else tuple(reversed(self.seq))
 
 
-def _decompose_into_two_cycles(
-    g: Graph, blocks: list[_Block]
-) -> Optional[tuple[list[int], list[int]]]:
+def _decompose_into_two_cycles(blocks: list[_Block]) -> Optional[tuple[list[int], list[int]]]:
     """Partition the blocks into exactly two vertex-simple closed walks.
 
     Exhaustive DFS with deterministic ordering; each block is used exactly
@@ -300,8 +215,6 @@ def _decompose_into_two_cycles(
             blk = blocks[bid]
             if blk.twin is not None and not used >> blk.twin & 1:
                 continue
-            if head not in (blk.a, blk.b):
-                continue
             walk = blk.oriented(head)
             nxt = walk[-1]
             interior = set(walk[1:-1])
@@ -325,6 +238,50 @@ def _decompose_into_two_cycles(
     return rec(0, [], None)
 
 
+def _restitch(
+    g: Graph,
+    x: CycleEmbedding,
+    y: CycleEmbedding,
+    paths: Sequence[Sequence[int]],
+    origin: str,
+    case: Optional[tuple[int, int]] = None,
+) -> WinningCertificate:
+    """The certificate that uses every arc of X and Y once and every path twice.
+
+    ``paths`` run from their X end to their Y end. Their endpoints cut X and Y
+    into arcs; the exhaustive search splits the arcs plus two copies of each
+    path into two vertex-simple cycles, whose surplus must be 2·Σ|P|.
+    """
+    blocks: list[_Block] = []
+
+    def add_block(seq: Sequence[int], twin: Optional[int] = None) -> int:
+        bid = len(blocks)
+        blocks.append(_Block(bid=bid, a=seq[0], b=seq[-1], seq=tuple(seq), twin=twin))
+        return bid
+
+    for cyc, ends in ((x, {p[0] for p in paths}), (y, {p[-1] for p in paths})):
+        marks = sorted(ends, key=cyc.vertices.index)
+        for t, w in enumerate(marks):
+            add_block(_cyclic_arc(cyc, w, marks[(t + 1) % len(marks)]))
+    for p in paths:
+        first = add_block(p)
+        add_block(p, twin=first)
+
+    found = _decompose_into_two_cycles(blocks)
+    if found is None:
+        raise RuntimeError(f"restitching search found no {origin} certificate")
+    q1 = CycleEmbedding.from_sequence(g, found[0])
+    q2 = CycleEmbedding.from_sequence(g, found[1])
+    surplus = q1.length + q2.length - x.length - y.length
+    expected = 2 * sum(len(p) - 1 for p in paths)
+    if surplus != expected:
+        raise RuntimeError(f"surplus {surplus} != 2*sum|P| = {expected}")
+    cert = WinningCertificate(q1=q1, q2=q2, origin=origin, surplus=surplus, case=case)
+    if not certificate_is_sound(g, x, y, cert):
+        raise RuntimeError("exchange produced unsound certificate")
+    return cert
+
+
 def lemma33_certificate(
     g: Graph,
     x: CycleEmbedding,
@@ -336,10 +293,10 @@ def lemma33_certificate(
     """Certificate from two type-(1,0) 4-cycles with crossing X-pairs and
     disjoint non-crossing Y-pairs.
 
-    Returns None when the configuration does not match that hypothesis. All
-    four endpoint-ordering cases are handled by one exhaustive restitching
-    search over {every cycle arc once, every path twice}; the found pair is
-    machine-verified, closing the case analysis computationally.
+    Returns None when the configuration does not match that hypothesis. The
+    restitching search handles all four endpoint-ordering cases of the eight
+    paths; the pair it finds is machine-verified, closing the case analysis
+    computationally.
     """
     i1, k1, j1, l1 = c1
     i2, k2, j2, l2 = c2
@@ -364,38 +321,7 @@ def lemma33_certificate(
     except ValueError:
         return None
 
-    marked_x = sorted({f.endpoints[key][0] for key in keys}, key=x.vertices.index)
-    marked_y = sorted({f.endpoints[key][1] for key in keys}, key=y.vertices.index)
-    blocks: list[_Block] = []
-
-    def add_block(seq: Iterable[int], twin: Optional[int] = None) -> int:
-        bid = len(blocks)
-        seq = tuple(seq)
-        blocks.append(_Block(bid=bid, a=seq[0], b=seq[-1], seq=seq, twin=twin))
-        return bid
-
-    for marks, cyc in ((marked_x, x), (marked_y, y)):
-        for t, w in enumerate(marks):
-            add_block(_cyclic_arc(cyc, w, marks[(t + 1) % len(marks)], flipped=False))
-    for p in paths:
-        first = add_block(p)
-        add_block(p, twin=first)
-
-    found = _decompose_into_two_cycles(g, blocks)
-    if found is None:
-        raise RuntimeError("restitching search found no certificate for a matched hypothesis")
-    q1 = CycleEmbedding.from_sequence(g, found[0])
-    q2 = CycleEmbedding.from_sequence(g, found[1])
-    surplus = q1.length + q2.length - x.length - y.length
-    expected = 2 * sum(len(p) - 1 for p in paths)
-    if surplus != expected:
-        raise RuntimeError(f"surplus {surplus} != 2*sum|P| = {expected}")
-    cert = WinningCertificate(
-        q1=q1, q2=q2, origin="lemma33", surplus=surplus, case=_lemma33_case(f, c1, c2)
-    )
-    if not certificate_is_sound(g, x, y, cert):
-        raise RuntimeError("exchange produced unsound certificate")
-    return cert
+    return _restitch(g, x, y, paths, "lemma33", case=_lemma33_case(f, c1, c2))
 
 
 def _lemma33_case(f: AuxGraph, c1, c2) -> tuple[int, int]:

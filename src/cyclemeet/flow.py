@@ -53,13 +53,6 @@ class PathFamily:
                 raise ValueError(f"paths share vertices {sorted(overlap)}")
             seen.update(path)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "paths": [list(p) for p in self.paths],
-            "sources": sorted(self.source_set),
-            "targets": sorted(self.target_set),
-        }
-
 
 @dataclass(frozen=True)
 class SeparatorReport:

@@ -25,15 +25,6 @@ class Automorphism:
     def __call__(self, v: int) -> int:
         return self.perm[v]
 
-    def is_valid(self, g: Graph) -> bool:
-        if sorted(self.perm) != list(range(g.n)):
-            return False
-        return all(
-            g.has_edge(self.perm[u], self.perm[v]) == g.has_edge(u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-        )
-
     def inverse(self) -> "Automorphism":
         inv = [0] * len(self.perm)
         for v, w in enumerate(self.perm):

@@ -94,3 +94,14 @@ def max_noncrossing_by_subsets(m: int) -> int:
         ):
             best = len(chosen)
     return best
+
+
+def is_automorphism(g: Graph, perm) -> bool:
+    """True iff perm is a permutation of V(G) that preserves adjacency and non-adjacency."""
+    if sorted(perm) != list(range(g.n)):
+        return False
+    return all(
+        g.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )

@@ -92,15 +92,6 @@ def test_type00_certificate_unit_paths():
     assert cert.q1.is_valid(g) and cert.q2.is_valid(g)
 
 
-def test_certificate_json_carries_verification():
-    g, x, y, family = type00_host()
-    f = build_aux(g, x, y, family)
-    cert = type00_certificate(g, x, y, f, (1, 1, 2, 2))
-    payload = cert.to_json_dict()
-    assert payload["origin"] == "type00"
-    assert payload["surplus"] == 8
-
-
 def test_type00_certificate_longer_path():
     g, x, y, family = type00_host(long_path=True)
     f = build_aux(g, x, y, family)
