@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclemeet.corpus import cayley_zoo, random_circulants
+from cyclemeet.corpus import cayley_zoo, load_connected_corpus, random_circulants
 from cyclemeet.cycles import (
     enumerate_longest_cycles,
     is_t_transversal,
@@ -15,6 +15,7 @@ from cyclemeet.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    graph_to_graph6,
     is_connected,
     is_regular,
     petersen_graph,
@@ -140,9 +141,8 @@ def circulants_maybe_less_an_edge(draw):
     return Graph(n, edges)
 
 
-@settings(max_examples=100, deadline=None)
-@given(circulants_maybe_less_an_edge())
-def test_orbit_and_transitivity_match_networkx_graph_matcher(g):
+def _orbit_by_graph_matcher(g: Graph) -> set[int]:
+    """Vertices v with an automorphism 0 -> v, by networkx VF2 on marked copies."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -157,9 +157,78 @@ def test_orbit_and_transitivity_match_networkx_graph_matcher(g):
 
     # an automorphism sends 0 to v iff the copies marked at 0 and at v are isomorphic
     zero = marked(0)
-    orbit = {v for v in range(g.n) if GraphMatcher(zero, marked(v), same_mark).is_isomorphic()}
+    return {v for v in range(g.n) if GraphMatcher(zero, marked(v), same_mark).is_isomorphic()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(circulants_maybe_less_an_edge())
+def test_orbit_and_transitivity_match_networkx_graph_matcher(g):
+    orbit = _orbit_by_graph_matcher(g)
     assert vertex_orbit_of_zero(g) == orbit
     assert is_vertex_transitive(g) == (len(orbit) == g.n)
+
+
+def test_orbit_matches_graph_matcher_on_every_connected_graph_to_six_vertices():
+    graphs = load_connected_corpus(max_n=6)
+    assert len(graphs) == 143  # 1 + 1 + 2 + 6 + 21 + 112
+    for g in graphs:
+        orbit = _orbit_by_graph_matcher(g)
+        assert vertex_orbit_of_zero(g) == orbit, graph_to_graph6(g)
+        assert is_vertex_transitive(g) == (len(orbit) == g.n), graph_to_graph6(g)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """(g, h): h is g relabelled, and half of the time has one edge moved too.
+
+    g is a random graph, a circulant (half of the time less one edge), or a
+    cycle with a random perfect matching added. The last two are near-regular,
+    so refinement alone rarely tells a moved edge or a wrong branch apart; a
+    matching usually leaves g with few automorphisms, so the search must
+    backtrack to find h's relabelling.
+    """
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "circulant", "matching"])) if n >= 6 else "random"
+    if kind == "circulant":
+        steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+        edges = sorted(circulant(n, steps | {n - s for s in steps}).edges())
+        if draw(st.booleans()):
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif kind == "matching":
+        n -= n % 2
+        order = draw(st.permutations(range(n)))
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        edges += [(order[i], order[i + 1]) for i in range(0, n, 2)]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [e for e in pairs if draw(st.booleans())]
+    perm = draw(st.permutations(range(n)))
+    moved = [(perm[u], perm[v]) for u, v in edges]
+    if draw(st.booleans()):
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if (u, v) not in moved and (v, u) not in moved]
+        if moved and absent:
+            moved.pop(draw(st.integers(0, len(moved) - 1)))
+            moved.append(draw(st.sampled_from(absent)))
+    return Graph(n, edges), Graph(n, moved)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_pairs())
+def test_find_isomorphism_matches_networkx_is_isomorphic(pair):
+    nx = pytest.importorskip("networkx")
+    g, h = pair
+
+    def as_nx(graph):
+        out = nx.Graph(list(graph.edges()))
+        out.add_nodes_from(range(graph.n))
+        return out
+
+    iso = find_isomorphism(g, h)
+    assert (iso is not None) == nx.is_isomorphic(as_nx(g), as_nx(h))
+    if iso is not None:
+        assert sorted(iso.perm) == list(range(g.n))
+        assert all(h.has_edge(iso(u), iso(v)) for u, v in g.edges())
 
 
 def test_automorphism_validity_and_sampling():
