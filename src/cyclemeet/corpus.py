@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .transitive import (
     GroupPresentation,
-    _refine,
+    _refine_jointly,
     cayley,
     circulant,
     elementary_abelian_cube,
@@ -46,8 +46,9 @@ DATA_FILE = "connected_upto8.g6"
 
 def _invariant(g: Graph) -> tuple:
     degs = tuple(sorted(g.degree(v) for v in range(g.n)))
-    colors = _refine(g, tuple(0 for _ in range(g.n)))
-    profile = tuple(sorted((colors.count(c), c) for c in set(colors)))
+    cells = [g.full_mask]
+    _refine_jointly(g, g, cells, [g.full_mask], [(g.full_mask, g.full_mask)])
+    profile = tuple(cell.bit_count() for cell in cells)
     triangles = []
     for v in range(g.n):
         t = 0

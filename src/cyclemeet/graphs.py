@@ -58,9 +58,6 @@ class Graph:
         """Neighbor bitmask of v."""
         return self._rows[v]
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self._rows[v])
-
     def degree(self, v: int) -> int:
         return self._rows[v].bit_count()
 

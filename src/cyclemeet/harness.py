@@ -77,8 +77,8 @@ class InstanceFacts:
     which keeps no cycles and, on every corpus measured, expands no more
     nodes than the enumeration.
     A search that runs out of budget keeps its error, raised again on every
-    read, so it never runs twice. The automorphism search behind
-    ``vertex_transitive`` has no budget, so it runs only for the checks that
+    read, so it never runs twice; that holds for the automorphism search
+    behind ``vertex_transitive`` too, which runs only for the checks that
     read the flag.
 
     ``corpus_instances`` makes one per instance. A fact that set-up reads
@@ -95,8 +95,11 @@ class InstanceFacts:
         return vertex_connectivity(self.g)
 
     @cached_property
-    def vertex_transitive(self) -> bool:
-        return is_connected(self.g) and is_vertex_transitive(self.g)
+    def _vertex_transitive(self) -> Union[bool, BudgetExceededError]:
+        try:
+            return is_connected(self.g) and is_vertex_transitive(self.g, self.budget)
+        except BudgetExceededError as err:
+            return err
 
     @cached_property
     def _cycles(self) -> Union[CycleSet, BudgetExceededError, None]:
@@ -127,6 +130,11 @@ class InstanceFacts:
         """c(G), exact; the cycles are enumerated only if something else read them."""
         return _unless_exhausted(self._length)
 
+    @property
+    def vertex_transitive(self) -> bool:
+        """Whether g is connected and vertex-transitive."""
+        return _unless_exhausted(self._vertex_transitive)
+
 
 def _unless_exhausted(fact):
     """The kept fact, or its kept budget error raised again."""
@@ -140,9 +148,9 @@ def verify_babai(facts: InstanceFacts) -> Outcome:
     g = facts.g
     if g.n < 3 or not is_connected(g):
         return Outcome("babai", "skipped", detail="needs a connected graph on >= 3 vertices")
-    if not facts.vertex_transitive:
-        return Outcome("babai", "skipped", detail="not vertex-transitive")
     try:
+        if not facts.vertex_transitive:
+            return Outcome("babai", "skipped", detail="not vertex-transitive")
         c = facts.length
     except BudgetExceededError as err:
         return Outcome("babai", "inconclusive", detail=str(err))
@@ -219,9 +227,9 @@ def verify_thm14(g: Graph, x: CycleEmbedding, y: CycleEmbedding,
 def verify_devos(facts: InstanceFacts, a: frozenset[int], t: int) -> Outcome:
     """c(G) >= t*n/|A| for a verified t-transversal A of a vertex-transitive graph."""
     g = facts.g
-    if not facts.vertex_transitive:
-        return Outcome("devos", "skipped", detail="needs a connected vertex-transitive graph")
     try:
+        if not facts.vertex_transitive:
+            return Outcome("devos", "skipped", detail="needs a connected vertex-transitive graph")
         cs = facts.cycles
     except BudgetExceededError as err:
         return Outcome("devos", "inconclusive", detail=str(err))

@@ -1,9 +1,16 @@
 """Vertex-transitive graph generation and automorphism search.
 
-Automorphisms are found by equitable-partition refinement plus backtracking
-over color classes; no external canonical-labeling dependency. Adequate for
-the toolkit's instance sizes (vertex-transitivity is decided up to 64
-vertices).
+Isomorphisms and automorphisms come from one individualization-refinement
+search (McKay, "Practical graph isomorphism", 1981) on adjacency bitmasks. g
+and h each keep an ordered list of cells (vertex bitmasks) and are refined
+jointly: a cell splits by its vertices' neighbour counts in a queued splitter
+cell, ``(row & splitter).bit_count()``, into new cells ordered by count and
+queued in turn. Cell i of g maps only onto cell i of h, so a node fails as
+soon as the two sides' counts or cell sizes differ. Otherwise it branches on
+the lowest vertex of g's first non-singleton cell, individualized against
+each vertex of h's matching cell in ascending order; at a discrete partition
+one row image per vertex checks the map. A search expands at most ``budget``
+nodes and then raises ``BudgetExceededError``, as the cycle search does.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .cycles import DEFAULT_BUDGET, BudgetExceededError
 from .graphs import Graph, iter_bits
 
 AUTOMORPHISM_CAP = 64
@@ -26,94 +34,107 @@ class Automorphism:
         return self.perm[v]
 
     def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.perm)
-        for v, w in enumerate(self.perm):
-            inv[w] = v
-        return Automorphism(tuple(inv))
+        return Automorphism(_invert_perm(self.perm))
 
 
-def _refine(g: Graph, colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Equitable refinement: split classes by neighbor-color multisets to a fixpoint."""
-    current = colors
-    while True:
-        signatures = []
-        for v in range(g.n):
-            neigh = tuple(sorted(current[w] for w in g.neighbors(v)))
-            signatures.append((current[v], neigh))
-        order = sorted(set(signatures))
-        renumber = {sig: c for c, sig in enumerate(order)}
-        fresh = tuple(renumber[sig] for sig in signatures)
-        if fresh == current:
-            return fresh
-        current = fresh
+def _refine_jointly(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
+                    queue: list[tuple[int, int]]) -> bool:
+    """Split both cell lists in place to equitable ones; False once the sides differ."""
+    while queue:
+        split_g, split_h = queue.pop()
+        near_g, near_h = g.neighbors_of_mask(split_g), h.neighbors_of_mask(split_h)
+        at = 0
+        while at < len(cells_g):
+            cell_g, cell_h = cells_g[at], cells_h[at]
+            at += 1
+            if not cell_g & (cell_g - 1) or not (cell_g & near_g or cell_h & near_h):
+                continue  # a singleton, or no neighbour in the splitter on either side
+            parts_g = _split(g._rows, cell_g, split_g, near_g)
+            parts_h = _split(h._rows, cell_h, split_h, near_h)
+            counts = sorted(parts_g)
+            if counts != sorted(parts_h) or any(
+                parts_g[k].bit_count() != parts_h[k].bit_count() for k in counts
+            ):
+                return False
+            if len(counts) > 1:
+                cells_g[at - 1:at] = [parts_g[k] for k in counts]
+                cells_h[at - 1:at] = [parts_h[k] for k in counts]
+                # counts into the (first) largest new cell follow from the others'
+                del counts[max(range(len(counts)), key=lambda i: parts_g[counts[i]].bit_count())]
+                queue.extend((parts_g[k], parts_h[k]) for k in counts)
+                at += len(counts)
+    return True
 
 
-def _cells(colors: tuple[int, ...]) -> dict[int, list[int]]:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return cells
+def _split(rows: Sequence[int], cell: int, split: int, near: int) -> dict[int, int]:
+    """The cell's vertices by their neighbour count in split, as bitmasks."""
+    hit = cell & near
+    parts = {0: cell ^ hit} if cell != hit else {}
+    if not split & (split - 1):
+        if hit:
+            parts[1] = hit  # one splitter vertex: each neighbour counts 1
+        return parts
+    while hit:
+        low = hit & -hit
+        count = (rows[low.bit_length() - 1] & split).bit_count()
+        parts[count] = parts.get(count, 0) | low
+        hit ^= low
+    return parts
 
 
-def _search_mapping(
-    g: Graph, h: Graph, colors_g: tuple[int, ...], colors_h: tuple[int, ...]
-) -> Optional[tuple[int, ...]]:
-    """Color-respecting isomorphism g -> h, or None. Complete backtracking."""
-    colors_g = _refine(g, colors_g)
-    colors_h = _refine(h, colors_h)
-    cells_g = _cells(colors_g)
-    cells_h = _cells(colors_h)
-    if sorted((c, len(vs)) for c, vs in cells_g.items()) != sorted(
-        (c, len(vs)) for c, vs in cells_h.items()
-    ):
-        return None
-    branch = None
-    for c in sorted(cells_g):
-        if len(cells_g[c]) > 1:
-            branch = c
-            break
-    if branch is None:
-        perm = [0] * g.n
-        for c, vs in cells_g.items():
-            perm[vs[0]] = cells_h[c][0]
-        for u in range(g.n):
-            for v in iter_bits(g.row(u)):
-                if not h.has_edge(perm[u], perm[v]):
-                    return None
-        if g.edge_count != h.edge_count:
+def _search(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
+            budget: int) -> Optional[Automorphism]:
+    """A map g -> h sending cell i of g onto cell i of h, or None; complete."""
+    if budget < 1:
+        raise ValueError("search budget must be at least 1")
+    nodes = 0
+
+    def node(cells_g, cells_h, queue):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"search budget of {budget} node expansions exceeded")
+        if not _refine_jointly(g, h, cells_g, cells_h, queue):
             return None
-        return tuple(perm)
-    fresh = max(colors_g) + 1
-    u = cells_g[branch][0]
-    for w in cells_h[branch]:
-        cg = tuple(fresh if v == u else colors_g[v] for v in range(g.n))
-        ch = tuple(fresh if v == w else colors_h[v] for v in range(h.n))
-        found = _search_mapping(g, h, cg, ch)
-        if found is not None:
-            return found
-    return None
+        at = next((i for i, cell in enumerate(cells_g) if cell & (cell - 1)), None)
+        if at is None:
+            perm = [0] * g.n
+            for a, b in zip(cells_g, cells_h):
+                perm[a.bit_length() - 1] = b.bit_length() - 1
+            for u, row in enumerate(g._rows):
+                if sum(1 << perm[v] for v in iter_bits(row)) != h._rows[perm[u]]:
+                    return None
+            return Automorphism(tuple(perm))
+        cell_g, cell_h = cells_g[at], cells_h[at]
+        u = cell_g & -cell_g
+        for w in iter_bits(cell_h):
+            w = 1 << w
+            found = node(cells_g[:at] + [u, cell_g ^ u] + cells_g[at + 1:],
+                         cells_h[:at] + [w, cell_h ^ w] + cells_h[at + 1:], [(u, w)])
+            if found is not None:
+                return found
+        return None
+
+    return node(cells_g, cells_h, list(zip(cells_g, cells_h)))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[Automorphism]:
     """An isomorphism g -> h as a vertex map, or None."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
-    base_g = tuple(0 for _ in range(g.n))
-    base_h = tuple(0 for _ in range(h.n))
-    perm = _search_mapping(g, h, base_g, base_h)
-    return None if perm is None else Automorphism(perm)
+    cells = [g.full_mask] if g.n else []
+    return _search(g, h, cells, list(cells), DEFAULT_BUDGET)
 
 
-def automorphism_mapping(g: Graph, a: int, b: int) -> Optional[Automorphism]:
+def automorphism_mapping(g: Graph, a: int, b: int,
+                         budget: int = DEFAULT_BUDGET) -> Optional[Automorphism]:
     """An automorphism of g sending a to b, or None."""
-    fresh = g.n + 1
-    cg = tuple(fresh if v == a else 0 for v in range(g.n))
-    ch = tuple(fresh if v == b else 0 for v in range(g.n))
-    perm = _search_mapping(g, g, cg, ch)
-    return None if perm is None else Automorphism(perm)
+    cells_g = [c for c in (1 << a, g.full_mask ^ 1 << a) if c]
+    cells_h = [c for c in (1 << b, g.full_mask ^ 1 << b) if c]
+    return _search(g, g, cells_g, cells_h, budget)
 
 
-def vertex_orbit_of_zero(g: Graph) -> frozenset[int]:
+def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Orbit of vertex 0 under the automorphism group."""
     if g.n == 0:
         return frozenset()
@@ -122,11 +143,10 @@ def vertex_orbit_of_zero(g: Graph) -> frozenset[int]:
     for v in range(1, g.n):
         if v in orbit:
             continue
-        auto = automorphism_mapping(g, 0, v)
+        auto = automorphism_mapping(g, 0, v, budget)
         if auto is None:
             continue
-        gens.append(auto)
-        gens.append(auto.inverse())
+        gens += (auto, auto.inverse())
         # close the orbit under all generators found so far
         frontier = list(orbit | {v})
         orbit.add(v)
@@ -140,8 +160,8 @@ def vertex_orbit_of_zero(g: Graph) -> frozenset[int]:
     return frozenset(orbit)
 
 
-def is_vertex_transitive(g: Graph) -> bool:
-    """True iff the automorphism group has a single vertex orbit."""
+def is_vertex_transitive(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff the automorphism group has a single vertex orbit; ``budget`` is per search."""
     if g.n > AUTOMORPHISM_CAP:
         raise ValueError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
     if g.n <= 1:
@@ -149,7 +169,7 @@ def is_vertex_transitive(g: Graph) -> bool:
     d = g.degree(0)
     if any(g.degree(v) != d for v in range(1, g.n)):
         return False
-    return len(vertex_orbit_of_zero(g)) == g.n
+    return len(vertex_orbit_of_zero(g, budget)) == g.n
 
 
 # -- generators ---------------------------------------------------------------

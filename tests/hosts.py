@@ -17,6 +17,7 @@ from cyclemeet.graphs import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    iter_bits,
     petersen_graph,
     wheel_graph,
 )
@@ -176,7 +177,7 @@ def _random_cycle(g: Graph, rng: random.Random):
     walk = [rng.randrange(g.n)]
     while True:
         closes = len(walk) >= 3 and g.has_edge(walk[-1], walk[0])
-        ahead = [w for w in g.neighbors(walk[-1]) if w not in walk]
+        ahead = [w for w in iter_bits(g.row(walk[-1])) if w not in walk]
         if closes and (not ahead or rng.random() < 0.3):
             return CycleEmbedding.from_sequence(g, walk)
         if not ahead:

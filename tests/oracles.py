@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from cyclemeet.cycles import canonical_cycle
-from cyclemeet.graphs import Graph, mask_of
+from cyclemeet.graphs import Graph, iter_bits, mask_of
 
 
 def longest_cycle_by_permutations(g: Graph) -> int:
@@ -64,7 +64,7 @@ def min_vertex_cut_by_subsets(g: Graph, a: frozenset[int], b: frozenset[int]) ->
         seen = set(frontier)
         while frontier:
             u = frontier.pop()
-            for w in g.neighbors(u):
+            for w in iter_bits(g.row(u)):
                 if w in live_set and w not in seen:
                     seen.add(w)
                     frontier.append(w)

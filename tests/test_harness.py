@@ -138,6 +138,20 @@ def test_exhausted_enumeration_runs_once(monkeypatch):
     assert counts == {"enumerate_longest_cycles": 1, "longest_cycle_length": 0}
 
 
+def test_exhausted_automorphism_search_is_inconclusive_and_runs_once(monkeypatch):
+    counts = count_calls(monkeypatch, "is_vertex_transitive", "longest_cycle_length",
+                         "enumerate_longest_cycles")
+    facts = InstanceFacts(petersen_graph(), 3)  # each automorphism search takes 4 nodes
+    babai = verify_babai(facts)
+    devos = verify_devos(facts, frozenset(range(10)), 1)
+    message = "search budget of 3 node expansions exceeded"
+    assert (babai.status, babai.detail) == ("inconclusive", message)
+    assert (devos.status, devos.detail) == ("inconclusive", message)
+    # the kept error is raised again; no cycle search ran behind it
+    assert counts == {"is_vertex_transitive": 1, "longest_cycle_length": 0,
+                      "enumerate_longest_cycles": 0}
+
+
 def test_exhausted_length_search_runs_once(monkeypatch):
     counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
     spec = CorpusSpec("smoke", budget=50)  # Petersen's length search takes 74 nodes

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cyclemeet.corpus import cayley_zoo, load_connected_corpus, random_circulants
 from cyclemeet.cycles import (
+    BudgetExceededError,
     enumerate_longest_cycles,
     is_t_transversal,
     longest_cycle_length,
@@ -229,6 +230,20 @@ def test_find_isomorphism_matches_networkx_is_isomorphic(pair):
     if iso is not None:
         assert sorted(iso.perm) == list(range(g.n))
         assert all(h.has_edge(iso(u), iso(v)) for u, v in g.edges())
+
+
+def test_automorphism_search_honours_its_node_budget():
+    g = petersen_graph()
+    message = "search budget of 3 node expansions exceeded"
+    with pytest.raises(BudgetExceededError, match=message):
+        automorphism_mapping(g, 0, 1, budget=3)
+    with pytest.raises(BudgetExceededError, match=message):
+        is_vertex_transitive(g, budget=3)
+    # 4 nodes each: the root, then three individualizations to a discrete partition
+    assert automorphism_mapping(g, 0, 1, budget=4) is not None
+    assert is_vertex_transitive(g, budget=4)
+    with pytest.raises(ValueError, match="at least 1"):
+        automorphism_mapping(g, 0, 1, budget=0)
 
 
 def test_automorphism_validity_and_sampling():
