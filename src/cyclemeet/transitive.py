@@ -70,10 +70,6 @@ def _split(rows: Sequence[int], cell: int, split: int, near: int) -> dict[int, i
     """The cell's vertices by their neighbour count in split, as bitmasks."""
     hit = cell & near
     parts = {0: cell ^ hit} if cell != hit else {}
-    if not split & (split - 1):
-        if hit:
-            parts[1] = hit  # one splitter vertex: each neighbour counts 1
-        return parts
     while hit:
         low = hit & -hit
         count = (rows[low.bit_length() - 1] & split).bit_count()

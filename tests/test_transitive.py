@@ -268,6 +268,14 @@ def test_find_isomorphism_relabels():
     assert find_isomorphism(g, cycle_graph(10)) is None
 
 
+def test_find_isomorphism_rejects_a_discrete_partition_whose_map_fails():
+    # same degree sequence, not isomorphic: the joint refinement reaches a
+    # discrete partition on both sides, and only the row-image check rejects it
+    g = Graph(8, [(0, 1), (0, 3), (0, 6), (0, 7), (1, 5), (2, 4), (3, 4), (3, 7), (4, 5)])
+    h = Graph(8, [(0, 3), (1, 4), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (3, 7), (6, 7)])
+    assert find_isomorphism(g, h) is None
+
+
 def test_devos_inequality_on_transversals():
     # c(G) * |A| >= t * n for verified t-transversals of vertex-transitive graphs
     for g in [cycle_graph(8), petersen_graph(), circulant(10, {1, 9, 5})]:
