@@ -3,14 +3,15 @@
 Isomorphisms and automorphisms come from one individualization-refinement
 search (McKay, "Practical graph isomorphism", 1981) on adjacency bitmasks. g
 and h each keep an ordered list of cells (vertex bitmasks) and are refined
-jointly: a cell splits by its vertices' neighbour counts in a queued splitter
-cell, ``(row & splitter).bit_count()``, into new cells ordered by count and
-queued in turn. Cell i of g maps only onto cell i of h, so a node fails as
-soon as the two sides' counts or cell sizes differ. Otherwise it branches on
-the lowest vertex of g's first non-singleton cell, individualized against
-each vertex of h's matching cell in ascending order; at a discrete partition
-one row image per vertex checks the map. A search expands at most ``budget``
-nodes and then raises ``BudgetExceededError``, as the cycle search does.
+jointly: a cell splits by its vertices' neighbour counts in a queued
+splitter cell, ``(row & splitter).bit_count()``, into new cells ordered by
+count, all but the largest queued in turn. Cell i of g maps only onto cell i
+of h, so a node fails as soon as the two sides' counts or cell sizes differ.
+Otherwise it branches on the lowest vertex of g's first non-singleton cell,
+individualized against each vertex of h's matching cell in ascending order;
+at a discrete partition one row image per vertex checks the map. A search
+expands at most ``budget`` nodes and then raises ``BudgetExceededError``, as
+the cycle search does. Vertex-transitivity is decided up to 64 vertices.
 """
 
 from __future__ import annotations
