@@ -18,6 +18,13 @@ bound, only in fewer nodes.
 Enumeration is the same single pass: it finds c(G) and the cycles of that
 length together, and ``budget`` bounds the whole pass. Exceeding the node
 budget is a hard error, never a silent approximation.
+
+The length alone starts from a certificate. A deterministic rotation-extension
+walk (Pósa, "Hamiltonian circuits in random graphs", Discrete Math. 14, 1976)
+closes a cycle of some length h, a lower bound on c(G). If h = n the cycle is
+Hamiltonian, so c(G) = n with no search at all. Otherwise the search starts
+at floor h + 1: it finds c(G) > h, or closes nothing and c(G) = h. The
+enumeration and the search's own witness do not use the walk.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .graphs import Graph, check_vertex_set, is_forest, mask_of
+from .graphs import Graph, check_vertex_set, is_forest, iter_bits, mask_of
 
 DEFAULT_BUDGET = 10**8
 DEAD_STATE_CAP = 1 << 15  # dead slack-zero states remembered per anchor
@@ -332,16 +339,64 @@ class _Search:
         self.floor = self.best + (not self.collect or self.truncated)
 
 
+def _rotation_cycle(g: Graph) -> Optional[CycleEmbedding]:
+    """The longest cycle that a rotation-extension walk closes, or None.
+
+    The walk grows a path from vertex 0 for at most 2n steps. A step extends
+    the path to the end's unvisited neighbour with the fewest unvisited
+    neighbours (ties by id). An end with none is rotated instead: for a
+    neighbour path[i] of the end other than its predecessor, reversing
+    path[i + 1:] makes path[i + 1] the new end. Of the k such neighbours the
+    walk takes the (step mod k)-th by position, so it does not undo its last
+    rotation and needs no random state. Before each step the end closes a
+    cycle with its earliest neighbour on the path, and the longest is kept.
+    """
+    rows = g._rows
+    path = [0]
+    at = [0] * g.n  # position on the path, read only for path vertices
+    on = 1
+    best: tuple[int, ...] = ()
+    for step in range(2 * g.n):
+        end = path[-1]
+        # the last of these is the predecessor, at len(path) - 2
+        spots = sorted(at[v] for v in iter_bits(rows[end] & on))
+        if spots and len(path) - spots[0] > max(len(best), 2):
+            best = tuple(path[spots[0]:])
+            if len(best) == g.n:
+                break
+        out = rows[end] & ~on
+        if out:
+            v = min(iter_bits(out), key=lambda u: (rows[u] & ~on).bit_count())
+            at[v] = len(path)
+            path.append(v)
+            on |= 1 << v
+            continue
+        if len(spots) < 2:
+            break
+        i = spots[step % (len(spots) - 1)]
+        path[i + 1:] = path[:i:-1]
+        for k in range(i + 1, len(path)):
+            at[path[k]] = k
+    return CycleEmbedding.from_sequence(g, best) if best else None
+
+
 def longest_cycle_length(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact length c(G) of a longest cycle."""
-    return longest_cycle_witness(g, budget).length
+    """Exact length c(G) of a longest cycle.
 
-
-def longest_cycle_witness(g: Graph, budget: int = DEFAULT_BUDGET) -> CycleEmbedding:
-    """One longest cycle (canonical form)."""
-    witness = _Search(g, budget).run().best_witness
-    assert witness is not None
-    return CycleEmbedding(canonical_cycle(witness))
+    The rotation walk's cycle, of length h, is checked and certifies c(G) = n
+    outright when h = n. Otherwise a length search from floor h + 1 either
+    finds c(G) > h or closes nothing, and then c(G) = h. ``budget`` bounds
+    that search, and its error carries at least h as the best length.
+    """
+    search = _Search(g, budget)  # rejects a budget below 1
+    if is_forest(g):
+        raise ValueError("forest has no cycle")
+    cycle = _rotation_cycle(g)
+    h = cycle.length if cycle else 0
+    if h == g.n:
+        return h
+    search.best, search.floor = h, h + 1
+    return search.run().best
 
 
 def enumerate_longest_cycles(

@@ -15,7 +15,6 @@ from cyclemeet.cycles import (
     enumerate_longest_cycles,
     is_t_transversal,
     longest_cycle_length,
-    longest_cycle_witness,
     min_pairwise_intersection,
 )
 from cyclemeet.graphs import (
@@ -36,6 +35,11 @@ from make_search_pins import PINS, search_facts
 from oracles import all_cycles_of_length_by_permutations, longest_cycle_by_permutations
 
 
+def search_witness(g: Graph) -> CycleEmbedding:
+    """The length search's own longest cycle, the first it closes in DFS order."""
+    return CycleEmbedding(canonical_cycle(cycles._Search(g, DEFAULT_BUDGET).run().best_witness))
+
+
 def test_longest_cycle_basics():
     assert longest_cycle_length(cycle_graph(7)) == 7
     assert longest_cycle_length(complete_graph(4)) == 4
@@ -48,10 +52,11 @@ def test_forest_is_an_error():
 
 
 def test_budget_error_carries_lower_bound():
-    g = complete_graph(9)
+    # the rotation walk closes a 9-cycle, and 3 nodes cannot rule out a 10-cycle
+    g = petersen_graph()
     with pytest.raises(BudgetExceededError) as info:
         longest_cycle_length(g, budget=3)
-    assert 0 <= info.value.best_length <= 9
+    assert info.value.best_length == 9
     # a budget that only just covers the first full descent has seen a cycle
     with pytest.raises(BudgetExceededError) as info:
         enumerate_longest_cycles(complete_graph(8), budget=60)
@@ -230,6 +235,60 @@ def test_length_search_expands_no_more_nodes_than_the_enumeration():
         assert length.nodes <= full.nodes, label
 
 
+@st.composite
+def random_circulants(draw):
+    """Circulants on 4..24 vertices, disconnected when every step shares a factor with n."""
+    n = draw(st.integers(4, 24))
+    steps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4, unique=True))
+    g = circulant(n, steps + [n - s for s in steps])
+    assume(not is_forest(g))
+    return g
+
+
+# The search runs from the walk's floor when the walk is not Hamiltonian: it
+# proves c(G) = h on the Petersen graph and on four disjoint triangles, and
+# finds a 5-cycle past the walk's triangle on F?bFo.
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(memo_test_graphs(), random_circulants()))
+@example(petersen_graph())
+@example(circulant(12, {3, 9}))
+@example(graph_from_graph6("F?bFo"))
+def test_length_from_the_rotation_walk_matches_the_plain_search(g):
+    assert longest_cycle_length(g) == cycles._Search(g, DEFAULT_BUDGET).run().best
+
+
+def test_petersen_length_is_proved_from_the_walk_floor():
+    g = petersen_graph()
+    cycle = cycles._rotation_cycle(g)
+    assert cycle.is_valid(g) and cycle.length == 9
+    # no 10-cycle closes from floor 10, in fewer nodes than the 74 from floor 1
+    search = cycles._Search(g, DEFAULT_BUDGET)
+    search.best, search.floor = 9, 10
+    search.run()
+    assert (search.best, search.best_witness, search.closes) == (9, None, 0)
+    assert search.nodes <= 70
+    assert cycles._Search(g, DEFAULT_BUDGET).run().nodes == 74
+
+
+def test_rotation_walk_closes_a_valid_cycle_on_exhaustive7():
+    closed = reached = hamiltonian = 0
+    for g in load_connected_corpus(max_n=7):
+        if is_forest(g):
+            continue
+        label = graph_to_graph6(g)
+        cycle = cycles._rotation_cycle(g)
+        # a walk whose end meets only its predecessor stops and may close nothing
+        h = 0 if cycle is None else cycle.length
+        assert cycle is None or cycle.is_valid(g), label
+        c = cycles._Search(g, DEFAULT_BUDGET).run().best
+        assert h <= c, label
+        closed += h > 0
+        reached += h == c
+        hamiltonian += h == g.n
+    # of 971 graphs with a cycle, the walk certifies 441 Hamiltonian
+    assert (closed, reached, hamiltonian) == (864, 767, 441)
+
+
 def test_enumeration_limit_flags_truncation():
     cs = enumerate_longest_cycles(complete_graph(6), limit=5)
     assert cs.truncated and len(cs) == 5
@@ -260,7 +319,7 @@ def test_search_matches_networkx_simple_cycles(g):
     expected = _networkx_longest_cycles(g)
     length = len(next(iter(expected)))
     assert longest_cycle_length(g) == length
-    assert longest_cycle_witness(g).vertices in expected
+    assert search_witness(g).vertices in expected
     cs = enumerate_longest_cycles(g)
     assert cs.length == length and not cs.truncated
     assert {c.vertices for c in cs} == expected
@@ -287,7 +346,7 @@ def test_enumeration_of_hamiltonian_graphs_matches_networkx(g):
     cs = enumerate_longest_cycles(g)
     assert cs.length == g.n and not cs.truncated
     assert {c.vertices for c in cs} == expected
-    assert longest_cycle_witness(g).vertices in expected
+    assert search_witness(g).vertices in expected
     for limit in (1, 7):
         kept = enumerate_longest_cycles(g, limit=limit)
         assert kept.length == g.n
@@ -326,7 +385,7 @@ def test_limit_reached_below_c_is_reset_by_longer_cycle():
 
 def test_witness_is_valid_longest():
     g = petersen_graph()
-    w = longest_cycle_witness(g)
+    w = search_witness(g)
     assert w.is_valid(g) and w.length == 9
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclemeet
-from cyclemeet import auxgraph, flow
+from cyclemeet import auxgraph, cycles, flow
 from cyclemeet.auxgraph import FourCycleType, build_aux, l_set
 from cyclemeet.cli import main
 from cyclemeet.corpus import two_triangles_shared_vertex
@@ -154,7 +154,7 @@ def test_exhausted_automorphism_search_is_inconclusive_and_runs_once(monkeypatch
 
 def test_exhausted_length_search_runs_once(monkeypatch):
     counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
-    spec = CorpusSpec("smoke", budget=50)  # Petersen's length search takes 74 nodes
+    spec = CorpusSpec("smoke", budget=50)  # Petersen's length search takes 70 nodes from floor 10
     report = analyze_instance("petersen", InstanceFacts(petersen_graph(), spec.budget), spec, "babai")
     # the babai outcome carries the budget error; no enumeration outcome repeats it
     assert [(o.name, o.status) for o in report.outcomes] == [("babai", "inconclusive")]
@@ -164,14 +164,18 @@ def test_exhausted_length_search_runs_once(monkeypatch):
 
 
 @pytest.mark.parametrize("args, inconclusive", [
-    (["--corpus", "exhaustive7", "--budget", "20"], 1),
-    (["--corpus", "smoke", "--seed", "1", "--budget", "2"], 5),
+    (["--corpus", "exhaustive7", "--budget", "20"], 0),
+    (["--corpus", "smoke", "--seed", "1", "--budget", "2"], 3),
+    (["--corpus", "vt:count=60,max_n=16", "--seed", "1", "--budget", "20"], 3),
 ])
 def test_babai_suite_is_inconclusive_only_where_babai_applies(tmp_path, args, inconclusive):
     # an exhausted length search leaves a report open only through the babai
-    # outcome, never where babai is skipped (34 and 12 reports said so before)
+    # outcome, never where babai is skipped (34 and 12 reports said so before);
+    # a Hamiltonian cycle from the rotation walk needs no search, so only
+    # non-Hamiltonian instances can exhaust a small budget
     out = tmp_path / "report.json"
-    assert main(["verify", "--suite", "babai", *args, "--out", str(out)]) == 2
+    code = main(["verify", "--suite", "babai", *args, "--out", str(out)])
+    assert code == (2 if inconclusive else 0)
     payload = json.loads(out.read_text())
     assert payload["summary"]["inconclusive"] == inconclusive
     for r in payload["instances"]:
@@ -188,6 +192,23 @@ def test_babai_suite_runs_only_the_length_search(monkeypatch):
         # fields read off the cycle set are null; truncated must not read as "complete"
         assert (r.cycle_count, r.truncated, r.m_min, r.separator_size, r.separator_bound) == (
             None, None, None, None, None)
+
+
+def test_babai_circulants_workload_runs_no_length_search(monkeypatch):
+    # the rotation walk certifies every instance of the babai-circulants
+    # benchmark Hamiltonian, so none runs a search (26,532 nodes before)
+    calls = []
+    run = cycles._Search.run
+
+    def counting_run(self):
+        calls.append(self.g)
+        return run(self)
+
+    monkeypatch.setattr(cycles._Search, "run", counting_run)
+    reports = run_corpus(CorpusSpec.parse("circulants:count=50,max_n=24", seed=5), "babai")
+    assert len(reports) == 50 and all(r.worst_status() == "pass" for r in reports)
+    assert all(r.cycle_length == r.n for r in reports)
+    assert calls == []
 
 
 def test_babai_suite_reads_c_from_the_setup_enumeration(monkeypatch):
@@ -570,11 +591,12 @@ def test_cli_intersect_truncated_set_is_inconclusive(tmp_path, capsys):
 def test_cli_cycles_budget_inconclusive(tmp_path, capsys):
     from cyclemeet.graphs import graph_to_graph6
 
-    path = tmp_path / "k9.g6"
-    path.write_text(graph_to_graph6(complete_graph(9)) + "\n")
+    # the rotation walk closes a 9-cycle; ruling out a 10-cycle takes 70 nodes
+    path = tmp_path / "petersen.g6"
+    path.write_text(graph_to_graph6(petersen_graph()) + "\n")
     assert main(["cycles", "--in", str(path), "--budget", "3"]) == 2
     payload = json.loads(capsys.readouterr().out)
-    assert "error" in payload and "best_length_lower_bound" in payload
+    assert "error" in payload and payload["best_length_lower_bound"] == 9
 
 
 def test_cli_auxgraph_disjoint_cycles_fails(tmp_path, capsys):
