@@ -347,9 +347,9 @@ def _rotation_cycle(g: Graph) -> Optional[CycleEmbedding]:
     neighbours (ties by id). An end with none is rotated instead: for a
     neighbour path[i] of the end other than its predecessor, reversing
     path[i + 1:] makes path[i + 1] the new end. Of the k such neighbours the
-    walk takes the (step mod k)-th by position, so it does not undo its last
-    rotation and needs no random state. Before each step the end closes a
-    cycle with its earliest neighbour on the path, and the longest is kept.
+    walk takes the (step mod k)-th by position, a fixed rule that varies from
+    step to step and needs no random state. Before each step the end closes
+    a cycle with its earliest neighbour on the path; the longest is kept.
     """
     rows = g._rows
     path = [0]
