@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclemeet import cycles
-from cyclemeet.corpus import load_connected_corpus
+from cyclemeet.corpus import load_connected_corpus, pairwise_corpus, vertex_transitive_corpus
 from cyclemeet.cycles import (
     BudgetExceededError,
     CycleEmbedding,
@@ -106,6 +107,52 @@ def test_enumeration_matches_permutation_oracle():
         checked += 1
 
 
+def test_enumeration_matches_the_oracle_on_every_graph_up_to_six_vertices():
+    graphs = load_connected_corpus(max_n=6)
+    assert len(graphs) == 143
+    for g in graphs:
+        if is_forest(g):
+            continue
+        cs = enumerate_longest_cycles(g)
+        label = graph_to_graph6(g)
+        assert not cs.truncated and cs.length == longest_cycle_by_permutations(g), label
+        assert {c.vertices for c in cs} == all_cycles_of_length_by_permutations(g, cs.length), label
+
+
+# Which cycles a truncated set keeps is the search's own choice, the first it
+# closes in DFS order, and no oracle can check it; these digests pin it, with
+# c(G), the sorted cycles and truncated, for every graph of each corpus.
+ENUMERATION_CORPORA = {
+    "exhaustive7": lambda: load_connected_corpus(max_n=7),
+    "default42": lambda: pairwise_corpus(max_n=12, seed=42, random_count=10)
+    + vertex_transitive_corpus(count=40, seed=42, max_n=16),
+    "pairwise12": lambda: pairwise_corpus(max_n=12, seed=11, random_count=30),
+}
+
+
+ENUMERATION_DIGESTS = [
+    ("exhaustive7", 1, "831afb0046197c540094ef018a0ce85a09c74d55a2157d92d3318b1f0ad8a69d"),
+    ("exhaustive7", 7, "dddc333145e5eb995c212afccfe99cda3f2dd65ac122acfcf35c2e8b3e7aa518"),
+    ("exhaustive7", 5000, "75483afae282e6c05e2b85b959ffd29266bf7ad9764d7a378daa169c2b7df0e8"),
+    ("default42", 5000, "e8d24f67446e64d8d43c2eea4f8805f2a26d737b544a329ae32333d5b8d12df0"),
+    ("pairwise12", 7, "bb833424343dc843f8ac7c19e0ba523b68ffa802b4d45035e5da2c65b5a676f9"),
+    ("pairwise12", 5000, "b5edf2db69368b55a66c9f3db7e9f652adc890d5193d5cb9896dae2b751d79f7"),
+]
+
+
+@pytest.mark.parametrize("corpus, limit, digest", ENUMERATION_DIGESTS,
+                         ids=[f"{corpus}-{limit}" for corpus, limit, _ in ENUMERATION_DIGESTS])
+def test_enumerated_sets_are_pinned(corpus, limit, digest):
+    h = hashlib.sha256()
+    for g in ENUMERATION_CORPORA[corpus]():
+        if is_forest(g):
+            continue
+        cs = enumerate_longest_cycles(g, limit=limit)
+        record = [graph_to_graph6(g), cs.length, [list(c.vertices) for c in cs], cs.truncated]
+        h.update(json.dumps(record).encode() + b"\n")
+    assert h.hexdigest() == digest
+
+
 def test_oracle_equivalence_touches_ten_vertices():
     rng = random.Random(17)
     graphs = [petersen_graph()]
@@ -181,9 +228,9 @@ def test_dead_state_memo_on_the_dominant_babai_circulant(monkeypatch):
 
 
 @st.composite
-def memo_test_graphs(draw):
-    """Graphs on 4..9 vertices with a cycle: random edges, or a ring plus chords."""
-    n = draw(st.integers(4, 9))
+def memo_test_graphs(draw, max_n: int = 9):
+    """Graphs on 4..max_n vertices with a cycle: random edges, or a ring plus chords."""
+    n = draw(st.integers(4, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if draw(st.booleans()):
         edges = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)))
@@ -220,6 +267,14 @@ def test_dead_state_memo_matches_the_search_without_it(g):
                 got = search_facts(g, mode)
             assert got.pop("nodes") <= nodes, (mode, min_kept)
             assert got == plain, (mode, min_kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(memo_test_graphs(max_n=7))
+def test_enumeration_matches_the_permutation_oracle(g):
+    cs = enumerate_longest_cycles(g)
+    assert not cs.truncated and cs.length == longest_cycle_by_permutations(g)
+    assert {c.vertices for c in cs} == all_cycles_of_length_by_permutations(g, cs.length)
 
 
 def test_length_search_expands_no_more_nodes_than_the_enumeration():
