@@ -1,23 +1,27 @@
 """Exact longest-cycle computation and enumeration.
 
 The search is a DFS branch-and-bound over simple paths anchored at each
-cycle's minimum vertex. At every node it peels away the free vertices that
-cannot lie inside the rest of the cycle (fewer than two neighbours among the
-kept free vertices, the head and the anchor), then bounds by the region the
-head reaches inside what is kept: the node is cut if the region cannot close
-into the anchor or is too small to reach the length floor. When the region is
-exactly large enough (slack zero), the rest of the cycle must be a Hamiltonian
-head -> anchor path through it, and Rubin's required-edge rule (J. ACM 21(4),
-1974) applies: a region vertex with only two neighbours left must use both.
-There the outcome depends only on the head and the region (the Held-Karp
-subproblem), so states searched at slack zero whose subtree closed nothing
-are remembered and skipped when reached again, as in the transposition tables
-of Vandegriend and Culberson (JAIR 9, 1998). The bound is exact, so the
-search closes the same cycles in the same order as a plain reachability
-bound, only in fewer nodes.
+cycle's minimum vertex. Each cycle is closed one way only, on an anchor
+neighbour above the path's second vertex. At every node the search peels away
+the free vertices that cannot lie inside the rest of the cycle (fewer than two
+neighbours among the kept free vertices, the head and the anchor), then bounds
+by the region the head reaches inside what is kept: the node is cut if the
+region holds no vertex the cycle may close on or is too small to reach the
+length floor. When the region is exactly large enough (slack zero), the rest
+of the cycle must be a Hamiltonian head -> closing-vertex path through it, and
+Rubin's required-edge rule (J. ACM 21(4), 1974) applies: a region vertex with
+only two neighbours left must use both. There the outcome depends only on the
+head and the region (the Held-Karp subproblem), so slack-zero states are
+remembered, as in the transposition tables of Vandegriend and Culberson (JAIR
+9, 1998): one whose subtree closed nothing is skipped when reached again, and
+in a collecting search one whose subtree closed cycles has their tails
+replayed behind the new path. The bound is exact, so every search finds the
+same c(G), keeps the same cycles and reports the same ``truncated`` as a plain
+reachability bound that closes each cycle both ways, nearly always in far
+fewer nodes.
 Enumeration is the same single pass: it finds c(G) and the cycles of that
-length together, and ``budget`` bounds the whole pass. Exceeding the node
-budget is a hard error, never a silent approximation.
+length together, and ``budget`` bounds the node expansions of the whole
+pass. Exceeding the node budget is a hard error, never a silent approximation.
 
 The length alone starts from a certificate. A deterministic rotation-extension
 walk (Pósa, "Hamiltonian circuits in random graphs", Discrete Math. 14, 1976)
@@ -36,7 +40,7 @@ from typing import Iterable, Optional
 from .graphs import Graph, check_vertex_set, is_forest, iter_bits, mask_of
 
 DEFAULT_BUDGET = 10**8
-DEAD_STATE_CAP = 1 << 15  # dead slack-zero states remembered per anchor
+DEAD_STATE_CAP = 1 << 15  # slack-zero states each memo holds per anchor and path[1]
 DEAD_STATE_MIN_KEPT = 4  # smaller slack-zero subtrees cost less to search again
 
 
@@ -130,47 +134,66 @@ class _Search:
 
     A node is expanded only while its length bound reaches ``floor``. A
     length-only search keeps ``floor = best + 1``. A collecting search keeps
-    ``floor = best``, so it meets every cycle of the best length, and keeps
-    each once by closing in one direction only. Once ``limit`` cycles are
-    kept it is truncated: ``floor`` returns to ``best + 1`` and the rest of
-    the pass only looks for a longer cycle, which resets the kept set.
+    ``floor = best``, so it meets every cycle of the best length. Once
+    ``limit`` cycles are kept it is truncated: ``floor`` returns to
+    ``best + 1`` and the rest of the pass only looks for a longer cycle,
+    which resets the kept set.
+
+    Both modes close each cycle one way. At depth 2, ``closers`` becomes the
+    anchor's neighbours above ``path[1]``, and a cycle closes only from a head
+    in ``closers``; anchored at its minimum and read this way round, every
+    closed path is canonical.
 
     The bound at a node is the region of free vertices that can still lie
     inside the head -> anchor remainder of a cycle. Peeling drops every free
     vertex with fewer than two neighbours among the kept free vertices, the
     head and the anchor, until none is left; the region is what the head
-    reaches inside the kept vertices. A node is cut when the region misses
-    the anchor's neighbours or ``len(path) + |region| < floor``, and its
-    children are drawn from the region.
+    reaches inside the kept vertices. A node is cut when neither the region
+    nor the head is in ``closers`` or ``len(path) + |region| < floor``, and
+    its children are drawn from the region.
 
     At slack zero (``len(path) + |region| == floor``, past the root) any
     cycle left to close runs from the head through every region vertex to
     the anchor, so a region vertex with exactly two neighbours among the
     region, the head and the anchor is forced onto both. The head and the
-    anchor each have one edge left: the node is cut when two forced vertices
-    sit next to the anchor or two next to the head, and a single forced
-    vertex next to the head is the only child.
+    anchor each have one edge left, and the anchor's closes the cycle: the
+    node is cut when a forced vertex next to the anchor is not in
+    ``closers``, when two sit next to the anchor or when two sit next to the
+    head, and a single forced vertex next to the head is the only child.
 
     At slack zero a child closes a cycle exactly when a Hamiltonian path runs
-    from its head through its kept set to the anchor, whatever the path
-    before it. ``dead`` holds the (kept set, head) states of this anchor whose
-    subtree closed nothing (``closes`` counts the ``_close`` calls), at most
-    ``DEAD_STATE_CAP`` of them; a child found there is skipped and not counted
-    as a node. A state is added only if ``floor`` is where it stood when the
+    from its head through its kept set to ``closers``, whatever the path
+    before it, and every such cycle has length ``floor``. ``dead`` holds the
+    (kept set, head) states whose subtree closed nothing (``closes`` counts
+    the closes), at most ``DEAD_STATE_CAP`` of them; a child found there is
+    skipped. A state is added only if ``floor`` is where it stood when the
     parent was entered: a child entered after a sibling's close raised
     ``floor`` is cut for length without a search, and its state may still
     complete a longer path. Only children that keep at least
     ``DEAD_STATE_MIN_KEPT`` vertices are looked up, and only states whose
     subtree took more than one node are added: smaller subtrees cost less
-    to search again than to remember. Other nodes run a loop with no memo
-    work.
+    to search again than to remember.
 
-    Each cut or skipped subtree holds no cycle of length at least ``floor``,
-    and ``floor`` never falls, so it would never have reached ``_close``.
-    Children keep their order (fewest onward free neighbours first, ties by
-    id), so the ``_close`` calls, the kept set, the witness and ``truncated``
-    are those of the plain reachability bound, and no search expands more
-    nodes than that bound did.
+    A collecting search that is not truncated also keeps ``live``: for a
+    slack-zero child whose subtree closed cycles, the ``found[start:end]``
+    slice that subtree appended, at most ``DEAD_STATE_CAP`` entries. A child
+    found there is not searched: each cycle of the slice is appended again
+    with the new path in place of its first ``len(path) + 1`` vertices.
+    Replayed cycles come in the first visit's order, not in search order, so
+    a replay that would reach ``limit`` is searched for real instead, and the
+    kept set stays the first ``limit`` closes. ``live`` is cleared with
+    ``found``. Both memos start afresh at each depth-2 node, since
+    ``closers`` changes there. A skipped or replayed child is not a node
+    expansion; other nodes run a loop with no memo work.
+
+    Each cut or skipped subtree holds no cycle the search keeps, and
+    ``floor`` never falls. So every search finds the c(G), the kept set and
+    the ``truncated`` of a plain reachability bound that closes each cycle
+    both ways. The witness is the first cycle of length c(G) in that bound's
+    close order that is read the canonical way round; the bound's own was
+    the first of either orientation. Closing one way can delay the floor's
+    rise, so a few searches expand more nodes than that bound; nearly all
+    expand far fewer.
     """
 
     def __init__(self, g: Graph, budget: int, collect: bool = False, limit: Optional[int] = None):
@@ -192,6 +215,8 @@ class _Search:
         self.found: list[tuple[int, ...]] = []
         self.truncated = False
         self.dead: set[int] = set()
+        self.live: dict[int, tuple[int, int]] = {}
+        self.closers = 0
         self.closes = 0
 
     def run(self) -> "_Search":
@@ -204,7 +229,6 @@ class _Search:
             if allowed.bit_count() < self.floor:
                 break
             free = allowed ^ 1 << anchor
-            self.dead.clear()  # states are (kept set, head) under this anchor
             self._extend(anchor, [anchor], free, free, 0)
         return self
 
@@ -231,8 +255,16 @@ class _Search:
         # only its neighbours (all of kept, at the root) need a fresh look.
         if depth > 2:
             work = rows[path[-2]] & kept
+        elif depth == 2:
+            # each cycle closes one way, on an anchor neighbour above path[1];
+            # a state's outcome depends on path[1], so the memos start afresh
+            work = 0
+            self.closers = rows[anchor] >> head + 1 << head + 1
+            self.dead.clear()
+            self.live.clear()
         else:
-            work = kept if depth == 1 else 0
+            work = kept
+            self.closers = rows[anchor]
         if work:
             ends = 1 << head | 1 << anchor
             while work:
@@ -246,6 +278,7 @@ class _Search:
                     kept ^= low
                     work |= row & kept
         floor = self.floor
+        closers = self.closers
         region = frontier = rows[head] & kept
         while frontier:
             nxt = 0
@@ -255,12 +288,12 @@ class _Search:
                 frontier ^= low
             frontier = nxt & kept & ~region
             region |= frontier
-        if not (region | 1 << head) & rows[anchor]:
+        if not (region | 1 << head) & closers:
             return
         slack = depth + region.bit_count() - floor
         if slack < 0:
             return
-        if depth >= 3 and depth >= floor and rows[head] >> anchor & 1:
+        if depth >= 3 and depth >= floor and closers >> head & 1:
             self._close(path)
         candidates = rows[head] & region
         if not candidates:
@@ -269,10 +302,12 @@ class _Search:
         if tight:
             # The rest of the cycle must be a head -> anchor path through all
             # of the region, so a region vertex with two neighbours left uses
-            # both edges, and the anchor and the head each take only one.
+            # both edges, and the anchor and the head each take only one. The
+            # anchor's is the closing edge, so a forced vertex next to it closes.
             forced = two & region
             if forced:
-                if (forced & rows[anchor]).bit_count() > 1:
+                near = forced & rows[anchor]
+                if near & ~closers or near & (near - 1):
                     return
                 onto = forced & candidates
                 if onto:
@@ -294,7 +329,9 @@ class _Search:
             keys = [candidates.bit_length() - 1]
         mask = self.mask
         # at slack zero each child keeps floor - depth - 1 vertices
-        if not (tight and floor - depth > DEAD_STATE_MIN_KEPT):
+        collecting = self.collect and not self.truncated
+        roomy = floor - depth > DEAD_STATE_MIN_KEPT
+        if not (tight and (collecting or roomy)):
             for key in keys:
                 v = key & mask
                 path.append(v)
@@ -304,25 +341,38 @@ class _Search:
         # A slack-zero child is decided by its kept set and head. One searched
         # at this floor whose subtree closed nothing never closes, since floor
         # never falls; one entered after a sibling raised floor was cut unsearched.
-        dead = self.dead
+        # A collecting search at floor = best also replays a child whose subtree
+        # closed cycles: each closed at length floor, so raised nothing, and
+        # another path of the same length into the state closes the same tails.
+        dead, live, found = self.dead, self.live, self.found
         for key in keys:
             v = key & mask
             kept = region ^ 1 << v
             state = kept << shift | v
-            if state in dead:
+            if roomy and state in dead:
                 continue
-            closes, nodes = self.closes, self.nodes
+            if state in live:
+                start, end = live[state]
+                # replayed out of search order, so only while no close truncates;
+                # a truncated search holds limit cycles already and never replays
+                if self.limit is None or len(found) + end - start < self.limit:
+                    prefix = (*path, v)
+                    cut = len(prefix)
+                    found.extend([prefix + c[cut:] for c in found[start:end]])
+                    self.closes += end - start
+                    continue
+            closes, nodes, start = self.closes, self.nodes, len(found)
             path.append(v)
             self._extend(anchor, path, free ^ 1 << v, kept, two)
             path.pop()
-            # a child cut at its own node is cheaper to cut again than to keep
-            if (
-                self.closes == closes
-                and self.floor == floor
-                and self.nodes - nodes > 1
-                and len(dead) < DEAD_STATE_CAP
-            ):
-                dead.add(state)
+            if self.floor != floor:
+                continue
+            if self.closes == closes:
+                # a child cut at its own node is cheaper to cut again than to keep
+                if roomy and self.nodes - nodes > 1 and len(dead) < DEAD_STATE_CAP:
+                    dead.add(state)
+            elif collecting and len(live) < DEAD_STATE_CAP:
+                live[state] = (start, len(found))
 
     def _close(self, path: list[int]) -> None:
         """Record the cycle closed by path, of length at least floor."""
@@ -331,9 +381,10 @@ class _Search:
             self.best = len(path)
             self.best_witness = tuple(path)
             self.found.clear()
+            self.live.clear()
             self.truncated = False
-        if self.collect and path[1] < path[-1]:
-            # anchored at its minimum and read this way round, path is canonical
+        if self.collect:
+            # anchored at its minimum and closed above path[1], path is canonical
             self.found.append(tuple(path))
             self.truncated = self.limit is not None and len(self.found) >= self.limit
         self.floor = self.best + (not self.collect or self.truncated)
@@ -388,15 +439,18 @@ def longest_cycle_length(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     finds c(G) > h or closes nothing, and then c(G) = h. ``budget`` bounds
     that search, and its error carries at least h as the best length.
     """
+    return _length_search(g, budget).best
+
+
+def _length_search(g: Graph, budget: int) -> _Search:
+    """The search behind longest_cycle_length, left unrun when the walk is Hamiltonian."""
     search = _Search(g, budget)  # rejects a budget below 1
     if is_forest(g):
         raise ValueError("forest has no cycle")
     cycle = _rotation_cycle(g)
     h = cycle.length if cycle else 0
-    if h == g.n:
-        return h
     search.best, search.floor = h, h + 1
-    return search.run().best
+    return search if h == g.n else search.run()
 
 
 def enumerate_longest_cycles(

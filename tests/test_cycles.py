@@ -116,7 +116,8 @@ def test_enumeration_matches_the_oracle_on_every_graph_up_to_six_vertices():
         cs = enumerate_longest_cycles(g)
         label = graph_to_graph6(g)
         assert not cs.truncated and cs.length == longest_cycle_by_permutations(g), label
-        assert {c.vertices for c in cs} == all_cycles_of_length_by_permutations(g, cs.length), label
+        oracle = all_cycles_of_length_by_permutations(g, cs.length)
+        assert {c.vertices for c in cs} == oracle, label
 
 
 # Which cycles a truncated set keeps is the search's own choice, the first it
@@ -215,11 +216,12 @@ def test_dead_state_memo_is_kept_per_anchor(g6):
 
 def test_dead_state_memo_on_the_dominant_babai_circulant(monkeypatch):
     # C24(±1, ±3, ±10, 12) is circulants[6] of the babai-circulants benchmark
-    # corpus and most of its enumeration nodes: dead ends met while its
-    # Hamiltonian cycles are collected (396,123 nodes without the memo)
+    # corpus and most of its enumeration nodes: dead ends met and subtrees
+    # closed again while its Hamiltonian cycles are collected (396,123 nodes
+    # without the memos, 75,321 before closed subtrees were replayed)
     g = circulant(24, {1, 3, 10, 12, 14, 21, 23})
     got = search_facts(g, "5000")
-    assert got["nodes"] <= 75_321
+    assert got["nodes"] <= 39_766
     monkeypatch.setattr(cycles, "DEAD_STATE_CAP", 0)
     plain = search_facts(g, "5000")
     del got["nodes"], plain["nodes"]
@@ -249,14 +251,16 @@ def memo_test_graphs(draw, max_n: int = 9):
 # and cleared truncated with limit 2 (H`fiSSa), and dropped one of three
 # longest cycles with limit 7 (HPrZ@|@), with the memo on every slack-zero
 # child. The memo is also run that way here because few children on these
-# small graphs keep DEAD_STATE_MIN_KEPT vertices.
+# small graphs keep DEAD_STATE_MIN_KEPT vertices. Cap 0 also turns off the
+# replay of subtrees that closed cycles, which the collecting modes check,
+# complete and under limits that truncate.
 @settings(max_examples=300, deadline=None)
 @given(memo_test_graphs())
 @example(graph_from_graph6("HRaYpQw"))
 @example(graph_from_graph6("H`fiSSa"))
 @example(graph_from_graph6("HPrZ@|@"))
 def test_dead_state_memo_matches_the_search_without_it(g):
-    for mode in ("length", "1", "2", "7"):
+    for mode in ("length", "1", "2", "7", "none"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cycles, "DEAD_STATE_CAP", 0)
             plain = search_facts(g, mode)
@@ -271,23 +275,25 @@ def test_dead_state_memo_matches_the_search_without_it(g):
 
 @settings(max_examples=200, deadline=None)
 @given(memo_test_graphs(max_n=7))
-def test_enumeration_matches_the_permutation_oracle(g):
+def test_enumeration_matches_the_permutation_oracle_on_memo_test_graphs(g):
     cs = enumerate_longest_cycles(g)
     assert not cs.truncated and cs.length == longest_cycle_by_permutations(g)
     assert {c.vertices for c in cs} == all_cycles_of_length_by_permutations(g, cs.length)
 
 
 def test_length_search_expands_no_more_nodes_than_the_enumeration():
-    # floor = best + 1 against the collecting floor = best: on every exhaustive7
-    # graph c(G) agrees and a budget that sufficed to enumerate suffices for c(G)
-    for g in load_connected_corpus(max_n=7):
+    # floor = best + 1 against the collecting floor = best, from floor 1 and
+    # from the rotation walk's floor as longest_cycle_length runs it: c(G)
+    # agrees and a budget that sufficed to enumerate suffices for c(G)
+    for g in load_connected_corpus(max_n=7) + ENUMERATION_CORPORA["default42"]():
         if is_forest(g):
             continue
-        length = cycles._Search(g, DEFAULT_BUDGET).run()
         full = cycles._Search(g, DEFAULT_BUDGET, collect=True, limit=ENUMERATION_LIMIT).run()
         label = graph_to_graph6(g)
-        assert length.best == full.best, label
-        assert length.nodes <= full.nodes, label
+        plain = cycles._Search(g, DEFAULT_BUDGET).run()
+        for length in (plain, cycles._length_search(g, DEFAULT_BUDGET)):
+            assert length.best == full.best, label
+            assert length.nodes <= full.nodes, label
 
 
 @st.composite
@@ -316,13 +322,11 @@ def test_petersen_length_is_proved_from_the_walk_floor():
     g = petersen_graph()
     cycle = cycles._rotation_cycle(g)
     assert cycle.is_valid(g) and cycle.length == 9
-    # no 10-cycle closes from floor 10, in fewer nodes than the 74 from floor 1
-    search = cycles._Search(g, DEFAULT_BUDGET)
-    search.best, search.floor = 9, 10
-    search.run()
-    assert (search.best, search.best_witness, search.closes) == (9, None, 0)
-    assert search.nodes <= 70
-    assert cycles._Search(g, DEFAULT_BUDGET).run().nodes == 74
+    # no 10-cycle closes from floor 10, in fewer nodes than the 50 from floor 1
+    search = cycles._length_search(g, DEFAULT_BUDGET)
+    assert (search.best, search.floor, search.best_witness, search.closes) == (9, 10, None, 0)
+    assert search.nodes <= 46
+    assert cycles._Search(g, DEFAULT_BUDGET).run().nodes == 50
 
 
 def test_rotation_walk_closes_a_valid_cycle_on_exhaustive7():
