@@ -20,8 +20,9 @@ same c(G), keeps the same cycles and reports the same ``truncated`` as a plain
 reachability bound that closes each cycle both ways, nearly always in far
 fewer nodes.
 Enumeration is the same single pass: it finds c(G) and the cycles of that
-length together, and ``budget`` bounds the node expansions of the whole
-pass. Exceeding the node budget is a hard error, never a silent approximation.
+length together, and ``budget`` bounds both the node expansions of the whole
+pass and the cycles it keeps at once, since a replayed cycle costs no node.
+Exceeding the budget is a hard error, never a silent approximation.
 
 The length alone starts from a certificate. A deterministic rotation-extension
 walk (Pósa, "Hamiltonian circuits in random graphs", Discrete Math. 14, 1976)
@@ -45,7 +46,7 @@ DEAD_STATE_MIN_KEPT = 4  # smaller slack-zero subtrees cost less to search again
 
 
 class BudgetExceededError(RuntimeError):
-    """Search ran out of node expansions; carries the best cycle length so far."""
+    """Search ran out of node expansions or kept cycles; carries the best length so far."""
 
     def __init__(self, message: str, best_length: int = 0):
         super().__init__(message)
@@ -184,7 +185,10 @@ class _Search:
     kept set stays the first ``limit`` closes. ``live`` is cleared with
     ``found``. Both memos start afresh at each depth-2 node, since
     ``closers`` changes there. A skipped or replayed child is not a node
-    expansion; other nodes run a loop with no memo work.
+    expansion; other nodes run a loop with no memo work. A replayed cycle
+    costs no node, so the kept set is held to ``budget`` on its own: a close
+    or replay that would keep more cycles is a budget error, which the
+    search would have hit anyway with each kept cycle closed at a node.
 
     Each cut or skipped subtree holds no cycle the search keeps, and
     ``floor`` never falls. So every search finds the c(G), the kept set and
@@ -353,9 +357,12 @@ class _Search:
                 continue
             if state in live:
                 start, end = live[state]
+                grown = len(found) + end - start
                 # replayed out of search order, so only while no close truncates;
                 # a truncated search holds limit cycles already and never replays
-                if self.limit is None or len(found) + end - start < self.limit:
+                if self.limit is None or grown < self.limit:
+                    if grown > self.budget:
+                        raise self._kept_over_budget()
                     prefix = (*path, v)
                     cut = len(prefix)
                     found.extend([prefix + c[cut:] for c in found[start:end]])
@@ -374,6 +381,13 @@ class _Search:
             elif collecting and len(live) < DEAD_STATE_CAP:
                 live[state] = (start, len(found))
 
+    def _kept_over_budget(self) -> BudgetExceededError:
+        """The error for a kept set that would outgrow the budget."""
+        return BudgetExceededError(
+            f"search budget of {self.budget} kept cycles exceeded",
+            best_length=self.best,
+        )
+
     def _close(self, path: list[int]) -> None:
         """Record the cycle closed by path, of length at least floor."""
         self.closes += 1
@@ -384,6 +398,8 @@ class _Search:
             self.live.clear()
             self.truncated = False
         if self.collect:
+            if len(self.found) >= self.budget:
+                raise self._kept_over_budget()
             # anchored at its minimum and closed above path[1], path is canonical
             self.found.append(tuple(path))
             self.truncated = self.limit is not None and len(self.found) >= self.limit
@@ -458,7 +474,8 @@ def enumerate_longest_cycles(
 ) -> CycleSet:
     """All longest cycles, deduplicated up to rotation and reflection.
 
-    One pass finds c(G) and its cycles together; ``budget`` bounds that pass.
+    One pass finds c(G) and its cycles together; ``budget`` bounds that pass's
+    node expansions and the cycles it keeps at once.
     """
     search = _Search(g, budget, collect=True, limit=limit).run()
     cycles = tuple(CycleEmbedding(c) for c in sorted(search.found))

@@ -64,6 +64,23 @@ def test_budget_error_carries_lower_bound():
     assert info.value.best_length >= 3
 
 
+def test_kept_cycles_count_against_the_budget():
+    # a replayed subtree keeps cycles without node expansions, so the budget
+    # bounds the kept set itself: K9's 20,160 Hamiltonian cycles take 4,607 nodes
+    g = complete_graph(9)
+    assert len(enumerate_longest_cycles(g, budget=20_160)) == 20_160
+    with pytest.raises(BudgetExceededError, match="20159 kept cycles") as info:
+        enumerate_longest_cycles(g, budget=20_159)
+    assert info.value.best_length == 9
+    # the last replay would reach the limit, so it is searched for real, and
+    # the close that would keep a 20,160th cycle stops the search
+    with pytest.raises(BudgetExceededError, match="20159 kept cycles"):
+        enumerate_longest_cycles(g, limit=20_160, budget=20_159)
+    # K10's 181,440 stop at the budget, as when each kept cycle cost a node
+    with pytest.raises(BudgetExceededError, match="100000 kept cycles"):
+        enumerate_longest_cycles(complete_graph(10), budget=100_000)
+
+
 def test_budget_or_limit_below_one_is_rejected():
     g = complete_graph(4)
     for budget in (0, -4):
@@ -171,8 +188,9 @@ def test_oracle_equivalence_touches_ten_vertices():
 
 
 def test_search_outputs_match_pins():
-    # any exact bound keeps the close order, so every output is the pinned
-    # one; a weaker bound shows up as more nodes than pinned
+    # the pinned graphs keep every output under each exact bound so far,
+    # though closing one way can move the witness of other graphs; a weaker
+    # bound shows up as more nodes than pinned
     for record in json.loads(PINS.read_text()):
         g = graph_from_graph6(record["graph6"])
         for mode, pinned in record["searches"].items():
@@ -207,8 +225,9 @@ def test_dead_state_memo_moves_only_node_counts(monkeypatch):
 
 @pytest.mark.parametrize("g6", ["Hahg^hL", "H?]~OTU"])
 def test_dead_state_memo_is_kept_per_anchor(g6):
-    # non-Hamiltonian graphs whose later anchors meet a (kept set, head) state
-    # that an earlier anchor left dead and that closes into the later anchor
+    # the memos are kept per anchor and path[1] and cleared at each depth-2
+    # node; these non-Hamiltonian graphs' later anchors meet a (kept set, head)
+    # state that an earlier anchor left dead and that closes into the later one
     g = graph_from_graph6(g6)
     cs = enumerate_longest_cycles(g)
     assert {c.vertices for c in cs} == all_cycles_of_length_by_permutations(g, cs.length)
