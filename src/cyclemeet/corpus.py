@@ -275,7 +275,12 @@ def theta_graph(a: int, b: int, c: int) -> Graph:
 
 
 def pairwise_corpus(max_n: int = 14, seed: int = 11, random_count: int = 30) -> list[Graph]:
-    """2-connected graphs with enumerable longest-cycle sets for pair checks."""
+    """2-connected graphs with enumerable longest-cycle sets for pair checks.
+
+    The random graphs have 6..max_n vertices, so drawing any needs max_n >= 6.
+    """
+    if random_count > 0 and max_n < 6:
+        raise ValueError(f"max_n must be at least 6, got {max_n}")
     zoo: list[Graph] = [
         cycle_graph(5),
         cycle_graph(8),

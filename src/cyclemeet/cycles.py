@@ -486,33 +486,29 @@ def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, 
     """Minimum |V(X) ∩ V(Y)| over unordered cycle pairs, with one witnessing pair.
 
     Cycles on identical vertex sets intersect in that whole set, so the scan
-    runs over distinct vertex sets; Hamiltonian-rich graphs stay cheap.
+    runs over distinct vertex masks (``cs.masks``), in order of first
+    appearance, and counts each intersection with ``bit_count``;
+    Hamiltonian-rich graphs stay cheap. The witness is the first pair in that
+    order to reach the minimum: two distinct sets, or else the earliest cycle
+    whose set repeats, with the first cycle on that set.
     """
     if len(cs.cycles) < 2:
         raise ValueError("need two cycles")
-    first: dict[frozenset[int], CycleEmbedding] = {}
-    second: dict[frozenset[int], CycleEmbedding] = {}
-    for c in cs.cycles:
-        vs = c.vertex_set()
-        if vs not in first:
-            first[vs] = c
-        elif vs not in second:
-            second[vs] = c
+    first: dict[int, int] = {}  # vertex mask -> index of its first cycle
     best: Optional[int] = None
-    witness: Optional[tuple[CycleEmbedding, CycleEmbedding]] = None
-    for vs, twin in second.items():
-        if best is None or len(vs) < best:
-            best = len(vs)
-            witness = (first[vs], twin)
-    distinct = list(first)
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            size = len(distinct[i] & distinct[j])
+    witness: Optional[tuple[int, int]] = None
+    for i, mask in enumerate(cs.masks):
+        j = first.setdefault(mask, i)
+        if j != i and witness is None:
+            best, witness = mask.bit_count(), (j, i)
+    distinct = list(first.items())
+    for a, (amask, i) in enumerate(distinct):
+        for bmask, j in distinct[a + 1:]:
+            size = (amask & bmask).bit_count()
             if best is None or size < best:
-                best = size
-                witness = (first[distinct[i]], first[distinct[j]])
+                best, witness = size, (i, j)
     assert best is not None and witness is not None
-    return best, witness
+    return best, (cs.cycles[witness[0]], cs.cycles[witness[1]])
 
 
 def is_t_transversal(g: Graph, cs: CycleSet, a: Iterable[int], t: int) -> bool:

@@ -49,7 +49,15 @@ from .cycles import (
 )
 from .exchange import improve_by_four_cycles
 from .flow import SeparatorReport, separator_bound_holds, xy_separator
-from .graphs import Graph, graph_to_graph6, is_connected, is_forest, is_regular, vertex_connectivity
+from .graphs import (
+    Graph,
+    graph_to_graph6,
+    is_connected,
+    is_forest,
+    is_regular,
+    mask_of,
+    vertex_connectivity,
+)
 from .transitive import is_vertex_transitive
 
 ENUMERATION_LIMIT = 5000  # longest cycles kept per graph; more leaves the set truncated
@@ -443,9 +451,16 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         outcomes.append(verify_devos(facts, a, t))
     if want("thm14") and cs is not None and not truncated:
         # the first PAIR_LIMIT pairs with their separators, read by both pairwise
-        # scans; the m_min pair, when among them, keeps the report built above
-        pairs = [(x, y, m_rep if (x, y) == m_pair else xy_separator(g, x, y))
-                 for x, y in islice(combinations(cs.cycles, 2), PAIR_LIMIT)]
+        # scans. A separator depends only on the ordered pair (V(x), V(y)), so
+        # each such pair of vertex masks gets one, the m_min pair's seeding the map
+        separators = {} if m_pair is None else {
+            (mask_of(m_pair[0].vertices), mask_of(m_pair[1].vertices)): m_rep}
+        pairs = []
+        for (x, xm), (y, ym) in islice(combinations(zip(cs.cycles, cs.masks), 2), PAIR_LIMIT):
+            rep = separators.get((xm, ym))
+            if rep is None:
+                rep = separators[xm, ym] = xy_separator(g, x, y)
+            pairs.append((x, y, rep))
         thm14: list[Outcome] = []
         # a lone longest cycle c is the degenerate pair (c, c): its cut is c itself
         for x, y, rep in pairs or [(c, c, xy_separator(g, c, c)) for c in cs.cycles]:
@@ -494,16 +509,19 @@ def _structural_checks(facts: InstanceFacts, cs: CycleSet, pairs: list,
 
     ``pairs`` holds each checked pair with the separator that thm14 read; each
     pair's aux graph is built once, for the aux-graph checks and the exchange.
+    Whether a cut meets every longest cycle depends on the cut alone, so the
+    Prop. 2.1 scan runs once per distinct cut and its verdict is shared.
     The scan stops at the first failing pair: its first failed check fails with
     the witness and every other check passes. prop21 needs a 2-connected graph.
     """
     g = facts.g
     two_connected = g.n >= 3 and facts.connectivity >= 2
+    transversal: dict[frozenset[int], bool] = {}
     failed = witness = None
     checked = 0
     for x, y, rep in pairs:
         checked += 1
-        failed, witness = _pair_failure(g, cs, x, y, rep, two_connected)
+        failed, witness = _pair_failure(g, cs, x, y, rep, two_connected, transversal)
         if failed is not None:
             break
     stats["structural_pairs_checked"] = checked
@@ -513,13 +531,22 @@ def _structural_checks(facts: InstanceFacts, cs: CycleSet, pairs: list,
 
 
 def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
-                  rep: SeparatorReport, two_connected: bool):
-    """The first structural check one pair fails, with its witness, or (None, None)."""
+                  rep: SeparatorReport, two_connected: bool,
+                  transversal: dict[frozenset[int], bool]):
+    """The first structural check one pair fails, with its witness, or (None, None).
+
+    ``transversal`` maps each cut already scanned to whether it meets every
+    longest cycle; a new cut's verdict is added to it.
+    """
     pair = {"x": list(x.vertices), "y": list(y.vertices)}
     if two_connected and not rep.m:
         return "prop21_nonempty", pair
-    if two_connected and not is_t_transversal(g, cs, rep.cut, 1):
-        return "prop21_transversal", {"cut": sorted(rep.cut)}
+    if two_connected:
+        meets_all = transversal.get(rep.cut)
+        if meets_all is None:
+            meets_all = transversal[rep.cut] = is_t_transversal(g, cs, rep.cut, 1)
+        if not meets_all:
+            return "prop21_transversal", {"cut": sorted(rep.cut)}
     try:
         f = pair_aux(g, x, y)
     except SameSegmentPairError:

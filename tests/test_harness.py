@@ -16,9 +16,9 @@ import cyclemeet
 from cyclemeet import auxgraph, cycles, flow
 from cyclemeet.auxgraph import FourCycleType, build_aux, l_set
 from cyclemeet.cli import main
-from cyclemeet.corpus import two_triangles_shared_vertex
+from cyclemeet.corpus import load_connected_corpus, two_triangles_shared_vertex
 from cyclemeet import harness
-from cyclemeet.cycles import DEFAULT_BUDGET, enumerate_longest_cycles
+from cyclemeet.cycles import DEFAULT_BUDGET, enumerate_longest_cycles, is_t_transversal
 from cyclemeet.graphs import (
     complete_graph,
     cycle_graph,
@@ -273,10 +273,10 @@ def test_each_checked_pair_is_built_once(monkeypatch):
     assert report.worst_status() == "pass"
     # Petersen has 20 longest cycles, so both scans reach PAIR_LIMIT
     assert report.stats == {"thm14_pairs_checked": 25, "structural_pairs_checked": 25}
-    # one separator per checked pair, the m_min pair (pair 0) among them; 23
-    # of the 25 pairs leave both remainders nonempty and get a path family and
-    # an aux graph
-    assert counts == {"xy_separator": 25, "max_disjoint_paths": 23, "build_aux": 23}
+    # one separator per distinct ordered pair of vertex sets among the 25
+    # checked pairs (15), the m_min pair (pair 0) among them; 23 of the 25
+    # pairs leave both remainders nonempty and get a path family and an aux graph
+    assert counts == {"xy_separator": 15, "max_disjoint_paths": 23, "build_aux": 23}
 
 
 # pairwise12[18]: 2-connected and not vertex-transitive (so devos never reads
@@ -291,7 +291,12 @@ def test_structural_scan_stops_at_the_first_failing_pair(monkeypatch, name):
     k = 3
     instance = facts(graph_from_graph6(PAIRWISE12_18))
     g = instance.g
-    x, y = list(combinations(instance.cycles.cycles, 2))[k - 1]
+    pairs = list(combinations(instance.cycles.cycles, 2))
+    x, y = pairs[k - 1]
+    # the Prop. 2.1 scan runs once per distinct cut, so its failure is injected
+    # on the k-th distinct cut, which the first pair with that cut reports
+    cuts = [xy_separator(g, *p).cut for p in pairs]
+    bad_cut = list(dict.fromkeys(cuts))[k - 1]
     shared = x.vertex_set() & y.vertex_set()
     family = max_disjoint_paths(g, x.vertex_set() - shared, y.vertex_set() - shared,
                                 allowed=frozenset(range(g.n)) - shared)
@@ -300,7 +305,7 @@ def test_structural_scan_stops_at_the_first_failing_pair(monkeypatch, name):
     sat = harness.supersaturation_report(aux)
     check, failing, witness = {
         "is_t_transversal": (
-            "prop21_transversal", lambda *args: False, {"cut": sorted(xy_separator(g, x, y).cut)},
+            "prop21_transversal", lambda *args: False, {"cut": sorted(bad_cut)},
         ),
         "type_census": ("lemma32_clean", lambda f: {FourCycleType(0, 0): 1}, pair),
         "pairwise_noncrossing": ("lemma35_clean", lambda pairs: False, {"l_set": sorted(l_set(aux))}),
@@ -317,7 +322,16 @@ def test_structural_scan_stops_at_the_first_failing_pair(monkeypatch, name):
         calls.append(args)
         return failing(*args) if len(calls) == k else original(*args)
 
-    monkeypatch.setattr(harness, name, fail_on_kth_call)
+    def fail_on_bad_cut(g, cs, a, t):
+        return failing(g, cs, a, t) if a == bad_cut else original(g, cs, a, t)
+
+    if name == "is_t_transversal":
+        checked = cuts.index(bad_cut) + 1
+        assert checked == 8  # pairs 1, 5 and 8 bring the first three cuts, all with m = 7
+        inject = fail_on_bad_cut
+    else:
+        checked, inject = k, fail_on_kth_call
+    monkeypatch.setattr(harness, name, inject)
     report = analyze_instance("pairwise12[18]", instance, CorpusSpec("pairwise12"), "all")
     failed = [(o.name, o.witness) for o in report.outcomes if o.status == "fail"]
     assert failed == [(check, witness)]
@@ -326,7 +340,49 @@ def test_structural_scan_stops_at_the_first_failing_pair(monkeypatch, name):
     assert [(o.name, o.status) for o in report.outcomes][-6:] == [
         (n, "fail" if n == check else "pass") for n in structural
     ]
-    assert report.stats == {"thm14_pairs_checked": 10, "structural_pairs_checked": k}
+    assert report.stats == {"thm14_pairs_checked": 10, "structural_pairs_checked": checked}
+
+
+def test_shared_separators_and_transversal_verdicts_match_direct_calls(monkeypatch):
+    # a separator is shared by every checked pair on the same ordered pair of
+    # vertex sets, and a Prop. 2.1 verdict by every pair with the same cut;
+    # each must equal the direct call, and the m_min witness the first pair of
+    # cycles, in enumeration order, at the minimum
+    seen = []
+    pair_failure = harness._pair_failure
+
+    def capture(g, cs, x, y, rep, two_connected, transversal):
+        result = pair_failure(g, cs, x, y, rep, two_connected, transversal)
+        verdict = transversal[rep.cut] if two_connected and rep.m else None
+        seen.append((g, cs, x, y, rep, verdict))
+        return result
+
+    monkeypatch.setattr(harness, "_pair_failure", capture)
+    instances = harness.corpus_instances(CorpusSpec.parse("pairwise12"))
+    instances += [(f"exhaustive6[{i}]", facts(g))
+                  for i, g in enumerate(load_connected_corpus(max_n=6))]
+    witnessed = 0
+    for instance_id, instance in instances:
+        report = analyze_instance(instance_id, instance, CorpusSpec("pairwise12"), "all")
+        assert report.worst_status() in ("pass", "skipped"), instance_id
+        cs = instance.cycles
+        if cs is None or len(cs) < 2 or cs.truncated:
+            continue
+        size, p, q = min(
+            (len(x.vertex_set() & y.vertex_set()), p, q)
+            for (p, x), (q, y) in combinations(enumerate(cs.cycles), 2)
+        )
+        assert cycles.min_pairwise_intersection(cs) == (size, (cs.cycles[p], cs.cycles[q]))
+        assert report.separator_size == len(xy_separator(instance.g, cs.cycles[p], cs.cycles[q]).cut)
+        witnessed += 1
+    for g, cs, x, y, rep, verdict in seen:
+        assert rep == xy_separator(g, x, y), (graph_to_graph6(g), x, y)
+        if verdict is not None:
+            assert verdict == is_t_transversal(g, cs, rep.cut, 1), (graph_to_graph6(g), rep.cut)
+    # 121 sets with an m_min witness; the 1340 checked pairs have only 213
+    # distinct ordered pairs of vertex sets, so the shared separators are hit
+    distinct = {(id(cs), x.vertex_set(), y.vertex_set()) for _, cs, x, y, _, _ in seen}
+    assert (witnessed, len(seen), len(distinct)) == (121, 1340, 213)
 
 
 def test_analysis_leaves_setup_facts_unchanged():
@@ -648,11 +704,19 @@ def test_cli_gen_rejects_bad_generator_input(tmp_path, capsys, generator, group)
     (["verify", "--suite", "babai", "--corpus", "circulants:count=2,max_n=2"], "max_n"),
     (["verify", "--suite", "babai", "--corpus", "vt:count=50,max_n=8"], "count=50"),
     (["gen", "random", "--n", "5", "--p", "1.5"], "p must lie in [0, 1]"),
+    *[(["verify", "--suite", "all", "--corpus", f"pairwise{n}"], f"max_n must be at least 6, got {n}")
+      for n in range(6)],
 ])
 def test_cli_bad_corpus_or_generator_input_is_a_usage_error(capsys, args, names):
     assert main(args) == 3
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and names in out.err
+
+
+def test_cli_small_pairwise_corpus_without_random_graphs_runs(capsys):
+    # below 6 vertices no random graph can be drawn, but the fixed zoo still can
+    assert main(["verify", "--suite", "all", "--corpus", "pairwise5:random_count=0"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["total"] == 5
 
 
 def test_cli_invariant_failure_exits_one_with_json_error(tmp_path, capsys, monkeypatch):
