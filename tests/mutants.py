@@ -4,7 +4,6 @@ Run from the repository root:
 
     python tests/mutants.py                  # every mutant
     python tests/mutants.py NAME [NAME ...]  # the named ones
-    python tests/mutants.py --list           # names and what each breaks
     python tests/mutants.py --hypothesis-profile random NAME  # fresh examples
 
 A mutant is a list of exact text replacements in files under ``src/``, each
@@ -12,7 +11,7 @@ of whose old texts must occur exactly once. For each mutant the runner copies
 ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, applies
 the replacements there, and runs the mutant's tests in that copy with pytest,
 one mutant at a time. It prints one line per mutant: the failing tests, or
-``SURVIVED`` when none fails. A survivor is a gap in the suite, or a mutant
+``SURVIVED`` and what the mutant breaks when none fails. A survivor is a gap in the suite, or a mutant
 that changes nothing observable. The exit code is 1 when any mutant survives.
 
 pytest does not collect this file, and the tier-1 suite does not run it.
@@ -138,22 +137,18 @@ def failing_tests(mutant: Mutant, profile: str) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     parser.add_argument("--hypothesis-profile", default="tier1", choices=("tier1", "random"))
     args = parser.parse_args(argv)
     unknown = [n for n in args.names if n not in MUTANTS]
     if unknown:
         parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    if args.list:
-        for name, mutant in MUTANTS.items():
-            print(f"{name}: {mutant.what}")
-        return 0
     survived = False
     for name in args.names or MUTANTS:
-        failed = failing_tests(MUTANTS[name], args.hypothesis_profile)
+        mutant = MUTANTS[name]
+        failed = failing_tests(mutant, args.hypothesis_profile)
         survived |= not failed
-        print(f"{name}: " + (f"{len(failed)} failed: {', '.join(failed)}" if failed else "SURVIVED"),
-              flush=True)
+        print(f"{name}: " + (f"{len(failed)} failed: {', '.join(failed)}" if failed
+                             else f"SURVIVED ({mutant.what})"), flush=True)
     return 1 if survived else 0
 
 
