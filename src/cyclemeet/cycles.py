@@ -13,12 +13,12 @@ Rubin's required-edge rule (J. ACM 21(4), 1974) applies: a region vertex with
 only two neighbours left must use both. There the outcome depends only on the
 head and the region (the Held-Karp subproblem), so slack-zero states are
 remembered, as in the transposition tables of Vandegriend and Culberson (JAIR
-9, 1998): one whose subtree closed nothing is skipped when reached again, and
-in a collecting search one whose subtree closed cycles has their tails
-replayed behind the new path. The bound is exact, so every search finds the
-same c(G), keeps the same cycles and reports the same ``truncated`` as a plain
-reachability bound that closes each cycle both ways, nearly always in far
-fewer nodes.
+9, 1998). One table maps each searched state to the cycles its subtree
+closed: a state that closed nothing is skipped when reached again, and one
+that closed cycles has their tails replayed behind the new path. The bound is
+exact, so every search finds the same c(G), keeps the same cycles and reports
+the same ``truncated`` as a plain reachability bound that closes each cycle
+both ways, nearly always in far fewer nodes.
 Enumeration is the same single pass: it finds c(G) and the cycles of that
 length together, and ``budget`` bounds both the node expansions of the whole
 pass and the cycles it keeps at once, since a replayed cycle costs no node.
@@ -41,8 +41,7 @@ from typing import Iterable, Optional
 from .graphs import Graph, check_vertex_set, is_forest, iter_bits, mask_of
 
 DEFAULT_BUDGET = 10**8
-DEAD_STATE_CAP = 1 << 15  # slack-zero states each memo holds per anchor and path[1]
-DEAD_STATE_MIN_KEPT = 4  # smaller slack-zero subtrees cost less to search again
+DEAD_STATE_CAP = 1 << 15  # slack-zero states the memo holds per anchor and path[1]
 
 
 class BudgetExceededError(RuntimeError):
@@ -164,31 +163,28 @@ class _Search:
 
     At slack zero a child closes a cycle exactly when a Hamiltonian path runs
     from its head through its kept set to ``closers``, whatever the path
-    before it, and every such cycle has length ``floor``. ``dead`` holds the
-    (kept set, head) states whose subtree closed nothing (``closes`` counts
-    the closes), at most ``DEAD_STATE_CAP`` of them; a child found there is
-    skipped. A state is added only if ``floor`` is where it stood when the
-    parent was entered: a child entered after a sibling's close raised
-    ``floor`` is cut for length without a search, and its state may still
-    complete a longer path. Only children that keep at least
-    ``DEAD_STATE_MIN_KEPT`` vertices are looked up, and only states whose
-    subtree took more than one node are added: smaller subtrees cost less
-    to search again than to remember.
-
-    A collecting search that is not truncated also keeps ``live``: for a
-    slack-zero child whose subtree closed cycles, the ``found[start:end]``
-    slice that subtree appended, at most ``DEAD_STATE_CAP`` entries. A child
-    found there is not searched: each cycle of the slice is appended again
-    with the new path in place of its first ``len(path) + 1`` vertices.
+    before it, and every such cycle has length ``floor``. So ``memo`` maps
+    the (kept set, head) state of a searched slack-zero child to the
+    ``found[start:end]`` slice its subtree appended, empty when it closed
+    nothing, for at most ``DEAD_STATE_CAP`` states. A state is recorded only
+    if the subtree left ``floor`` where it stood when the parent was entered
+    and ``best`` where it stood when the child was entered. A child entered
+    after a sibling's close raised ``floor`` is cut for length without a
+    search, and its state may still complete a longer path. A truncated
+    search's child can close a cycle of length ``floor`` that becomes the new
+    ``best`` at the same ``floor``, and its slice is then gone with the old
+    kept set. A child found in ``memo`` with an empty slice is skipped. One
+    with cycles is not searched either: each cycle of the slice is appended
+    again with the new path in place of its first ``len(path) + 1`` vertices.
     Replayed cycles come in the first visit's order, not in search order, so
     a replay that would reach ``limit`` is searched for real instead, and the
-    kept set stays the first ``limit`` closes. ``live`` is cleared with
-    ``found``. Both memos start afresh at each depth-2 node, since
-    ``closers`` changes there. A skipped or replayed child is not a node
-    expansion; other nodes run a loop with no memo work. A replayed cycle
-    costs no node, so the kept set is held to ``budget`` on its own: a close
-    or replay that would keep more cycles is a budget error, which the
-    search would have hit anyway with each kept cycle closed at a node.
+    kept set stays the first ``limit`` closes. ``memo`` is cleared with
+    ``found``, and afresh at each depth-2 node, since ``closers`` changes
+    there. A skipped or replayed child is not a node expansion; a node off
+    slack zero runs a loop with no memo work. A replayed cycle costs no node,
+    so the kept set is held to ``budget`` on its own: a close or replay that
+    would keep more cycles is a budget error, which the search would have
+    hit anyway with each kept cycle closed at a node.
 
     Each cut or skipped subtree holds no cycle the search keeps, and
     ``floor`` never falls. So every search finds the c(G), the kept set and
@@ -218,10 +214,8 @@ class _Search:
         self.best_witness: Optional[tuple[int, ...]] = None
         self.found: list[tuple[int, ...]] = []
         self.truncated = False
-        self.dead: set[int] = set()
-        self.live: dict[int, tuple[int, int]] = {}
+        self.memo: dict[int, tuple[int, int]] = {}
         self.closers = 0
-        self.closes = 0
 
     def run(self) -> "_Search":
         if is_forest(self.g):
@@ -261,11 +255,10 @@ class _Search:
             work = rows[path[-2]] & kept
         elif depth == 2:
             # each cycle closes one way, on an anchor neighbour above path[1];
-            # a state's outcome depends on path[1], so the memos start afresh
+            # a state's outcome depends on path[1], so the memo starts afresh
             work = 0
             self.closers = rows[anchor] >> head + 1 << head + 1
-            self.dead.clear()
-            self.live.clear()
+            self.memo.clear()
         else:
             work = kept
             self.closers = rows[anchor]
@@ -332,31 +325,27 @@ class _Search:
         else:
             keys = [candidates.bit_length() - 1]
         mask = self.mask
-        # at slack zero each child keeps floor - depth - 1 vertices
-        collecting = self.collect and not self.truncated
-        roomy = floor - depth > DEAD_STATE_MIN_KEPT
-        if not (tight and (collecting or roomy)):
+        if not tight:
             for key in keys:
                 v = key & mask
                 path.append(v)
                 self._extend(anchor, path, free ^ 1 << v, region ^ 1 << v, two)
                 path.pop()
             return
-        # A slack-zero child is decided by its kept set and head. One searched
-        # at this floor whose subtree closed nothing never closes, since floor
-        # never falls; one entered after a sibling raised floor was cut unsearched.
-        # A collecting search at floor = best also replays a child whose subtree
-        # closed cycles: each closed at length floor, so raised nothing, and
-        # another path of the same length into the state closes the same tails.
-        dead, live, found = self.dead, self.live, self.found
+        # A slack-zero child is decided by its kept set and head: its subtree
+        # closes the same tails, each of length floor, behind any path of this
+        # length into the state. That holds for a child searched at this floor
+        # that left best where it stood; one entered after a sibling raised
+        # floor was cut unsearched.
+        memo, found = self.memo, self.found
         for key in keys:
             v = key & mask
             kept = region ^ 1 << v
             state = kept << shift | v
-            if roomy and state in dead:
-                continue
-            if state in live:
-                start, end = live[state]
+            if state in memo:
+                start, end = memo[state]
+                if start == end:
+                    continue
                 grown = len(found) + end - start
                 # replayed out of search order, so only while no close truncates;
                 # a truncated search holds limit cycles already and never replays
@@ -366,20 +355,13 @@ class _Search:
                     prefix = (*path, v)
                     cut = len(prefix)
                     found.extend([prefix + c[cut:] for c in found[start:end]])
-                    self.closes += end - start
                     continue
-            closes, nodes, start = self.closes, self.nodes, len(found)
+            best, start = self.best, len(found)
             path.append(v)
             self._extend(anchor, path, free ^ 1 << v, kept, two)
             path.pop()
-            if self.floor != floor:
-                continue
-            if self.closes == closes:
-                # a child cut at its own node is cheaper to cut again than to keep
-                if roomy and self.nodes - nodes > 1 and len(dead) < DEAD_STATE_CAP:
-                    dead.add(state)
-            elif collecting and len(live) < DEAD_STATE_CAP:
-                live[state] = (start, len(found))
+            if self.floor == floor and self.best == best and len(memo) < DEAD_STATE_CAP:
+                memo[state] = (start, len(found))
 
     def _kept_over_budget(self) -> BudgetExceededError:
         """The error for a kept set that would outgrow the budget."""
@@ -390,12 +372,11 @@ class _Search:
 
     def _close(self, path: list[int]) -> None:
         """Record the cycle closed by path, of length at least floor."""
-        self.closes += 1
         if len(path) > self.best:
             self.best = len(path)
             self.best_witness = tuple(path)
             self.found.clear()
-            self.live.clear()
+            self.memo.clear()
             self.truncated = False
         if self.collect:
             if len(self.found) >= self.budget:

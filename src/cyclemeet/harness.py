@@ -302,6 +302,21 @@ class CorpusSpec:
                 return v
         return default
 
+    def int_param(self, key: str, default: int) -> int:
+        value = self.param(key, str(default))
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"corpus parameter {key} must be an integer, got {value!r}") from None
+
+    def max_n(self) -> int:
+        """N of an exhaustiveN or pairwiseN kind."""
+        digits = self.kind[len(self.kind.rstrip("0123456789")):]
+        if not digits:
+            raise ValueError(
+                f"corpus {self.kind!r} needs a maximum vertex count, as in {self.kind}7")
+        return int(digits)
+
 
 def corpus_instances(spec: CorpusSpec) -> list[tuple[str, InstanceFacts]]:
     """Materialize the corpus as (id, facts) pairs; ids embed the graph6 form.
@@ -318,31 +333,31 @@ def corpus_instances(spec: CorpusSpec) -> list[tuple[str, InstanceFacts]]:
     elif kind == "smoke":
         graphs = pairwise_corpus(max_n=10, seed=spec.seed or 11, random_count=4)[:12]
     elif kind.startswith("exhaustive"):
-        graphs = load_connected_corpus(max_n=int(kind.removeprefix("exhaustive")))
+        graphs = load_connected_corpus(max_n=spec.max_n())
     elif kind.startswith("pairwise"):
         graphs = pairwise_corpus(
-            max_n=int(kind.removeprefix("pairwise")),
+            max_n=spec.max_n(),
             seed=spec.seed or 11,
-            random_count=int(spec.param("random_count", "30")),
+            random_count=spec.int_param("random_count", 30),
         )
     elif kind == "vt":
         graphs = vertex_transitive_corpus(
-            count=int(spec.param("count", "200")),
+            count=spec.int_param("count", 200),
             seed=spec.seed or 7,
-            max_n=int(spec.param("max_n", "32")),
+            max_n=spec.int_param("max_n", 32),
         )
     elif kind == "circulants":
         graphs = random_circulants(
-            count=int(spec.param("count", "50")),
+            count=spec.int_param("count", 50),
             seed=spec.seed or 7,
-            max_n=int(spec.param("max_n", "24")),
+            max_n=spec.int_param("max_n", 24),
         )
     elif kind == "random":
-        max_n = int(spec.param("max_n", "12"))
+        max_n = spec.int_param("max_n", 12)
         if max_n < 5:
             raise ValueError(f"max_n must be at least 5, got {max_n}")
         graphs = random_connected_graphs(
-            count=int(spec.param("count", "50")),
+            count=spec.int_param("count", 50),
             seed=spec.seed or 3,
             n_choices=range(5, max_n + 1),
             p_choices=(0.2, 0.3, 0.5),
@@ -375,7 +390,7 @@ def _check_params(spec: CorpusSpec) -> None:
         if key in seen:
             raise ValueError(f"corpus parameter {key!r} is given twice")
         seen.add(key)
-        if key in ("count", "random_count") and int(value) < 0:
+        if key in ("count", "random_count") and spec.int_param(key, 0) < 0:
             raise ValueError(f"corpus parameter {key} must be at least 0, got {value}")
 
 

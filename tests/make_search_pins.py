@@ -5,13 +5,14 @@ Every field but ``nodes`` is an output that any exact bound must reproduce:
 c(G), the witness, the kept cycles and ``truncated``. ``nodes`` is an upper
 bound, so a weaker bound fails the pin. The outputs were first pinned with
 the plain reachability bound and are unchanged by degree-2 peeling, by the
-slack-zero forced-edge rule, by the slack-zero dead-state memo, by closing
-each cycle one way and by replaying remembered slack-zero subtrees in
-collecting searches; the node counts are those of all five. Closing one way
-can move the witness of other graphs, to the first cycle of the same length
-read the canonical way round, but moves none pinned here. Regenerate the
-file only for a change that lowers node counts, after checking that no other
-field moved.
+slack-zero forced-edge rule, by closing each cycle one way and by the
+slack-zero memo, which skips a remembered subtree that closed nothing and
+replays one that closed cycles; the node counts are those of all four, with
+the memo consulted at every slack-zero child in both search modes. Closing
+one way can move the witness of other graphs, to the first cycle of the same
+length read the canonical way round, but moves none pinned here. Regenerate
+the file only for a change that lowers node counts, after checking that no
+other field moved.
 """
 
 from __future__ import annotations

@@ -93,11 +93,16 @@ MUTANTS = {
     ),
     "dead-state-after-floor-rise": Mutant(
         "a child entered after a sibling raised floor, and so cut unsearched, is"
-        " remembered as dead (HRaYpQw); the one-node filter, which also stops"
-        " that, goes too",
-        ((CYCLES, "if self.floor != floor:\n                continue",
-          "if self.floor != floor and self.closes != closes:\n                continue"),
-         (CYCLES, "if roomy and self.nodes - nodes > 1 and", "if roomy and")),
+        " remembered as closing nothing (HRaYpQw)",
+        ((CYCLES, "if self.floor == floor and self.best == best and",
+          "if self.best == best and"),),
+        ("tests/test_cycles.py",),
+    ),
+    "memo-after-best-change": Mutant(
+        "a truncated search's child whose close became the new best at the same"
+        " floor is remembered with a slice of the cleared kept set (FCpv_)",
+        ((CYCLES, "if self.floor == floor and self.best == best and",
+          "if self.floor == floor and"),),
         ("tests/test_cycles.py",),
     ),
 }

@@ -66,7 +66,7 @@ def test_budget_error_carries_lower_bound():
 
 def test_kept_cycles_count_against_the_budget():
     # a replayed subtree keeps cycles without node expansions, so the budget
-    # bounds the kept set itself: K9's 20,160 Hamiltonian cycles take 4,607 nodes
+    # bounds the kept set itself: K9's 20,160 Hamiltonian cycles take 3,139 nodes
     g = complete_graph(9)
     assert len(enumerate_longest_cycles(g, budget=20_160)) == 20_160
     with pytest.raises(BudgetExceededError, match="20159 kept cycles") as info:
@@ -225,7 +225,7 @@ def test_dead_state_memo_moves_only_node_counts(monkeypatch):
 
 @pytest.mark.parametrize("g6", ["Hahg^hL", "H?]~OTU"])
 def test_dead_state_memo_is_kept_per_anchor(g6):
-    # the memos are kept per anchor and path[1] and cleared at each depth-2
+    # the memo is kept per anchor and path[1] and cleared at each depth-2
     # node; these non-Hamiltonian graphs' later anchors meet a (kept set, head)
     # state that an earlier anchor left dead and that closes into the later one
     g = graph_from_graph6(g6)
@@ -237,10 +237,10 @@ def test_dead_state_memo_on_the_dominant_babai_circulant(monkeypatch):
     # C24(±1, ±3, ±10, 12) is circulants[6] of the babai-circulants benchmark
     # corpus and most of its enumeration nodes: dead ends met and subtrees
     # closed again while its Hamiltonian cycles are collected (396,123 nodes
-    # without the memos, 75,321 before closed subtrees were replayed)
+    # without the memo, 75,321 before closed subtrees were replayed)
     g = circulant(24, {1, 3, 10, 12, 14, 21, 23})
     got = search_facts(g, "5000")
-    assert got["nodes"] <= 39_766
+    assert got["nodes"] <= 32_271
     monkeypatch.setattr(cycles, "DEAD_STATE_CAP", 0)
     plain = search_facts(g, "5000")
     del got["nodes"], plain["nodes"]
@@ -264,32 +264,34 @@ def memo_test_graphs(draw, max_n: int = 9):
     return g
 
 
-# A child entered after an earlier sibling's close raised floor is cut for
-# length, not searched, so its state must not be remembered as dead. Doing so
-# moved the witness in length mode (HRaYpQw), dropped the second kept cycle
-# and cleared truncated with limit 2 (H`fiSSa), and dropped one of three
-# longest cycles with limit 7 (HPrZ@|@), with the memo on every slack-zero
-# child. The memo is also run that way here because few children on these
-# small graphs keep DEAD_STATE_MIN_KEPT vertices. Cap 0 also turns off the
-# replay of subtrees that closed cycles, which the collecting modes check,
+# A slack-zero child's state is remembered only if its search left floor and
+# best where they stood. A child entered after an earlier sibling's close
+# raised floor is cut for length, not searched, so its state must not be
+# remembered as closing nothing. Doing so moved the witness in length mode
+# (HRaYpQw), dropped the second kept cycle and cleared truncated with limit 2
+# (H`fiSSa), and dropped one of three longest cycles with limit 7 (HPrZ@|@).
+# In a truncated search a child can close a cycle of length floor that
+# becomes the new best at the same floor and clears the kept set; remembering
+# its slice then breaks the kept set with limit 2 (FCpv_, Jw|T|OxSAa?). Cap 0
+# turns the memo off, both the skipped subtrees that closed nothing and the
+# replayed ones that closed cycles, which the collecting modes check,
 # complete and under limits that truncate.
 @settings(max_examples=300, deadline=None)
 @given(memo_test_graphs())
 @example(graph_from_graph6("HRaYpQw"))
 @example(graph_from_graph6("H`fiSSa"))
 @example(graph_from_graph6("HPrZ@|@"))
+@example(graph_from_graph6("FCpv_"))
+@example(graph_from_graph6("Jw|T|OxSAa?"))
 def test_dead_state_memo_matches_the_search_without_it(g):
     for mode in ("length", "1", "2", "7", "none"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cycles, "DEAD_STATE_CAP", 0)
             plain = search_facts(g, mode)
         nodes = plain.pop("nodes")
-        for min_kept in (cycles.DEAD_STATE_MIN_KEPT, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cycles, "DEAD_STATE_MIN_KEPT", min_kept)
-                got = search_facts(g, mode)
-            assert got.pop("nodes") <= nodes, (mode, min_kept)
-            assert got == plain, (mode, min_kept)
+        got = search_facts(g, mode)
+        assert got.pop("nodes") <= nodes, mode
+        assert got == plain, mode
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,7 +345,7 @@ def test_petersen_length_is_proved_from_the_walk_floor():
     assert cycle.is_valid(g) and cycle.length == 9
     # no 10-cycle closes from floor 10, in fewer nodes than the 50 from floor 1
     search = cycles._length_search(g, DEFAULT_BUDGET)
-    assert (search.best, search.floor, search.best_witness, search.closes) == (9, 10, None, 0)
+    assert (search.best, search.floor, search.best_witness) == (9, 10, None)
     assert search.nodes <= 46
     assert cycles._Search(g, DEFAULT_BUDGET).run().nodes == 50
 

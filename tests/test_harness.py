@@ -706,6 +706,14 @@ def test_cli_gen_rejects_bad_generator_input(tmp_path, capsys, generator, group)
     (["gen", "random", "--n", "5", "--p", "1.5"], "p must lie in [0, 1]"),
     *[(["verify", "--suite", "all", "--corpus", f"pairwise{n}"], f"max_n must be at least 6, got {n}")
       for n in range(6)],
+    (["verify", "--suite", "all", "--corpus", "exhaustive"],
+     "corpus 'exhaustive' needs a maximum vertex count, as in exhaustive7"),
+    (["verify", "--suite", "all", "--corpus", "pairwise"],
+     "corpus 'pairwise' needs a maximum vertex count, as in pairwise7"),
+    (["verify", "--suite", "babai", "--corpus", "vt:count=abc"],
+     "corpus parameter count must be an integer, got 'abc'"),
+    (["verify", "--suite", "babai", "--corpus", "circulants:max_n=1.5"],
+     "corpus parameter max_n must be an integer, got '1.5'"),
 ])
 def test_cli_bad_corpus_or_generator_input_is_a_usage_error(capsys, args, names):
     assert main(args) == 3
