@@ -70,9 +70,6 @@ class Graph:
             for v in iter_bits(self._rows[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1

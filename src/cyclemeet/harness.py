@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from typing import Optional
 
 from .auxgraph import (
     SameSegmentPairError,
@@ -76,6 +76,32 @@ class Outcome:
     witness: Optional[dict] = None
 
 
+class _kept:
+    """A fact computed at most once and kept under ``_<name>``, or its budget error.
+
+    A kept ``BudgetExceededError`` is raised again, the same object, on every
+    read, so the search behind the fact never runs twice.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, facts, owner=None):
+        kept = vars(facts)
+        if self.key not in kept:
+            try:
+                kept[self.key] = self.compute(facts)
+            except BudgetExceededError as err:
+                kept[self.key] = err
+        if isinstance(kept[self.key], BudgetExceededError):
+            raise kept[self.key]
+        return kept[self.key]
+
+
 class InstanceFacts:
     """The facts the checks read about one graph, each computed at most once.
 
@@ -84,13 +110,13 @@ class InstanceFacts:
     when that has already run; otherwise it comes from a length-only search,
     which keeps no cycles and, on every corpus measured, expands no more
     nodes than the enumeration.
-    A search that runs out of budget keeps its error, raised again on every
-    read, so it never runs twice; that holds for the automorphism search
-    behind ``vertex_transitive`` too, which runs only for the checks that
-    read the flag.
+    A search that runs out of budget keeps its error (see ``_kept``), so it
+    never runs twice; that holds for the automorphism search behind
+    ``vertex_transitive`` too, which runs only for the checks that read the
+    flag.
 
     ``corpus_instances`` makes one per instance. A fact that set-up reads
-    (the ``default`` filter reads ``cycles``) is reused by the analysis,
+    (the ``default`` filter reads ``complete``) is reused by the analysis,
     which works on a shallow copy, so what the analysis adds dies with it.
     """
 
@@ -103,58 +129,55 @@ class InstanceFacts:
         return vertex_connectivity(self.g)
 
     @cached_property
-    def _vertex_transitive(self) -> Union[bool, BudgetExceededError]:
-        try:
-            return is_connected(self.g) and is_vertex_transitive(self.g, self.budget)
-        except BudgetExceededError as err:
-            return err
+    def connected(self) -> bool:
+        return is_connected(self.g)
 
-    @cached_property
-    def _cycles(self) -> Union[CycleSet, BudgetExceededError, None]:
-        if is_forest(self.g):
-            return None
-        try:
-            return enumerate_longest_cycles(self.g, limit=ENUMERATION_LIMIT, budget=self.budget)
-        except BudgetExceededError as err:
-            return err
-
-    @cached_property
-    def _length(self) -> Union[int, BudgetExceededError, None]:
-        if "_cycles" in vars(self) or is_forest(self.g):
-            cs = self._cycles  # the enumeration that ran, or None for a forest
-            return cs.length if isinstance(cs, CycleSet) else cs
-        try:
-            return longest_cycle_length(self.g, self.budget)
-        except BudgetExceededError as err:
-            return err
-
-    @property
-    def cycles(self) -> Optional[CycleSet]:
-        """Longest cycles, at most ENUMERATION_LIMIT of them; c(G) is exact either way."""
-        return _unless_exhausted(self._cycles)
-
-    @property
-    def length(self) -> Optional[int]:
-        """c(G), exact; the cycles are enumerated only if something else read them."""
-        return _unless_exhausted(self._length)
-
-    @property
+    @_kept
     def vertex_transitive(self) -> bool:
         """Whether g is connected and vertex-transitive."""
-        return _unless_exhausted(self._vertex_transitive)
+        return self.connected and is_vertex_transitive(self.g, self.budget)
 
+    @_kept
+    def cycles(self) -> Optional[CycleSet]:
+        """Longest cycles, at most ENUMERATION_LIMIT of them; c(G) is exact either way."""
+        if is_forest(self.g):
+            return None
+        return enumerate_longest_cycles(self.g, limit=ENUMERATION_LIMIT, budget=self.budget)
 
-def _unless_exhausted(fact):
-    """The kept fact, or its kept budget error raised again."""
-    if isinstance(fact, BudgetExceededError):
-        raise fact
-    return fact
+    @_kept
+    def length(self) -> Optional[int]:
+        """c(G), exact; the cycles are enumerated only if something else read them."""
+        if "_cycles" in vars(self) or is_forest(self.g):
+            cs = self.cycles  # the enumeration that ran, or None for a forest
+            return None if cs is None else cs.length
+        return longest_cycle_length(self.g, self.budget)
+
+    @cached_property
+    def complete(self) -> Optional[CycleSet]:
+        """The cycle set when it lists every longest cycle, else None.
+
+        None also for a forest and for an enumeration that ran out of budget.
+        """
+        try:
+            cs = self.cycles
+        except BudgetExceededError:
+            return None
+        return None if cs is None or cs.truncated else cs
+
+    @cached_property
+    def m_min(self) -> tuple:
+        """(m, pair): the fewest vertices two longest cycles share, and a pair sharing m.
+
+        Read from a complete set of two or more cycles; (None, None) otherwise.
+        """
+        cs = self.complete
+        return (None, None) if cs is None or len(cs) < 2 else min_pairwise_intersection(cs)
 
 
 def verify_babai(facts: InstanceFacts) -> Outcome:
     """c(G) >= sqrt(3n) for connected vertex-transitive graphs on n >= 3 vertices."""
     g = facts.g
-    if g.n < 3 or not is_connected(g):
+    if g.n < 3 or not facts.connected:
         return Outcome("babai", "skipped", detail="needs a connected graph on >= 3 vertices")
     try:
         if not facts.vertex_transitive:
@@ -177,7 +200,7 @@ def verify_smith(facts: InstanceFacts) -> Outcome:
             return Outcome("smith_k", "inconclusive", detail="enumeration truncated")
     except BudgetExceededError:
         pass  # reported below, once the check applies
-    if g.n < 3 or not is_connected(g):
+    if g.n < 3 or not facts.connected:
         return Outcome("smith_k", "skipped", detail="needs a connected graph")
     k = facts.connectivity
     if k < 2:
@@ -189,7 +212,7 @@ def verify_smith(facts: InstanceFacts) -> Outcome:
     if len(cs) < 2:
         return Outcome("smith_k", "pass", lhs=float(cs.length), rhs=k,
                        detail="single longest cycle, nothing to intersect")
-    m_min, pair = min_pairwise_intersection(cs)
+    m_min, pair = facts.m_min
     if k > 8:
         return Outcome("smith_k", "observed", lhs=m_min, rhs=k,
                        detail="conjecture status for k > 8, reported without assertion")
@@ -296,116 +319,76 @@ class CorpusSpec:
             params.append((key.strip(), value.strip()))
         return CorpusSpec(kind=kind.strip() or "default", params=tuple(params), seed=seed)
 
-    def param(self, key: str, default: str) -> str:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
 
-    def int_param(self, key: str, default: int) -> int:
-        value = self.param(key, str(default))
-        try:
-            return int(value)
-        except ValueError:
-            raise ValueError(f"corpus parameter {key} must be an integer, got {value!r}") from None
+def _random_corpus(seed: int, count: int, max_n: int) -> list[Graph]:
+    if max_n < 5:  # the smallest graph drawn has 5 vertices
+        raise ValueError(f"max_n must be at least 5, got {max_n}")
+    return random_connected_graphs(count=count, seed=seed or 3, n_choices=range(5, max_n + 1),
+                                   p_choices=(0.2, 0.3, 0.5))
 
-    def max_n(self) -> int:
-        """N of an exhaustiveN or pairwiseN kind."""
-        digits = self.kind[len(self.kind.rstrip("0123456789")):]
-        if not digits:
-            raise ValueError(
-                f"corpus {self.kind!r} needs a maximum vertex count, as in {self.kind}7")
-        return int(digits)
+
+# one row per corpus kind: the parameters it takes, with their defaults; whether
+# its name carries N, as in exhaustive7, passed on as max_n; and its builder,
+# called with the seed and the parameters. The builders look their callees up
+# when called, so a tracer that rebinds a corpus function sees every call
+_CORPORA = {
+    "default": ({}, False, lambda seed: (
+        pairwise_corpus(max_n=12, seed=seed or 11, random_count=10)
+        + vertex_transitive_corpus(count=40, seed=seed or 7, max_n=16))),
+    "smoke": ({}, False,
+              lambda seed: pairwise_corpus(max_n=10, seed=seed or 11, random_count=4)[:12]),
+    "exhaustive": ({}, True, lambda seed, max_n: load_connected_corpus(max_n=max_n)),
+    "pairwise": ({"random_count": 30}, True,
+                 lambda seed, **params: pairwise_corpus(seed=seed or 11, **params)),
+    "vt": ({"count": 200, "max_n": 32}, False,
+           lambda seed, **params: vertex_transitive_corpus(seed=seed or 7, **params)),
+    "circulants": ({"count": 50, "max_n": 24}, False,
+                   lambda seed, **params: random_circulants(seed=seed or 7, **params)),
+    "random": ({"count": 50, "max_n": 12}, False, _random_corpus),
+}
 
 
 def corpus_instances(spec: CorpusSpec) -> list[tuple[str, InstanceFacts]]:
     """Materialize the corpus as (id, facts) pairs; ids embed the graph6 form.
 
-    Each instance gets one ``InstanceFacts`` under ``spec.budget``. The
-    ``default`` corpus keeps only graphs whose longest-cycle set is complete,
-    so its facts arrive with that set already enumerated.
+    Each parameter is checked in spec order: a key the kind does not take, a
+    repeated key, a value that is not an integer, a count below 0. Then
+    comes the kind's N, then the build. Each instance gets one
+    ``InstanceFacts`` under ``spec.budget``. The ``default`` corpus keeps
+    only graphs whose longest-cycle set is complete, so its facts arrive
+    with that set already enumerated.
     """
-    _check_params(spec)
     kind = spec.kind
-    if kind == "default":
-        graphs = pairwise_corpus(max_n=12, seed=spec.seed or 11, random_count=10)
-        graphs += vertex_transitive_corpus(count=40, seed=spec.seed or 7, max_n=16)
-    elif kind == "smoke":
-        graphs = pairwise_corpus(max_n=10, seed=spec.seed or 11, random_count=4)[:12]
-    elif kind.startswith("exhaustive"):
-        graphs = load_connected_corpus(max_n=spec.max_n())
-    elif kind.startswith("pairwise"):
-        graphs = pairwise_corpus(
-            max_n=spec.max_n(),
-            seed=spec.seed or 11,
-            random_count=spec.int_param("random_count", 30),
-        )
-    elif kind == "vt":
-        graphs = vertex_transitive_corpus(
-            count=spec.int_param("count", 200),
-            seed=spec.seed or 7,
-            max_n=spec.int_param("max_n", 32),
-        )
-    elif kind == "circulants":
-        graphs = random_circulants(
-            count=spec.int_param("count", 50),
-            seed=spec.seed or 7,
-            max_n=spec.int_param("max_n", 24),
-        )
-    elif kind == "random":
-        max_n = spec.int_param("max_n", 12)
-        if max_n < 5:
-            raise ValueError(f"max_n must be at least 5, got {max_n}")
-        graphs = random_connected_graphs(
-            count=spec.int_param("count", 50),
-            seed=spec.seed or 3,
-            n_choices=range(5, max_n + 1),
-            p_choices=(0.2, 0.3, 0.5),
-        )
-    else:
+    stem = kind.rstrip("0123456789")
+    if stem not in _CORPORA:
         raise ValueError(f"unknown corpus kind {kind!r}")
-    facts = (InstanceFacts(g, spec.budget) for g in graphs)
-    if kind == "default":
-        facts = filter(_enumerable, facts)  # a dropped graph's facts are freed at once
-    return [(f"{kind}[{idx}]:{graph_to_graph6(f.g)}", f) for idx, f in enumerate(facts)]
-
-
-# the parameters each corpus kind reads; exhaustiveN and pairwiseN go by their stem
-_CORPUS_PARAMS = {
-    "default": (), "smoke": (), "exhaustive": (), "pairwise": ("random_count",),
-    "vt": ("count", "max_n"), "circulants": ("count", "max_n"), "random": ("count", "max_n"),
-}
-
-
-def _check_params(spec: CorpusSpec) -> None:
-    """Reject a parameter the kind does not read, a repeated one, and a negative count."""
-    accepted = _CORPUS_PARAMS.get(spec.kind.rstrip("0123456789"))
-    if accepted is None:
-        raise ValueError(f"unknown corpus kind {spec.kind!r}")
-    seen = set()
+    defaults, sized, build = _CORPORA[stem]
+    given: dict[str, int] = {}
     for key, value in spec.params:
-        if key not in accepted:
-            takes = ", ".join(accepted) or "none"
-            raise ValueError(f"corpus {spec.kind!r} has no parameter {key!r} (it takes: {takes})")
-        if key in seen:
+        if key not in defaults:
+            takes = ", ".join(defaults) or "none"
+            raise ValueError(f"corpus {kind!r} has no parameter {key!r} (it takes: {takes})")
+        if key in given:
             raise ValueError(f"corpus parameter {key!r} is given twice")
-        seen.add(key)
-        if key in ("count", "random_count") and spec.int_param(key, 0) < 0:
+        try:
+            given[key] = int(value)
+        except ValueError:
+            raise ValueError(f"corpus parameter {key} must be an integer, got {value!r}") from None
+        if key != "max_n" and given[key] < 0:
             raise ValueError(f"corpus parameter {key} must be at least 0, got {value}")
-
-
-def _enumerable(facts: InstanceFacts) -> bool:
-    """Whether the graph has a cycle and its longest cycles were all enumerated.
-
-    Deterministic given the spec, so filtered corpora stay reproducible;
-    cycle-saturated dense graphs would otherwise leave every pairwise check
-    inconclusive.
-    """
-    try:
-        cs = facts.cycles
-    except BudgetExceededError:
-        return False
-    return cs is not None and not cs.truncated
+    if sized and stem == kind:
+        raise ValueError(f"corpus {kind!r} needs a maximum vertex count, as in {kind}7")
+    if sized:
+        given["max_n"] = int(kind[len(stem):])
+    elif stem != kind:
+        raise ValueError(f"unknown corpus kind {kind!r}")
+    facts = (InstanceFacts(g, spec.budget) for g in build(spec.seed, **{**defaults, **given}))
+    if kind == "default":
+        # deterministic given the spec, so the filtered corpus stays reproducible;
+        # cycle-saturated dense graphs would leave every pair check inconclusive.
+        # A dropped graph's facts are freed at once
+        facts = (f for f in facts if f.complete is not None)
+    return [(f"{kind}[{idx}]:{graph_to_graph6(f.g)}", f) for idx, f in enumerate(facts)]
 
 
 def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
@@ -433,7 +416,6 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     connectivity = facts.connectivity if g.n >= 2 else None
     cycle_length = cycle_count = cs = None
     truncated = None if suite == "babai" else False
-    m_min = None
     try:
         if suite == "babai":
             cycle_length = facts.length
@@ -442,16 +424,15 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     except BudgetExceededError as err:
         if suite != "babai":  # verify_babai carries the kept error where it applies
             outcomes.append(Outcome("enumeration", "inconclusive", detail=str(err)))
-    if cs is not None:
+    complete = None
+    if cs is not None:  # never under babai, so that suite enumerates nothing
         cycle_length, cycle_count, truncated = cs.length, len(cs), cs.truncated
-
-    separator_size = separator_bound = None
-    m_pair = m_rep = None
-    if cs is not None and len(cs) >= 2 and not truncated:
-        m_min, m_pair = min_pairwise_intersection(cs)
+        complete = facts.complete
+    m_min, m_pair = facts.m_min if complete is not None else (None, None)
+    separator_size = separator_bound = m_rep = None
+    if m_pair is not None:
         m_rep = xy_separator(g, *m_pair)
-        separator_size = len(m_rep.cut)
-        separator_bound = m_rep.bound
+        separator_size, separator_bound = len(m_rep.cut), m_rep.bound
 
     def want(name: str) -> bool:
         return suite in ("all", name)
@@ -460,32 +441,33 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         outcomes.append(verify_babai(facts))
     if want("smith"):
         outcomes.append(verify_smith(facts))
-    if want("devos") and cs is not None and not truncated:
-        a = cs.cycles[0].vertex_set()
-        t = m_min if m_min is not None else cs.length
+    if want("devos") and complete is not None:
+        a = complete.cycles[0].vertex_set()
+        t = m_min if m_min is not None else complete.length
         outcomes.append(verify_devos(facts, a, t))
-    if want("thm14") and cs is not None and not truncated:
+    if want("thm14") and complete is not None:
         # the first PAIR_LIMIT pairs with their separators, read by both pairwise
         # scans. A separator depends only on the ordered pair (V(x), V(y)), so
         # each such pair of vertex masks gets one, the m_min pair's seeding the map
         separators = {} if m_pair is None else {
             (mask_of(m_pair[0].vertices), mask_of(m_pair[1].vertices)): m_rep}
         pairs = []
-        for (x, xm), (y, ym) in islice(combinations(zip(cs.cycles, cs.masks), 2), PAIR_LIMIT):
+        for (x, xm), (y, ym) in islice(combinations(zip(complete.cycles, complete.masks), 2),
+                                       PAIR_LIMIT):
             rep = separators.get((xm, ym))
             if rep is None:
                 rep = separators[xm, ym] = xy_separator(g, x, y)
             pairs.append((x, y, rep))
         thm14: list[Outcome] = []
         # a lone longest cycle c is the degenerate pair (c, c): its cut is c itself
-        for x, y, rep in pairs or [(c, c, xy_separator(g, c, c)) for c in cs.cycles]:
+        for x, y, rep in pairs or [(c, c, xy_separator(g, c, c)) for c in complete.cycles]:
             thm14.append(verify_thm14(g, x, y, rep))
             if thm14[-1].status == "fail":
                 break
         stats["thm14_pairs_checked"] = len(thm14)
         outcomes.append(thm14[-1] if thm14[-1].status == "fail" else thm14[0])
         if suite == "all":
-            outcomes.extend(_structural_checks(facts, cs, pairs, stats))
+            outcomes.extend(_structural_checks(facts, complete, pairs, stats))
 
     if degree is not None and connectivity is not None and degree >= 2 and cycle_length is not None:
         # observational ratios for the asymptotic statements (no pass/fail)

@@ -64,6 +64,22 @@ MUTANTS = {
          (HARNESS, "transversal[rep.cut] = is_t_transversal", "transversal[rep.m] = is_t_transversal")),
         ("tests/test_harness.py",),
     ),
+    "kept-error-dropped": Mutant(
+        "a fact's budget error is raised but not kept, so its search runs again on the next read",
+        ((HARNESS, "kept[self.key] = err", "raise"),),
+        ("tests/test_harness.py",),
+    ),
+    "corpus-default-changed": Mutant(
+        "the vt corpus draws 199 graphs by default, not the documented 200",
+        ((HARNESS, '"vt": ({"count": 200, "max_n": 32}', '"vt": ({"count": 199, "max_n": 32}'),),
+        ("tests/test_harness.py",),
+    ),
+    "complete-keeps-truncated": Mutant(
+        "a truncated cycle set counts as complete: the default filter keeps it and the"
+        " pair checks read it",
+        ((HARNESS, "return None if cs is None or cs.truncated else cs", "return cs"),),
+        ("tests/test_harness.py",),
+    ),
     "witness-swapped": Mutant(
         "min_pairwise_intersection returns its witness pair the other way round",
         ((CYCLES, "return best, (cs.cycles[witness[0]], cs.cycles[witness[1]])",

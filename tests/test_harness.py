@@ -113,15 +113,20 @@ def count_calls(monkeypatch, *names):
 
 def test_analyze_instance_computes_each_fact_once(monkeypatch):
     counts = count_calls(
-        monkeypatch, "enumerate_longest_cycles", "vertex_connectivity", "is_vertex_transitive"
+        monkeypatch, "enumerate_longest_cycles", "vertex_connectivity", "is_vertex_transitive",
+        "min_pairwise_intersection", "is_connected",
     )
     report = analyze_instance("petersen", facts(petersen_graph()), CorpusSpec("smoke"), "all")
     assert report.worst_status() == "pass"
     assert report.cycle_length == 9 and report.connectivity == 3 and report.m_min == 8
+    # m_min is read by the report and by smith, connectedness by babai, smith and
+    # the vertex-transitivity flag (2 and 3 calls when each read its own)
     assert counts == {
         "enumerate_longest_cycles": 1,
         "vertex_connectivity": 1,
         "is_vertex_transitive": 1,
+        "min_pairwise_intersection": 1,
+        "is_connected": 1,
     }
 
 
@@ -448,13 +453,26 @@ def test_reports_serialization_deterministic():
 
 def test_corpus_spec_parsing():
     spec = CorpusSpec.parse("circulants:count=5,max_n=12", seed=3)
-    assert spec.kind == "circulants" and spec.param("count", "0") == "5"
+    assert spec.kind == "circulants" and spec.params == (("count", "5"), ("max_n", "12"))
     with pytest.raises(ValueError):
         CorpusSpec.parse("circulants:count")
     with pytest.raises(ValueError):
         from cyclemeet.harness import corpus_instances
 
         corpus_instances(CorpusSpec.parse("nonsense"))
+
+
+@pytest.mark.parametrize("kind, defaults", [
+    ("vt", "count=200,max_n=32"),
+    ("circulants", "count=50,max_n=24"),
+    ("random", "count=50,max_n=12"),
+    ("pairwise12", "random_count=30"),
+])
+def test_corpus_defaults_are_the_documented_ones(kind, defaults):
+    # the README's corpus-spec table gives these defaults
+    bare = harness.corpus_instances(CorpusSpec.parse(kind, seed=4))
+    spelled = harness.corpus_instances(CorpusSpec.parse(f"{kind}:{defaults}", seed=4))
+    assert [i for i, _ in bare] == [i for i, _ in spelled]
 
 
 @pytest.mark.parametrize("corpus, names", [
@@ -714,6 +732,9 @@ def test_cli_gen_rejects_bad_generator_input(tmp_path, capsys, generator, group)
      "corpus parameter count must be an integer, got 'abc'"),
     (["verify", "--suite", "babai", "--corpus", "circulants:max_n=1.5"],
      "corpus parameter max_n must be an integer, got '1.5'"),
+    # parameters are checked in spec order, so the first malformed one is named
+    (["verify", "--suite", "babai", "--corpus", "vt:max_n=xyz,count=abc"],
+     "corpus parameter max_n must be an integer, got 'xyz'"),
 ])
 def test_cli_bad_corpus_or_generator_input_is_a_usage_error(capsys, args, names):
     assert main(args) == 3
