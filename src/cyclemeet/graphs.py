@@ -9,7 +9,10 @@ an allowed-vertex mask instead.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+
+if TYPE_CHECKING:
+    from .transitive import Automorphism
 
 VERTEX_CAP = 128
 
@@ -154,7 +157,7 @@ def is_regular(g: Graph) -> Optional[int]:
     return None
 
 
-def vertex_connectivity(g: Graph) -> int:
+def vertex_connectivity(g: Graph, maps: Optional[Mapping[int, Automorphism]] = None) -> int:
     """Minimum number of vertices whose removal disconnects g or leaves one vertex.
 
     Equals n-1 for complete graphs. Otherwise it follows Esfahanian and
@@ -166,6 +169,16 @@ def vertex_connectivity(g: Graph) -> int:
     least of d, the local connectivity of v to each non-neighbour, and that
     of each non-adjacent pair in N(v). Each local connectivity stops once
     it reaches the best value so far.
+
+    ``maps``, when given, is the orbit of vertex 0 from
+    ``transitive.vertex_orbit_of_zero``: each orbit vertex u with an
+    automorphism sending 0 to u. It is used when 0 is a least-degree
+    vertex, so v = 0. Then maps[w] carries the pair {0, maps[w]⁻¹(0)} to
+    {w, 0}, so the two pairs have one local connectivity and one flow
+    serves both. When the orbit also has more than d vertices, some orbit
+    vertex u lies outside a given minimum cut S, and maps[u]⁻¹ carries S to
+    a minimum cut that misses 0 (Watkins, 1970, for a vertex-transitive
+    graph); so the C(d, 2) neighbour pairs are not needed.
     """
     if g.n < 2:
         raise ValueError("undefined connectivity")
@@ -175,14 +188,35 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     from .flow import local_vertex_connectivity
 
-    v = min(range(g.n), key=g.degree)
+    v = min(range(g.n), key=g.degree)  # the first of least degree: 0 whenever 0 is one
+    d = g.degree(v)
     around = g.row(v)
-    pairs = [(v, w) for w in iter_bits(g.full_mask & ~around & ~(1 << v))]
-    pairs += [(x, y) for x, y in combinations(iter_bits(around), 2) if not g.has_edge(x, y)]
-    best = g.degree(v)
+    far = iter_bits(g.full_mask & ~around & ~(1 << v))
+    if maps is not None and v == 0:
+        far = _one_per_partner(far, maps)
+    pairs = [(v, w) for w in far]
+    if maps is None or v != 0 or len(maps) <= d:
+        pairs += [(x, y) for x, y in combinations(iter_bits(around), 2) if not g.has_edge(x, y)]
+    best = d
     for s, t in pairs:
         best = local_vertex_connectivity(g, s, t, best)
     return best
+
+
+def _one_per_partner(far: Iterable[int], maps: Mapping[int, Automorphism]) -> list[int]:
+    """The non-neighbours w of 0 left once w is dropped where w or its partner was met.
+
+    The partner of an orbit vertex w is maps[w]⁻¹(0), and κ(0, w) equals
+    κ(0, partner); a vertex outside the orbit is its own partner.
+    """
+    kept = []
+    met = 0
+    for w in far:
+        partner = maps[w].preimage(0) if w in maps else w
+        if not (met >> w | met >> partner) & 1:
+            kept.append(w)
+        met |= 1 << w | 1 << partner
+    return kept
 
 
 def is_forest(g: Graph) -> bool:

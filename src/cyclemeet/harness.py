@@ -58,7 +58,7 @@ from .graphs import (
     mask_of,
     vertex_connectivity,
 )
-from .transitive import is_vertex_transitive
+from .transitive import AUTOMORPHISM_CAP, Automorphism, vertex_orbit_of_zero
 
 ENUMERATION_LIMIT = 5000  # longest cycles kept per graph; more leaves the set truncated
 PAIR_LIMIT = 25  # cycle pairs checked per instance by each pairwise check
@@ -111,9 +111,14 @@ class InstanceFacts:
     which keeps no cycles and, on every corpus measured, expands no more
     nodes than the enumeration.
     A search that runs out of budget keeps its error (see ``_kept``), so it
-    never runs twice; that holds for the automorphism search behind
-    ``vertex_transitive`` too, which runs only for the checks that read the
-    flag.
+    never runs twice; that holds for the automorphism searches behind
+    ``orbit`` too. ``orbit`` is the orbit of vertex 0 with one automorphism
+    per orbit vertex; it is searched only for a connected regular graph
+    (``degree``), and only for the checks that read ``vertex_transitive``.
+    ``connectivity`` reads it when one of them already has, so the report
+    reads κ after the checks: then ``vertex_connectivity`` drops the C(d, 2)
+    neighbour-pair flows when the orbit is larger than the degree d, and
+    runs one flow per pair {w, maps[w]⁻¹(0)} of non-neighbours of 0.
 
     ``corpus_instances`` makes one per instance. A fact that set-up reads
     (the ``default`` filter reads ``complete``) is reused by the analysis,
@@ -125,17 +130,45 @@ class InstanceFacts:
         self.budget = budget
 
     @cached_property
-    def connectivity(self) -> int:
-        return vertex_connectivity(self.g)
-
-    @cached_property
     def connected(self) -> bool:
         return is_connected(self.g)
 
+    @cached_property
+    def degree(self) -> Optional[int]:
+        """The common degree when g is regular, else None."""
+        return is_regular(self.g)
+
     @_kept
+    def orbit(self) -> Optional[dict[int, Automorphism]]:
+        """The orbit of vertex 0, each orbit vertex u with an automorphism sending 0 to u.
+
+        Searched only for a connected regular graph, the only kind that can be
+        vertex-transitive; None for any other. Above ``AUTOMORPHISM_CAP``
+        vertices no search runs, and the fact is inconclusive, as an exhausted
+        search's is.
+        """
+        if not self.connected or self.degree is None:
+            return None
+        if self.g.n > AUTOMORPHISM_CAP:
+            raise BudgetExceededError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
+        return vertex_orbit_of_zero(self.g, self.budget)
+
+    @property
     def vertex_transitive(self) -> bool:
-        """Whether g is connected and vertex-transitive."""
-        return self.connected and is_vertex_transitive(self.g, self.budget)
+        """Whether g is connected and vertex-transitive: its orbit of 0 is every vertex."""
+        orbit = self.orbit
+        return orbit is not None and len(orbit) == self.g.n
+
+    @cached_property
+    def connectivity(self) -> int:
+        """κ(G), by ``vertex_connectivity``'s orbit rule when a check already searched the orbit.
+
+        It never starts the orbit search itself, and an orbit search that ran
+        out of budget, or a graph past the cap, leaves the plain
+        Esfahanian–Hakimi flows.
+        """
+        orbit = vars(self).get("_orbit")
+        return vertex_connectivity(self.g, orbit if isinstance(orbit, dict) else None)
 
     @_kept
     def cycles(self) -> Optional[CycleSet]:
@@ -412,8 +445,7 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     outcomes: list[Outcome] = []
     observations: dict = {}
     stats: dict = {}
-    degree = is_regular(g)
-    connectivity = facts.connectivity if g.n >= 2 else None
+    degree = facts.degree
     cycle_length = cycle_count = cs = None
     truncated = None if suite == "babai" else False
     try:
@@ -469,6 +501,8 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         if suite == "all":
             outcomes.extend(_structural_checks(facts, complete, pairs, stats))
 
+    # read after the checks, so that κ uses the orbit of 0 where one of them searched it
+    connectivity = facts.connectivity if g.n >= 2 else None
     if degree is not None and connectivity is not None and degree >= 2 and cycle_length is not None:
         # observational ratios for the asymptotic statements (no pass/fail)
         if m_min is not None and connectivity >= 1:

@@ -11,7 +11,9 @@ Otherwise it branches on the lowest vertex of g's first non-singleton cell,
 individualized against each vertex of h's matching cell in ascending order;
 at a discrete partition one row image per vertex checks the map. A search
 expands at most ``budget`` nodes and then raises ``BudgetExceededError``, as
-the cycle search does. Vertex-transitivity is decided up to 64 vertices.
+the cycle search does. The orbit of vertex 0 comes with one automorphism
+per orbit vertex, which ``graphs.vertex_connectivity`` can use; whether a
+graph is vertex-transitive is read off it, for up to 64 vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, is_regular, iter_bits
 
 AUTOMORPHISM_CAP = 64
 
@@ -36,6 +38,10 @@ class Automorphism:
 
     def inverse(self) -> "Automorphism":
         return Automorphism(_invert_perm(self.perm))
+
+    def preimage(self, v: int) -> int:
+        """The vertex this map sends to v."""
+        return self.perm.index(v)
 
 
 def _refine_jointly(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
@@ -131,40 +137,46 @@ def automorphism_mapping(g: Graph, a: int, b: int,
     return _search(g, g, cells_g, cells_h, budget)
 
 
-def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
-    """Orbit of vertex 0 under the automorphism group."""
+def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, Automorphism]:
+    """The orbit of vertex 0 under the automorphism group, as u -> an automorphism sending 0 to u.
+
+    One ``automorphism_mapping`` search runs for each vertex not yet in the
+    orbit; each map found and its inverse become generators. The orbit is
+    closed under them as a Schreier tree: a vertex reached as gen(w) keeps
+    gen composed with w's map. ``budget`` is per search, and a graph above
+    ``AUTOMORPHISM_CAP`` vertices is refused with ``ValueError``.
+    """
+    if g.n > AUTOMORPHISM_CAP:
+        raise ValueError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
     if g.n == 0:
-        return frozenset()
-    orbit = {0}
+        return {}
+    maps = {0: Automorphism(tuple(range(g.n)))}
     gens: list[Automorphism] = []
     for v in range(1, g.n):
-        if v in orbit:
+        if v in maps:
             continue
         auto = automorphism_mapping(g, 0, v, budget)
         if auto is None:
             continue
         gens += (auto, auto.inverse())
+        maps[v] = auto
         # close the orbit under all generators found so far
-        frontier = list(orbit | {v})
-        orbit.add(v)
+        frontier = list(maps)
         while frontier:
             w = frontier.pop()
             for gen in gens:
                 img = gen(w)
-                if img not in orbit:
-                    orbit.add(img)
+                if img not in maps:
+                    maps[img] = Automorphism(_compose_perm(gen.perm, maps[w].perm))
                     frontier.append(img)
-    return frozenset(orbit)
+    return maps
 
 
 def is_vertex_transitive(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the automorphism group has a single vertex orbit; ``budget`` is per search."""
-    if g.n > AUTOMORPHISM_CAP:
-        raise ValueError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
     if g.n <= 1:
         return True
-    d = g.degree(0)
-    if any(g.degree(v) != d for v in range(1, g.n)):
+    if is_regular(g) is None:
         return False
     return len(vertex_orbit_of_zero(g, budget)) == g.n
 
@@ -274,7 +286,8 @@ def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
 
 
 def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i]] for i in range(len(p)))
+    """p after q: i -> p[q[i]]."""
+    return tuple(map(p.__getitem__, q))
 
 
 def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:

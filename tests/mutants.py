@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HARNESS = "src/cyclemeet/harness.py"
 CYCLES = "src/cyclemeet/cycles.py"
 TRANSITIVE = "src/cyclemeet/transitive.py"
+GRAPHS = "src/cyclemeet/graphs.py"
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,24 @@ MUTANTS = {
         "a branch individualizes only the first vertex of h's cell",
         ((TRANSITIVE, "for w in iter_bits(cell_h):", "for w in list(iter_bits(cell_h))[:1]:"),),
         ("tests/test_transitive.py",),
+    ),
+    "orbit-size-guard-dropped": Mutant(
+        "κ drops the neighbour pairs whenever it has the orbit of 0, even one no larger"
+        " than the degree, which a minimum cut may hold whole (FFzvO)",
+        ((GRAPHS, "if maps is None or v != 0 or len(maps) <= d:", "if maps is None or v != 0:"),),
+        ("tests/test_graphs.py", "tests/test_harness.py"),
+    ),
+    "orbit-partner-wrong": Mutant(
+        "κ pairs a non-neighbour w with maps[w](w), not maps[w]⁻¹(0)",
+        ((GRAPHS, "partner = maps[w].preimage(0) if w in maps else w",
+          "partner = maps[w](w) if w in maps else w"),),
+        ("tests/test_graphs.py", "tests/test_harness.py"),
+    ),
+    "kappa-before-orbit": Mutant(
+        "the report reads κ before the checks, so κ never finds the orbit of 0 searched",
+        ((HARNESS, "    degree = facts.degree\n",
+          "    degree = facts.degree\n    facts.connectivity if g.n >= 2 else None\n"),),
+        ("tests/test_harness.py",),
     ),
     "dead-state-after-floor-rise": Mutant(
         "a child entered after a sibling raised floor, and so cut unsearched, is"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclemeet.corpus import load_connected_corpus
+from cyclemeet.corpus import load_connected_corpus, vertex_transitive_corpus
 from cyclemeet.graphs import (
     Graph,
     complete_graph,
@@ -16,6 +16,8 @@ from cyclemeet.graphs import (
     vertex_connectivity,
     wheel_graph,
 )
+
+from cyclemeet.transitive import circulant, vertex_orbit_of_zero
 
 from hosts import path_graph
 from oracles import vertex_connectivity_by_subsets
@@ -102,9 +104,57 @@ def test_vertex_connectivity_matches_subset_oracle_up_to_seven_vertices():
     checked = 0
     for g in load_connected_corpus(max_n=7):
         if g.n >= 2:
-            assert vertex_connectivity(g) == vertex_connectivity_by_subsets(g), graph_to_graph6(g)
+            kappa = vertex_connectivity_by_subsets(g)
+            assert vertex_connectivity(g) == kappa, graph_to_graph6(g)
+            # with the orbit of 0, on every graph, vertex-transitive or not
+            assert vertex_connectivity(g, vertex_orbit_of_zero(g)) == kappa, graph_to_graph6(g)
             checked += 1
     assert checked == 995
+
+
+def test_orbit_rule_keeps_the_neighbour_pairs_of_a_small_orbit():
+    # 4-regular with κ = 3, and 0's orbit {0, 1, 2} is no larger than its degree:
+    # every minimum cut may hold the whole orbit, so the neighbour pairs stay
+    g = graph_from_graph6("FFzvO")
+    maps = vertex_orbit_of_zero(g)
+    assert is_regular(g) == 4 and sorted(maps) == [0, 1, 2]
+    assert vertex_connectivity(g, maps) == vertex_connectivity_by_subsets(g) == 3
+
+
+def _as_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(list(g.edges()))
+    h.add_nodes_from(range(g.n))
+    return h
+
+
+def test_vertex_connectivity_with_the_orbit_matches_networkx_on_the_vt_corpus():
+    nx = pytest.importorskip("networkx")
+    graphs = vertex_transitive_corpus()
+    assert len(graphs) == 200
+    for g in graphs:
+        assert vertex_connectivity(g, vertex_orbit_of_zero(g)) == nx.node_connectivity(
+            _as_networkx(g)), graph_to_graph6(g)
+
+
+@st.composite
+def circulants_maybe_less_an_edge(draw):
+    """A circulant on 5..24 vertices with 1..4 steps, half of the time less one edge."""
+    n = draw(st.integers(5, 24))
+    steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    edges = sorted(circulant(n, steps | {n - s for s in steps}).edges())
+    if draw(st.booleans()):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circulants_maybe_less_an_edge())
+def test_vertex_connectivity_with_the_orbit_matches_networkx_on_circulants(g):
+    nx = pytest.importorskip("networkx")
+    kappa = nx.node_connectivity(_as_networkx(g))
+    assert vertex_connectivity(g, vertex_orbit_of_zero(g)) == kappa
+    assert vertex_connectivity(g) == kappa
 
 
 def test_vertex_connectivity_runs_few_local_flows(monkeypatch):
@@ -126,6 +176,12 @@ def test_vertex_connectivity_runs_few_local_flows(monkeypatch):
         assert vertex_connectivity(g) == kappa
         d = min(g.degree(v) for v in range(g.n))
         assert 0 < len(calls) <= (g.n - 1 - d) + d * (d - 1) // 2
+    # with Petersen's orbit of 0 (all 10 vertices, more than its degree 3) no
+    # neighbour pair is needed, and its 6 non-neighbours pair off into 2 flows
+    calls.clear()
+    g = petersen_graph()
+    assert vertex_connectivity(g, vertex_orbit_of_zero(g)) == 3
+    assert len(calls) == 2 and all(s == 0 for _, s, *_ in calls)
 
 
 def test_vertex_connectivity_at_most_min_degree():

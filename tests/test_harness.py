@@ -25,6 +25,7 @@ from cyclemeet.graphs import (
     graph_from_graph6,
     graph_to_graph6,
     petersen_graph,
+    vertex_connectivity,
     wheel_graph,
 )
 from cyclemeet.flow import max_disjoint_paths, xy_separator
@@ -113,20 +114,22 @@ def count_calls(monkeypatch, *names):
 
 def test_analyze_instance_computes_each_fact_once(monkeypatch):
     counts = count_calls(
-        monkeypatch, "enumerate_longest_cycles", "vertex_connectivity", "is_vertex_transitive",
-        "min_pairwise_intersection", "is_connected",
+        monkeypatch, "enumerate_longest_cycles", "vertex_connectivity", "vertex_orbit_of_zero",
+        "min_pairwise_intersection", "is_connected", "is_regular",
     )
     report = analyze_instance("petersen", facts(petersen_graph()), CorpusSpec("smoke"), "all")
     assert report.worst_status() == "pass"
     assert report.cycle_length == 9 and report.connectivity == 3 and report.m_min == 8
     # m_min is read by the report and by smith, connectedness by babai, smith and
-    # the vertex-transitivity flag (2 and 3 calls when each read its own)
+    # the orbit (2 and 3 calls when each read its own); the orbit by the
+    # vertex-transitivity flag and κ, regularity by the report and the orbit
     assert counts == {
         "enumerate_longest_cycles": 1,
         "vertex_connectivity": 1,
-        "is_vertex_transitive": 1,
+        "vertex_orbit_of_zero": 1,
         "min_pairwise_intersection": 1,
         "is_connected": 1,
+        "is_regular": 1,
     }
 
 
@@ -144,7 +147,7 @@ def test_exhausted_enumeration_runs_once(monkeypatch):
 
 
 def test_exhausted_automorphism_search_is_inconclusive_and_runs_once(monkeypatch):
-    counts = count_calls(monkeypatch, "is_vertex_transitive", "longest_cycle_length",
+    counts = count_calls(monkeypatch, "vertex_orbit_of_zero", "longest_cycle_length",
                          "enumerate_longest_cycles")
     facts = InstanceFacts(petersen_graph(), 3)  # each automorphism search takes 4 nodes
     babai = verify_babai(facts)
@@ -152,9 +155,71 @@ def test_exhausted_automorphism_search_is_inconclusive_and_runs_once(monkeypatch
     message = "search budget of 3 node expansions exceeded"
     assert (babai.status, babai.detail) == ("inconclusive", message)
     assert (devos.status, devos.detail) == ("inconclusive", message)
+    # κ takes the plain flows past the kept error, and searches nothing again
+    assert facts.connectivity == 3
     # the kept error is raised again; no cycle search ran behind it
-    assert counts == {"is_vertex_transitive": 1, "longest_cycle_length": 0,
+    assert counts == {"vertex_orbit_of_zero": 1, "longest_cycle_length": 0,
                       "enumerate_longest_cycles": 0}
+
+
+def test_a_graph_above_the_automorphism_cap_is_inconclusive_without_a_search(monkeypatch):
+    counts = count_calls(monkeypatch, "vertex_orbit_of_zero", "vertex_connectivity")
+    facts = InstanceFacts(cycle_graph(70), DEFAULT_BUDGET)
+    message = f"automorphism search capped at {harness.AUTOMORPHISM_CAP} vertices"
+    assert facts.g.n > harness.AUTOMORPHISM_CAP
+    babai = verify_babai(facts)
+    devos = verify_devos(facts, frozenset(range(70)), 1)
+    assert (babai.status, babai.detail) == ("inconclusive", message)
+    assert (devos.status, devos.detail) == ("inconclusive", message)
+    assert facts.connectivity == 2
+    assert counts == {"vertex_orbit_of_zero": 0, "vertex_connectivity": 1}
+    # a graph past the cap that is not regular is not vertex-transitive: babai skips it
+    assert verify_babai(InstanceFacts(path_graph(70), DEFAULT_BUDGET)).status == "skipped"
+
+
+def count_searches(monkeypatch):
+    """Count the local flows and the automorphism searches, wherever they are called from."""
+    from cyclemeet import transitive
+
+    counts = {"flows": 0, "automorphism searches": 0}
+    for module, name, key in ((flow, "local_vertex_connectivity", "flows"),
+                              (transitive, "automorphism_mapping", "automorphism searches")):
+        def wrapper(*args, _key=key, _original=getattr(module, name), **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+# κ reads the orbit of 0 where the suite's checks searched it (babai, devos,
+# all), after them, and no suite searches it for κ alone: smith and thm14 run
+# the plain flows. Without the orbit, every row below would run the plain
+# flows: 732 on the circulants, 501 on vt and 471 on default
+@pytest.mark.parametrize("corpus, seed, suite, flows, searches", [
+    ("circulants:count=50,max_n=24", 5, "babai", 204, 82),
+    ("circulants:count=50,max_n=24", 5, "all", 204, 82),
+    ("vt:count=60,max_n=16", 1, "all", 171, 144),
+    ("vt:count=60,max_n=16", 1, "devos", 277, 134),
+    ("vt:count=60,max_n=16", 1, "smith", 501, 0),
+    ("vt:count=60,max_n=16", 1, "thm14", 501, 0),
+    ("default", 42, "all", 276, 137),
+    ("default", 42, "smith", 471, 0),
+])
+def test_flow_and_automorphism_search_counts_are_pinned(monkeypatch, corpus, seed, suite, flows,
+                                                        searches):
+    counts = count_searches(monkeypatch)
+    reports = run_corpus(CorpusSpec.parse(corpus, seed=seed), suite)
+    assert all(r.worst_status() != "fail" for r in reports)
+    assert counts == {"flows": flows, "automorphism searches": searches}
+
+
+@pytest.mark.parametrize("suite, flows", [("babai", 2), ("all", 2), ("smith", 9)])
+def test_petersen_flow_count_is_pinned(monkeypatch, suite, flows):
+    counts = count_searches(monkeypatch)
+    report = analyze_instance("petersen", facts(petersen_graph()), None, suite)
+    assert report.connectivity == 3
+    assert counts["flows"] == flows
 
 
 def test_exhausted_length_search_runs_once(monkeypatch):
@@ -786,6 +851,30 @@ def test_cli_budget_error_leaving_a_command_exits_two(tmp_path, capsys, monkeypa
     assert main(["certify", "--in", str(path), "--x", "0,1,2,3,4", "--y", "0,1,2,3,4"]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert "budget" in json.loads(line)["error"]
+
+
+@pytest.mark.parametrize("suite", ["babai", "all"])
+def test_cli_verify_past_the_automorphism_cap_is_inconclusive(tmp_path, suite):
+    # 16 of these circulants have more than 64 vertices; the run used to stop at
+    # the first of them with a usage error. The small budget keeps one
+    # non-Hamiltonian-looking circulant's length search short
+    out = tmp_path / "report.json"
+    code = main(["verify", "--suite", suite, "--corpus", "circulants:count=40,max_n=100",
+                 "--seed", "3", "--budget", "2000", "--out", str(out)])
+    assert code == 2
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["total"] == 40 and payload["summary"]["failed"] == 0
+    large = [r for r in payload["instances"] if r["n"] > harness.AUTOMORPHISM_CAP]
+    assert len(large) == 16
+    message = "automorphism search capped at 64 vertices"
+    for r in large:
+        outcomes = {o["name"]: o for o in r["outcomes"]}
+        assert (outcomes["babai"]["status"], outcomes["babai"]["detail"]) == (
+            "inconclusive", message)
+        if "devos" in outcomes:
+            assert outcomes["devos"]["detail"] == message
+        g = graph_from_graph6(r["instance_id"].split(":", 1)[1])
+        assert r["connectivity"] == vertex_connectivity(g)
 
 
 def test_cli_verify_exit_codes(tmp_path):

@@ -128,6 +128,10 @@ def test_is_vertex_transitive_cases():
         assert is_vertex_transitive(g)
     with pytest.raises(ValueError, match="capped"):
         is_vertex_transitive(cycle_graph(70))
+    with pytest.raises(ValueError, match="capped"):
+        vertex_orbit_of_zero(cycle_graph(70))
+    # a graph that is not regular needs no search, whatever its size
+    assert not is_vertex_transitive(path_graph(70))
 
 
 @st.composite
@@ -161,21 +165,27 @@ def _orbit_by_graph_matcher(g: Graph) -> set[int]:
     return {v for v in range(g.n) if GraphMatcher(zero, marked(v), same_mark).is_isomorphic()}
 
 
+def _check_orbit(g: Graph, orbit: set[int]) -> None:
+    """The orbit map names exactly the given orbit, each vertex u with an automorphism 0 -> u."""
+    maps = vertex_orbit_of_zero(g)
+    assert set(maps) == orbit, graph_to_graph6(g)
+    for u, auto in maps.items():
+        assert auto(0) == u and auto.preimage(u) == 0, graph_to_graph6(g)
+        assert is_automorphism(g, auto.perm), graph_to_graph6(g)
+    assert is_vertex_transitive(g) == (len(orbit) == g.n), graph_to_graph6(g)
+
+
 @settings(max_examples=100, deadline=None)
 @given(circulants_maybe_less_an_edge())
 def test_orbit_and_transitivity_match_networkx_graph_matcher(g):
-    orbit = _orbit_by_graph_matcher(g)
-    assert vertex_orbit_of_zero(g) == orbit
-    assert is_vertex_transitive(g) == (len(orbit) == g.n)
+    _check_orbit(g, _orbit_by_graph_matcher(g))
 
 
 def test_orbit_matches_graph_matcher_on_every_connected_graph_to_six_vertices():
     graphs = load_connected_corpus(max_n=6)
     assert len(graphs) == 143  # 1 + 1 + 2 + 6 + 21 + 112
     for g in graphs:
-        orbit = _orbit_by_graph_matcher(g)
-        assert vertex_orbit_of_zero(g) == orbit, graph_to_graph6(g)
-        assert is_vertex_transitive(g) == (len(orbit) == g.n), graph_to_graph6(g)
+        _check_orbit(g, _orbit_by_graph_matcher(g))
 
 
 @st.composite
