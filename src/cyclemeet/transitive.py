@@ -7,22 +7,25 @@ jointly: a cell splits by its vertices' neighbour counts in a queued
 splitter cell, ``(row & splitter).bit_count()``, into new cells ordered by
 count, all but the largest queued in turn. Cell i of g maps only onto cell i
 of h, so a node fails as soon as the two sides' counts or cell sizes differ.
-Otherwise it branches on the lowest vertex of g's first non-singleton cell,
-individualized against each vertex of h's matching cell in ascending order;
-at a discrete partition one row image per vertex checks the map. A search
-expands at most ``budget`` nodes and then raises ``BudgetExceededError``, as
-the cycle search does. The orbit of vertex 0 comes with one automorphism
-per orbit vertex, which ``graphs.vertex_connectivity`` can use; whether a
-graph is vertex-transitive is read off it, for up to 64 vertices.
+Otherwise it branches on the lowest vertex u of g's first non-singleton
+cell, individualized against each vertex of h's matching cell in cyclic
+order from just above u, so that the first automorphism found tends to be
+translation-like rather than an involution through u; at a discrete
+partition one row image per vertex checks the map. A search expands at most
+``budget`` nodes and then raises ``BudgetExceededError``, as the cycle
+search does. The orbit of vertex 0 comes with one automorphism per orbit
+vertex, which ``graphs.vertex_connectivity`` can use; whether a graph is
+vertex-transitive is read off it, for up to 64 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError
-from .graphs import Graph, is_regular, iter_bits
+from .graphs import Graph, check_vertex_set, is_regular, iter_bits
 
 AUTOMORPHISM_CAP = 64
 
@@ -86,8 +89,17 @@ def _split(rows: Sequence[int], cell: int, split: int, near: int) -> dict[int, i
 
 
 def _search(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
-            budget: int) -> Optional[Automorphism]:
-    """A map g -> h sending cell i of g onto cell i of h, or None; complete."""
+            queue: list[tuple[int, int]], budget: int) -> Optional[Automorphism]:
+    """A map g -> h sending cell i of g onto cell i of h, or None; complete.
+
+    The root is refined by the splitter pairs in ``queue``. A branch on u
+    tries h's candidates in cyclic order from just above u: those above u
+    ascending, then the rest. An automorphism search then tends to find a
+    translation-like map first, whose cycle through 0 is long, rather than
+    an involution such as a circulant's reflection x -> v - x. On a
+    complete graph the search 0 -> 1 finds x -> x + 1 (mod n), not the
+    transposition (0 1).
+    """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
     nodes = 0
@@ -110,7 +122,8 @@ def _search(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
             return Automorphism(tuple(perm))
         cell_g, cell_h = cells_g[at], cells_h[at]
         u = cell_g & -cell_g
-        for w in iter_bits(cell_h):
+        above = cell_h & -(u << 1)
+        for w in chain(iter_bits(above), iter_bits(cell_h ^ above)):
             w = 1 << w
             found = node(cells_g[:at] + [u, cell_g ^ u] + cells_g[at + 1:],
                          cells_h[:at] + [w, cell_h ^ w] + cells_h[at + 1:], [(u, w)])
@@ -118,7 +131,7 @@ def _search(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
                 return found
         return None
 
-    return node(cells_g, cells_h, list(zip(cells_g, cells_h)))
+    return node(cells_g, cells_h, queue)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[Automorphism]:
@@ -126,15 +139,25 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Automorphism]:
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
     cells = [g.full_mask] if g.n else []
-    return _search(g, h, cells, list(cells), DEFAULT_BUDGET)
+    return _search(g, h, cells, list(cells), list(zip(cells, cells)), DEFAULT_BUDGET)
 
 
 def automorphism_mapping(g: Graph, a: int, b: int,
                          budget: int = DEFAULT_BUDGET) -> Optional[Automorphism]:
-    """An automorphism of g sending a to b, or None."""
+    """An automorphism of g sending a to b, or None.
+
+    The root partition is ({a}, rest) against ({b}, rest). For a regular g
+    only the singletons split it: the unit partition is equitable, so a
+    vertex's count into the rest is d minus its count into the singleton
+    (McKay, 1981), and the rest as a splitter would repeat that split.
+    """
+    check_vertex_set(g, (a, b))
     cells_g = [c for c in (1 << a, g.full_mask ^ 1 << a) if c]
     cells_h = [c for c in (1 << b, g.full_mask ^ 1 << b) if c]
-    return _search(g, g, cells_g, cells_h, budget)
+    queue = list(zip(cells_g, cells_h))
+    if is_regular(g) is not None:
+        queue = queue[:1]
+    return _search(g, g, cells_g, cells_h, queue, budget)
 
 
 def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, Automorphism]:

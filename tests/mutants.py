@@ -105,8 +105,23 @@ MUTANTS = {
     ),
     "h-side-first-vertex": Mutant(
         "a branch individualizes only the first vertex of h's cell",
-        ((TRANSITIVE, "for w in iter_bits(cell_h):", "for w in list(iter_bits(cell_h))[:1]:"),),
+        ((TRANSITIVE, "for w in chain(iter_bits(above), iter_bits(cell_h ^ above)):",
+          "for w in list(chain(iter_bits(above), iter_bits(cell_h ^ above)))[:1]:"),),
         ("tests/test_transitive.py",),
+    ),
+    "candidate-order-ascending": Mutant(
+        "a branch tries h's candidates in ascending order, so the first map found is"
+        " often an involution through 0 and the orbit takes more searches",
+        ((TRANSITIVE, "for w in chain(iter_bits(above), iter_bits(cell_h ^ above)):",
+          "for w in iter_bits(cell_h):"),),
+        ("tests/test_transitive.py", "tests/test_harness.py"),
+    ),
+    "root-queue-every-cell": Mutant(
+        "a regular graph's root is refined by the rest cell too, repeating the"
+        " singletons' split",
+        ((TRANSITIVE, "        queue = queue[:1]\n", ""),
+         (TRANSITIVE, "    if is_regular(g) is not None:\n", "")),
+        ("tests/test_transitive.py", "tests/test_harness.py"),
     ),
     "orbit-size-guard-dropped": Mutant(
         "κ drops the neighbour pairs whenever it has the orbit of 0, even one no larger"

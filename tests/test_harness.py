@@ -149,10 +149,10 @@ def test_exhausted_enumeration_runs_once(monkeypatch):
 def test_exhausted_automorphism_search_is_inconclusive_and_runs_once(monkeypatch):
     counts = count_calls(monkeypatch, "vertex_orbit_of_zero", "longest_cycle_length",
                          "enumerate_longest_cycles")
-    facts = InstanceFacts(petersen_graph(), 3)  # each automorphism search takes 4 nodes
+    facts = InstanceFacts(petersen_graph(), 2)  # each automorphism search takes 3 nodes
     babai = verify_babai(facts)
     devos = verify_devos(facts, frozenset(range(10)), 1)
-    message = "search budget of 3 node expansions exceeded"
+    message = "search budget of 2 node expansions exceeded"
     assert (babai.status, babai.detail) == ("inconclusive", message)
     assert (devos.status, devos.detail) == ("inconclusive", message)
     # κ takes the plain flows past the kept error, and searches nothing again
@@ -197,13 +197,13 @@ def count_searches(monkeypatch):
 # the plain flows. Without the orbit, every row below would run the plain
 # flows: 732 on the circulants, 501 on vt and 471 on default
 @pytest.mark.parametrize("corpus, seed, suite, flows, searches", [
-    ("circulants:count=50,max_n=24", 5, "babai", 204, 82),
-    ("circulants:count=50,max_n=24", 5, "all", 204, 82),
-    ("vt:count=60,max_n=16", 1, "all", 171, 144),
-    ("vt:count=60,max_n=16", 1, "devos", 277, 134),
+    ("circulants:count=50,max_n=24", 5, "babai", 203, 50),
+    ("circulants:count=50,max_n=24", 5, "all", 203, 50),
+    ("vt:count=60,max_n=16", 1, "all", 163, 78),
+    ("vt:count=60,max_n=16", 1, "devos", 270, 70),
     ("vt:count=60,max_n=16", 1, "smith", 501, 0),
     ("vt:count=60,max_n=16", 1, "thm14", 501, 0),
-    ("default", 42, "all", 276, 137),
+    ("default", 42, "all", 268, 73),
     ("default", 42, "smith", 471, 0),
 ])
 def test_flow_and_automorphism_search_counts_are_pinned(monkeypatch, corpus, seed, suite, flows,

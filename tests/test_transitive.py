@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -134,6 +135,47 @@ def test_is_vertex_transitive_cases():
     assert not is_vertex_transitive(path_graph(70))
 
 
+def _connected_circulants(max_n: int):
+    """Every connected circulant on 3..max_n vertices, one per connection set."""
+    for n in range(3, max_n + 1):
+        half = range(1, n // 2 + 1)
+        for size in range(1, len(half) + 1):
+            for steps in itertools.combinations(half, size):
+                if math.gcd(n, *steps) == 1:
+                    yield circulant(n, set(steps) | {n - s for s in steps})
+
+
+def test_one_automorphism_search_finds_the_orbit_of_a_circulant_or_complete_graph(monkeypatch):
+    # h's candidates are tried from just above u, so the first map found is
+    # translation-like and its cycle through 0 is the whole vertex set; in
+    # ascending order it would be an involution through 0 (1,116 searches on
+    # these circulants, n - 1 on K_n)
+    from cyclemeet import transitive
+
+    calls = []
+    original = transitive.automorphism_mapping
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transitive, "automorphism_mapping", counted)
+    graphs = [*_connected_circulants(16), *map(complete_graph, range(3, 12))]
+    assert len(graphs) == 701 + 9
+    for g in graphs:
+        calls.clear()
+        assert sorted(vertex_orbit_of_zero(g)) == list(range(g.n)), graph_to_graph6(g)
+        assert len(calls) == 1, graph_to_graph6(g)
+
+
+def test_automorphism_mapping_rejects_a_vertex_out_of_range():
+    g = petersen_graph()
+    with pytest.raises(ValueError, match="vertex 10 not in graph of order 10"):
+        automorphism_mapping(g, 0, 10)
+    with pytest.raises(ValueError, match="vertex -1 not in graph of order 10"):
+        automorphism_mapping(g, -1, 0)
+
+
 @st.composite
 def circulants_maybe_less_an_edge(draw):
     """A circulant on 5..12 vertices with 1..3 steps, half of the time less one edge."""
@@ -249,16 +291,27 @@ def test_find_isomorphism_matches_networkx_is_isomorphic(pair):
 
 def test_automorphism_search_honours_its_node_budget():
     g = petersen_graph()
-    message = "search budget of 3 node expansions exceeded"
+    message = "search budget of 2 node expansions exceeded"
     with pytest.raises(BudgetExceededError, match=message):
-        automorphism_mapping(g, 0, 1, budget=3)
+        automorphism_mapping(g, 0, 1, budget=2)
     with pytest.raises(BudgetExceededError, match=message):
-        is_vertex_transitive(g, budget=3)
-    # 4 nodes each: the root, then three individualizations to a discrete partition
-    assert automorphism_mapping(g, 0, 1, budget=4) is not None
-    assert is_vertex_transitive(g, budget=4)
+        is_vertex_transitive(g, budget=2)
+    # 3 nodes each: the root, then two individualizations to a discrete partition
+    assert automorphism_mapping(g, 0, 1, budget=3) is not None
+    assert is_vertex_transitive(g, budget=3)
     with pytest.raises(ValueError, match="at least 1"):
         automorphism_mapping(g, 0, 1, budget=0)
+
+
+def test_refinement_counts_neighbours_in_the_splitter():
+    # a 4-cycle 0-3-1-4 with a pendant vertex 2 at 4, rooted at 0 against 0
+    # or 1: the rest cell splits by how many neighbours 1, 2, 3, 4 have in it
+    # (2, 1, 1, 2), the singleton splits both parts, and the root is
+    # discrete; counting each neighbour as one splits nothing by the rest
+    # cell, and the search must branch
+    g = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 0), (4, 2)])
+    assert automorphism_mapping(g, 0, 0, budget=1).perm == (0, 1, 2, 3, 4)
+    assert automorphism_mapping(g, 0, 1, budget=1).perm == (1, 0, 2, 3, 4)
 
 
 def test_automorphism_validity_and_sampling():
