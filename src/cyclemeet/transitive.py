@@ -1,21 +1,22 @@
 """Vertex-transitive graph generation and automorphism search.
 
-Isomorphisms and automorphisms come from one individualization-refinement
-search (McKay, "Practical graph isomorphism", 1981) on adjacency bitmasks. g
-and h each keep an ordered list of cells (vertex bitmasks) and are refined
-jointly: a cell splits by its vertices' neighbour counts in a queued
-splitter cell, ``(row & splitter).bit_count()``, into new cells ordered by
-count, all but the largest queued in turn. Cell i of g maps only onto cell i
-of h, so a node fails as soon as the two sides' counts or cell sizes differ.
-Otherwise it branches on the lowest vertex u of g's first non-singleton
-cell, individualized against each vertex of h's matching cell in cyclic
-order from just above u, so that the first automorphism found tends to be
-translation-like rather than an involution through u; at a discrete
-partition one row image per vertex checks the map. A search expands at most
-``budget`` nodes and then raises ``BudgetExceededError``, as the cycle
-search does. The orbit of vertex 0 comes with one automorphism per orbit
-vertex, which ``graphs.vertex_connectivity`` can use; whether a graph is
-vertex-transitive is read off it, for up to 64 vertices.
+Automorphisms come from one individualization-refinement search (McKay,
+"Practical graph isomorphism", 1981) on adjacency bitmasks. The search keeps
+two ordered partitions of one graph g into cells (vertex bitmasks), a left
+and a right one, and refines them jointly: a cell splits by its vertices'
+neighbour counts in a queued splitter cell, ``(row & splitter).bit_count()``,
+into new cells ordered by count, all but the largest queued in turn. Left
+cell i maps only onto right cell i, so a node fails as soon as the two
+sides' counts or cell sizes differ. Otherwise it branches on the lowest
+vertex u of the first non-singleton left cell, individualized against each
+vertex of the matching right cell in cyclic order from just above u, so that
+the first automorphism found tends to be translation-like rather than an
+involution through u; at a discrete partition one row image per vertex
+checks the map. A search expands at most ``budget`` nodes and then raises
+``BudgetExceededError``, as the cycle search does. The orbit of vertex 0
+comes with one automorphism per orbit vertex, which
+``graphs.vertex_connectivity`` can use; whether a graph is vertex-transitive
+is read off it, for up to 64 vertices.
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ class Automorphism:
         return self.perm.index(v)
 
 
-def _refine_jointly(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
+def _refine_jointly(g: Graph, cells_g: list[int], cells_h: list[int],
                     queue: list[tuple[int, int]]) -> bool:
-    """Split both cell lists in place to equitable ones; False once the sides differ."""
+    """Split two partitions of g in place to equitable ones; False once they differ.
+
+    ``cells_g`` and ``cells_h`` are the left and right partitions, and each
+    queued pair is a left splitter cell with its right counterpart.
+    """
     while queue:
         split_g, split_h = queue.pop()
-        near_g, near_h = g.neighbors_of_mask(split_g), h.neighbors_of_mask(split_h)
+        near_g, near_h = g.neighbors_of_mask(split_g), g.neighbors_of_mask(split_h)
         at = 0
         while at < len(cells_g):
             cell_g, cell_h = cells_g[at], cells_h[at]
@@ -60,7 +65,7 @@ def _refine_jointly(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
             if not cell_g & (cell_g - 1) or not (cell_g & near_g or cell_h & near_h):
                 continue  # a singleton, or no neighbour in the splitter on either side
             parts_g = _split(g._rows, cell_g, split_g, near_g)
-            parts_h = _split(h._rows, cell_h, split_h, near_h)
+            parts_h = _split(g._rows, cell_h, split_h, near_h)
             counts = sorted(parts_g)
             if counts != sorted(parts_h) or any(
                 parts_g[k].bit_count() != parts_h[k].bit_count() for k in counts
@@ -88,13 +93,14 @@ def _split(rows: Sequence[int], cell: int, split: int, near: int) -> dict[int, i
     return parts
 
 
-def _search(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
+def _search(g: Graph, cells_g: list[int], cells_h: list[int],
             queue: list[tuple[int, int]], budget: int) -> Optional[Automorphism]:
-    """A map g -> h sending cell i of g onto cell i of h, or None; complete.
+    """An automorphism of g sending left cell i onto right cell i, or None; complete.
 
-    The root is refined by the splitter pairs in ``queue``. A branch on u
-    tries h's candidates in cyclic order from just above u: those above u
-    ascending, then the rest. An automorphism search then tends to find a
+    ``cells_g`` and ``cells_h`` are two partitions of g, and the root is
+    refined by the splitter pairs in ``queue``. A branch on u tries the
+    right cell's candidates in cyclic order from just above u: those above
+    u ascending, then the rest. The search then tends to find a
     translation-like map first, whose cycle through 0 is long, rather than
     an involution such as a circulant's reflection x -> v - x. On a
     complete graph the search 0 -> 1 finds x -> x + 1 (mod n), not the
@@ -109,7 +115,7 @@ def _search(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"search budget of {budget} node expansions exceeded")
-        if not _refine_jointly(g, h, cells_g, cells_h, queue):
+        if not _refine_jointly(g, cells_g, cells_h, queue):
             return None
         at = next((i for i, cell in enumerate(cells_g) if cell & (cell - 1)), None)
         if at is None:
@@ -117,7 +123,7 @@ def _search(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
             for a, b in zip(cells_g, cells_h):
                 perm[a.bit_length() - 1] = b.bit_length() - 1
             for u, row in enumerate(g._rows):
-                if sum(1 << perm[v] for v in iter_bits(row)) != h._rows[perm[u]]:
+                if sum(1 << perm[v] for v in iter_bits(row)) != g._rows[perm[u]]:
                     return None
             return Automorphism(tuple(perm))
         cell_g, cell_h = cells_g[at], cells_h[at]
@@ -132,14 +138,6 @@ def _search(g: Graph, h: Graph, cells_g: list[int], cells_h: list[int],
         return None
 
     return node(cells_g, cells_h, queue)
-
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[Automorphism]:
-    """An isomorphism g -> h as a vertex map, or None."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return None
-    cells = [g.full_mask] if g.n else []
-    return _search(g, h, cells, list(cells), list(zip(cells, cells)), DEFAULT_BUDGET)
 
 
 def automorphism_mapping(g: Graph, a: int, b: int,
@@ -157,7 +155,7 @@ def automorphism_mapping(g: Graph, a: int, b: int,
     queue = list(zip(cells_g, cells_h))
     if is_regular(g) is not None:
         queue = queue[:1]
-    return _search(g, g, cells_g, cells_h, queue, budget)
+    return _search(g, cells_g, cells_h, queue, budget)
 
 
 def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, Automorphism]:

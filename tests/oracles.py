@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from cyclemeet.cycles import canonical_cycle
 from cyclemeet.graphs import Graph, iter_bits, mask_of
 
@@ -105,3 +107,11 @@ def is_automorphism(g: Graph, perm) -> bool:
         for u in range(g.n)
         for v in range(u + 1, g.n)
     )
+
+
+def as_networkx(g: Graph):
+    """g as a networkx graph on the same vertices; skips the test without networkx."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(list(g.edges()))
+    h.add_nodes_from(range(g.n))
+    return h

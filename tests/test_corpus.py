@@ -1,10 +1,9 @@
 import collections
+import itertools
+
+import pytest
 
 from cyclemeet.corpus import (
-    ALL_GRAPH_COUNTS,
-    CONNECTED_GRAPH_COUNTS,
-    all_graphs_exactly,
-    generate_connected_corpus,
     is_biconnected,
     load_connected_corpus,
     random_circulants,
@@ -14,29 +13,47 @@ from cyclemeet.graphs import cycle_graph, graph_to_graph6, is_connected
 from cyclemeet.transitive import is_vertex_transitive
 
 from hosts import menger_instances, nine_vertex_sample, path_graph
+from oracles import as_networkx
+
+# connected graphs on n vertices up to isomorphism, n = 1..8 (OEIS A001349)
+CONNECTED_GRAPH_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 
 
-def test_census_matches_known_counts_through_six():
-    level = None
-    for n in range(1, 7):
-        level = all_graphs_exactly(n, parents=level)
-        assert len(level) == ALL_GRAPH_COUNTS[n - 1]
+@pytest.fixture(scope="module")
+def stored_by_order():
+    """The shipped corpus, read once, as n -> its graphs on n vertices."""
+    by_n = collections.defaultdict(list)
+    for g in load_connected_corpus(8):
+        by_n[g.n].append(g)
+    return by_n
 
 
-def test_stored_corpus_counts_and_content():
-    graphs = load_connected_corpus(8)
-    by_n = collections.Counter(g.n for g in graphs)
-    assert [by_n[n] for n in range(1, 9)] == CONNECTED_GRAPH_COUNTS
-    assert all(is_connected(g) for g in graphs[:500])
-    # no duplicate graph6 lines
-    lines = [graph_to_graph6(g) for g in graphs]
-    assert len(lines) == len(set(lines))
+def test_stored_corpus_counts_and_content(stored_by_order):
+    # a smaller max_n keeps the file's prefix of graphs on at most max_n vertices
+    for max_n in range(1, 9):
+        graphs = load_connected_corpus(max_n)
+        assert len(graphs) == sum(CONNECTED_GRAPH_COUNTS[:max_n])
+        assert graphs == [g for n in range(1, max_n + 1) for g in stored_by_order[n]]
+    with pytest.raises(ValueError, match="n <= 8"):
+        load_connected_corpus(9)
 
 
-def test_stored_corpus_agrees_with_regeneration_small():
-    regenerated = {graph_to_graph6(g) for g in generate_connected_corpus(6)}
-    stored = {graph_to_graph6(g) for g in load_connected_corpus(6)}
-    assert regenerated == stored
+# networkx warns that its hashes of unlabelled graphs changed in v3.5; the
+# hash only buckets the graphs here, and VF2 decides inside each bucket
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stored_corpus_is_every_connected_graph_once(n, stored_by_order):
+    nx = pytest.importorskip("networkx")
+    graphs = stored_by_order[n]
+    assert len(graphs) == CONNECTED_GRAPH_COUNTS[n - 1]
+    buckets = collections.defaultdict(list)
+    for g in graphs:
+        h = as_networkx(g)
+        assert nx.is_connected(h), graph_to_graph6(g)
+        buckets[g.edge_count, nx.weisfeiler_lehman_graph_hash(h)].append((g, h))
+    for bucket in buckets.values():
+        for (a, a_nx), (b, b_nx) in itertools.combinations(bucket, 2):
+            assert not nx.is_isomorphic(a_nx, b_nx), (graph_to_graph6(a), graph_to_graph6(b))
 
 
 def test_biconnectivity_predicate():

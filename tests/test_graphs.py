@@ -20,7 +20,7 @@ from cyclemeet.graphs import (
 from cyclemeet.transitive import circulant, vertex_orbit_of_zero
 
 from hosts import path_graph
-from oracles import vertex_connectivity_by_subsets
+from oracles import as_networkx, vertex_connectivity_by_subsets
 
 
 def test_construction_rejects_bad_edges():
@@ -121,20 +121,13 @@ def test_orbit_rule_keeps_the_neighbour_pairs_of_a_small_orbit():
     assert vertex_connectivity(g, maps) == vertex_connectivity_by_subsets(g) == 3
 
 
-def _as_networkx(g):
-    nx = pytest.importorskip("networkx")
-    h = nx.Graph(list(g.edges()))
-    h.add_nodes_from(range(g.n))
-    return h
-
-
 def test_vertex_connectivity_with_the_orbit_matches_networkx_on_the_vt_corpus():
     nx = pytest.importorskip("networkx")
     graphs = vertex_transitive_corpus()
     assert len(graphs) == 200
     for g in graphs:
         assert vertex_connectivity(g, vertex_orbit_of_zero(g)) == nx.node_connectivity(
-            _as_networkx(g)), graph_to_graph6(g)
+            as_networkx(g)), graph_to_graph6(g)
 
 
 @st.composite
@@ -152,7 +145,7 @@ def circulants_maybe_less_an_edge(draw):
 @given(circulants_maybe_less_an_edge())
 def test_vertex_connectivity_with_the_orbit_matches_networkx_on_circulants(g):
     nx = pytest.importorskip("networkx")
-    kappa = nx.node_connectivity(_as_networkx(g))
+    kappa = nx.node_connectivity(as_networkx(g))
     assert vertex_connectivity(g, vertex_orbit_of_zero(g)) == kappa
     assert vertex_connectivity(g) == kappa
 

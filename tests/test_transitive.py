@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemeet.corpus import cayley_zoo, load_connected_corpus, random_circulants
@@ -17,6 +17,7 @@ from cyclemeet.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    graph_from_graph6,
     graph_to_graph6,
     is_connected,
     is_regular,
@@ -29,14 +30,13 @@ from cyclemeet.transitive import (
     cayley,
     circulant,
     elementary_abelian_cube,
-    find_isomorphism,
     is_vertex_transitive,
     symmetric_transpositions,
     vertex_orbit_of_zero,
 )
 
 from hosts import path_graph
-from oracles import is_automorphism
+from oracles import as_networkx, is_automorphism
 
 
 def test_circulant_examples():
@@ -79,13 +79,15 @@ def test_group_order_below_one_is_rejected_by_every_constructor():
 def test_cayley_s3_transpositions_is_k33_like():
     g = cayley(symmetric_transpositions(3))
     assert g.n == 6 and is_regular(g) == 3
-    assert find_isomorphism(g, complete_bipartite(3, 3)) is not None
+    nx = pytest.importorskip("networkx")
+    assert nx.is_isomorphic(as_networkx(g), as_networkx(complete_bipartite(3, 3)))
 
 
 def test_cayley_cube():
     g = cayley(elementary_abelian_cube())
     assert g.n == 8 and is_regular(g) == 3
-    assert find_isomorphism(g, prism_graph(4)) is not None
+    nx = pytest.importorskip("networkx")
+    assert nx.is_isomorphic(as_networkx(g), as_networkx(prism_graph(4)))
 
 
 def test_cayley_perm_parse_and_inverse_closure():
@@ -194,8 +196,7 @@ def _orbit_by_graph_matcher(g: Graph) -> set[int]:
     from networkx.algorithms.isomorphism import GraphMatcher
 
     def marked(v):
-        h = nx.Graph(list(g.edges()))
-        h.add_nodes_from(range(g.n))
+        h = as_networkx(g)
         nx.set_node_attributes(h, {u: u == v for u in range(g.n)}, "mark")
         return h
 
@@ -231,16 +232,18 @@ def test_orbit_matches_graph_matcher_on_every_connected_graph_to_six_vertices():
 
 
 @st.composite
-def relabelled_pairs(draw):
-    """(g, h): h is g relabelled, and half of the time has one edge moved too.
+def relabelled_unions(draw):
+    """g + h on 2n vertices: h is g relabelled, and half of the time has one edge moved too.
 
-    g is a random graph, a circulant (half of the time less one edge), or a
-    cycle with a random perfect matching added. The last two are near-regular,
-    so refinement alone rarely tells a moved edge or a wrong branch apart; a
-    matching usually leaves g with few automorphisms, so the search must
-    backtrack to find h's relabelling.
+    g has n <= 8 vertices and is a random graph, a circulant (half of the
+    time less one edge), or a cycle with a random perfect matching added,
+    and h is laid on vertices n..2n-1. The last two are near-regular, so
+    refinement alone rarely tells g's side from h's or a wrong branch from
+    a right one; a matching usually leaves g with few automorphisms, so the
+    search must backtrack to map 0 into h. The orbit of 0 meets h iff h is
+    g relabelled.
     """
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["random", "circulant", "matching"])) if n >= 6 else "random"
     if kind == "circulant":
         steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
@@ -263,30 +266,33 @@ def relabelled_pairs(draw):
         if moved and absent:
             moved.pop(draw(st.integers(0, len(moved) - 1)))
             moved.append(draw(st.sampled_from(absent)))
-    return Graph(n, edges), Graph(n, moved)
+    return Graph(2 * n, edges + [(n + u, n + v) for u, v in moved])
 
 
-# A triangle and a square, with the labels of the two swapped: refinement
-# leaves all 2-regular vertices in one cell, and mapping 0 onto h's first
-# vertex of that cell, a square vertex, fails, so h's others must be tried.
 @settings(max_examples=200, deadline=None)
-@given(relabelled_pairs())
-@example((Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
-          Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])))
-def test_find_isomorphism_matches_networkx_is_isomorphic(pair):
-    nx = pytest.importorskip("networkx")
-    g, h = pair
+@given(relabelled_unions())
+def test_orbit_of_a_graph_and_its_relabelling_matches_graph_matcher(g):
+    _check_orbit(g, _orbit_by_graph_matcher(g))
 
-    def as_nx(graph):
-        out = nx.Graph(list(graph.edges()))
-        out.add_nodes_from(range(graph.n))
-        return out
 
-    iso = find_isomorphism(g, h)
-    assert (iso is not None) == nx.is_isomorphic(as_nx(g), as_nx(h))
-    if iso is not None:
-        assert sorted(iso.perm) == list(range(g.n))
-        assert all(h.has_edge(iso(u), iso(v)) for u, v in g.edges())
+def test_automorphism_mapping_tries_every_candidate():
+    # two triangles and a square: refinement cannot tell a triangle vertex
+    # from a square vertex, so the branch on 3 tries the square vertex 6
+    # first, fails, and must go on to the triangle vertices
+    g = Graph(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                   (6, 7), (7, 8), (8, 9), (6, 9)])
+    auto = automorphism_mapping(g, 0, 3)
+    assert auto is not None and auto(0) == 3
+    assert is_automorphism(g, auto.perm)
+
+
+def test_automorphism_mapping_rejects_a_discrete_partition_whose_map_fails():
+    # no automorphism sends 0 to 2, yet refinement individualizes the two
+    # sides to discrete partitions that agree cell by cell; only the row
+    # image check rejects the map
+    g = graph_from_graph6("G?`ebS")
+    assert 2 not in _orbit_by_graph_matcher(g)
+    assert automorphism_mapping(g, 0, 2) is None
 
 
 def test_automorphism_search_honours_its_node_budget():
@@ -322,26 +328,6 @@ def test_automorphism_validity_and_sampling():
         assert is_automorphism(g, a.perm)
         assert is_automorphism(g, a.inverse().perm)
     assert not is_automorphism(g, [1, 0] + list(range(2, 10)))
-
-
-def test_find_isomorphism_relabels():
-    g = petersen_graph()
-    relabel = [3, 4, 0, 1, 2, 8, 9, 5, 6, 7]
-    from cyclemeet.graphs import Graph
-
-    h = Graph(10, [(relabel[u], relabel[v]) for u, v in g.edges()])
-    iso = find_isomorphism(g, h)
-    assert iso is not None
-    assert all(h.has_edge(iso(u), iso(v)) for u, v in g.edges())
-    assert find_isomorphism(g, cycle_graph(10)) is None
-
-
-def test_find_isomorphism_rejects_a_discrete_partition_whose_map_fails():
-    # same degree sequence, not isomorphic: the joint refinement reaches a
-    # discrete partition on both sides, and only the row-image check rejects it
-    g = Graph(8, [(0, 1), (0, 3), (0, 6), (0, 7), (1, 5), (2, 4), (3, 4), (3, 7), (4, 5)])
-    h = Graph(8, [(0, 3), (1, 4), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (3, 7), (6, 7)])
-    assert find_isomorphism(g, h) is None
 
 
 def test_devos_inequality_on_transversals():
