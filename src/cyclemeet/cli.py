@@ -27,7 +27,7 @@ from .exchange import improve_by_exchange
 from .flow import xy_separator
 from .graphs import Graph, graph_from_graph6, graph_to_graph6
 from .harness import CorpusSpec, json_text, reports_to_json, run_corpus
-from .transitive import GroupPresentation, cayley, circulant
+from .transitive import cayley, circulant, parse_group
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,11 +38,7 @@ EXIT_USAGE = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits 2; usage errors are 3 here
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError(message)
 
 
 def _read_graph(path: str) -> Graph:
@@ -75,12 +71,9 @@ def cmd_gen(args) -> int:
         g = circulant(args.n, conn)
     elif args.generator == "cayley":
         with open(args.file, "r", encoding="utf-8") as handle:
-            gp = GroupPresentation.parse(handle.read())
-        g = cayley(gp)
-    elif args.generator == "random":
-        g = random_graph(args.n, args.p, args.seed)
+            g = cayley(*parse_group(handle.read()))
     else:
-        raise _UsageError(f"unknown generator {args.generator!r}")
+        g = random_graph(args.n, args.p, args.seed)
     print(graph_to_graph6(g))
     return EXIT_PASS
 
@@ -257,9 +250,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,13 +26,7 @@ from .graphs import (
     prism_graph,
     wheel_graph,
 )
-from .transitive import (
-    GroupPresentation,
-    cayley,
-    circulant,
-    elementary_abelian_cube,
-    symmetric_transpositions,
-)
+from .transitive import cayley, circulant, elementary_abelian_cube, symmetric_transpositions
 
 DATA_FILE = "connected_upto8.g6"
 
@@ -129,12 +123,6 @@ def random_circulants(count: int, seed: int, max_n: int = 32) -> list[Graph]:
     return out
 
 
-def dihedral_presentation(n: int) -> GroupPresentation:
-    rotation = tuple((i + 1) % n for i in range(n))
-    reflection = tuple((-i) % n for i in range(n))
-    return GroupPresentation(kind="permutation", order=2 * n, generators=(rotation, reflection))
-
-
 def cayley_zoo() -> list[Graph]:
     """Small named Cayley graphs, all connected and vertex-transitive."""
     out = [
@@ -142,12 +130,11 @@ def cayley_zoo() -> list[Graph]:
         cayley(elementary_abelian_cube()),
         cayley(symmetric_transpositions(4)),
     ]
-    for n in (4, 5, 6, 7, 8):
-        gp = dihedral_presentation(n)
-        rot = gp.generators[0]
-        refl = gp.generators[1]
+    for n in (4, 5, 6, 7, 8):  # the dihedral group of order 2n
+        rot = tuple((i + 1) % n for i in range(n))
         inv_rot = tuple((i - 1) % n for i in range(n))
-        out.append(cayley(gp, connection=[rot, inv_rot, refl]))
+        refl = tuple((-i) % n for i in range(n))
+        out.append(cayley((rot, refl), connection=[rot, inv_rot, refl]))
     return out
 
 

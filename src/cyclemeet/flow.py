@@ -88,7 +88,13 @@ class SeparatorReport:
 
 
 def separator_bound_holds(cut_size: int, m: int) -> bool:
-    """Exact integer test of cut_size <= sqrt(10)*m^1.5 + 1.5*m."""
+    """Exact integer test of cut_size <= sqrt(10)*m^1.5 + 1.5*m, or of cut_size <= 1 for m = 0.
+
+    Disjoint longest cycles only occur across blocks, where one cut vertex
+    separates them; that size-1 cut is the certified ceiling for m = 0.
+    """
+    if m == 0:
+        return cut_size <= 1
     lhs = 2 * cut_size - 3 * m
     return lhs <= 0 or lhs * lhs <= 40 * m**3
 

@@ -48,7 +48,7 @@ from .cycles import (
     min_pairwise_intersection,
 )
 from .exchange import improve_by_four_cycles
-from .flow import SeparatorReport, separator_bound_holds, xy_separator
+from .flow import SeparatorReport, xy_separator
 from .graphs import (
     Graph,
     graph_to_graph6,
@@ -265,20 +265,14 @@ def verify_thm14(g: Graph, x: CycleEmbedding, y: CycleEmbedding,
     """Separator size against sqrt(10)*m^1.5 + 1.5*m for one longest-cycle pair.
 
     ``rep`` is the pair's ``xy_separator`` report, which the caller builds once
-    and shares with the structural checks. Disjoint longest cycles only occur
-    across blocks, where one cut vertex separates them; that size-1 cut is the
-    certified ceiling for m = 0.
+    and shares with the structural checks. For m = 0 the ceiling is one cut
+    vertex (``separator_bound_holds``), while ``rhs`` keeps the formula's value.
     """
-    m = rep.m or 0
-    detail = ""
-    if m == 0:
-        ok = len(rep.cut) <= 1
-        detail = "disjoint cycles lie in different blocks; ceiling is one cut vertex"
-    else:
-        ok = separator_bound_holds(len(rep.cut), m)
+    ok = rep.bound_satisfied
     return Outcome(
         "thm14_bound", "pass" if ok else "fail", lhs=len(rep.cut), rhs=rep.bound,
-        detail=detail,
+        detail=("disjoint cycles lie in different blocks; ceiling is one cut vertex"
+                if rep.m == 0 else ""),
         witness=None if ok else {
             "graph6": graph_to_graph6(g),
             "x": list(x.vertices),

@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError
-from .graphs import Graph, check_vertex_set, is_regular, iter_bits
+from .graphs import VERTEX_CAP, Graph, check_vertex_set, is_regular, iter_bits
 
 AUTOMORPHISM_CAP = 64
 
@@ -221,42 +221,32 @@ def circulant(n: int, connection: Iterable[int]) -> Graph:
     return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    """Cyclic group given by its order, or a permutation group by generators."""
+def parse_group(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Parse a group file into (generators, connection set), both as permutation tuples.
 
-    kind: str  # "cyclic" | "permutation"
-    order: int
-    generators: tuple = ()
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"group order must be at least 1, got {self.order}")
-
-    @staticmethod
-    def parse(text: str) -> "GroupPresentation":
-        """Parse `cyclic n: s1,s2,...` or `perm n: (c y c l e)(...); ...`."""
-        head, _, body = text.strip().partition(":")
-        parts = head.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad group header: {head!r}")
-        kind, n_str = parts[0].lower(), parts[1]
-        n = int(n_str)
-        if kind == "cyclic":
-            gens = tuple(int(tok) for tok in body.replace(",", " ").split())
-            return GroupPresentation(kind="cyclic", order=n, generators=gens)
-        if kind == "perm":
-            if n < 1:
-                raise ValueError(f"permutation degree must be at least 1, got {n}")
-            perms = []
-            for chunk in body.split(";"):
-                chunk = chunk.strip()
-                if chunk:
-                    perms.append(_parse_cycles(chunk, n))
-            elements = _closure(tuple(range(n)), perms)
-            return GroupPresentation(kind="permutation", order=len(elements),
-                                     generators=tuple(perms))
+    ``perm n: (c y c l e)(...); ...`` gives its permutations of 0..n-1 as
+    both. ``cyclic n: s1,s2,...`` is Z_n as its rotation group: the
+    generator x -> x + 1 and the connection set of the rotations
+    x -> x + s_i (mod n), whose Cayley graph is ``circulant(n, S)`` for
+    S = {s1, s2, ...} (see ``cayley``). The degree n must be at least 1.
+    """
+    head, _, body = text.strip().partition(":")
+    parts = head.split()
+    if len(parts) != 2:
+        raise ValueError(f"bad group header: {head!r}")
+    kind, n = parts[0].lower(), int(parts[1])
+    if kind not in ("cyclic", "perm"):
         raise ValueError(f"unknown group kind {kind!r}")
+    if n < 1:
+        raise ValueError(f"group degree must be at least 1, got {n}")
+    if kind == "cyclic":
+        if n > VERTEX_CAP:  # Z_n has n elements; refused before any n-tuple is built
+            raise ValueError(f"group order exceeds cap of {VERTEX_CAP}")
+        steps = [int(tok) for tok in body.replace(",", " ").split()]
+        rotations = tuple(tuple((x + s) % n for x in range(n)) for s in steps)
+        return (tuple((x + 1) % n for x in range(n)),), rotations
+    perms = tuple(_parse_cycles(chunk, n) for chunk in body.split(";") if chunk.strip())
+    return perms, perms
 
 
 def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
@@ -318,10 +308,12 @@ def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-GROUP_ORDER_CAP = 128
-
-
 def _closure(identity: tuple[int, ...], generators: Sequence[tuple[int, ...]]) -> list:
+    """The group the generators make, sorted; ``ValueError`` above ``VERTEX_CAP`` elements.
+
+    A Cayley graph has one vertex per element, so a larger group's graph
+    would exceed the graph cap.
+    """
     elements = {identity}
     frontier = [identity]
     while frontier:
@@ -329,71 +321,56 @@ def _closure(identity: tuple[int, ...], generators: Sequence[tuple[int, ...]]) -
         for gen in generators:
             nxt = _compose_perm(e, gen)
             if nxt not in elements:
-                if len(elements) >= GROUP_ORDER_CAP:
-                    raise ValueError(f"group order exceeds cap of {GROUP_ORDER_CAP}")
+                if len(elements) >= VERTEX_CAP:
+                    raise ValueError(f"group order exceeds cap of {VERTEX_CAP}")
                 elements.add(nxt)
                 frontier.append(nxt)
     return sorted(elements)
 
 
-def cayley(gp: GroupPresentation, connection: Optional[Iterable] = None) -> Graph:
-    """Cayley graph of the group over an inverse-closed, identity-free connection set.
+def cayley(generators: Sequence[Sequence[int]],
+           connection: Optional[Iterable[Sequence[int]]] = None) -> Graph:
+    """Cayley graph of the permutation group the generators make.
 
-    Vertex i is the i-th group element in sorted order; g ~ g*s for every s
-    in the connection. Vertex-transitive by construction (left translations).
+    The connection set (the generators by default) must be non-empty,
+    inverse-closed, identity-free and inside the group. Vertex i is the
+    i-th group element in sorted order; g ~ g*s for every s in the
+    connection. Vertex-transitive by construction (left translations).
+    For Z_n as its rotation group (``parse_group``'s ``cyclic``), the
+    rotation x -> x + k is the only element whose tuple starts with k, so
+    it is vertex k, and its neighbours k*s are the rotations by k + s: the
+    graph is ``circulant(n, S)``.
     """
-    if gp.kind == "cyclic":
-        conn = set(connection) if connection is not None else set(gp.generators)
-        conn = {s % gp.order for s in conn}
-        if 0 in conn:
-            raise ValueError("identity in connection set")
-        if any((gp.order - s) % gp.order not in conn for s in conn):
-            raise ValueError("connection set not inverse-closed")
-        return circulant(gp.order, conn)
-    if gp.kind != "permutation":
-        raise ValueError(f"unknown group kind {gp.kind!r}")
-    gens = tuple(tuple(p) for p in gp.generators)
-    identity = tuple(range(len(gens[0]))) if gens else ()
+    gens = tuple(tuple(p) for p in generators)
     if not gens:
         raise ValueError("permutation group needs generators")
+    conn = set(gens) if connection is None else {tuple(p) for p in connection}
+    if not conn:
+        raise ValueError("empty connection set")
+    identity = tuple(range(len(gens[0])))
     elements = _closure(identity, gens)
-    conn_perms = (
-        [tuple(p) for p in connection] if connection is not None else list(gens)
-    )
-    conn_set = set(conn_perms)
-    if identity in conn_set:
+    if identity in conn:
         raise ValueError("identity in connection set")
-    if any(_invert_perm(s) not in conn_set for s in conn_set):
+    if any(_invert_perm(s) not in conn for s in conn):
         raise ValueError("connection set not inverse-closed")
-    if any(s not in elements for s in conn_set):
+    if any(s not in elements for s in conn):
         raise ValueError("connection element outside the group")
     index = {e: i for i, e in enumerate(elements)}
-    edges = set()
-    for e in elements:
-        for s in conn_set:
-            w = index[_compose_perm(e, s)]
-            v = index[e]
-            if v != w:
-                edges.add((min(v, w), max(v, w)))
-    return Graph(len(elements), sorted(edges))
+    return Graph(len(elements), ((i, index[_compose_perm(e, s)])
+                                 for i, e in enumerate(elements) for s in conn))
 
 
-def symmetric_transpositions(n: int) -> GroupPresentation:
-    """S_n presented by all transpositions (used with itself as connection)."""
+def symmetric_transpositions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every transposition of 0..n-1: generators of S_n, and its connection set as well."""
     gens = []
     for i in range(n):
         for j in range(i + 1, n):
             p = list(range(n))
             p[i], p[j] = p[j], p[i]
             gens.append(tuple(p))
-    order = 1
-    for t in range(2, n + 1):
-        order *= t
-    return GroupPresentation(kind="permutation", order=order, generators=tuple(gens))
+    return tuple(gens)
 
 
-def elementary_abelian_cube() -> GroupPresentation:
-    """Z_2^3 acting on itself; unit vectors as generators gives the 3-cube."""
-    # realize Z_2^3 by permutations of 0..7 via XOR with each unit vector
-    gens = tuple(tuple(v ^ (1 << b) for v in range(8)) for b in range(3))
-    return GroupPresentation(kind="permutation", order=8, generators=gens)
+def elementary_abelian_cube() -> tuple[tuple[int, ...], ...]:
+    """Z_2^3 acting on itself by XOR with each unit vector; as connection set, the 3-cube."""
+    return tuple(tuple(v ^ (1 << b) for v in range(8)) for b in range(3))

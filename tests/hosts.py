@@ -7,6 +7,7 @@ the oracle and Menger acceptance criteria.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from cyclemeet.corpus import random_connected_graphs, random_graph, theta_graph
 from cyclemeet.cycles import CycleEmbedding
@@ -26,6 +27,15 @@ from cyclemeet.transitive import circulant
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def symmetric_connection_sets(max_n: int):
+    """(n, steps) for every n <= max_n and every non-empty connection set of Z_n closed under -s."""
+    for n in range(2, max_n + 1):
+        half = range(1, n // 2 + 1)
+        for size in range(1, len(half) + 1):
+            for picks in combinations(half, size):
+                yield n, sorted({s for p in picks for s in (p, n - p)})
 
 
 def petersen_minus_vertex() -> Graph:

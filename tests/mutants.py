@@ -123,6 +123,19 @@ MUTANTS = {
          (TRANSITIVE, "    if is_regular(g) is not None:\n", "")),
         ("tests/test_transitive.py", "tests/test_harness.py"),
     ),
+    "cyclic-generator-step-two": Mutant(
+        "a cyclic group file's generator is x -> x + 2, which makes only the even"
+        " rotations when n is even",
+        ((TRANSITIVE, "return (tuple((x + 1) % n for x in range(n)),), rotations",
+          "return (tuple((x + 2) % n for x in range(n)),), rotations"),),
+        ("tests/test_transitive.py", "tests/test_harness.py"),
+    ),
+    "empty-connection-accepted": Mutant(
+        "cayley takes an empty connection set and returns an edgeless graph",
+        ((TRANSITIVE, '    if not conn:\n        raise ValueError("empty connection set")\n    identity',
+          "    identity"),),
+        ("tests/test_transitive.py", "tests/test_harness.py"),
+    ),
     "orbit-size-guard-dropped": Mutant(
         "κ drops the neighbour pairs whenever it has the orbit of 0, even one no larger"
         " than the degree, which a minimum cut may hold whole (FFzvO)",

@@ -164,6 +164,9 @@ def test_separator_bound_is_exact_at_edge():
     assert separator_bound_holds(1, 1)  # 1 <= sqrt(10) + 1.5
     assert separator_bound_holds(4, 1)
     assert not separator_bound_holds(5, 1)  # 5 > sqrt(10) + 1.5 ~ 4.66
+    # the formula gives 0 for m = 0, where one cut vertex is the ceiling
+    assert separator_bound_holds(1, 0)
+    assert not separator_bound_holds(2, 0)
 
 
 def test_local_connectivity_matches_global():

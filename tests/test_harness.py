@@ -18,8 +18,14 @@ from cyclemeet.auxgraph import FourCycleType, build_aux, l_set
 from cyclemeet.cli import main
 from cyclemeet.corpus import load_connected_corpus, two_triangles_shared_vertex
 from cyclemeet import harness
-from cyclemeet.cycles import DEFAULT_BUDGET, enumerate_longest_cycles, is_t_transversal
+from cyclemeet.cycles import (
+    DEFAULT_BUDGET,
+    CycleEmbedding,
+    enumerate_longest_cycles,
+    is_t_transversal,
+)
 from cyclemeet.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     graph_from_graph6,
@@ -45,7 +51,13 @@ from cyclemeet.harness import (
 )
 from cyclemeet.transitive import circulant
 
-from hosts import lemma33_host, path_graph, prop22_host, type00_host
+from hosts import (
+    lemma33_host,
+    path_graph,
+    prop22_host,
+    symmetric_connection_sets,
+    type00_host,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +90,23 @@ def test_verify_thm14():
     assert out.status == "pass" and out.lhs == 1
     same = verify_thm14(g, x, x, xy_separator(g, x, x))
     assert same.status == "pass"
+
+
+def test_verify_thm14_disjoint_cycles_allow_one_cut_vertex():
+    # FxCGW is two triangles joined by the path 2-3-4, so its two longest
+    # cycles are disjoint and one vertex separates them; with the path
+    # doubled (2-3-4 and 0-7-5), no single vertex does
+    detail = "disjoint cycles lie in different blocks; ceiling is one cut vertex"
+    for g, ok in ((graph_from_graph6("FxCGW"), True),
+                  (Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6),
+                             (5, 6), (0, 7), (7, 5)]), False)):
+        x = CycleEmbedding.from_sequence(g, [0, 1, 2])
+        y = CycleEmbedding.from_sequence(g, [4, 5, 6])
+        rep = xy_separator(g, x, y)
+        assert rep.m == 0 and rep.bound == 0.0 and rep.bound_satisfied is ok
+        out = verify_thm14(g, x, y, rep)
+        assert (out.status, out.lhs, out.rhs, out.detail) == (
+            "pass" if ok else "fail", len(rep.cut), 0.0, detail)
 
 
 def test_verify_devos():
@@ -680,6 +709,15 @@ def test_cli_separator_and_auxgraph(tmp_path, capsys):
     assert cert["improved"] is False
 
 
+def test_cli_separator_on_disjoint_longest_cycles_passes(tmp_path, capsys):
+    # two triangles joined by the path 2-3-4: m = 0, and one cut vertex is the ceiling
+    path = tmp_path / "two.g6"
+    path.write_text("FxCGW\n")
+    assert main(["separator", "--in", str(path), "--x", "0,1,2", "--y", "4,5,6"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["cut"], rep["m"], rep["bound"], rep["bound_satisfied"]) == ([2], 0, 0.0, True)
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["cycles", "--in", str(tmp_path / "missing.g6")]) == 3
     capsys.readouterr()
@@ -1038,3 +1076,38 @@ def test_cli_cayley_from_file(tmp_path, capsys):
     from cyclemeet.graphs import graph_from_graph6
 
     assert graph_from_graph6(g6) == cycle_graph(6)
+
+
+def test_cli_cyclic_cayley_is_the_circulant_for_every_connection_set_to_16(tmp_path, capsys):
+    grp = tmp_path / "grp.txt"
+    for n, steps in symmetric_connection_sets(16):
+        conn = ",".join(map(str, steps))
+        grp.write_text(f"cyclic {n}: {conn}\n")
+        assert main(["gen", "cayley", "--file", str(grp)]) == 0
+        assert main(["gen", "circulant", "--n", str(n), "--conn", conn]) == 0
+        cayley_g6, circulant_g6 = capsys.readouterr().out.split()
+        assert cayley_g6 == circulant_g6, (n, steps)
+
+
+@pytest.mark.parametrize("group, message", [
+    ("cyclic 6:", "empty connection set"),
+    ("cyclic 6: 0,1,5", "identity in connection set"),
+    ("cyclic 7: 1", "connection set not inverse-closed"),
+    ("perm 3: (0 1 2)", "connection set not inverse-closed"),
+    ("perm 3:", "permutation group needs generators"),
+    ("cyclic 0: 1", "group degree must be at least 1, got 0"),
+    ("cyclic -3: 1", "group degree must be at least 1, got -3"),
+    ("perm 0: (0)", "group degree must be at least 1, got 0"),
+    ("perm 3: (0 1 5)", "point 5 outside 0..2 in cycle notation"),
+    ("perm 3: (0 1 1)", "point 1 repeated in one permutation"),
+    ("cyclic 129: 1,128", "group order exceeds cap of 128"),
+    ("perm 6: (0 1); (1 2); (2 3); (3 4); (4 5)", "group order exceeds cap of 128"),
+    ("dihedral 4: 1", "unknown group kind 'dihedral'"),
+    ("cyclic: 1", "bad group header: 'cyclic'"),
+])
+def test_cli_gen_cayley_names_what_is_wrong_with_the_group(tmp_path, capsys, group, message):
+    grp = tmp_path / "grp.txt"
+    grp.write_text(group + "\n")
+    assert main(["gen", "cayley", "--file", str(grp)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")

@@ -25,17 +25,18 @@ from cyclemeet.graphs import (
     prism_graph,
 )
 from cyclemeet.transitive import (
-    GroupPresentation,
+    _closure,
     automorphism_mapping,
     cayley,
     circulant,
     elementary_abelian_cube,
     is_vertex_transitive,
+    parse_group,
     symmetric_transpositions,
     vertex_orbit_of_zero,
 )
 
-from hosts import path_graph
+from hosts import path_graph, symmetric_connection_sets
 from oracles import as_networkx, is_automorphism
 
 
@@ -57,23 +58,48 @@ def test_circulant_rejects_bad_connection():
 
 
 def test_cayley_cyclic():
-    gp = GroupPresentation.parse("cyclic 6: 1,5")
-    assert cayley(gp) == cycle_graph(6)
+    assert cayley(*parse_group("cyclic 6: 1,5")) == cycle_graph(6)
     with pytest.raises(ValueError, match="inverse"):
-        cayley(GroupPresentation.parse("cyclic 7: 1"))
+        cayley(*parse_group("cyclic 7: 1"))
     with pytest.raises(ValueError, match="identity"):
-        cayley(GroupPresentation.parse("cyclic 6: 0,1,5"))
+        cayley(*parse_group("cyclic 6: 0,1,5"))
+    with pytest.raises(ValueError, match="empty connection set"):
+        cayley(*parse_group("cyclic 6:"))
 
 
-def test_group_order_below_one_is_rejected_by_every_constructor():
-    # built in code, an order-0 cyclic group once reached cayley and divided by 0
-    for kind, order in (("cyclic", 0), ("cyclic", -3), ("permutation", 0)):
-        with pytest.raises(ValueError, match="group order must be at least 1"):
-            GroupPresentation(kind, order, (1,))
-    with pytest.raises(ValueError, match="group order must be at least 1"):
-        GroupPresentation.parse("cyclic 0: 1")
-    with pytest.raises(ValueError, match="permutation degree must be at least 1"):
-        GroupPresentation.parse("perm 0:")
+def test_cyclic_group_is_the_rotation_group_with_generator_plus_one():
+    rotations = {s: tuple((x + s) % 6 for x in range(6)) for s in (1, 2, 4, 5)}
+    assert parse_group("cyclic 6: 2,4") == ((rotations[1],), (rotations[2], rotations[4]))
+    assert parse_group("cyclic 6: -1 1") == ((rotations[1],), (rotations[5], rotations[1]))
+
+
+def test_cyclic_cayley_graph_is_the_circulant_for_every_connection_set_to_16():
+    # the rotation by k is the only element whose tuple starts with k, so it
+    # is vertex k, and its neighbours are the rotations by k + s
+    checked = 0
+    for n, steps in symmetric_connection_sets(16):
+        text = f"cyclic {n}: " + ",".join(map(str, steps))
+        assert cayley(*parse_group(text)) == circulant(n, steps), text
+        checked += 1
+    assert checked == 749  # 2^floor(n/2) - 1 sets for each n = 2..16
+
+
+@pytest.mark.parametrize("text", ["cyclic 0: 1", "cyclic -3: 1", "perm 0:"])
+def test_group_degree_below_one_is_rejected_by_the_parser(text):
+    # an order-0 cyclic group once reached cayley and divided by 0
+    with pytest.raises(ValueError, match="group degree must be at least 1"):
+        parse_group(text)
+
+
+def test_cayley_rejects_a_connection_element_outside_the_group():
+    three_cycle = (1, 2, 0, 3)
+    swap = (0, 1, 3, 2)  # moves 3, which the 3-cycle fixes
+    with pytest.raises(ValueError, match="connection element outside the group"):
+        cayley((three_cycle,), connection=[swap])
+    with pytest.raises(ValueError, match="permutation group needs generators"):
+        cayley((), connection=[swap])
+    with pytest.raises(ValueError, match="empty connection set"):
+        cayley((swap,), connection=[])
 
 
 def test_cayley_s3_transpositions_is_k33_like():
@@ -91,29 +117,29 @@ def test_cayley_cube():
 
 
 def test_cayley_perm_parse_and_inverse_closure():
-    gp = GroupPresentation.parse("perm 4: (0 1 2 3); (0 1)")
-    assert gp.order == 24
+    gens, conn = parse_group("perm 4: (0 1 2 3); (0 1)")
+    assert gens == conn == ((1, 2, 3, 0), (1, 0, 2, 3))
+    assert len(_closure(tuple(range(4)), gens)) == 24
     with pytest.raises(ValueError, match="inverse"):
-        cayley(gp)  # the 4-cycle generator lacks its inverse
+        cayley(gens, conn)  # the 4-cycle generator lacks its inverse
     with pytest.raises(ValueError, match="inverse"):
-        cayley(GroupPresentation.parse("perm 3: (0 1 2)"))
+        cayley(*parse_group("perm 3: (0 1 2)"))
     rot = tuple((i + 1) % 5 for i in range(5))
     inv = tuple((i - 1) % 5 for i in range(5))
-    gp5 = GroupPresentation(kind="permutation", order=5, generators=(rot,))
-    assert cayley(gp5, connection=[rot, inv]) == cycle_graph(5)
+    assert cayley((rot,), connection=[rot, inv]) == cycle_graph(5)
 
 
 def test_cayley_element_mapping_matches_graph():
-    from cyclemeet.transitive import _closure, _compose_perm
+    from cyclemeet.transitive import _compose_perm
 
-    gp = symmetric_transpositions(3)
+    gens = symmetric_transpositions(3)
     # cayley() numbers the group elements in sorted order
-    elements = _closure(tuple(range(3)), gp.generators)
-    g = cayley(gp)
+    elements = _closure(tuple(range(3)), gens)
+    g = cayley(gens)
     assert len(elements) == g.n == 6
     index = {e: i for i, e in enumerate(elements)}
     for e in elements:
-        for s in gp.generators:
+        for s in gens:
             w = index[_compose_perm(e, s)]
             assert g.has_edge(index[e], w)
 
