@@ -4,7 +4,8 @@ Two cycles X, Y meeting in m vertices decompose into m (possibly empty)
 segments each; a family of disjoint paths between the leftover sides induces
 a bipartite graph on segment labels. The 4-cycle type census, crossing
 structure, and supersaturation counts of that graph drive the separator
-bound and the exchange certificates.
+bound and the exchange certificates. The graph is kept as its map from
+segment pair to path, and each count is derived from that map once.
 
 Segment labels are 1-based (x_1..x_m, y_1..y_m) throughout this module.
 """
@@ -14,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from functools import cached_property
+from itertools import combinations
+from typing import KeysView, NamedTuple, Optional
 
 from .cycles import CycleEmbedding
 from .flow import PathFamily, edge_bound_holds, max_disjoint_paths
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 
 class SameSegmentPairError(ValueError):
@@ -42,7 +45,9 @@ class SegmentDecomposition:
 
     x_segments[i-1] is the (possibly empty) run of X-vertices strictly
     between the i-th and (i+1)-th shared vertex along X's stored
-    orientation, starting at the first shared vertex that orientation meets.
+    orientation, starting at the first shared vertex that orientation meets;
+    y_segments likewise along Y. ``segment_of`` places a vertex of either
+    remainder, which is how a path's ends are read.
     """
 
     m: int
@@ -54,17 +59,16 @@ class SegmentDecomposition:
     def shared(self) -> frozenset[int]:
         return frozenset(self.m_order_x)
 
-    def x_segment_of(self, v: int) -> tuple[int, int]:
-        """(1-based segment index, position inside the segment) of an X-vertex."""
-        for idx, seg in enumerate(self.x_segments):
-            if v in seg:
-                return idx + 1, seg.index(v)
-        raise KeyError(v)
+    def segment_of(self, v: int) -> tuple[int, int]:
+        """(1-based segment index, position inside the segment) of a remainder vertex.
 
-    def y_segment_of(self, v: int) -> tuple[int, int]:
-        for idx, seg in enumerate(self.y_segments):
-            if v in seg:
-                return idx + 1, seg.index(v)
+        The X and Y remainders are disjoint, so one lookup serves both sides;
+        a vertex of neither raises KeyError.
+        """
+        for segments in (self.x_segments, self.y_segments):
+            for idx, seg in enumerate(segments, 1):
+                if v in seg:
+                    return idx, seg.index(v)
         raise KeyError(v)
 
 
@@ -110,27 +114,54 @@ class FourCycleType(NamedTuple):
 
 @dataclass(frozen=True)
 class AuxGraph:
-    """Bipartite graph on segment labels: edge (i,j) iff the family has an
-    (X_i, Y_j)-path. Simple by construction; a duplicate is a mathematical
-    event and raises SameSegmentPairError instead."""
+    """Bipartite graph on segment labels, kept as its path map.
+
+    ``witness[(i, j)]`` is the family's (X_i, Y_j)-path, from its X end to its
+    Y end; the edges are the map's keys, and a path's ends are its first and
+    last vertex. Simple by construction: a duplicate is a mathematical event
+    and raises SameSegmentPairError instead. Every count on the graph is
+    derived from the map once and kept: the common neighbourhoods of the
+    X-side pairs, and the type of each 4-cycle.
+    """
 
     m: int
-    edges: frozenset[tuple[int, int]]
     witness: dict[tuple[int, int], tuple[int, ...]]
-    endpoints: dict[tuple[int, int], tuple[int, int]]
     decomposition: SegmentDecomposition
 
-    def edge_count(self) -> int:
-        return len(self.edges)
+    @property
+    def edges(self) -> KeysView[tuple[int, int]]:
+        return self.witness.keys()
 
-    def x_neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(j for (a, j) in self.edges if a == i)
+    def edge_count(self) -> int:
+        return len(self.witness)
+
+    @cached_property
+    def common_neighbors(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """N(x_i) ∩ N(x_j), ascending, for every 1 <= i < j <= m."""
+        rows = [0] * (self.m + 1)
+        for i, k in self.witness:
+            rows[i] |= 1 << k
+        return {
+            (i, j): tuple(iter_bits(rows[i] & rows[j]))
+            for i in range(1, self.m + 1)
+            for j in range(i + 1, self.m + 1)
+        }
+
+    @cached_property
+    def four_cycle_types(self) -> dict[tuple[int, int, int, int], FourCycleType]:
+        """The type of every 4-cycle x_i y_k x_j y_l, keyed (i, k, j, l) with i<j and k<l."""
+        return {
+            (i, k, j, l): _four_cycle_type(self, i, k, j, l)
+            for (i, j), common in self.common_neighbors.items()
+            for k, l in combinations(common, 2)
+        }
 
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
-            "edges": sorted(list(e) for e in self.edges),
-            "endpoints": {f"{i},{j}": list(uv) for (i, j), uv in sorted(self.endpoints.items())},
+            "edges": sorted(list(e) for e in self.witness),
+            "endpoints": {f"{i},{j}": [path[0], path[-1]]
+                          for (i, j), path in sorted(self.witness.items())},
         }
 
 
@@ -141,27 +172,14 @@ def build_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding, p: PathFamily) -> 
     p.validate(g)
     if p.source_set != x.vertex_set() - shared or p.target_set != y.vertex_set() - shared:
         raise ValueError("family terminals are not the cycle remainders")
-    edges: set[tuple[int, int]] = set()
+    # validated: each path runs from the X remainder to the Y remainder
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
-    endpoints: dict[tuple[int, int], tuple[int, int]] = {}
     for path in p.paths:
-        u, v = path[0], path[-1]
-        if u in shared or v in shared:
-            raise ValueError("invalid terminal")
-        try:
-            i, _ = dec.x_segment_of(u)
-            j, _ = dec.y_segment_of(v)
-        except KeyError as exc:
-            raise ValueError("invalid terminal") from exc
-        if (i, j) in edges:
-            raise SameSegmentPairError((i, j), witness[(i, j)], path)
-        edges.add((i, j))
-        witness[(i, j)] = path
-        endpoints[(i, j)] = (u, v)
-    aux = AuxGraph(m=dec.m, edges=frozenset(edges), witness=witness, endpoints=endpoints,
-                   decomposition=dec)
-    assert aux.edge_count() == len(p.paths)
-    return aux
+        pair = (dec.segment_of(path[0])[0], dec.segment_of(path[-1])[0])
+        if pair in witness:
+            raise SameSegmentPairError(pair, witness[pair], path)
+        witness[pair] = path
+    return AuxGraph(m=dec.m, witness=witness, decomposition=dec)
 
 
 def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> Optional[AuxGraph]:
@@ -180,60 +198,38 @@ def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> Optional[AuxGrap
     return build_aux(g, x, y, family)
 
 
+def _four_cycle_type(f: AuxGraph, i: int, k: int, j: int, l: int) -> FourCycleType:
+    """Type of the 4-cycle x_i y_k x_j y_l from its paths' end positions."""
+    w = f.witness
+    pos = f.decomposition.segment_of
+    x_i_order = pos(w[(i, k)][0])[1] < pos(w[(i, l)][0])[1]
+    x_j_order = pos(w[(j, k)][0])[1] < pos(w[(j, l)][0])[1]
+    y_k_order = pos(w[(i, k)][-1])[1] < pos(w[(j, k)][-1])[1]
+    y_l_order = pos(w[(i, l)][-1])[1] < pos(w[(j, l)][-1])[1]
+    return FourCycleType(int(x_i_order != x_j_order), int(y_k_order != y_l_order))
+
+
 def classify_four_cycle(f: AuxGraph, i: int, j: int, k: int, l: int) -> FourCycleType:
     """Type (alpha, beta) of the 4-cycle x_i y_k x_j y_l, with i<j and k<l.
 
     alpha is 0 when the order of the two path endpoints on X_i agrees with
     the order on X_j; beta compares the endpoint orders on Y_k and Y_l.
-    Both are invariant under reversing either cycle's orientation.
+    Both are invariant under reversing either cycle's orientation. The type
+    is looked up in ``f.four_cycle_types``, which types each 4-cycle once.
     """
     if not (i < j and k < l):
         raise ValueError("indices must satisfy i<j and k<l")
-    for e in ((i, k), (i, l), (j, k), (j, l)):
-        if e not in f.edges:
-            raise ValueError("not a 4-cycle")
-    dec = f.decomposition
-    u_ik, v_ik = f.endpoints[(i, k)]
-    u_il, v_il = f.endpoints[(i, l)]
-    u_jk, v_jk = f.endpoints[(j, k)]
-    u_jl, v_jl = f.endpoints[(j, l)]
-    x_i_order = dec.x_segment_of(u_ik)[1] < dec.x_segment_of(u_il)[1]
-    x_j_order = dec.x_segment_of(u_jk)[1] < dec.x_segment_of(u_jl)[1]
-    y_k_order = dec.y_segment_of(v_ik)[1] < dec.y_segment_of(v_jk)[1]
-    y_l_order = dec.y_segment_of(v_il)[1] < dec.y_segment_of(v_jl)[1]
-    alpha = 0 if x_i_order == x_j_order else 1
-    beta = 0 if y_k_order == y_l_order else 1
-    return FourCycleType(alpha, beta)
-
-
-def four_cycles(f: AuxGraph) -> list[tuple[int, int, int, int]]:
-    """All (i, k, j, l) with i<j, k<l whose four edges are present."""
-    out = []
-    for i in range(1, f.m + 1):
-        ni = f.x_neighbors(i)
-        for j in range(i + 1, f.m + 1):
-            common = sorted(ni & f.x_neighbors(j))
-            for a in range(len(common)):
-                for b in range(a + 1, len(common)):
-                    out.append((i, common[a], j, common[b]))
-    return out
+    kind = f.four_cycle_types.get((i, k, j, l))
+    if kind is None:
+        raise ValueError("not a 4-cycle")
+    return kind
 
 
 def type_census(f: AuxGraph) -> dict[FourCycleType, int]:
     census = {FourCycleType(a, b): 0 for a in (0, 1) for b in (0, 1)}
-    for (i, k, j, l) in four_cycles(f):
-        census[classify_four_cycle(f, i, j, k, l)] += 1
+    for kind in f.four_cycle_types.values():
+        census[kind] += 1
     return census
-
-
-def common_neighbor_counts(f: AuxGraph) -> dict[tuple[int, int], int]:
-    """a_ij = |N(x_i) ∩ N(x_j)| for every 1 <= i < j <= m."""
-    neigh = {i: f.x_neighbors(i) for i in range(1, f.m + 1)}
-    return {
-        (i, j): len(neigh[i] & neigh[j])
-        for i in range(1, f.m + 1)
-        for j in range(i + 1, f.m + 1)
-    }
 
 
 L_SET_THRESHOLD = 7
@@ -241,7 +237,8 @@ L_SET_THRESHOLD = 7
 
 def l_set(f: AuxGraph) -> set[tuple[int, int]]:
     """Index pairs whose segments have at least 7 common neighbors in F."""
-    return {pair for pair, a in common_neighbor_counts(f).items() if a >= L_SET_THRESHOLD}
+    return {pair for pair, common in f.common_neighbors.items()
+            if len(common) >= L_SET_THRESHOLD}
 
 
 def is_crossing(p1: tuple[int, int], p2: tuple[int, int]) -> bool:
@@ -367,9 +364,8 @@ def supersaturation_report(f: AuxGraph) -> SupersaturationReport:
     """Evaluate the convexity chain on one auxiliary graph."""
     m = f.m
     ecount = f.edge_count()
-    counts = common_neighbor_counts(f)
-    total = sum(counts.values())
-    lsize = sum(1 for a in counts.values() if a >= L_SET_THRESHOLD)
+    total = sum(map(len, f.common_neighbors.values()))
+    lsize = len(l_set(f))
     if ecount < m:
         return SupersaturationReport(
             m=m, edge_count=ecount, assumption_met=False, sum_common=total, l_size=lsize

@@ -49,8 +49,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability p must lie in [0, 1], got {p}")
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+    # Graph checks n against its vertex cap before it draws the first edge
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
 
 
 def random_connected_graphs(

@@ -24,7 +24,6 @@ from .auxgraph import (
     SameSegmentPairError,
     classify_four_cycle,
     decompose,
-    four_cycles,
     is_crossing,
     pair_aux,
 )
@@ -123,10 +122,10 @@ def prop22_certificate(
             if not g.has_edge(a, b):
                 raise ValueError(f"missing edge ({a},{b})")
         _check_clean_interior(p, x, y)
-    i1, posu1 = dec.x_segment_of(p1[0])
-    i2, posu2 = dec.x_segment_of(p2[0])
-    j1, posv1 = dec.y_segment_of(p1[-1])
-    j2, posv2 = dec.y_segment_of(p2[-1])
+    i1, posu1 = dec.segment_of(p1[0])
+    i2, posu2 = dec.segment_of(p2[0])
+    j1, posv1 = dec.segment_of(p1[-1])
+    j2, posv2 = dec.segment_of(p2[-1])
     if i1 != i2 or j1 != j2:
         raise ValueError("paths do not land on one segment pair")
     cert = _restitch(g, x, y, (p1, p2), "prop22")
@@ -166,7 +165,7 @@ def type00_certificate(
     cert = _restitch(g, x, y, paths, "type00")
     # q1 keeps the X-stretch between the two endpoints on X_i, so it holds
     # the X-edge from the earlier one to its successor
-    u = min(paths[0][0], paths[1][0], key=lambda v: f.decomposition.x_segment_of(v)[1])
+    u = min(paths[0][0], paths[1][0], key=lambda v: f.decomposition.segment_of(v)[1])
     q1, q2 = _holding_first(cert, u, x.vertices[(x.vertices.index(u) + 1) % x.length])
     return replace(cert, q1=q1, q2=q2)
 
@@ -300,12 +299,8 @@ def lemma33_certificate(
     """
     i1, k1, j1, l1 = c1
     i2, k2, j2, l2 = c2
-    try:
-        t1 = classify_four_cycle(f, i1, j1, k1, l1)
-        t2 = classify_four_cycle(f, i2, j2, k2, l2)
-    except ValueError:
-        return None
-    if t1 != FourCycleType(1, 0) or t2 != FourCycleType(1, 0):
+    types = f.four_cycle_types
+    if types.get(c1) != FourCycleType(1, 0) or types.get(c2) != FourCycleType(1, 0):
         return None
     if not is_crossing((i1, j1), (i2, j2)):
         return None
@@ -329,13 +324,12 @@ def _lemma33_case(f: AuxGraph, c1, c2) -> tuple[int, int]:
     after orienting both cycles by the first 4-cycle."""
     i1, k1, j1, l1 = c1
     i2, k2, j2, l2 = c2
-    dec = f.decomposition
-    seg = dec.x_segment_of
-    seg_y = dec.y_segment_of
-    flip_x = not seg(f.endpoints[(i1, k1)][0])[1] < seg(f.endpoints[(i1, l1)][0])[1]
-    flip_y = not seg_y(f.endpoints[(i1, k1)][1])[1] < seg_y(f.endpoints[(j1, k1)][1])[1]
-    bit_x = seg(f.endpoints[(i2, k2)][0])[1] < seg(f.endpoints[(i2, l2)][0])[1]
-    bit_y = seg_y(f.endpoints[(i2, k2)][1])[1] < seg_y(f.endpoints[(j2, k2)][1])[1]
+    w = f.witness
+    pos = f.decomposition.segment_of
+    flip_x = not pos(w[(i1, k1)][0])[1] < pos(w[(i1, l1)][0])[1]
+    flip_y = not pos(w[(i1, k1)][-1])[1] < pos(w[(j1, k1)][-1])[1]
+    bit_x = pos(w[(i2, k2)][0])[1] < pos(w[(i2, l2)][0])[1]
+    bit_y = pos(w[(i2, k2)][-1])[1] < pos(w[(j2, k2)][-1])[1]
     return (int(bit_x ^ flip_x), int(bit_y ^ flip_y))
 
 
@@ -365,13 +359,12 @@ def improve_by_four_cycles(
     Returns an improved pair covering the original edges, or None.
     """
     type10: list[tuple[int, int, int, int]] = []
-    for (i, k, j, l) in four_cycles(f):
-        kind = classify_four_cycle(f, i, j, k, l)
+    for fourcycle, kind in f.four_cycle_types.items():
         if kind == FourCycleType(0, 0):
-            cert = type00_certificate(g, x, y, f, (i, k, j, l))
+            cert = type00_certificate(g, x, y, f, fourcycle)
             return cert.q1, cert.q2
         if kind == FourCycleType(1, 0):
-            type10.append((i, k, j, l))
+            type10.append(fourcycle)
     for a in range(len(type10)):
         for b in range(a + 1, len(type10)):
             cert = lemma33_certificate(g, x, y, f, type10[a], type10[b])

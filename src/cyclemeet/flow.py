@@ -218,15 +218,10 @@ def max_disjoint_paths(
     """A maximum family of pairwise vertex-disjoint (a,b)-paths.
 
     Paths meet a exactly in their first vertex and b exactly in their last;
-    interior vertices may be anything inside `allowed` (default: all).
+    interior vertices may be anything inside `allowed` (default: all). It is
+    the Menger witness of ``min_vertex_cut``, checked as that is.
     """
-    avs, bvs, allowed_mask = _terminals(g, a, b, allowed)
-    value, paths, _ = _solve(g, avs, bvs, allowed_mask)
-    family = PathFamily(paths=tuple(paths), source_set=avs, target_set=bvs)
-    if len(family.paths) != value:
-        raise RuntimeError("flow decomposition lost a path")
-    family.validate(g)
-    return family
+    return min_vertex_cut(g, a, b, allowed).witness
 
 
 def min_vertex_cut(
@@ -239,6 +234,8 @@ def min_vertex_cut(
     avs, bvs, allowed_mask = _terminals(g, a, b, allowed)
     value, paths, cut = _solve(g, avs, bvs, allowed_mask)
     family = PathFamily(paths=tuple(paths), source_set=avs, target_set=bvs)
+    if len(family.paths) != value:
+        raise RuntimeError("flow decomposition lost a path")
     family.validate(g)
     if len(cut) != value:
         raise RuntimeError(f"Menger equality violated: |cut|={len(cut)} paths={value}")

@@ -9,10 +9,7 @@ an allowed-vertex mask instead.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
-
-if TYPE_CHECKING:
-    from .transitive import Automorphism
+from typing import Iterable, Iterator, Mapping, Optional
 
 VERTEX_CAP = 128
 
@@ -157,7 +154,7 @@ def is_regular(g: Graph) -> Optional[int]:
     return None
 
 
-def vertex_connectivity(g: Graph, maps: Optional[Mapping[int, Automorphism]] = None) -> int:
+def vertex_connectivity(g: Graph, maps: Optional[Mapping[int, tuple[int, ...]]] = None) -> int:
     """Minimum number of vertices whose removal disconnects g or leaves one vertex.
 
     Equals n-1 for complete graphs. Otherwise it follows Esfahanian and
@@ -203,7 +200,7 @@ def vertex_connectivity(g: Graph, maps: Optional[Mapping[int, Automorphism]] = N
     return best
 
 
-def _one_per_partner(far: Iterable[int], maps: Mapping[int, Automorphism]) -> list[int]:
+def _one_per_partner(far: Iterable[int], maps: Mapping[int, tuple[int, ...]]) -> list[int]:
     """The non-neighbours w of 0 left once w is dropped where w or its partner was met.
 
     The partner of an orbit vertex w is maps[w]⁻¹(0), and κ(0, w) equals
@@ -212,7 +209,7 @@ def _one_per_partner(far: Iterable[int], maps: Mapping[int, Automorphism]) -> li
     kept = []
     met = 0
     for w in far:
-        partner = maps[w].preimage(0) if w in maps else w
+        partner = maps[w].index(0) if w in maps else w
         if not (met >> w | met >> partner) & 1:
             kept.append(w)
         met |= 1 << w | 1 << partner

@@ -58,7 +58,7 @@ from .graphs import (
     mask_of,
     vertex_connectivity,
 )
-from .transitive import AUTOMORPHISM_CAP, Automorphism, vertex_orbit_of_zero
+from .transitive import AUTOMORPHISM_CAP, check_automorphism_cap, vertex_orbit_of_zero
 
 ENUMERATION_LIMIT = 5000  # longest cycles kept per graph; more leaves the set truncated
 PAIR_LIMIT = 25  # cycle pairs checked per instance by each pairwise check
@@ -139,7 +139,7 @@ class InstanceFacts:
         return is_regular(self.g)
 
     @_kept
-    def orbit(self) -> Optional[dict[int, Automorphism]]:
+    def orbit(self) -> Optional[dict[int, tuple[int, ...]]]:
         """The orbit of vertex 0, each orbit vertex u with an automorphism sending 0 to u.
 
         Searched only for a connected regular graph, the only kind that can be
@@ -149,8 +149,7 @@ class InstanceFacts:
         """
         if not self.connected or self.degree is None:
             return None
-        if self.g.n > AUTOMORPHISM_CAP:
-            raise BudgetExceededError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
+        check_automorphism_cap(self.g)
         return vertex_orbit_of_zero(self.g, self.budget)
 
     @property

@@ -13,15 +13,15 @@ vertex of the matching right cell in cyclic order from just above u, so that
 the first automorphism found tends to be translation-like rather than an
 involution through u; at a discrete partition one row image per vertex
 checks the map. A search expands at most ``budget`` nodes and then raises
-``BudgetExceededError``, as the cycle search does. The orbit of vertex 0
-comes with one automorphism per orbit vertex, which
-``graphs.vertex_connectivity`` can use; whether a graph is vertex-transitive
-is read off it, for up to 64 vertices.
+``BudgetExceededError``, as the cycle search does. An automorphism is its
+permutation tuple. The orbit of vertex 0 comes with one automorphism per
+orbit vertex, which ``graphs.vertex_connectivity`` can use; whether a graph
+is vertex-transitive is read off it, for up to 64 vertices. A larger graph
+is refused with ``BudgetExceededError`` too, so it ends inconclusive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -29,23 +29,6 @@ from .cycles import DEFAULT_BUDGET, BudgetExceededError
 from .graphs import VERTEX_CAP, Graph, check_vertex_set, is_regular, iter_bits
 
 AUTOMORPHISM_CAP = 64
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """Adjacency-preserving vertex bijection."""
-
-    perm: tuple[int, ...]
-
-    def __call__(self, v: int) -> int:
-        return self.perm[v]
-
-    def inverse(self) -> "Automorphism":
-        return Automorphism(_invert_perm(self.perm))
-
-    def preimage(self, v: int) -> int:
-        """The vertex this map sends to v."""
-        return self.perm.index(v)
 
 
 def _refine_jointly(g: Graph, cells_g: list[int], cells_h: list[int],
@@ -94,7 +77,7 @@ def _split(rows: Sequence[int], cell: int, split: int, near: int) -> dict[int, i
 
 
 def _search(g: Graph, cells_g: list[int], cells_h: list[int],
-            queue: list[tuple[int, int]], budget: int) -> Optional[Automorphism]:
+            queue: list[tuple[int, int]], budget: int) -> Optional[tuple[int, ...]]:
     """An automorphism of g sending left cell i onto right cell i, or None; complete.
 
     ``cells_g`` and ``cells_h`` are two partitions of g, and the root is
@@ -125,7 +108,7 @@ def _search(g: Graph, cells_g: list[int], cells_h: list[int],
             for u, row in enumerate(g._rows):
                 if sum(1 << perm[v] for v in iter_bits(row)) != g._rows[perm[u]]:
                     return None
-            return Automorphism(tuple(perm))
+            return tuple(perm)
         cell_g, cell_h = cells_g[at], cells_h[at]
         u = cell_g & -cell_g
         above = cell_h & -(u << 1)
@@ -141,8 +124,8 @@ def _search(g: Graph, cells_g: list[int], cells_h: list[int],
 
 
 def automorphism_mapping(g: Graph, a: int, b: int,
-                         budget: int = DEFAULT_BUDGET) -> Optional[Automorphism]:
-    """An automorphism of g sending a to b, or None.
+                         budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, ...]]:
+    """An automorphism of g sending a to b, as its permutation tuple, or None.
 
     The root partition is ({a}, rest) against ({b}, rest). For a regular g
     only the singletons split it: the unit partition is equitable, so a
@@ -158,43 +141,57 @@ def automorphism_mapping(g: Graph, a: int, b: int,
     return _search(g, cells_g, cells_h, queue, budget)
 
 
-def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, Automorphism]:
-    """The orbit of vertex 0 under the automorphism group, as u -> an automorphism sending 0 to u.
+def check_automorphism_cap(g: Graph) -> None:
+    """Refuse a graph above ``AUTOMORPHISM_CAP`` vertices with ``BudgetExceededError``.
 
-    One ``automorphism_mapping`` search runs for each vertex not yet in the
-    orbit; each map found and its inverse become generators. The orbit is
-    closed under them as a Schreier tree: a vertex reached as gen(w) keeps
-    gen composed with w's map. ``budget`` is per search, and a graph above
-    ``AUTOMORPHISM_CAP`` vertices is refused with ``ValueError``.
+    A resource limit, like an exhausted search budget: what reads the
+    automorphisms of such a graph ends inconclusive.
     """
     if g.n > AUTOMORPHISM_CAP:
-        raise ValueError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
+        raise BudgetExceededError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
+
+
+def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, tuple[int, ...]]:
+    """The orbit of vertex 0 under the automorphism group, as u -> an automorphism sending 0 to u.
+
+    Automorphisms are permutation tuples. One ``automorphism_mapping`` search
+    runs for each vertex not yet in the orbit; each map found and its
+    inverse become generators. The orbit is closed under them as a Schreier
+    tree: a vertex reached as gen[w] keeps gen composed with w's map.
+    ``budget`` is per search, and a graph above ``AUTOMORPHISM_CAP``
+    vertices is refused by ``check_automorphism_cap``.
+    """
+    check_automorphism_cap(g)
     if g.n == 0:
         return {}
-    maps = {0: Automorphism(tuple(range(g.n)))}
-    gens: list[Automorphism] = []
+    maps = {0: tuple(range(g.n))}
+    gens: list[tuple[int, ...]] = []
     for v in range(1, g.n):
         if v in maps:
             continue
         auto = automorphism_mapping(g, 0, v, budget)
         if auto is None:
             continue
-        gens += (auto, auto.inverse())
+        gens += (auto, _invert_perm(auto))
         maps[v] = auto
         # close the orbit under all generators found so far
         frontier = list(maps)
         while frontier:
             w = frontier.pop()
             for gen in gens:
-                img = gen(w)
+                img = gen[w]
                 if img not in maps:
-                    maps[img] = Automorphism(_compose_perm(gen.perm, maps[w].perm))
+                    maps[img] = _compose_perm(gen, maps[w])
                     frontier.append(img)
     return maps
 
 
 def is_vertex_transitive(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff the automorphism group has a single vertex orbit; ``budget`` is per search."""
+    """True iff the automorphism group has a single vertex orbit; ``budget`` is per search.
+
+    A regular graph above ``AUTOMORPHISM_CAP`` vertices raises
+    ``BudgetExceededError``, as an exhausted search does.
+    """
     if g.n <= 1:
         return True
     if is_regular(g) is None:
@@ -217,8 +214,8 @@ def circulant(n: int, connection: Iterable[int]) -> Graph:
     for s in conn:
         if (n - s) % n not in conn:
             raise ValueError(f"connection set not symmetric: {s} without {(n - s) % n}")
-    edges = [(i, (i + s) % n) for i in range(n) for s in conn if i < (i + s) % n]
-    return Graph(n, edges)
+    # Graph checks n against its vertex cap before it draws the first edge
+    return Graph(n, ((i, (i + s) % n) for i in range(n) for s in conn if i < (i + s) % n))
 
 
 def parse_group(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

@@ -240,6 +240,31 @@ def lemma33_host(bit_x: int, bit_y: int):
     return g, x, y, family
 
 
+def lemma33_shared_y_host():
+    """Two type-(1,0) 4-cycles with crossing X-pairs (1,3),(2,4) whose Y-pairs
+    (1,2),(2,3) share the index 2, so Lemma 3.3 does not apply.
+
+    Both cycles have 2-vertex segments, except Y_2, which has four vertices
+    to end four paths.
+    """
+    w = [0, 1, 2, 3]
+    a = list(range(4, 12))
+    b = list(range(12, 22))
+    x_seq = [w[0], a[0], a[1], w[1], a[2], a[3], w[2], a[4], a[5], w[3], a[6], a[7]]
+    y_seq = [w[0], b[0], b[1], w[1], b[2], b[3], b[4], b[5], w[2], b[6], b[7], w[3],
+             b[8], b[9]]
+    x_edges = list(zip(x_seq, x_seq[1:] + x_seq[:1]))
+    y_edges = list(zip(y_seq, y_seq[1:] + y_seq[:1]))
+    paths = [(a[0], b[0]), (a[1], b[2]), (a[5], b[1]), (a[4], b[3]),  # (1,3) x (1,2)
+             (a[2], b[4]), (a[3], b[6]), (a[7], b[5]), (a[6], b[7])]  # (2,4) x (2,3)
+    g = Graph(22, x_edges + y_edges + paths)
+    x = CycleEmbedding.from_sequence(g, x_seq)
+    y = CycleEmbedding.from_sequence(g, y_seq)
+    family = PathFamily(paths=tuple(sorted(paths)), source_set=frozenset(a),
+                        target_set=frozenset(b))
+    return g, x, y, family
+
+
 def lemma33_host_long_path(bit_x: int = 0, bit_y: int = 0):
     """lemma33_host with one connecting path stretched to two edges."""
     g, x, y, family = lemma33_host(bit_x, bit_y)

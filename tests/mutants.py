@@ -36,6 +36,8 @@ HARNESS = "src/cyclemeet/harness.py"
 CYCLES = "src/cyclemeet/cycles.py"
 TRANSITIVE = "src/cyclemeet/transitive.py"
 GRAPHS = "src/cyclemeet/graphs.py"
+AUXGRAPH = "src/cyclemeet/auxgraph.py"
+EXCHANGE = "src/cyclemeet/exchange.py"
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,8 @@ MUTANTS = {
     ),
     "orbit-partner-wrong": Mutant(
         "κ pairs a non-neighbour w with maps[w](w), not maps[w]⁻¹(0)",
-        ((GRAPHS, "partner = maps[w].preimage(0) if w in maps else w",
-          "partner = maps[w](w) if w in maps else w"),),
+        ((GRAPHS, "partner = maps[w].index(0) if w in maps else w",
+          "partner = maps[w][w] if w in maps else w"),),
         ("tests/test_graphs.py", "tests/test_harness.py"),
     ),
     "kappa-before-orbit": Mutant(
@@ -167,6 +169,23 @@ MUTANTS = {
         ((CYCLES, "if self.floor == floor and self.best == best and",
           "if self.floor == floor and"),),
         ("tests/test_cycles.py",),
+    ),
+    "four-cycle-x-order-inverted": Mutant(
+        "a 4-cycle's alpha is 1 when its paths' end orders on X_i and X_j agree, not when"
+        " they differ",
+        ((AUXGRAPH, "return FourCycleType(int(x_i_order != x_j_order),",
+          "return FourCycleType(int(x_i_order == x_j_order),"),),
+        ("tests/test_auxgraph.py", "tests/test_exchange.py"),
+    ),
+    "segment-index-zero-based": Mutant(
+        "segment_of numbers the segments from 0, so aux-graph labels are off by one",
+        ((AUXGRAPH, "for idx, seg in enumerate(segments, 1):", "for idx, seg in enumerate(segments):"),),
+        ("tests/test_auxgraph.py", "tests/test_exchange.py"),
+    ),
+    "lemma33-shared-y-index": Mutant(
+        "Lemma 3.3 takes two 4-cycles whose Y-pairs share an index, not only disjoint ones",
+        ((EXCHANGE, "    if {k1, l1} & {k2, l2}:\n        return None\n", ""),),
+        ("tests/test_exchange.py",),
     ),
 }
 

@@ -12,9 +12,7 @@ from cyclemeet.auxgraph import (
     SegmentDecomposition,
     build_aux,
     classify_four_cycle,
-    common_neighbor_counts,
     decompose,
-    four_cycles,
     is_crossing,
     l_set,
     max_noncrossing_family,
@@ -103,7 +101,7 @@ def test_pair_aux_matches_build_aux_over_a_maximum_family():
     expected = build_aux(g, x, y, family)
     f = pair_aux(g, x, y)
     assert f.edges == expected.edges == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    assert f.witness == expected.witness and f.endpoints == expected.endpoints
+    assert f.witness == expected.witness
 
 
 def test_build_aux_empty_family():
@@ -197,20 +195,17 @@ def test_type_invariance_under_relabeling():
             target_set=frozenset(perm[v] for v in family.target_set),
         )
         fh = build_aux(h, hx, hy, fam)
-        found = {
-            classify_four_cycle(fh, i, j, k, l) for (i, k, j, l) in four_cycles(fh)
-        }
-        assert found == {FourCycleType(0, 0)}
+        assert set(fh.four_cycle_types.values()) == {FourCycleType(0, 0)}
 
 
 def test_four_cycles_listing():
     g, x, y, family = type00_host()
     f = build_aux(g, x, y, family)
-    assert four_cycles(f) == [(1, 1, 2, 2)]
+    assert list(f.four_cycle_types) == [(1, 1, 2, 2)]
 
 
 def _synthetic_aux(m, edges):
-    """AuxGraph with fake witnesses for counting-only operations."""
+    """AuxGraph whose witnesses are one-vertex stand-ins, for counting-only operations."""
     dec = SegmentDecomposition(
         m=m,
         m_order_x=tuple(range(m)),
@@ -218,16 +213,16 @@ def _synthetic_aux(m, edges):
         x_segments=tuple(() for _ in range(m)),
         y_segments=tuple(() for _ in range(m)),
     )
-    return AuxGraph(m=m, edges=frozenset(edges), witness={}, endpoints={}, decomposition=dec)
+    return AuxGraph(m=m, witness={e: (0,) for e in edges}, decomposition=dec)
 
 
 def test_common_neighbor_counts():
     k22 = _synthetic_aux(2, {(1, 1), (1, 2), (2, 1), (2, 2)})
-    assert common_neighbor_counts(k22) == {(1, 2): 2}
+    assert k22.common_neighbors == {(1, 2): (1, 2)}
     empty = _synthetic_aux(3, set())
-    assert common_neighbor_counts(empty) == {(1, 2): 0, (1, 3): 0, (2, 3): 0}
+    assert empty.common_neighbors == {(1, 2): (), (1, 3): (), (2, 3): ()}
     k27 = _synthetic_aux(7, {(i, j) for i in (1, 2) for j in range(1, 8)})
-    assert common_neighbor_counts(k27)[(1, 2)] == 7
+    assert k27.common_neighbors[(1, 2)] == tuple(range(1, 8))
 
 
 def test_l_set_threshold():

@@ -4,18 +4,25 @@ from collections import Counter
 
 import pytest
 
+from functools import cached_property
+
+from cyclemeet import auxgraph
 from cyclemeet.auxgraph import (
+    AuxGraph,
     SameSegmentPairError,
     build_aux,
     classify_four_cycle,
-    four_cycles,
+    l_set,
     pair_aux,
+    supersaturation_report,
+    type_census,
 )
 from cyclemeet.corpus import pairwise_corpus
 from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles
 from cyclemeet.exchange import (
     certificate_is_sound,
     improve_by_exchange,
+    improve_by_four_cycles,
     lemma33_certificate,
     prop22_certificate,
     type00_certificate,
@@ -26,6 +33,7 @@ from hosts import (
     exchange_hosts,
     lemma33_host,
     lemma33_host_long_path,
+    lemma33_shared_y_host,
     prop22_host,
     random_cycle_pairs,
     type00_host,
@@ -154,14 +162,50 @@ def test_lemma33_crossing_y_pairs_returns_none():
     assert lemma33_certificate(g, x, y, f, (1, 1, 3, 2), (2, 1, 4, 3)) is None
 
 
+def test_lemma33_y_pairs_sharing_an_index_return_none():
+    g, x, y, family = lemma33_shared_y_host()
+    f = build_aux(g, x, y, family)
+    assert f.four_cycle_types == {(1, 1, 3, 2): (1, 0), (2, 2, 4, 3): (1, 0)}
+    assert lemma33_certificate(g, x, y, f, (1, 1, 3, 2), (2, 2, 4, 3)) is None
+    assert improve_by_four_cycles(g, x, y, f) is None
+
+
+def test_each_aux_graph_types_each_four_cycle_once(monkeypatch):
+    # the census, the L-set, the supersaturation counts and the exchanges all
+    # read one typing per 4-cycle and one count of common neighbours
+    counts = Counter()
+    type_of = auxgraph._four_cycle_type
+    common_of = vars(AuxGraph)["common_neighbors"].func
+
+    def typed(f, *fourcycle):
+        counts[fourcycle] += 1
+        return type_of(f, *fourcycle)
+
+    def common(f):
+        counts["common_neighbors"] += 1
+        return common_of(f)
+
+    counted = cached_property(common)
+    counted.__set_name__(AuxGraph, "common_neighbors")
+    monkeypatch.setattr(auxgraph, "_four_cycle_type", typed)
+    monkeypatch.setattr(AuxGraph, "common_neighbors", counted)
+    g, x, y, family = lemma33_host(0, 0)
+    f = build_aux(g, x, y, family)
+    assert type_census(f)[(1, 0)] == 2
+    assert l_set(f) == set() and supersaturation_report(f).l_size == 0
+    assert improve_by_four_cycles(g, x, y, f) is not None
+    assert counts.pop("common_neighbors") == 1
+    assert counts == Counter({(1, 1, 3, 2): 1, (2, 3, 4, 4): 1})
+
+
 # -- certificate pins -------------------------------------------------------------
 
 
 def _type00_certificates(g, x, y, f):
     return [
-        type00_certificate(g, x, y, f, (i, k, j, l))
-        for i, k, j, l in four_cycles(f)
-        if classify_four_cycle(f, i, j, k, l) == (0, 0)
+        type00_certificate(g, x, y, f, fourcycle)
+        for fourcycle, kind in f.four_cycle_types.items()
+        if kind == (0, 0)
     ]
 
 

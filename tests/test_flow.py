@@ -262,5 +262,6 @@ def test_pair_aux_graphs_are_pinned_on_exhaustive7():
             except SameSegmentPairError as err:
                 lines.append(f"same {err}")
                 continue
-            lines.append("none" if f is None else repr((sorted(f.edges), sorted(f.endpoints.items()))))
+            lines.append("none" if f is None else repr((
+                sorted(f.edges), sorted((e, (p[0], p[-1])) for e, p in f.witness.items()))))
     assert _digest(lines) == "69f2bd2e61d3c0911ea1fad7d14264bcababdca6b3ea8a6da803ea3e59e0083f"

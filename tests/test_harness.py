@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -843,6 +844,21 @@ def test_cli_bad_corpus_or_generator_input_is_a_usage_error(capsys, args, names)
     assert main(args) == 3
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and names in out.err
+
+
+@pytest.mark.parametrize("generator", [
+    ["random", "--n", "100000", "--p", "0.5"],
+    ["circulant", "--n", "1000000", "--conn", "1,999999"],
+])
+def test_cli_gen_past_the_vertex_cap_exits_at_once(capsys, generator):
+    # the cap is met before the first edge is drawn; drawing them all takes
+    # seconds for the circulant and many minutes for the random graph
+    start = time.perf_counter()
+    assert main(["gen", *generator]) == 3
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: graph has {generator[2]} vertices, above the cap of 128\n"
 
 
 def test_cli_small_pairwise_corpus_without_random_graphs_runs(capsys):

@@ -155,9 +155,9 @@ def test_is_vertex_transitive_cases():
     assert not is_vertex_transitive(path_graph(3))
     for g in random_circulants(8, seed=2, max_n=20):
         assert is_vertex_transitive(g)
-    with pytest.raises(ValueError, match="capped"):
+    with pytest.raises(BudgetExceededError, match="capped"):
         is_vertex_transitive(cycle_graph(70))
-    with pytest.raises(ValueError, match="capped"):
+    with pytest.raises(BudgetExceededError, match="capped"):
         vertex_orbit_of_zero(cycle_graph(70))
     # a graph that is not regular needs no search, whatever its size
     assert not is_vertex_transitive(path_graph(70))
@@ -239,8 +239,8 @@ def _check_orbit(g: Graph, orbit: set[int]) -> None:
     maps = vertex_orbit_of_zero(g)
     assert set(maps) == orbit, graph_to_graph6(g)
     for u, auto in maps.items():
-        assert auto(0) == u and auto.preimage(u) == 0, graph_to_graph6(g)
-        assert is_automorphism(g, auto.perm), graph_to_graph6(g)
+        assert auto[0] == u, graph_to_graph6(g)
+        assert is_automorphism(g, auto), graph_to_graph6(g)
     assert is_vertex_transitive(g) == (len(orbit) == g.n), graph_to_graph6(g)
 
 
@@ -308,8 +308,8 @@ def test_automorphism_mapping_tries_every_candidate():
     g = Graph(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                    (6, 7), (7, 8), (8, 9), (6, 9)])
     auto = automorphism_mapping(g, 0, 3)
-    assert auto is not None and auto(0) == 3
-    assert is_automorphism(g, auto.perm)
+    assert auto is not None and auto[0] == 3
+    assert is_automorphism(g, auto)
 
 
 def test_automorphism_mapping_rejects_a_discrete_partition_whose_map_fails():
@@ -342,17 +342,17 @@ def test_refinement_counts_neighbours_in_the_splitter():
     # discrete; counting each neighbour as one splits nothing by the rest
     # cell, and the search must branch
     g = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 0), (4, 2)])
-    assert automorphism_mapping(g, 0, 0, budget=1).perm == (0, 1, 2, 3, 4)
-    assert automorphism_mapping(g, 0, 1, budget=1).perm == (1, 0, 2, 3, 4)
+    assert automorphism_mapping(g, 0, 0, budget=1) == (0, 1, 2, 3, 4)
+    assert automorphism_mapping(g, 0, 1, budget=1) == (1, 0, 2, 3, 4)
 
 
 def test_automorphism_validity_and_sampling():
     g = petersen_graph()
     for v in range(1, 6):
         a = automorphism_mapping(g, 0, v)
-        assert a is not None and a(0) == v
-        assert is_automorphism(g, a.perm)
-        assert is_automorphism(g, a.inverse().perm)
+        assert a is not None and a[0] == v
+        assert is_automorphism(g, a)
+        assert is_automorphism(g, tuple(sorted(range(g.n), key=a.__getitem__)))
     assert not is_automorphism(g, [1, 0] + list(range(2, 10)))
 
 
