@@ -172,9 +172,13 @@ def build_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding, p: PathFamily) -> 
     p.validate(g)
     if p.source_set != x.vertex_set() - shared or p.target_set != y.vertex_set() - shared:
         raise ValueError("family terminals are not the cycle remainders")
-    # validated: each path runs from the X remainder to the Y remainder
+    return _aux_of(dec, p.paths)
+
+
+def _aux_of(dec: SegmentDecomposition, paths: tuple[tuple[int, ...], ...]) -> AuxGraph:
+    """The auxiliary graph of a validated family: each path runs from the X to the Y remainder."""
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
-    for path in p.paths:
+    for path in paths:
         pair = (dec.segment_of(path[0])[0], dec.segment_of(path[-1])[0])
         if pair in witness:
             raise SameSegmentPairError(pair, witness[pair], path)
@@ -187,15 +191,16 @@ def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> Optional[AuxGrap
 
     None when the cycles share no vertex or either remainder is empty. Two
     family paths on one segment pair raise SameSegmentPairError, as in
-    ``build_aux``.
+    ``build_aux``. ``min_vertex_cut`` has validated the family against its
+    terminals, the two remainders, so only ``decompose`` checks the cycles.
     """
-    shared = x.vertex_set() & y.vertex_set()
-    xs = x.vertex_set() - shared
-    ys = y.vertex_set() - shared
+    xv, yv = x.vertex_set(), y.vertex_set()
+    shared = xv & yv
+    xs, ys = xv - shared, yv - shared
     if not (shared and xs and ys):
         return None
     family = max_disjoint_paths(g, xs, ys, allowed=frozenset(range(g.n)) - shared)
-    return build_aux(g, x, y, family)
+    return _aux_of(decompose(g, x, y), family.paths)
 
 
 def _four_cycle_type(f: AuxGraph, i: int, k: int, j: int, l: int) -> FourCycleType:

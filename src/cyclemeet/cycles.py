@@ -72,6 +72,8 @@ class CycleEmbedding:
         vs = tuple(seq)
         if len(vs) < 3:
             raise ValueError("cycle needs at least 3 vertices")
+        if not 0 <= min(vs) <= max(vs) < g.n:
+            check_vertex_set(g, vs)  # raises, naming a vertex out of range
         if len(set(vs)) != len(vs):
             raise ValueError("cycle repeats a vertex")
         for a, b in zip(vs, vs[1:] + vs[:1]):

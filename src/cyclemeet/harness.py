@@ -483,14 +483,13 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
             if rep is None:
                 rep = separators[xm, ym] = xy_separator(g, x, y)
             pairs.append((x, y, rep))
-        thm14: list[Outcome] = []
-        # a lone longest cycle c is the degenerate pair (c, c): its cut is c itself
-        for x, y, rep in pairs or [(c, c, xy_separator(g, c, c)) for c in complete.cycles]:
-            thm14.append(verify_thm14(g, x, y, rep))
-            if thm14[-1].status == "fail":
-                break
-        stats["thm14_pairs_checked"] = len(thm14)
-        outcomes.append(thm14[-1] if thm14[-1].status == "fail" else thm14[0])
+        # a lone longest cycle c is the degenerate pair (c, c): its cut is c itself.
+        # The scan stops at the first pair over the bound, the one reported; with
+        # none, the first pair is reported
+        scanned = pairs or [(c, c, xy_separator(g, c, c)) for c in complete.cycles]
+        over = next((i for i, (_, _, rep) in enumerate(scanned) if not rep.bound_satisfied), None)
+        stats["thm14_pairs_checked"] = len(scanned) if over is None else over + 1
+        outcomes.append(verify_thm14(g, *scanned[over or 0]))
         if suite == "all":
             outcomes.extend(_structural_checks(facts, complete, pairs, stats))
 
@@ -543,8 +542,7 @@ def _structural_checks(facts: InstanceFacts, cs: CycleSet, pairs: list,
     transversal: dict[frozenset[int], bool] = {}
     failed = witness = None
     checked = 0
-    for x, y, rep in pairs:
-        checked += 1
+    for checked, (x, y, rep) in enumerate(pairs, 1):
         failed, witness = _pair_failure(g, cs, x, y, rep, two_connected, transversal)
         if failed is not None:
             break
@@ -560,11 +558,14 @@ def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
     """The first structural check one pair fails, with its witness, or (None, None).
 
     ``transversal`` maps each cut already scanned to whether it meets every
-    longest cycle; a new cut's verdict is added to it.
+    longest cycle; a new cut's verdict is added to it. A witness is built
+    only for a failing pair.
     """
-    pair = {"x": list(x.vertices), "y": list(y.vertices)}
+    def pair(**more) -> dict:
+        return {"x": list(x.vertices), "y": list(y.vertices), **more}
+
     if two_connected and not rep.m:
-        return "prop21_nonempty", pair
+        return "prop21_nonempty", pair()
     if two_connected:
         meets_all = transversal.get(rep.cut)
         if meets_all is None:
@@ -574,11 +575,11 @@ def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
     try:
         f = pair_aux(g, x, y)
     except SameSegmentPairError:
-        return "lemma32_clean", pair
+        return "lemma32_clean", pair()
     if f is None:
         return None, None  # an empty remainder leaves nothing to connect or exchange
     if type_census(f)[(0, 0)]:
-        return "lemma32_clean", pair
+        return "lemma32_clean", pair()
     ls = sorted(l_set(f))
     if not pairwise_noncrossing(ls):
         return "lemma35_clean", {"l_set": ls}
@@ -587,7 +588,7 @@ def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
         return "supersaturation", {"m": sat.m, "edges": sat.edge_count}
     improved = improve_by_four_cycles(g, x, y, f)
     if improved is not None:
-        return "exchange_absent", {**pair, "improved": [list(c.vertices) for c in improved]}
+        return "exchange_absent", pair(improved=[list(c.vertices) for c in improved])
     return None, None
 
 
@@ -624,59 +625,66 @@ def json_text(value) -> str:
     is written as the object of its fields and an ``Outcome`` as the object of
     its fields that are set (neither None nor ""), with no dict built for
     either; tuples are written as lists. A dict key that is not a ``str``
-    raises ``TypeError``.
+    raises ``TypeError``. Each object, a report included, is joined into one
+    string once; the text of each distinct witness-free outcome is written
+    once per document, at each indent it appears at, and then reused.
     """
     out: list[str] = []
-    _write(value, out, "\n")
+    _write(value, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, out: list[str], newline: str) -> None:
-    """Append the JSON text of ``value``; ``newline`` breaks a line at its indent."""
+def _write(value, out: list[str], newline: str, memo: dict) -> None:
+    """Append the JSON text of ``value``; ``newline`` breaks a line at its indent.
+
+    An object's text is joined into one string before it is appended.
+    ``memo`` maps the indent and fields of each witness-free outcome written
+    so far to its text. ``lhs`` and ``rhs`` enter the key by ``repr``, since
+    1 == 1.0 and 0.0 == -0.0, yet json writes each apart.
+    """
     kind = type(value)
     scalar = _SCALAR_TEXT.get(kind)
     if scalar is not None:
         out.append(scalar(value))
         return
     if kind is list or kind is tuple:
-        if not value:
-            out.append("[]")
-            return
         inner = newline + "  "
         out.append("[")
         for item in value:
-            scalar = _SCALAR_TEXT.get(type(item))
-            if scalar is None:
-                out.append(inner)
-                _write(item, out, inner)
-                out.append(",")
-            else:
-                out.append(f"{inner}{scalar(item)},")
-        out[-1] = out[-1][:-1] + newline + "]"  # the last item takes no comma
+            out.append(inner)
+            _write(item, out, inner, memo)
+            out.append(",")
+        out[-1] = newline + "]" if value else "[]"  # the last item takes no comma
         return
+    key = None
     if kind is dict:
         items = sorted(value.items())
     elif kind is VerificationReport:
         items = sorted(vars(value).items())
     elif kind is Outcome:
+        if value.witness is None:
+            key = (newline, value.name, value.status, repr(value.lhs), repr(value.rhs), value.detail)
+            if (text := memo.get(key)) is not None:
+                out.append(text)
+                return
         items = sorted([(k, v) for k, v in vars(value).items() if v is not None and v != ""])
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not items:
-        out.append("{}")
-        return
     inner = newline + "  "
-    out.append("{")
-    for key, item in items:
+    part = ["{"]
+    for name, item in items:
         scalar = _SCALAR_TEXT.get(type(item))
         if scalar is None:
-            out.append(f"{inner}{encode_basestring_ascii(key)}: ")
-            _write(item, out, inner)
-            out.append(",")
+            part.append(f"{inner}{encode_basestring_ascii(name)}: ")
+            _write(item, part, inner, memo)
+            part.append(",")
         else:
-            out.append(f"{inner}{encode_basestring_ascii(key)}: {scalar(item)},")
-    out[-1] = out[-1][:-1] + newline + "}"
+            part.append(f"{inner}{encode_basestring_ascii(name)}: {scalar(item)},")
+    part[-1] = part[-1][:-1] + newline + "}" if items else "{}"
+    out.append("".join(part))
+    if key is not None:
+        memo[key] = out[-1]
 
 
 def _float_text(x: float) -> str:

@@ -12,7 +12,9 @@ of whose old texts must occur exactly once. For each mutant the runner copies
 the replacements there, and runs the mutant's tests in that copy with pytest,
 one mutant at a time. It prints one line per mutant: the failing tests, or
 ``SURVIVED`` and what the mutant breaks when none fails. A survivor is a gap in the suite, or a mutant
-that changes nothing observable. The exit code is 1 when any mutant survives.
+that changes nothing observable. A mutant whose tests run longer than
+``TIMEOUT_S`` is stopped and printed as ``TIMED OUT``; a hang is a change the
+suite sees, so it counts as killed. The exit code is 1 when any mutant survives.
 
 pytest does not collect this file, and the tier-1 suite does not run the
 mutants; ``tests/test_mutants.py`` only checks that each one still applies.
@@ -30,10 +32,13 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # a mutant's pytest run past this is stopped, and the mutant counts as killed
 HARNESS = "src/cyclemeet/harness.py"
 CYCLES = "src/cyclemeet/cycles.py"
+FLOW = "src/cyclemeet/flow.py"
 TRANSITIVE = "src/cyclemeet/transitive.py"
 GRAPHS = "src/cyclemeet/graphs.py"
 AUXGRAPH = "src/cyclemeet/auxgraph.py"
@@ -182,6 +187,52 @@ MUTANTS = {
         ((AUXGRAPH, "for idx, seg in enumerate(segments, 1):", "for idx, seg in enumerate(segments):"),),
         ("tests/test_auxgraph.py", "tests/test_exchange.py"),
     ),
+    "thm14-reports-the-first-pair": Mutant(
+        "the thm14 scan finds the first pair over the bound but reports the first pair",
+        ((HARNESS, "verify_thm14(g, *scanned[over or 0])", "verify_thm14(g, *scanned[0])"),),
+        ("tests/test_harness.py",),
+    ),
+    "outcome-text-without-indent": Mutant(
+        "the writer keys an outcome's kept text by the outcome alone, so an outcome met"
+        " again at another indent is written at the first one's",
+        ((HARNESS, "key = (newline, value.name,", "key = (value.name,"),),
+        ("tests/test_harness.py",),
+    ),
+    "outcome-text-by-equal-numbers": Mutant(
+        "the writer keys an outcome's kept text by its numbers, not their repr, so lhs 1.0"
+        " is written as an earlier outcome's 1",
+        ((HARNESS, "repr(value.lhs), repr(value.rhs)", "value.lhs, value.rhs"),),
+        ("tests/test_harness.py",),
+    ),
+    "cycle-range-unchecked": Mutant(
+        "a cycle's vertices are not checked against the graph's order, so vertex n is an"
+        " IndexError and vertex -1 a negative shift",
+        ((CYCLES, "        if not 0 <= min(vs) <= max(vs) < g.n:\n"
+                  "            check_vertex_set(g, vs)  # raises, naming a vertex out of range\n", ""),),
+        ("tests/test_cycles.py", "tests/test_harness.py"),
+    ),
+    "search-budget-one-early": Mutant(
+        "the search raises on reaching its budget, one node expansion early",
+        ((CYCLES, "if self.nodes > self.budget:", "if self.nodes >= self.budget:"),),
+        ("tests/test_cycles.py",),
+    ),
+    "local-connectivity-takes-vertex-n": Mutant(
+        "local_vertex_connectivity's range check lets s = n through",
+        ((FLOW, "if not (0 <= s < g.n and 0 <= t < g.n):",
+          "if not (0 <= s <= g.n and 0 <= t < g.n):"),),
+        ("tests/test_flow.py",),
+    ),
+    "group-cap-one-past": Mutant(
+        "the group closure takes a 129th element before refusing",
+        ((TRANSITIVE, "if len(elements) >= VERTEX_CAP:", "if len(elements) > VERTEX_CAP:"),),
+        ("tests/test_transitive.py",),
+    ),
+    "group-degree-one-refused": Mutant(
+        "the group parser refuses degree 1",
+        ((TRANSITIVE, "    if n < 1:\n        raise ValueError(f\"group degree",
+          "    if n <= 1:\n        raise ValueError(f\"group degree"),),
+        ("tests/test_transitive.py",),
+    ),
     "lemma33-shared-y-index": Mutant(
         "Lemma 3.3 takes two 4-cycles whose Y-pairs share an index, not only disjoint ones",
         ((EXCHANGE, "    if {k1, l1} & {k2, l2}:\n        return None\n", ""),),
@@ -200,8 +251,12 @@ def apply(mutant: Mutant, root: Path) -> None:
         path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def failing_tests(mutant: Mutant, profile: str) -> list[str]:
-    """The ids of the mutant's tests that fail or error in a mutated copy."""
+def failing_tests(mutant: Mutant, profile: str) -> Optional[list[str]]:
+    """The ids of the mutant's tests that fail or error in a mutated copy.
+
+    None when the run takes more than ``TIMEOUT_S``: a mutant that makes a
+    test loop is stopped there and counts as killed.
+    """
     with tempfile.TemporaryDirectory(prefix="cyclemeet-mutant-") as tmp:
         root = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -209,11 +264,14 @@ def failing_tests(mutant: Mutant, profile: str) -> list[str]:
             shutil.copytree(ROOT / part, root / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", root / "pyproject.toml")
         apply(mutant, root)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             f"--hypothesis-profile={profile}", *mutant.tests],
-            cwd=root, capture_output=True, text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                 f"--hypothesis-profile={profile}", *mutant.tests],
+                cwd=root, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return None
     failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     if proc.returncode not in (0, 1) and not failed:
@@ -233,9 +291,14 @@ def main(argv=None) -> int:
     for name in args.names or MUTANTS:
         mutant = MUTANTS[name]
         failed = failing_tests(mutant, args.hypothesis_profile)
-        survived |= not failed
-        print(f"{name}: " + (f"{len(failed)} failed: {', '.join(failed)}" if failed
-                             else f"SURVIVED ({mutant.what})"), flush=True)
+        survived |= failed == []
+        if failed is None:
+            verdict = f"TIMED OUT after {TIMEOUT_S} s, counted as killed"
+        elif failed:
+            verdict = f"{len(failed)} failed: {', '.join(failed)}"
+        else:
+            verdict = f"SURVIVED ({mutant.what})"
+        print(f"{name}: {verdict}", flush=True)
     return 1 if survived else 0
 
 

@@ -104,6 +104,19 @@ def test_pair_aux_matches_build_aux_over_a_maximum_family():
     assert f.witness == expected.witness
 
 
+def test_pair_aux_rejects_a_cycle_that_is_not_in_the_graph():
+    # pair_aux takes its family as validated by the flow, but still checks the
+    # cycles: a vertex sequence that misses an edge of g raises, on either side
+    g, x, y, _ = type00_host()  # x = (0, 2, 3, 1, 4, 5), y = (0, 6, 7, 1, 8, 9)
+    # each fake shares 0 and 1 with the other cycle, and keeps one vertex of
+    # its own side, so both remainders are nonempty; g has no edge 01
+    fake_x, fake_y = CycleEmbedding((0, 1, 2)), CycleEmbedding((0, 1, 6))
+    assert not (fake_x.is_valid(g) or fake_y.is_valid(g))
+    for first, second in ((x, fake_y), (fake_x, y)):
+        with pytest.raises(ValueError, match="cycles do not live in the host graph"):
+            pair_aux(g, first, second)
+
+
 def test_build_aux_empty_family():
     g, x, y = host_c6_overlap()
     fam = PathFamily(paths=(), source_set=x.vertex_set() - {0, 1, 2},

@@ -81,6 +81,15 @@ def test_kept_cycles_count_against_the_budget():
         enumerate_longest_cycles(complete_graph(10), budget=100_000)
 
 
+def test_a_budget_of_exactly_the_nodes_a_search_expands_is_enough():
+    # the budget is the most node expansions allowed: the one past it raises
+    for g in (petersen_graph(), complete_graph(6), circulant(10, {1, 3, 7, 9})):
+        nodes = cycles._Search(g, DEFAULT_BUDGET, collect=True).run().nodes
+        assert len(enumerate_longest_cycles(g, budget=nodes)) == len(enumerate_longest_cycles(g))
+        with pytest.raises(BudgetExceededError, match=f"budget of {nodes - 1} node expansions"):
+            enumerate_longest_cycles(g, budget=nodes - 1)
+
+
 def test_budget_or_limit_below_one_is_rejected():
     g = complete_graph(4)
     for budget in (0, -4):
@@ -491,6 +500,16 @@ def test_cycle_embedding_validation():
         CycleEmbedding.from_sequence(g, [0, 1])
     c = CycleEmbedding.from_sequence(g, [1, 2, 3, 4, 0])
     assert c.vertices == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("seq, bad", [
+    ([10, 0, 1], 10), ([0, 1, 2, 3, -1], -1), ([0, 1, 2, 3, 10], 10), ([4, -7, 0], -7),
+])
+def test_cycle_vertex_out_of_range_is_named(seq, bad):
+    # checked before any edge is read: Graph.has_edge would index past its rows
+    # or shift by a negative count
+    with pytest.raises(ValueError, match=rf"^vertex {bad} not in graph of order 10$"):
+        CycleEmbedding.from_sequence(petersen_graph(), seq)
 
 
 def test_min_pairwise_intersection():

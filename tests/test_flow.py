@@ -222,6 +222,13 @@ def test_local_connectivity_needs_two_vertices_of_the_graph():
         local_vertex_connectivity(g, 0, 10)
 
 
+def test_local_connectivity_rejects_the_vertex_just_past_the_graph():
+    g = petersen_graph()
+    for s, t in ((g.n, 0), (0, g.n), (-1, 0)):
+        with pytest.raises(ValueError, match=f"vertices {s}, {t} not both in graph of order 10"):
+            local_vertex_connectivity(g, s, t)
+
+
 def test_allowed_mask_restricts_interiors():
     g = bridge_graph()
     # removing the bridge head from the allowed set kills the only path

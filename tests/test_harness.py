@@ -367,7 +367,8 @@ def count_module_calls(monkeypatch, *functions):
 
 def test_each_checked_pair_is_built_once(monkeypatch):
     counts = count_module_calls(
-        monkeypatch, flow.xy_separator, flow.max_disjoint_paths, auxgraph.build_aux
+        monkeypatch, flow.xy_separator, flow.max_disjoint_paths, auxgraph.decompose,
+        auxgraph._aux_of, auxgraph.build_aux, harness.verify_thm14,
     )
     report = analyze_instance("petersen", facts(petersen_graph()), CorpusSpec("smoke"), "all")
     assert report.worst_status() == "pass"
@@ -375,8 +376,12 @@ def test_each_checked_pair_is_built_once(monkeypatch):
     assert report.stats == {"thm14_pairs_checked": 25, "structural_pairs_checked": 25}
     # one separator per distinct ordered pair of vertex sets among the 25
     # checked pairs (15), the m_min pair (pair 0) among them; 23 of the 25
-    # pairs leave both remainders nonempty and get a path family and an aux graph
-    assert counts == {"xy_separator": 15, "max_disjoint_paths": 23, "build_aux": 23}
+    # pairs leave both remainders nonempty and get a path family, a
+    # decomposition and an aux graph. The family is validated where it is
+    # found, so the public build_aux, which validates it again, is not called;
+    # and only the reported pair's outcome is built
+    assert counts == {"xy_separator": 15, "max_disjoint_paths": 23, "decompose": 23,
+                      "_aux_of": 23, "build_aux": 0, "verify_thm14": 1}
 
 
 # pairwise12[18]: 2-connected and not vertex-transitive (so devos never reads
@@ -441,6 +446,40 @@ def test_structural_scan_stops_at_the_first_failing_pair(monkeypatch, name):
         (n, "fail" if n == check else "pass") for n in structural
     ]
     assert report.stats == {"thm14_pairs_checked": 10, "structural_pairs_checked": checked}
+
+
+def test_thm14_reports_the_first_pair_over_the_bound(monkeypatch):
+    # no real pair breaks Theorem 1.4, so one pair's separator is replaced by
+    # one that does: all 9 vertices cut at m = 1, against a ceiling of
+    # sqrt(10) + 1.5 (rhs keeps the real report's bound). The scan reports
+    # that pair, counts the pairs up to it, and builds one outcome
+    instance = facts(graph_from_graph6(PAIRWISE12_18))
+    g = instance.g
+    pairs = list(combinations(instance.cycles.cycles, 2))
+    bad = (pairs[4][0].vertex_set(), pairs[4][1].vertex_set())
+    first_bad = next(i for i, (x, y) in enumerate(pairs)
+                     if (x.vertex_set(), y.vertex_set()) == bad)
+    assert first_bad == 4  # the fifth pair, so neither the first nor the last of the ten
+    real = harness.xy_separator
+
+    def over_the_bound(g, x, y):
+        rep = real(g, x, y)
+        if (x.vertex_set(), y.vertex_set()) != bad:
+            return rep
+        return dataclasses.replace(rep, cut=frozenset(range(g.n)), m=1)
+
+    monkeypatch.setattr(harness, "xy_separator", over_the_bound)
+    counts = count_calls(monkeypatch, "verify_thm14")
+    report = analyze_instance("pairwise12[18]", instance, CorpusSpec("pairwise12"), "all")
+    x, y = pairs[first_bad]
+    thm14 = [o for o in report.outcomes if o.name == "thm14_bound"]
+    assert thm14 == [Outcome(
+        "thm14_bound", "fail", lhs=9, rhs=real(g, x, y).bound,
+        witness={"graph6": PAIRWISE12_18, "x": list(x.vertices), "y": list(y.vertices),
+                 "cut": list(range(9))},
+    )]
+    assert report.stats["thm14_pairs_checked"] == first_bad + 1
+    assert counts == {"verify_thm14": 1}
 
 
 def test_shared_separators_and_transversal_verdicts_match_direct_calls(monkeypatch):
@@ -672,6 +711,51 @@ def test_failed_report_is_written_as_json_dumps_writes_its_fields():
     assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
+def as_json_value(value):
+    """The plain value json.dumps writes as json_text writes ``value``: each report
+    as the dict of its fields, each outcome as the dict of its set fields."""
+    if isinstance(value, (list, tuple)):
+        return [as_json_value(item) for item in value]
+    if isinstance(value, (VerificationReport, Outcome)):
+        value = {k: v for k, v in vars(value).items()
+                 if isinstance(value, VerificationReport) or (v is not None and v != "")}
+    if isinstance(value, dict):
+        return {k: as_json_value(v) for k, v in value.items()}
+    return value
+
+
+def test_json_text_writes_each_outcome_as_json_dumps_would_wherever_it_recurs():
+    # json_text keeps the text of each witness-free outcome and writes it again
+    # where the outcome recurs. One outcome recurs at three indents, a
+    # failing report with a witness sits between two passing ones, and
+    # outcomes that compare equal but are written apart (1 and 1.0, 0.0 and
+    # -0.0) share a report
+    passed = Outcome("babai", "pass", lhs=9, rhs=5.196152422706632)
+    failed = Outcome("thm14_bound", "fail", lhs=9, rhs=69.07,
+                     witness={"graph6": "HkSg_SD", "x": [0, 1, 2], "cut": (1, 2),
+                              "nested": {"b": None, "a": [passed]}})
+    equal_apart = (Outcome("smith", "pass", lhs=1, rhs=2), Outcome("smith", "pass", lhs=1.0, rhs=2),
+                   Outcome("smith", "pass", lhs=0.0, rhs=2), Outcome("smith", "pass", lhs=-0.0, rhs=2),
+                   Outcome("smith", "pass", lhs=True, rhs=2))
+    assert len(set(equal_apart)) == 2  # the dataclass's equality cannot tell them apart
+
+    def report(index, outcomes):
+        return VerificationReport(
+            instance_id=f"t[{index}]", n=9, degree=3, connectivity=3, cycle_length=9,
+            cycle_count=5, truncated=False, m_min=7, separator_size=7, separator_bound=69.07,
+            outcomes=outcomes, observations={}, stats={"thm14_pairs_checked": 10},
+        )
+
+    document = {
+        "a": [passed, {"deeper": (passed,)}],
+        "instances": [report(0, (passed, *equal_apart)), report(1, (passed, failed)),
+                      report(2, (passed, Outcome("exchange_absent", "pass")))],
+        "z": passed,
+    }
+    assert json_text(document) == json.dumps(as_json_value(document), indent=2,
+                                             sort_keys=True) + "\n"
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -717,6 +801,19 @@ def test_cli_separator_on_disjoint_longest_cycles_passes(tmp_path, capsys):
     assert main(["separator", "--in", str(path), "--x", "0,1,2", "--y", "4,5,6"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["cut"], rep["m"], rep["bound"], rep["bound_satisfied"]) == ([2], 0, 0.0, True)
+
+
+@pytest.mark.parametrize("command", ["separator", "auxgraph", "certify"])
+@pytest.mark.parametrize("cycle, bad", [("10,0,1", 10), ("0,1,2,3,-1", -1)])
+def test_cli_pair_commands_name_a_cycle_vertex_out_of_range(tmp_path, capsys, command,
+                                                             cycle, bad):
+    # a usage error, not a traceback (vertex n) or a shift error (vertex -1)
+    path = tmp_path / "pet.g6"
+    path.write_text(graph_to_graph6(petersen_graph()) + "\n")
+    for x, y in ((cycle, "0,1,2,3,4"), ("0,1,2,3,4", cycle)):
+        assert main([command, "--in", str(path), f"--x={x}", f"--y={y}"]) == 3
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: vertex {bad} not in graph of order 10\n")
 
 
 def test_cli_usage_errors(tmp_path, capsys):

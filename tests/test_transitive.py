@@ -91,6 +91,27 @@ def test_group_degree_below_one_is_rejected_by_the_parser(text):
         parse_group(text)
 
 
+def test_group_of_degree_one_is_accepted():
+    # the one permutation of one point, as either kind
+    assert parse_group("cyclic 1:") == (((0,),), ())
+    assert parse_group("perm 1: (0)") == (((0,),), ((0,),))
+    assert _closure((0,), [(0,)]) == [(0,)]
+
+
+def test_group_order_cap_is_the_vertex_cap():
+    # Z_128 as the rotation group of a 128-gon has exactly VERTEX_CAP elements,
+    # and its Cayley graph on the rotations by 1 and -1 is the 128-cycle;
+    # Z_129 has one element too many
+    def rotations(n):
+        forward = " ".join(map(str, range(n)))
+        backward = " ".join(map(str, reversed(range(n))))
+        return f"perm {n}: ({forward}); ({backward})"
+
+    assert cayley(*parse_group(rotations(128))) == cycle_graph(128)
+    with pytest.raises(ValueError, match="^group order exceeds cap of 128$"):
+        cayley(*parse_group(rotations(129)))
+
+
 def test_cayley_rejects_a_connection_element_outside_the_group():
     three_cycle = (1, 2, 0, 3)
     swap = (0, 1, 3, 2)  # moves 3, which the 3-cycle fixes
