@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -36,6 +37,13 @@ EXIT_USAGE = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts with a minus and a digit, such as the cycle list
+        # "-1,0,1", is a value and not an option; argparse's own pattern takes
+        # only a plain negative number for one
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str):  # argparse default exits 2; usage errors are 3 here
         self.print_usage(sys.stderr)
         raise ValueError(message)

@@ -58,7 +58,7 @@ from .graphs import (
     mask_of,
     vertex_connectivity,
 )
-from .transitive import AUTOMORPHISM_CAP, check_automorphism_cap, vertex_orbit_of_zero
+from .transitive import vertex_orbit_of_zero
 
 ENUMERATION_LIMIT = 5000  # longest cycles kept per graph; more leaves the set truncated
 PAIR_LIMIT = 25  # cycle pairs checked per instance by each pairwise check
@@ -143,13 +143,11 @@ class InstanceFacts:
         """The orbit of vertex 0, each orbit vertex u with an automorphism sending 0 to u.
 
         Searched only for a connected regular graph, the only kind that can be
-        vertex-transitive; None for any other. Above ``AUTOMORPHISM_CAP``
-        vertices no search runs, and the fact is inconclusive, as an exhausted
-        search's is.
+        vertex-transitive; None for any other. A search that runs out of
+        budget leaves the fact inconclusive.
         """
         if not self.connected or self.degree is None:
             return None
-        check_automorphism_cap(self.g)
         return vertex_orbit_of_zero(self.g, self.budget)
 
     @property
@@ -163,8 +161,7 @@ class InstanceFacts:
         """κ(G), by ``vertex_connectivity``'s orbit rule when a check already searched the orbit.
 
         It never starts the orbit search itself, and an orbit search that ran
-        out of budget, or a graph past the cap, leaves the plain
-        Esfahanian–Hakimi flows.
+        out of budget leaves the plain Esfahanian–Hakimi flows.
         """
         orbit = vars(self).get("_orbit")
         return vertex_connectivity(self.g, orbit if isinstance(orbit, dict) else None)

@@ -16,8 +16,8 @@ checks the map. A search expands at most ``budget`` nodes and then raises
 ``BudgetExceededError``, as the cycle search does. An automorphism is its
 permutation tuple. The orbit of vertex 0 comes with one automorphism per
 orbit vertex, which ``graphs.vertex_connectivity`` can use; whether a graph
-is vertex-transitive is read off it, for up to 64 vertices. A larger graph
-is refused with ``BudgetExceededError`` too, so it ends inconclusive.
+is vertex-transitive is read off it, for any graph up to the vertex cap. The
+node budget is the search's only limit.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from typing import Iterable, Optional, Sequence
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError
 from .graphs import VERTEX_CAP, Graph, check_vertex_set, is_regular, iter_bits
-
-AUTOMORPHISM_CAP = 64
 
 
 def _refine_jointly(g: Graph, cells_g: list[int], cells_h: list[int],
@@ -141,16 +139,6 @@ def automorphism_mapping(g: Graph, a: int, b: int,
     return _search(g, cells_g, cells_h, queue, budget)
 
 
-def check_automorphism_cap(g: Graph) -> None:
-    """Refuse a graph above ``AUTOMORPHISM_CAP`` vertices with ``BudgetExceededError``.
-
-    A resource limit, like an exhausted search budget: what reads the
-    automorphisms of such a graph ends inconclusive.
-    """
-    if g.n > AUTOMORPHISM_CAP:
-        raise BudgetExceededError(f"automorphism search capped at {AUTOMORPHISM_CAP} vertices")
-
-
 def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, tuple[int, ...]]:
     """The orbit of vertex 0 under the automorphism group, as u -> an automorphism sending 0 to u.
 
@@ -158,10 +146,8 @@ def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, tu
     runs for each vertex not yet in the orbit; each map found and its
     inverse become generators. The orbit is closed under them as a Schreier
     tree: a vertex reached as gen[w] keeps gen composed with w's map.
-    ``budget`` is per search, and a graph above ``AUTOMORPHISM_CAP``
-    vertices is refused by ``check_automorphism_cap``.
+    ``budget`` is per search; an exhausted one raises ``BudgetExceededError``.
     """
-    check_automorphism_cap(g)
     if g.n == 0:
         return {}
     maps = {0: tuple(range(g.n))}
@@ -189,8 +175,8 @@ def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, tu
 def is_vertex_transitive(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the automorphism group has a single vertex orbit; ``budget`` is per search.
 
-    A regular graph above ``AUTOMORPHISM_CAP`` vertices raises
-    ``BudgetExceededError``, as an exhausted search does.
+    A graph that is not regular needs no search. Otherwise an exhausted
+    search raises ``BudgetExceededError``.
     """
     if g.n <= 1:
         return True
@@ -222,7 +208,11 @@ def parse_group(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
     """Parse a group file into (generators, connection set), both as permutation tuples.
 
     ``perm n: (c y c l e)(...); ...`` gives its permutations of 0..n-1 as
-    both. ``cyclic n: s1,s2,...`` is Z_n as its rotation group: the
+    both, each stored on the points that the cycles name, relabelled
+    0, 1, ... in increasing order. Every element fixes the other points, so
+    the group's sorted order and its Cayley graph are those of the
+    permutations of 0..n-1, and the work grows with the text, not with n.
+    ``cyclic n: s1,s2,...`` is Z_n as its rotation group: the
     generator x -> x + 1 and the connection set of the rotations
     x -> x + s_i (mod n), whose Cayley graph is ``circulant(n, S)`` for
     S = {s1, s2, ...} (see ``cayley``). The degree n must be at least 1.
@@ -242,13 +232,15 @@ def parse_group(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
         steps = [int(tok) for tok in body.replace(",", " ").split()]
         rotations = tuple(tuple((x + s) % n for x in range(n)) for s in steps)
         return (tuple((x + 1) % n for x in range(n)),), rotations
-    perms = tuple(_parse_cycles(chunk, n) for chunk in body.split(";") if chunk.strip())
+    moves = [_parse_cycles(chunk, n) for chunk in body.split(";") if chunk.strip()]
+    index = {p: i for i, p in enumerate(sorted(set().union(*moves)))}
+    perms = tuple(tuple(index[move.get(p, p)] for p in index) for move in moves)
     return perms, perms
 
 
-def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
-    """One permutation of 0..n-1 in disjoint cycle notation."""
-    perm = list(range(n))
+def _parse_cycles(text: str, n: int) -> dict[int, int]:
+    """One permutation of 0..n-1 in disjoint cycle notation, as each named point's image."""
+    perm: dict[int, int] = {}
     depth = 0
     current: list[int] = []
     seen: set[int] = set()
@@ -290,7 +282,7 @@ def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
             raise ValueError(f"bad character {ch!r} in cycle notation")
     if depth:
         raise ValueError("unbalanced parenthesis in cycle notation")
-    return tuple(perm)
+    return perm
 
 
 def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

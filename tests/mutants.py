@@ -43,6 +43,7 @@ TRANSITIVE = "src/cyclemeet/transitive.py"
 GRAPHS = "src/cyclemeet/graphs.py"
 AUXGRAPH = "src/cyclemeet/auxgraph.py"
 EXCHANGE = "src/cyclemeet/exchange.py"
+CLI = "src/cyclemeet/cli.py"
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,19 @@ MUTANTS = {
         ((TRANSITIVE, "    if n < 1:\n        raise ValueError(f\"group degree",
           "    if n <= 1:\n        raise ValueError(f\"group degree"),),
         ("tests/test_transitive.py",),
+    ),
+    "perm-points-relabelled-decreasing": Mutant(
+        "a perm group's named points are relabelled in decreasing order, which reorders"
+        " the sorted elements and so renumbers the Cayley graph's vertices",
+        ((TRANSITIVE, "enumerate(sorted(set().union(*moves)))",
+          "enumerate(sorted(set().union(*moves), reverse=True))"),),
+        ("tests/test_transitive.py",),
+    ),
+    "negative-cycle-list-as-option": Mutant(
+        "the CLI keeps argparse's own pattern for a negative number, so a cycle list that"
+        " starts with a negative vertex is taken for an option",
+        ((CLI, 're.compile(r"-\\.?\\d")', r're.compile(r"^-\d+$|^-\d*\.\d+$")'),),
+        ("tests/test_harness.py",),
     ),
     "lemma33-shared-y-index": Mutant(
         "Lemma 3.3 takes two 4-cycles whose Y-pairs share an index, not only disjoint ones",

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from itertools import combinations
 from pathlib import Path
@@ -192,19 +195,43 @@ def test_exhausted_automorphism_search_is_inconclusive_and_runs_once(monkeypatch
                       "enumerate_longest_cycles": 0}
 
 
-def test_a_graph_above_the_automorphism_cap_is_inconclusive_without_a_search(monkeypatch):
-    counts = count_calls(monkeypatch, "vertex_orbit_of_zero", "vertex_connectivity")
+def test_a_graph_above_64_vertices_gets_its_orbit_searched(monkeypatch):
+    # the node budget is the automorphism search's only limit: C70's orbit is
+    # searched as a small graph's is, and κ reads it
+    counts = count_calls(monkeypatch, "vertex_orbit_of_zero")
+    searches = count_searches(monkeypatch)
     facts = InstanceFacts(cycle_graph(70), DEFAULT_BUDGET)
-    message = f"automorphism search capped at {harness.AUTOMORPHISM_CAP} vertices"
-    assert facts.g.n > harness.AUTOMORPHISM_CAP
+    assert verify_babai(facts).status == "pass"
+    assert verify_devos(facts, frozenset(range(70)), 1).status == "pass"
+    assert len(facts.orbit) == 70
+    searches["flows"] = 0
+    # the orbit rule: one flow per partner pair {w, -w}, no neighbour pair;
+    # the plain flows take 67 non-neighbours and the pair {1, 69}, 68 in all
+    assert facts.connectivity == 2
+    assert searches["flows"] == 34
+    assert counts == {"vertex_orbit_of_zero": 1}
+    # a graph that is not regular is not vertex-transitive: babai skips it, with no search
+    assert verify_babai(InstanceFacts(path_graph(70), DEFAULT_BUDGET)).status == "skipped"
+    assert counts == {"vertex_orbit_of_zero": 1}
+
+
+def test_an_exhausted_orbit_search_above_64_vertices_is_inconclusive(monkeypatch):
+    # the budget guards the search on a large graph as on a small one: the
+    # error is kept, both checks name it, and κ falls back to the plain flows
+    message = "search budget of 1 node expansions exceeded"
+    with pytest.raises(cycles.BudgetExceededError, match=f"^{message}$"):
+        harness.vertex_orbit_of_zero(cycle_graph(70), 1)
+    counts = count_calls(monkeypatch, "vertex_orbit_of_zero")
+    searches = count_searches(monkeypatch)
+    facts = InstanceFacts(cycle_graph(70), 1)
     babai = verify_babai(facts)
     devos = verify_devos(facts, frozenset(range(70)), 1)
     assert (babai.status, babai.detail) == ("inconclusive", message)
     assert (devos.status, devos.detail) == ("inconclusive", message)
+    searches["flows"] = 0
     assert facts.connectivity == 2
-    assert counts == {"vertex_orbit_of_zero": 0, "vertex_connectivity": 1}
-    # a graph past the cap that is not regular is not vertex-transitive: babai skips it
-    assert verify_babai(InstanceFacts(path_graph(70), DEFAULT_BUDGET)).status == "skipped"
+    assert searches["flows"] == 68
+    assert counts == {"vertex_orbit_of_zero": 1}
 
 
 def count_searches(monkeypatch):
@@ -804,16 +831,125 @@ def test_cli_separator_on_disjoint_longest_cycles_passes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["separator", "auxgraph", "certify"])
-@pytest.mark.parametrize("cycle, bad", [("10,0,1", 10), ("0,1,2,3,-1", -1)])
+@pytest.mark.parametrize("cycle, bad", [("10,0,1", 10), ("0,1,2,3,-1", -1), ("-1,0,1", -1)])
 def test_cli_pair_commands_name_a_cycle_vertex_out_of_range(tmp_path, capsys, command,
                                                              cycle, bad):
-    # a usage error, not a traceback (vertex n) or a shift error (vertex -1)
+    # a usage error, not a traceback (vertex n) or a shift error (vertex -1);
+    # a list that starts with a negative vertex is a value in either form
     path = tmp_path / "pet.g6"
     path.write_text(graph_to_graph6(petersen_graph()) + "\n")
     for x, y in ((cycle, "0,1,2,3,4"), ("0,1,2,3,4", cycle)):
-        assert main([command, "--in", str(path), f"--x={x}", f"--y={y}"]) == 3
-        out = capsys.readouterr()
-        assert (out.out, out.err) == ("", f"error: vertex {bad} not in graph of order 10\n")
+        for args in ([f"--x={x}", f"--y={y}"], ["--x", x, "--y", y]):
+            assert main([command, "--in", str(path), *args]) == 3
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", f"error: vertex {bad} not in graph of order 10\n")
+
+
+# each fuzzed graph6 string with up to six of its longest cycles
+_FUZZ_CYCLES = {
+    graph_to_graph6(g): [",".join(map(str, c.vertices))
+                         for c in enumerate_longest_cycles(g, limit=6).cycles]
+    for g in (cycle_graph(5), complete_graph(5), petersen_graph(), wheel_graph(6),
+              two_triangles_shared_vertex())
+}
+_FUZZ_CYCLES[graph_to_graph6(Graph(4, [(0, 1), (2, 3)]))] = []
+
+
+# mostly ASCII, as graph6 is, with the odd character past it
+_fuzz_chars = st.characters(max_codepoint=0x7f) | st.sampled_from("é\u2603")
+
+
+@st.composite
+def _graph6_text(draw):
+    """graph6 text: valid (most often), valid with one character replaced, or any short text."""
+    valid = sorted(_FUZZ_CYCLES)
+    kind = draw(st.integers(0, len(valid) + 1))
+    if kind < len(valid):
+        return valid[kind]
+    if kind == len(valid):
+        text = draw(st.sampled_from(valid))
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(_fuzz_chars) + text[at + 1:]
+    return draw(st.text(_fuzz_chars, max_size=12))
+
+
+@st.composite
+def _vertex_list(draw, cycles):
+    """Any vertices, n and negatives among them, or one of the cycles, maybe with a vertex changed."""
+    if not cycles or not draw(st.integers(0, 2)):
+        return ",".join(map(str, draw(st.lists(st.integers(-2, 11), max_size=8))))
+    vertices = draw(st.sampled_from(cycles)).split(",")
+    if draw(st.booleans()):
+        vertices[draw(st.integers(0, len(vertices) - 1))] = str(draw(st.integers(-2, 11)))
+    return ",".join(vertices)
+
+
+@st.composite
+def _group_text(draw):
+    """A ``cyclic`` or ``perm`` group file, with degrees and points in and out of range.
+
+    Half are closed under inverses, so that some are a group with a Cayley graph.
+    """
+    n = draw(st.integers(-1, 12))
+    closed = draw(st.booleans())
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(-3, 14), max_size=4))
+        steps += [n - s for s in steps] if closed else []
+        return f"cyclic {n}: " + ",".join(map(str, steps))
+    cycles = draw(st.lists(st.lists(st.integers(-1, 12), max_size=4), max_size=4))
+    cycles += [cycle[::-1] for cycle in cycles] if closed else []
+    return f"perm {n}: " + "; ".join(
+        "(" + " ".join(map(str, cycle)) + ")" for cycle in cycles)
+
+
+@st.composite
+def _cli_argv(draw):
+    """A command line of one subcommand, and the text of the file it reads."""
+    command = draw(st.sampled_from(
+        ["gen", "cycles", "intersect", "separator", "auxgraph", "certify"]))
+    if command == "gen":
+        return ["gen", "cayley", "--file", "{file}"], draw(_group_text())
+    text = draw(_graph6_text())
+    argv = [command, "--in", "{file}"]
+    if command in ("cycles", "intersect"):
+        if command == "cycles" and draw(st.booleans()):
+            argv.append("--enumerate")
+        for option in ("--limit", "--budget"):
+            if draw(st.booleans()):
+                argv += [option, str(draw(st.integers(-1, 40)))]
+    else:
+        cycles = _FUZZ_CYCLES.get(text, [])
+        argv += ["--x", draw(_vertex_list(cycles)), "--y", draw(_vertex_list(cycles))]
+    return argv, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_argv())
+def test_cli_fuzz_ends_in_an_exit_code_never_a_traceback(case):
+    # exit 0, 2 or 3; or 1 with one JSON error: an invariant failure on
+    # stderr, or auxgraph's pair that shares no vertex or puts two paths on one
+    # segment pair, on stdout
+    argv, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        argv = [path if arg == "{file}" else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 3:
+        assert out == "" and err.splitlines()[-1].startswith("error: "), (argv, text, err)
+    elif code == 1:
+        if err:
+            (line,) = err.splitlines()
+            assert json.loads(line)["error"] == "internal invariant failed", (argv, text)
+        else:
+            assert argv[0] == "auxgraph", (argv, text, out)
+            assert json.loads(out)["error"] in ("empty intersection", "same segment pair")
+    else:
+        assert code in (0, 2), (argv, text, code)
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -1005,27 +1141,30 @@ def test_cli_budget_error_leaving_a_command_exits_two(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("suite", ["babai", "all"])
-def test_cli_verify_past_the_automorphism_cap_is_inconclusive(tmp_path, suite):
-    # 16 of these circulants have more than 64 vertices; the run used to stop at
-    # the first of them with a usage error. The small budget keeps one
-    # non-Hamiltonian-looking circulant's length search short
+def test_cli_verify_searches_the_orbit_of_circulants_above_64_vertices(tmp_path, suite):
+    # 16 of these circulants have more than 64 vertices; their orbits are
+    # searched under the node budget like every other. The small budget keeps
+    # the length search of the n = 68 circulant short: it, and one with
+    # n = 46, end inconclusive on that budget
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", suite, "--corpus", "circulants:count=40,max_n=100",
                  "--seed", "3", "--budget", "2000", "--out", str(out)])
     assert code == 2
     payload = json.loads(out.read_text())
     assert payload["summary"]["total"] == 40 and payload["summary"]["failed"] == 0
-    large = [r for r in payload["instances"] if r["n"] > harness.AUTOMORPHISM_CAP]
-    assert len(large) == 16
-    message = "automorphism search capped at 64 vertices"
-    for r in large:
-        outcomes = {o["name"]: o for o in r["outcomes"]}
-        assert (outcomes["babai"]["status"], outcomes["babai"]["detail"]) == (
-            "inconclusive", message)
-        if "devos" in outcomes:
-            assert outcomes["devos"]["detail"] == message
+    assert len([r for r in payload["instances"] if r["n"] > 64]) == 16
+    budget_exceeded = "search budget of 2000 node expansions exceeded"
+    for r in payload["instances"]:
+        for o in r["outcomes"]:
+            assert "cap" not in o.get("detail", "")
         g = graph_from_graph6(r["instance_id"].split(":", 1)[1])
         assert r["connectivity"] == vertex_connectivity(g)
+    if suite == "babai":
+        babai = [(r["n"], r["outcomes"][0]["status"], r["outcomes"][0].get("detail", ""))
+                 for r in payload["instances"]]
+        assert [key for key in babai if key[1] != "pass"] == [
+            (68, "inconclusive", budget_exceeded), (46, "inconclusive", budget_exceeded)]
+        assert len([key for key in babai if key[0] > 64 and key[1] == "pass"]) == 15
 
 
 def test_cli_verify_exit_codes(tmp_path):

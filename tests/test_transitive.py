@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,58 @@ def test_group_order_cap_is_the_vertex_cap():
         cayley(*parse_group(rotations(129)))
 
 
+def test_a_perm_group_costs_its_text_not_its_degree():
+    # a transposition of 10^8 points is stored on the two it moves; a
+    # permutation of all of them would take gigabytes
+    tracemalloc.start()
+    try:
+        assert cayley(*parse_group("perm 100000000: (0 1)")) == complete_graph(2)
+        assert parse_group("perm 100000000: (99999999 5)") == (((1, 0),), ((1, 0),))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def _cycle_text(perm: tuple[int, ...]) -> str:
+    """perm in disjoint cycle notation, its fixed points left out; ``(0)`` for the identity."""
+    text, seen = "", set()
+    for start in range(len(perm)):
+        if perm[start] != start and start not in seen:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            text += "(" + " ".join(map(str, cycle)) + ")"
+    return text or "(0)"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_perm_group_padded_with_fixed_points_has_the_full_degree_cayley_graph(data):
+    # a group on m <= 5 points placed anywhere among n: each generator and its
+    # inverse, as full permutations of 0..n-1 and as parse_group's text
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(m, 12))
+    points = data.draw(st.permutations(range(n)))[:m]
+    full = []
+    for small in data.draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3)):
+        for perm in (small, [small.index(i) for i in range(m)]):
+            padded = list(range(n))
+            for i, j in enumerate(perm):
+                padded[points[i]] = points[j]
+            full.append(tuple(padded))
+    text = f"perm {n}: " + "; ".join(map(_cycle_text, full))
+
+    def graph_or_error(build):
+        try:
+            return build()
+        except ValueError as err:  # the identity among the generators
+            return str(err)
+
+    assert graph_or_error(lambda: cayley(*parse_group(text))) == graph_or_error(
+        lambda: cayley(full)), text
+
+
 def test_cayley_rejects_a_connection_element_outside_the_group():
     three_cycle = (1, 2, 0, 3)
     swap = (0, 1, 3, 2)  # moves 3, which the 3-cycle fixes
@@ -140,6 +193,9 @@ def test_cayley_cube():
 def test_cayley_perm_parse_and_inverse_closure():
     gens, conn = parse_group("perm 4: (0 1 2 3); (0 1)")
     assert gens == conn == ((1, 2, 3, 0), (1, 0, 2, 3))
+    # the named points 2 < 5 < 7 < 8 become 0 < 1 < 2 < 3, the fixed point 6 too
+    assert parse_group("perm 9: (2 5 7 8); (2 5)") == (gens, conn)
+    assert parse_group("perm 9: (6); (2 5 8)") == (((0, 1, 2, 3), (1, 3, 2, 0)),) * 2
     assert len(_closure(tuple(range(4)), gens)) == 24
     with pytest.raises(ValueError, match="inverse"):
         cayley(gens, conn)  # the 4-cycle generator lacks its inverse
@@ -176,10 +232,14 @@ def test_is_vertex_transitive_cases():
     assert not is_vertex_transitive(path_graph(3))
     for g in random_circulants(8, seed=2, max_n=20):
         assert is_vertex_transitive(g)
-    with pytest.raises(BudgetExceededError, match="capped"):
-        is_vertex_transitive(cycle_graph(70))
-    with pytest.raises(BudgetExceededError, match="capped"):
-        vertex_orbit_of_zero(cycle_graph(70))
+    # the node budget is the search's only limit, past 64 vertices as below
+    assert is_vertex_transitive(cycle_graph(70))
+    # one double-edge switch of circulant(70, {1, 35, 69}) leaves it connected and
+    # 3-regular, with an orbit of 0 of four vertices (networkx's VF2 agrees)
+    switched = Graph(70, set(circulant(70, {1, 35, 69}).edges()) - {(0, 1), (2, 3)}
+                     | {(0, 2), (1, 3)})
+    assert is_connected(switched) and is_regular(switched) == 3
+    _check_orbit(switched, {0, 3, 35, 38})
     # a graph that is not regular needs no search, whatever its size
     assert not is_vertex_transitive(path_graph(70))
 
