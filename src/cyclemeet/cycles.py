@@ -11,11 +11,12 @@ length floor. When the region is exactly large enough (slack zero), the rest
 of the cycle must be a Hamiltonian head -> closing-vertex path through it, and
 Rubin's required-edge rule (J. ACM 21(4), 1974) applies: a region vertex with
 only two neighbours left must use both. There the outcome depends only on the
-head and the region (the Held-Karp subproblem), so slack-zero states are
-remembered, as in the transposition tables of Vandegriend and Culberson (JAIR
-9, 1998). One table maps each searched state to the cycles its subtree
-closed: a state that closed nothing is skipped when reached again, and one
-that closed cycles has their tails replayed behind the new path. The bound is
+head, the region and the vertices among them the cycle may close on (the
+Held-Karp subproblem), so slack-zero states are remembered, as in the
+transposition tables of Vandegriend and Culberson (JAIR 9, 1998). One table
+per anchor maps each searched state to the cycles its subtree closed: a
+state that closed nothing is skipped when reached again, and one that closed
+cycles has their tails replayed behind the new path. The bound is
 exact, so every search finds the same c(G), keeps the same cycles and reports
 the same ``truncated`` as a plain reachability bound that closes each cycle
 both ways, nearly always in far fewer nodes.
@@ -41,7 +42,7 @@ from typing import Iterable, Optional
 from .graphs import Graph, check_vertex_set, is_forest, iter_bits, mask_of
 
 DEFAULT_BUDGET = 10**8
-DEAD_STATE_CAP = 1 << 15  # slack-zero states the memo holds per anchor and path[1]
+DEAD_STATE_CAP = 1 << 15  # slack-zero states the memo holds; a full memo starts afresh
 
 
 class BudgetExceededError(RuntimeError):
@@ -70,15 +71,7 @@ class CycleEmbedding:
     @classmethod
     def from_sequence(cls, g: Graph, seq: Iterable[int]) -> "CycleEmbedding":
         vs = tuple(seq)
-        if len(vs) < 3:
-            raise ValueError("cycle needs at least 3 vertices")
-        if not 0 <= min(vs) <= max(vs) < g.n:
-            check_vertex_set(g, vs)  # raises, naming a vertex out of range
-        if len(set(vs)) != len(vs):
-            raise ValueError("cycle repeats a vertex")
-        for a, b in zip(vs, vs[1:] + vs[:1]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"missing edge ({a},{b})")
+        _check_cycle(g, vs)
         return cls(canonical_cycle(vs))
 
     @property
@@ -96,38 +89,63 @@ class CycleEmbedding:
         return frozenset(out)
 
     def is_valid(self, g: Graph) -> bool:
+        """Whether the stored sequence is a cycle of g, read the canonical way round."""
         try:
-            CycleEmbedding.from_sequence(g, self.vertices)
+            _check_cycle(g, self.vertices)
         except ValueError:
             return False
         return self.vertices == canonical_cycle(self.vertices)
 
 
+def _check_cycle(g: Graph, vs: tuple[int, ...]) -> None:
+    """Raise ValueError unless vs, read cyclically, is a simple cycle of g."""
+    if len(vs) < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    if not 0 <= min(vs) <= max(vs) < g.n:
+        check_vertex_set(g, vs)  # raises, naming a vertex out of range
+    if len(set(vs)) != len(vs):
+        raise ValueError("cycle repeats a vertex")
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        if not g.has_edge(a, b):
+            raise ValueError(f"missing edge ({a},{b})")
+
+
 @dataclass(frozen=True)
 class CycleSet:
-    """All cycles of one length, canonicalized and lexicographically ordered."""
+    """All cycles of one length, canonicalized and lexicographically ordered.
+
+    ``sequences`` holds each cycle's canonical vertex tuple in that order.
+    ``cycles`` wraps them as ``CycleEmbedding`` objects on first read, so a
+    caller that reads only counts, masks or a few cycles builds no object
+    for the rest.
+    """
 
     length: int
-    cycles: tuple[CycleEmbedding, ...]
+    sequences: tuple[tuple[int, ...], ...]
     truncated: bool = False
 
     def __len__(self) -> int:
-        return len(self.cycles)
+        return len(self.sequences)
 
     def __iter__(self):
         return iter(self.cycles)
 
     @cached_property
+    def cycles(self) -> tuple[CycleEmbedding, ...]:
+        """Every cycle as a ``CycleEmbedding``, built on first use."""
+        return tuple(map(CycleEmbedding, self.sequences))
+
+    @cached_property
     def masks(self) -> tuple[int, ...]:
         """The vertex bitmask of each cycle, built on first use."""
-        return tuple(mask_of(c.vertices) for c in self.cycles)
+        return tuple(map(mask_of, self.sequences))
 
     def to_json_dict(self) -> dict:
         return {
             "length": self.length,
-            "count": len(self.cycles),
+            "count": len(self.sequences),
             "truncated": self.truncated,
-            "cycles": [list(c.vertices) for c in self.cycles],
+            "cycles": [list(c) for c in self.sequences],
         }
 
 
@@ -165,28 +183,32 @@ class _Search:
 
     At slack zero a child closes a cycle exactly when a Hamiltonian path runs
     from its head through its kept set to ``closers``, whatever the path
-    before it, and every such cycle has length ``floor``. So ``memo`` maps
-    the (kept set, head) state of a searched slack-zero child to the
-    ``found[start:end]`` slice its subtree appended, empty when it closed
-    nothing, for at most ``DEAD_STATE_CAP`` states. A state is recorded only
-    if the subtree left ``floor`` where it stood when the parent was entered
-    and ``best`` where it stood when the child was entered. A child entered
-    after a sibling's close raised ``floor`` is cut for length without a
-    search, and its state may still complete a longer path. A truncated
-    search's child can close a cycle of length ``floor`` that becomes the new
-    ``best`` at the same ``floor``, and its slice is then gone with the old
-    kept set. A child found in ``memo`` with an empty slice is skipped. One
-    with cycles is not searched either: each cycle of the slice is appended
-    again with the new path in place of its first ``len(path) + 1`` vertices.
-    Replayed cycles come in the first visit's order, not in search order, so
-    a replay that would reach ``limit`` is searched for real instead, and the
-    kept set stays the first ``limit`` closes. ``memo`` is cleared with
-    ``found``, and afresh at each depth-2 node, since ``closers`` changes
-    there. A skipped or replayed child is not a node expansion; a node off
-    slack zero runs a loop with no memo work. A replayed cycle costs no node,
-    so the kept set is held to ``budget`` on its own: a close or replay that
-    would keep more cycles is a budget error, which the search would have
-    hit anyway with each kept cycle closed at a node.
+    before it, and every such cycle has length ``floor``. Its subtree reads
+    ``closers`` only on the kept set and the head: in the close test, in the
+    closer cut of a region plus its head, and in the forced-vertex rule, which
+    looks only at forced vertices inside the region. So ``memo`` maps the
+    (closers on kept set and head, kept set, head) state of a searched
+    slack-zero child to the ``found[start:end]`` slice its subtree appended,
+    empty when it closed nothing. A state is recorded only if the subtree left
+    ``floor`` where it stood when the parent was entered and ``best`` where it
+    stood when the child was entered. A child entered after a sibling's close
+    raised ``floor`` is cut for length without a search, and its state may
+    still complete a longer path. A truncated search's child can close a cycle
+    of length ``floor`` that becomes the new ``best`` at the same ``floor``,
+    and its slice is then gone with the old kept set. A child found in
+    ``memo`` with an empty slice is skipped. One with cycles is not searched
+    either: each cycle of the slice is appended again with the new path in
+    place of its first ``len(path) + 1`` vertices. Replayed cycles come in the
+    first visit's order, not in search order, so a replay that would reach
+    ``limit`` is searched for real instead, and the kept set stays the first
+    ``limit`` closes. ``memo`` holds the states of one anchor: it is cleared
+    at each anchor's root and with ``found``, and it holds at most
+    ``DEAD_STATE_CAP`` states, and a depth-2 node clears a full one. A
+    skipped or replayed child is not a node expansion; a node off slack zero
+    runs a loop with no memo work. A replayed cycle costs no node, so the kept
+    set is held to ``budget`` on its own: a close or replay that would keep
+    more cycles is a budget error, which the search would have hit anyway with
+    each kept cycle closed at a node.
 
     Each cut or skipped subtree holds no cycle the search keeps, and
     ``floor`` never falls. So every search finds the c(G), the kept set and
@@ -257,13 +279,15 @@ class _Search:
             work = rows[path[-2]] & kept
         elif depth == 2:
             # each cycle closes one way, on an anchor neighbour above path[1];
-            # a state's outcome depends on path[1], so the memo starts afresh
+            # a full memo starts afresh
             work = 0
             self.closers = rows[anchor] >> head + 1 << head + 1
-            self.memo.clear()
+            if len(self.memo) >= DEAD_STATE_CAP:
+                self.memo.clear()
         else:
             work = kept
             self.closers = rows[anchor]
+            self.memo.clear()  # a state's outcome depends on the anchor
         if work:
             ends = 1 << head | 1 << anchor
             while work:
@@ -334,16 +358,18 @@ class _Search:
                 self._extend(anchor, path, free ^ 1 << v, region ^ 1 << v, two)
                 path.pop()
             return
-        # A slack-zero child is decided by its kept set and head: its subtree
-        # closes the same tails, each of length floor, behind any path of this
-        # length into the state. That holds for a child searched at this floor
-        # that left best where it stood; one entered after a sibling raised
-        # floor was cut unsearched.
+        # A slack-zero child is decided by its kept set, its head and the
+        # closers among them (all in region): its subtree closes the same
+        # tails, each of length floor, behind any path of this length into the
+        # state. That holds for a child searched at this floor that left best
+        # where it stood; one entered after a sibling raised floor was cut
+        # unsearched.
         memo, found = self.memo, self.found
+        seen = (closers & region) << self.g.n + shift
         for key in keys:
             v = key & mask
             kept = region ^ 1 << v
-            state = kept << shift | v
+            state = seen | kept << shift | v
             if state in memo:
                 start, end = memo[state]
                 if start == end:
@@ -461,8 +487,8 @@ def enumerate_longest_cycles(
     node expansions and the cycles it keeps at once.
     """
     search = _Search(g, budget, collect=True, limit=limit).run()
-    cycles = tuple(CycleEmbedding(c) for c in sorted(search.found))
-    return CycleSet(length=search.best, cycles=cycles, truncated=search.truncated)
+    cycles = tuple(sorted(search.found))
+    return CycleSet(length=search.best, sequences=cycles, truncated=search.truncated)
 
 
 def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, CycleEmbedding]]:
@@ -475,7 +501,7 @@ def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, 
     order to reach the minimum: two distinct sets, or else the earliest cycle
     whose set repeats, with the first cycle on that set.
     """
-    if len(cs.cycles) < 2:
+    if len(cs) < 2:
         raise ValueError("need two cycles")
     first: dict[int, int] = {}  # vertex mask -> index of its first cycle
     best: Optional[int] = None
@@ -491,7 +517,8 @@ def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, 
             if best is None or size < best:
                 best, witness = size, (i, j)
     assert best is not None and witness is not None
-    return best, (cs.cycles[witness[0]], cs.cycles[witness[1]])
+    i, j = witness
+    return best, (CycleEmbedding(cs.sequences[i]), CycleEmbedding(cs.sequences[j]))
 
 
 def is_t_transversal(g: Graph, cs: CycleSet, a: Iterable[int], t: int) -> bool:

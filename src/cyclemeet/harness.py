@@ -464,18 +464,19 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     if want("smith"):
         outcomes.append(verify_smith(facts))
     if want("devos") and complete is not None:
-        a = complete.cycles[0].vertex_set()
+        a = frozenset(complete.sequences[0])
         t = m_min if m_min is not None else complete.length
         outcomes.append(verify_devos(facts, a, t))
     if want("thm14") and complete is not None:
         # the first PAIR_LIMIT pairs with their separators, read by both pairwise
-        # scans. A separator depends only on the ordered pair (V(x), V(y)), so
-        # each such pair of vertex masks gets one, the m_min pair's seeding the map
+        # scans; the first PAIR_LIMIT + 1 cycles give them all, and only those
+        # are wrapped. A separator depends only on the ordered pair (V(x), V(y)),
+        # so each such pair of vertex masks gets one, the m_min pair's seeding the map
         separators = {} if m_pair is None else {
             (mask_of(m_pair[0].vertices), mask_of(m_pair[1].vertices)): m_rep}
+        first = [CycleEmbedding(c) for c in complete.sequences[:PAIR_LIMIT + 1]]
         pairs = []
-        for (x, xm), (y, ym) in islice(combinations(zip(complete.cycles, complete.masks), 2),
-                                       PAIR_LIMIT):
+        for (x, xm), (y, ym) in islice(combinations(zip(first, complete.masks), 2), PAIR_LIMIT):
             rep = separators.get((xm, ym))
             if rep is None:
                 rep = separators[xm, ym] = xy_separator(g, x, y)
@@ -483,7 +484,7 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         # a lone longest cycle c is the degenerate pair (c, c): its cut is c itself.
         # The scan stops at the first pair over the bound, the one reported; with
         # none, the first pair is reported
-        scanned = pairs or [(c, c, xy_separator(g, c, c)) for c in complete.cycles]
+        scanned = pairs or [(c, c, xy_separator(g, c, c)) for c in first]
         over = next((i for i, (_, _, rep) in enumerate(scanned) if not rep.bound_satisfied), None)
         stats["thm14_pairs_checked"] = len(scanned) if over is None else over + 1
         outcomes.append(verify_thm14(g, *scanned[over or 0]))

@@ -8,7 +8,8 @@ the plain reachability bound and are unchanged by degree-2 peeling, by the
 slack-zero forced-edge rule, by closing each cycle one way and by the
 slack-zero memo, which skips a remembered subtree that closed nothing and
 replays one that closed cycles; the node counts are those of all four, with
-the memo consulted at every slack-zero child in both search modes. Closing
+the memo kept per anchor and consulted at every slack-zero child in both
+search modes. Closing
 one way can move the witness of other graphs, to the first cycle of the same
 length read the canonical way round, but moves none pinned here. Regenerate
 the file only for a change that lowers node counts, after checking that no

@@ -92,8 +92,8 @@ MUTANTS = {
     ),
     "witness-swapped": Mutant(
         "min_pairwise_intersection returns its witness pair the other way round",
-        ((CYCLES, "return best, (cs.cycles[witness[0]], cs.cycles[witness[1]])",
-          "return best, (cs.cycles[witness[1]], cs.cycles[witness[0]])"),),
+        ((CYCLES, "return best, (CycleEmbedding(cs.sequences[i]), CycleEmbedding(cs.sequences[j]))",
+          "return best, (CycleEmbedding(cs.sequences[j]), CycleEmbedding(cs.sequences[i]))"),),
         ("tests/test_harness.py", "tests/test_cycles.py"),
     ),
     "witness-last": Mutant(
@@ -176,6 +176,13 @@ MUTANTS = {
           "if self.floor == floor and"),),
         ("tests/test_cycles.py",),
     ),
+    "memo-key-without-closers": Mutant(
+        "a slack-zero state is keyed by its kept set and head alone, so a state recorded"
+        " under one second vertex is skipped or replayed under a later one that closes"
+        " on other anchor neighbours",
+        ((CYCLES, "state = seen | kept << shift | v", "state = kept << shift | v"),),
+        ("tests/test_cycles.py",),
+    ),
     "four-cycle-x-order-inverted": Mutant(
         "a 4-cycle's alpha is 1 when its paths' end orders on X_i and X_j agree, not when"
         " they differ",
@@ -208,8 +215,8 @@ MUTANTS = {
     "cycle-range-unchecked": Mutant(
         "a cycle's vertices are not checked against the graph's order, so vertex n is an"
         " IndexError and vertex -1 a negative shift",
-        ((CYCLES, "        if not 0 <= min(vs) <= max(vs) < g.n:\n"
-                  "            check_vertex_set(g, vs)  # raises, naming a vertex out of range\n", ""),),
+        ((CYCLES, "    if not 0 <= min(vs) <= max(vs) < g.n:\n"
+                  "        check_vertex_set(g, vs)  # raises, naming a vertex out of range\n", ""),),
         ("tests/test_cycles.py", "tests/test_harness.py"),
     ),
     "search-budget-one-early": Mutant(

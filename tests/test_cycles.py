@@ -66,7 +66,7 @@ def test_budget_error_carries_lower_bound():
 
 def test_kept_cycles_count_against_the_budget():
     # a replayed subtree keeps cycles without node expansions, so the budget
-    # bounds the kept set itself: K9's 20,160 Hamiltonian cycles take 3,139 nodes
+    # bounds the kept set itself: K9's 20,160 Hamiltonian cycles take 2,008 nodes
     g = complete_graph(9)
     assert len(enumerate_longest_cycles(g, budget=20_160)) == 20_160
     with pytest.raises(BudgetExceededError, match="20159 kept cycles") as info:
@@ -234,9 +234,9 @@ def test_dead_state_memo_moves_only_node_counts(monkeypatch):
 
 @pytest.mark.parametrize("g6", ["Hahg^hL", "H?]~OTU"])
 def test_dead_state_memo_is_kept_per_anchor(g6):
-    # the memo is kept per anchor and path[1] and cleared at each depth-2
-    # node; these non-Hamiltonian graphs' later anchors meet a (kept set, head)
-    # state that an earlier anchor left dead and that closes into the later one
+    # the memo is kept per anchor and cleared at each anchor's root; these
+    # non-Hamiltonian graphs' later anchors meet a (kept set, head) state that
+    # an earlier anchor left dead and that closes into the later one
     g = graph_from_graph6(g6)
     cs = enumerate_longest_cycles(g)
     assert {c.vertices for c in cs} == all_cycles_of_length_by_permutations(g, cs.length)
@@ -281,7 +281,11 @@ def memo_test_graphs(draw, max_n: int = 9):
 # (H`fiSSa), and dropped one of three longest cycles with limit 7 (HPrZ@|@).
 # In a truncated search a child can close a cycle of length floor that
 # becomes the new best at the same floor and clears the kept set; remembering
-# its slice then breaks the kept set with limit 2 (FCpv_, Jw|T|OxSAa?). Cap 0
+# its slice then breaks the kept set with limit 2 (FCpv_, Jw|T|OxSAa?). A
+# state is kept across second vertices, keyed by the anchor neighbours it may
+# close on: E}zw skips a dead state and replays closed ones recorded under an
+# earlier path[1], and Dzk replays one with limit 7; keyed without those
+# neighbours, E}zw loses cycles. Cap 0
 # turns the memo off, both the skipped subtrees that closed nothing and the
 # replayed ones that closed cycles, which the collecting modes check,
 # complete and under limits that truncate.
@@ -292,6 +296,8 @@ def memo_test_graphs(draw, max_n: int = 9):
 @example(graph_from_graph6("HPrZ@|@"))
 @example(graph_from_graph6("FCpv_"))
 @example(graph_from_graph6("Jw|T|OxSAa?"))
+@example(graph_from_graph6("E}zw"))
+@example(graph_from_graph6("Dzk"))
 def test_dead_state_memo_matches_the_search_without_it(g):
     for mode in ("length", "1", "2", "7", "none"):
         with pytest.MonkeyPatch.context() as mp:

@@ -411,6 +411,31 @@ def test_each_checked_pair_is_built_once(monkeypatch):
                       "_aux_of": 23, "build_aux": 0, "verify_thm14": 1}
 
 
+def test_cycle_objects_are_built_only_for_the_cycles_read(monkeypatch):
+    # a cycle set keeps the search's tuples; the default filter reads only
+    # whether a set is complete, so its three dropped graphs (15,000 longest
+    # cycles) and the kept ones build no CycleEmbedding in set-up, and the
+    # analysis wraps at most the PAIR_LIMIT + 1 cycles the pair scans read,
+    # plus the m_min witness pair
+    built = []
+    init = CycleEmbedding.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycleEmbedding, "__init__", counting_init)
+    spec = CorpusSpec("default", seed=42)
+    instances = harness.corpus_instances(spec)
+    assert len(instances) == 72 and not built
+    most = 0
+    for instance_id, instance in instances:
+        built.clear()
+        analyze_instance(instance_id, instance, spec, "all")
+        most = max(most, len(built))
+    assert most == harness.PAIR_LIMIT + 1 + 2
+
+
 # pairwise12[18]: 2-connected and not vertex-transitive (so devos never reads
 # is_t_transversal); its 5 longest cycles give 10 pairs, each with an aux graph
 PAIRWISE12_18 = "HkSg_SD"
@@ -561,8 +586,10 @@ def test_analysis_leaves_setup_facts_unchanged():
 
 def test_default_corpus_filter_uses_the_spec_budget():
     # K_kHRgwjcKcF, G?~vf_ and HzKW[NB enumerate within 400 nodes since each
-    # cycle closes one way and remembered slack-zero subtrees are replayed
-    assert len(harness.corpus_instances(CorpusSpec("default", seed=1, budget=400))) == 68
+    # cycle closes one way and remembered slack-zero subtrees are replayed;
+    # F~~~w, listed twice, since a slack-zero state is kept across second
+    # vertices (285 nodes, from 403)
+    assert len(harness.corpus_instances(CorpusSpec("default", seed=1, budget=400))) == 70
 
 
 def test_facts_keep_the_budget_error():
@@ -1194,8 +1221,8 @@ def test_cli_verify_matches_golden_report(tmp_path, args, golden, code):
 @pytest.mark.parametrize("args, count, digest", [
     (["--seed", "42"], 72,
      "8960c872eeccc47dd16d682fbddfb132f0423021e11ede00974b6bbdcdefce78"),
-    (["--corpus", "default", "--seed", "1", "--budget", "400"], 68,
-     "4d9e0aaf8b7c1e64b366fe1832c078b7281f63856d8877c603ee635a54e0f14a"),
+    (["--corpus", "default", "--seed", "1", "--budget", "400"], 70,
+     "eed8900e092e840233dc5eb88f9323404d3deda12726d3ee9a86dde9bc4d3e87"),
 ])
 def test_cli_verify_default_corpus_report_digest(tmp_path, args, count, digest):
     # the goldens use the smoke corpus, which never runs the default filter
