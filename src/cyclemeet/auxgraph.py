@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import KeysView, NamedTuple, Optional
+from typing import Container, KeysView, NamedTuple, Optional, Sequence
 
 from .cycles import CycleEmbedding
 from .flow import PathFamily, edge_bound_holds, max_disjoint_paths
@@ -72,34 +72,39 @@ class SegmentDecomposition:
         raise KeyError(v)
 
 
-def _segments_along(cycle: CycleEmbedding, shared: frozenset[int]):
-    seq = cycle.vertices
-    start = next(i for i, v in enumerate(seq) if v in shared)
-    rotated = seq[start:] + seq[:start]
-    meeting: list[int] = []
-    segments: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for v in rotated:
-        if v in shared:
-            if meeting:
-                segments.append(tuple(current))
-                current = []
-            meeting.append(v)
+def cut_at(seq: Sequence[int],
+           marks: Container[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The marks on a cyclic sequence, and the runs of other vertices between them.
+
+    The marks come in the sequence's order, from the first one it meets;
+    ``runs[t]`` is the (possibly empty) run strictly between ``marks[t]``
+    and the next mark, the last run wrapping round to the first mark. One
+    pass over the sequence; it must hold at least one mark.
+    """
+    met: list[int] = []
+    runs: list[tuple[int, ...]] = []
+    run: list[int] = []
+    for v in seq:
+        if v in marks:
+            met.append(v)
+            runs.append(tuple(run))
+            run = []
         else:
-            current.append(v)
-    segments.append(tuple(current))
-    return tuple(meeting), tuple(segments)
+            run.append(v)
+    lead = runs.pop(0)  # the run before the first mark ends the last one
+    runs.append(tuple(run) + lead)
+    return tuple(met), tuple(runs)
 
 
 def decompose(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SegmentDecomposition:
-    """Split both cycles at their shared vertices, following stored orientations."""
+    """Split both cycles at their shared vertices with ``cut_at``, following stored orientations."""
     if not x.is_valid(g) or not y.is_valid(g):
         raise ValueError("cycles do not live in the host graph")
     shared = x.vertex_set() & y.vertex_set()
     if not shared:
         raise ValueError("empty intersection")
-    mx, xsegs = _segments_along(x, shared)
-    my, ysegs = _segments_along(y, shared)
+    mx, xsegs = cut_at(x.vertices, shared)
+    my, ysegs = cut_at(y.vertices, shared)
     return SegmentDecomposition(
         m=len(shared), m_order_x=mx, m_order_y=my, x_segments=xsegs, y_segments=ysegs
     )
@@ -203,15 +208,27 @@ def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> Optional[AuxGrap
     return _aux_of(decompose(g, x, y), family.paths)
 
 
-def _four_cycle_type(f: AuxGraph, i: int, k: int, j: int, l: int) -> FourCycleType:
-    """Type of the 4-cycle x_i y_k x_j y_l from its paths' end positions."""
+def end_orders(f: AuxGraph, i: int, k: int, j: int, l: int) -> tuple[bool, bool, bool, bool]:
+    """The end orders of the 4-cycle x_i y_k x_j y_l's paths on X_i, X_j, Y_k and Y_l.
+
+    Each is True when, along its cycle's stored orientation, the end of the
+    path to the lower-indexed segment comes first: on X_i, the (i, k)-path's
+    X end before the (i, l)-path's; on Y_k, the (i, k)-path's Y end before
+    the (j, k)-path's; X_j and Y_l alike.
+    """
     w = f.witness
     pos = f.decomposition.segment_of
-    x_i_order = pos(w[(i, k)][0])[1] < pos(w[(i, l)][0])[1]
-    x_j_order = pos(w[(j, k)][0])[1] < pos(w[(j, l)][0])[1]
-    y_k_order = pos(w[(i, k)][-1])[1] < pos(w[(j, k)][-1])[1]
-    y_l_order = pos(w[(i, l)][-1])[1] < pos(w[(j, l)][-1])[1]
-    return FourCycleType(int(x_i_order != x_j_order), int(y_k_order != y_l_order))
+    x_i = pos(w[(i, k)][0])[1] < pos(w[(i, l)][0])[1]
+    x_j = pos(w[(j, k)][0])[1] < pos(w[(j, l)][0])[1]
+    y_k = pos(w[(i, k)][-1])[1] < pos(w[(j, k)][-1])[1]
+    y_l = pos(w[(i, l)][-1])[1] < pos(w[(j, l)][-1])[1]
+    return x_i, x_j, y_k, y_l
+
+
+def _four_cycle_type(f: AuxGraph, i: int, k: int, j: int, l: int) -> FourCycleType:
+    """Type of the 4-cycle x_i y_k x_j y_l: whether its end orders differ on X, and on Y."""
+    x_i, x_j, y_k, y_l = end_orders(f, i, k, j, l)
+    return FourCycleType(int(x_i != x_j), int(y_k != y_l))
 
 
 def classify_four_cycle(f: AuxGraph, i: int, j: int, k: int, l: int) -> FourCycleType:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 from .graphs import (
     Graph,
@@ -53,29 +53,43 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
 
 
+def _draw(count: int, tries: int, draw: Callable[[], Optional[Graph]], what: str) -> list[Graph]:
+    """The first count graphs that draw() returns, calling it at most tries times.
+
+    draw() returns None for a draw it rejects. Coming up short raises
+    ``ValueError``, naming what was drawn.
+    """
+    out: list[Graph] = []
+    for _ in range(tries):
+        if len(out) == count:
+            break
+        g = draw()
+        if g is not None:
+            out.append(g)
+    if len(out) < count:
+        raise ValueError(f"could not draw {what}")
+    return out
+
+
 def random_connected_graphs(
     count: int, seed: int, n_choices: Iterable[int], p_choices: Iterable[float]
 ) -> list[Graph]:
-    """Seeded connected graphs, each on a drawn n with each edge kept with a drawn p."""
+    """Seeded connected graphs, each on a drawn n with each edge kept with a drawn p.
+
+    ``ValueError`` when 100 draws per graph find fewer than count of them.
+    """
     rng = random.Random(seed)
     ns = list(n_choices)
     if not ns:
         raise ValueError("n_choices must not be empty")
     ps = list(p_choices)
-    out: list[Graph] = []
-    attempts = 0
-    while len(out) < count and attempts < 100 * count:
-        attempts += 1
-        n = rng.choice(ns)
-        p = rng.choice(ps)
-        g = random_graph(n, p, rng.randrange(1 << 30))
-        if g.edge_count and is_connected(g):
-            out.append(g)
-    if len(out) < count:
-        raise ValueError(
-            f"could not draw count={count} connected graphs on {min(ns)}..{max(ns)} vertices"
-        )
-    return out
+
+    def draw() -> Optional[Graph]:
+        g = random_graph(rng.choice(ns), rng.choice(ps), rng.randrange(1 << 30))
+        return g if g.edge_count and is_connected(g) else None
+
+    return _draw(count, 100 * count, draw,
+                 f"count={count} connected graphs on {min(ns)}..{max(ns)} vertices")
 
 
 def is_biconnected(g: Graph) -> bool:
@@ -92,35 +106,29 @@ def is_biconnected(g: Graph) -> bool:
 
 
 def random_circulants(count: int, seed: int, max_n: int = 32) -> list[Graph]:
-    """Seeded connected circulants on 5..max_n vertices, distinct as (n, connection) pairs."""
+    """Seeded connected circulants on 5..max_n vertices, distinct as (n, connection) pairs.
+
+    ``ValueError`` when 200 draws per graph find fewer than count of them.
+    """
     if max_n < 5:
         raise ValueError(f"max_n must be at least 5, got {max_n}")
     rng = random.Random(seed)
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    out: list[Graph] = []
-    attempts = 0
-    while len(out) < count and attempts < 200 * count:
-        attempts += 1
+
+    def draw() -> Optional[Graph]:
         n = rng.randrange(5, max_n + 1)
-        half = [s for s in range(1, n // 2 + 1)]
+        half = list(range(1, n // 2 + 1))
         size = rng.randrange(1, min(4, len(half)) + 1)
-        picks = rng.sample(half, size)
-        conn = set()
-        for s in picks:
-            conn.add(s)
-            conn.add((n - s) % n)
+        conn = {t for s in rng.sample(half, size) for t in (s, (n - s) % n)}
         key = (n, tuple(sorted(conn)))
         if key in seen:
-            continue
+            return None
         seen.add(key)
         g = circulant(n, conn)
-        if is_connected(g):
-            out.append(g)
-    if len(out) < count:
-        raise ValueError(
-            f"could not draw count={count} distinct circulants on 5..{max_n} vertices"
-        )
-    return out
+        return g if is_connected(g) else None
+
+    return _draw(count, 200 * count, draw,
+                 f"count={count} distinct circulants on 5..{max_n} vertices")
 
 
 def cayley_zoo() -> list[Graph]:
@@ -181,6 +189,8 @@ def pairwise_corpus(max_n: int = 14, seed: int = 11, random_count: int = 30) -> 
     """2-connected graphs with enumerable longest-cycle sets for pair checks.
 
     The random graphs have 6..max_n vertices, so drawing any needs max_n >= 6.
+    ``ValueError`` when 200 draws per graph find fewer than random_count
+    2-connected ones, as in the other seeded families.
     """
     if random_count > 0 and max_n < 6:
         raise ValueError(f"max_n must be at least 6, got {max_n}")
@@ -214,14 +224,12 @@ def pairwise_corpus(max_n: int = 14, seed: int = 11, random_count: int = 30) -> 
         circulant(14, {1, 13, 7}),
     ]
     rng = random.Random(seed)
-    drawn = 0
-    attempts = 0
-    while drawn < random_count and attempts < 200 * random_count:
-        attempts += 1
-        n = rng.randrange(6, max_n + 1)
-        p = rng.choice([0.25, 0.35, 0.45])
-        g = random_graph(n, p, rng.randrange(1 << 30))
-        if is_biconnected(g):
-            zoo.append(g)
-            drawn += 1
+
+    def draw() -> Optional[Graph]:
+        g = random_graph(rng.randrange(6, max_n + 1), rng.choice([0.25, 0.35, 0.45]),
+                         rng.randrange(1 << 30))
+        return g if is_biconnected(g) else None
+
+    zoo += _draw(random_count, 200 * random_count, draw,
+                 f"random_count={random_count} 2-connected graphs on 6..{max_n} vertices")
     return [g for g in zoo if g.n <= max_n]

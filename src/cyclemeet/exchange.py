@@ -23,7 +23,9 @@ from .auxgraph import (
     FourCycleType,
     SameSegmentPairError,
     classify_four_cycle,
+    cut_at,
     decompose,
+    end_orders,
     is_crossing,
     pair_aux,
 )
@@ -55,13 +57,6 @@ def certificate_is_sound(
     if not (cert.q1.edge_set() | cert.q2.edge_set()) >= (x.edge_set() | y.edge_set()):
         return False
     return cert.q1.length + cert.q2.length > x.length + y.length
-
-
-def _cyclic_arc(cycle: CycleEmbedding, u: int, v: int) -> tuple[int, ...]:
-    """Vertices from u to v inclusive, walking the stored orientation."""
-    i = cycle.vertices.index(u)
-    rotated = cycle.vertices[i:] + cycle.vertices[:i]
-    return rotated[: rotated.index(v) + 1]
 
 
 def _holding_first(
@@ -165,7 +160,7 @@ def type00_certificate(
     cert = _restitch(g, x, y, paths, "type00")
     # q1 keeps the X-stretch between the two endpoints on X_i, so it holds
     # the X-edge from the earlier one to its successor
-    u = min(paths[0][0], paths[1][0], key=lambda v: f.decomposition.segment_of(v)[1])
+    u = paths[0][0] if end_orders(f, i, k, j, l)[0] else paths[1][0]
     q1, q2 = _holding_first(cert, u, x.vertices[(x.vertices.index(u) + 1) % x.length])
     return replace(cert, q1=q1, q2=q2)
 
@@ -248,8 +243,9 @@ def _restitch(
     """The certificate that uses every arc of X and Y once and every path twice.
 
     ``paths`` run from their X end to their Y end. Their endpoints cut X and Y
-    into arcs; the exhaustive search splits the arcs plus two copies of each
-    path into two vertex-simple cycles, whose surplus must be 2·Σ|P|.
+    into arcs, each a ``cut_at`` run with the marks at its ends; the
+    exhaustive search splits the arcs plus two copies of each path into two
+    vertex-simple cycles, whose surplus must be 2·Σ|P|.
     """
     blocks: list[_Block] = []
 
@@ -259,9 +255,9 @@ def _restitch(
         return bid
 
     for cyc, ends in ((x, {p[0] for p in paths}), (y, {p[-1] for p in paths})):
-        marks = sorted(ends, key=cyc.vertices.index)
-        for t, w in enumerate(marks):
-            add_block(_cyclic_arc(cyc, w, marks[(t + 1) % len(marks)]))
+        marks, runs = cut_at(cyc.vertices, ends)
+        for t, run in enumerate(runs):
+            add_block((marks[t], *run, marks[(t + 1) % len(marks)]))
     for p in paths:
         first = add_block(p)
         add_block(p, twin=first)
@@ -321,16 +317,11 @@ def lemma33_certificate(
 
 def _lemma33_case(f: AuxGraph, c1, c2) -> tuple[int, int]:
     """Which of the four endpoint-ordering cases the second 4-cycle realizes,
-    after orienting both cycles by the first 4-cycle."""
-    i1, k1, j1, l1 = c1
-    i2, k2, j2, l2 = c2
-    w = f.witness
-    pos = f.decomposition.segment_of
-    flip_x = not pos(w[(i1, k1)][0])[1] < pos(w[(i1, l1)][0])[1]
-    flip_y = not pos(w[(i1, k1)][-1])[1] < pos(w[(j1, k1)][-1])[1]
-    bit_x = pos(w[(i2, k2)][0])[1] < pos(w[(i2, l2)][0])[1]
-    bit_y = pos(w[(i2, k2)][-1])[1] < pos(w[(j2, k2)][-1])[1]
-    return (int(bit_x ^ flip_x), int(bit_y ^ flip_y))
+    after orienting both cycles by the first 4-cycle: whether the two agree
+    in their end orders on X_i, and on Y_k."""
+    x1, _, y1, _ = end_orders(f, *c1)
+    x2, _, y2, _ = end_orders(f, *c2)
+    return int(x1 == x2), int(y1 == y2)
 
 
 def improve_by_exchange(

@@ -22,6 +22,7 @@ node budget is the search's only limit.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -238,50 +239,29 @@ def parse_group(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
     return perms, perms
 
 
-def _parse_cycles(text: str, n: int) -> dict[int, int]:
-    """One permutation of 0..n-1 in disjoint cycle notation, as each named point's image."""
-    perm: dict[int, int] = {}
-    depth = 0
-    current: list[int] = []
-    seen: set[int] = set()
-    token = ""
+# \d is what int() reads: Unicode decimal digits, not the superscripts str.isdigit takes
+_CYCLE_NOTATION = re.compile(r"[ ,]*(?:\([ ,\d]*\)[ ,]*)*")
 
-    def flush_token():
-        if token:
-            v = int(token)
+
+def _parse_cycles(text: str, n: int) -> dict[int, int]:
+    """One permutation of 0..n-1 in disjoint cycle notation, as each named point's image.
+
+    The text is cycles in parentheses, their points and the gaps around them
+    separated by spaces and commas; anything else is malformed. A point must
+    lie in 0..n-1 and appear once in the permutation.
+    """
+    if not _CYCLE_NOTATION.fullmatch(text):
+        raise ValueError("malformed cycle notation: cycles of digits in parentheses,"
+                         " separated by spaces or commas")
+    perm: dict[int, int] = {}
+    for body in re.findall(r"\(([^)]*)\)", text):
+        cycle = [int(tok) for tok in body.replace(",", " ").split()]
+        for at, v in enumerate(cycle):
             if not 0 <= v < n:
                 raise ValueError(f"point {v} outside 0..{n - 1} in cycle notation")
-            if v in seen:
+            if v in perm:
                 raise ValueError(f"point {v} repeated in one permutation")
-            seen.add(v)
-            current.append(v)
-
-    for ch in text:
-        if ch == "(":
-            if depth:
-                raise ValueError("nested parenthesis in cycle notation")
-            depth = 1
-            current = []
-            token = ""
-        elif ch == ")":
-            if not depth:
-                raise ValueError("unbalanced parenthesis in cycle notation")
-            flush_token()
-            token = ""
-            depth = 0
-            for a, b in zip(current, current[1:] + current[:1]):
-                perm[a] = b
-        elif ch in " ,":
-            flush_token()
-            token = ""
-        elif ch.isdigit():
-            if not depth:
-                raise ValueError("point outside parentheses in cycle notation")
-            token += ch
-        else:
-            raise ValueError(f"bad character {ch!r} in cycle notation")
-    if depth:
-        raise ValueError("unbalanced parenthesis in cycle notation")
+            perm[v] = cycle[(at + 1) % len(cycle)]
     return perm
 
 

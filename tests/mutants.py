@@ -44,6 +44,7 @@ GRAPHS = "src/cyclemeet/graphs.py"
 AUXGRAPH = "src/cyclemeet/auxgraph.py"
 EXCHANGE = "src/cyclemeet/exchange.py"
 CLI = "src/cyclemeet/cli.py"
+CORPUS = "src/cyclemeet/corpus.py"
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,26 @@ MUTANTS = {
     "four-cycle-x-order-inverted": Mutant(
         "a 4-cycle's alpha is 1 when its paths' end orders on X_i and X_j agree, not when"
         " they differ",
-        ((AUXGRAPH, "return FourCycleType(int(x_i_order != x_j_order),",
-          "return FourCycleType(int(x_i_order == x_j_order),"),),
+        ((AUXGRAPH, "return FourCycleType(int(x_i != x_j),", "return FourCycleType(int(x_i == x_j),"),),
+        ("tests/test_auxgraph.py", "tests/test_exchange.py"),
+    ),
+    "end-order-y-k-reversed": Mutant(
+        "end_orders reads the Y_k order backwards, so every 4-cycle's beta and every"
+        " Lemma 3.3 case's Y bit is flipped",
+        ((AUXGRAPH, "y_k = pos(w[(i, k)][-1])[1] < pos(w[(j, k)][-1])[1]",
+          "y_k = pos(w[(i, k)][-1])[1] > pos(w[(j, k)][-1])[1]"),),
+        ("tests/test_auxgraph.py", "tests/test_exchange.py"),
+    ),
+    "lemma33-case-x-bit-flipped": Mutant(
+        "the Lemma 3.3 case's X bit is 1 when the two 4-cycles' X_i orders differ,"
+        " not when they agree",
+        ((EXCHANGE, "return int(x1 == x2), int(y1 == y2)", "return int(x1 != x2), int(y1 == y2)"),),
+        ("tests/test_exchange.py",),
+    ),
+    "cut-at-wrap-reversed": Mutant(
+        "cut_at puts the run before the first mark ahead of the run after the last"
+        " one, so the wrapping segment's vertices are out of cyclic order",
+        ((AUXGRAPH, "runs.append(tuple(run) + lead)", "runs.append(lead + tuple(run))"),),
         ("tests/test_auxgraph.py", "tests/test_exchange.py"),
     ),
     "segment-index-zero-based": Mutant(
@@ -240,6 +259,18 @@ MUTANTS = {
         ((TRANSITIVE, "    if n < 1:\n        raise ValueError(f\"group degree",
           "    if n <= 1:\n        raise ValueError(f\"group degree"),),
         ("tests/test_transitive.py",),
+    ),
+    "cycle-notation-takes-tabs": Mutant(
+        "the cycle-notation pattern lets a tab separate the points inside a cycle",
+        ((TRANSITIVE, r'_CYCLE_NOTATION = re.compile(r"[ ,]*(?:\([ ,\d]*\)[ ,]*)*")',
+          r'_CYCLE_NOTATION = re.compile(r"[ ,]*(?:\([ ,\t\d]*\)[ ,]*)*")'),),
+        ("tests/test_transitive.py",),
+    ),
+    "draw-loop-one-try-short": Mutant(
+        "the seeded draw loop gives up one try early, so a family whose last graph"
+        " comes on the last try raises",
+        ((CORPUS, "for _ in range(tries):", "for _ in range(tries - 1):"),),
+        ("tests/test_corpus.py",),
     ),
     "perm-points-relabelled-decreasing": Mutant(
         "a perm group's named points are relabelled in decreasing order, which reorders"

@@ -12,6 +12,7 @@ from cyclemeet.auxgraph import (
     SegmentDecomposition,
     build_aux,
     classify_four_cycle,
+    cut_at,
     decompose,
     is_crossing,
     l_set,
@@ -44,6 +45,18 @@ def test_decompose_c6_example():
     assert dec.m_order_x == (0, 1, 2)
     assert dec.x_segments == ((), (), (3, 4, 5))
     assert dec.y_segments == ((), (), (6, 7, 8))
+
+
+@pytest.mark.parametrize("seq, marks, cut", [
+    # the marks from the first one met; the run before it ends the last run
+    ((0, 1, 2, 3, 4, 5, 6), {2, 5}, ((2, 5), ((3, 4), (6, 0, 1)))),
+    ((0, 1, 2, 3, 4, 5, 6), {0, 5}, ((0, 5), ((1, 2, 3, 4), (6,)))),
+    ((6, 0, 1, 2, 3, 4, 5), {5, 2}, ((2, 5), ((3, 4), (6, 0, 1)))),
+    ((3, 1, 4), {4}, ((4,), ((3, 1),))),
+    ((3, 1, 4), {3, 1, 4}, ((3, 1, 4), ((), (), ()))),
+])
+def test_cut_at(seq, marks, cut):
+    assert cut_at(seq, marks) == cut
 
 
 def test_decompose_same_cycle():

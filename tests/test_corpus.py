@@ -1,15 +1,21 @@
 import collections
+import hashlib
 import itertools
 
 import pytest
 
+from cyclemeet import corpus
 from cyclemeet.corpus import (
+    _draw,
     is_biconnected,
     load_connected_corpus,
+    pairwise_corpus,
     random_circulants,
+    random_connected_graphs,
     vertex_transitive_corpus,
 )
 from cyclemeet.graphs import cycle_graph, graph_to_graph6, is_connected
+from cyclemeet.harness import CorpusSpec, corpus_instances
 from cyclemeet.transitive import is_vertex_transitive
 
 from hosts import menger_instances, nine_vertex_sample, path_graph
@@ -74,6 +80,53 @@ def test_seeded_families_are_deterministic():
     assert [(graph_to_graph6(g), sorted(s), sorted(t)) for g, s, t in a] == [
         (graph_to_graph6(g), sorted(s), sorted(t)) for g, s, t in b
     ]
+
+
+def _sha1_prefix(lines) -> str:
+    return hashlib.sha1("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# each seeded family's graphs, pinned as the sha1 of their graph6 lines: a
+# change to a builder's draws or to the order of its random calls shows here
+@pytest.mark.parametrize("build, digest", [
+    (lambda: random_connected_graphs(20, 1, range(5, 13), (0.2, 0.3, 0.5)), "44340387e53dddcd"),
+    (lambda: random_connected_graphs(20, 3, range(5, 13), (0.2, 0.3, 0.5)), "e8ff15bf79e5aae3"),
+    (lambda: random_circulants(20, seed=5, max_n=24), "f5ddde5f8d64451f"),
+    (lambda: random_circulants(20, seed=7, max_n=24), "20f1b06a8997a3fb"),
+    (lambda: pairwise_corpus(max_n=14, seed=11, random_count=30), "58e6dd74dd3e7eff"),
+    (lambda: pairwise_corpus(max_n=14, seed=42, random_count=30), "c4e686586a65f8b8"),
+    (lambda: vertex_transitive_corpus(count=60, seed=1, max_n=16), "b9717a450c0c785c"),
+    (lambda: vertex_transitive_corpus(count=60, seed=7, max_n=16), "ff2cce5960761a1d"),
+], ids=["connected-1", "connected-3", "circulants-5", "circulants-7", "pairwise-11",
+        "pairwise-42", "vt-1", "vt-7"])
+def test_seeded_families_are_pinned(build, digest):
+    assert _sha1_prefix(graph_to_graph6(g) for g in build()) == digest
+
+
+@pytest.mark.parametrize("seed, digest", [(3, "2e0ac41bcbf4315c"), (5, "441b5292218a4291")])
+def test_random_corpus_spec_is_pinned(seed, digest):
+    # the instance ids of the verify corpus random:, which embed each graph's graph6
+    spec = CorpusSpec.parse("random:count=20,max_n=12", seed=seed)
+    assert _sha1_prefix(name for name, _ in corpus_instances(spec)) == digest
+
+
+def test_draw_takes_the_first_count_graphs_within_its_tries():
+    g = cycle_graph(3)
+    draws = iter([None, g, None, g, g])
+    assert _draw(2, 4, lambda: next(draws), "triangles") == [g, g]
+    assert next(draws) is g  # no draw past the count
+    draws = iter([None, g, None, g])
+    with pytest.raises(ValueError, match="^could not draw triangles$"):
+        _draw(2, 3, lambda: next(draws), "triangles")
+    assert _draw(0, 0, lambda: g, "nothing") == []
+
+
+def test_pairwise_corpus_raises_when_it_draws_too_few(monkeypatch):
+    monkeypatch.setattr(corpus, "is_biconnected", lambda g: False)
+    with pytest.raises(ValueError, match="^could not draw random_count=2 2-connected graphs"
+                                         " on 6..8 vertices$"):
+        pairwise_corpus(max_n=8, seed=1, random_count=2)
+    assert len(pairwise_corpus(max_n=8, seed=1, random_count=0)) == 17  # the fixed zoo
 
 
 def test_vertex_transitive_corpus_size_and_range():

@@ -1379,6 +1379,8 @@ def test_cli_cyclic_cayley_is_the_circulant_for_every_connection_set_to_16(tmp_p
     ("perm 0: (0)", "group degree must be at least 1, got 0"),
     ("perm 3: (0 1 5)", "point 5 outside 0..2 in cycle notation"),
     ("perm 3: (0 1 1)", "point 1 repeated in one permutation"),
+    ("perm 3: (0 (1 2))", "malformed cycle notation: cycles of digits in parentheses,"
+                          " separated by spaces or commas"),
     ("cyclic 129: 1,128", "group order exceeds cap of 128"),
     ("perm 6: (0 1); (1 2); (2 3); (3 4); (4 5)", "group order exceeds cap of 128"),
     ("dihedral 4: 1", "unknown group kind 'dihedral'"),

@@ -27,6 +27,7 @@ from cyclemeet.graphs import (
 )
 from cyclemeet.transitive import (
     _closure,
+    _parse_cycles,
     automorphism_mapping,
     cayley,
     circulant,
@@ -123,6 +124,42 @@ def test_a_perm_group_costs_its_text_not_its_degree():
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("chunk", [
+    "((0 1))",  # nested
+    "(0 1))",  # unbalanced
+    ")(0 1)",
+    "(0 1",  # unclosed
+    "0 (1 2)",  # a digit outside parentheses
+    "(1 2) 0",
+    "(0\t1)",  # a tab
+    "(0 x)",  # a letter
+    "(0 1);",
+    "(0 ²)",  # a superscript, which str.isdigit takes and int() does not
+])
+def test_malformed_cycle_notation_is_refused(chunk):
+    with pytest.raises(ValueError):
+        _parse_cycles(chunk, 5)
+
+
+@pytest.mark.parametrize("chunk, images", [
+    ("()", {}),
+    (", (0 1) ,", {0: 1, 1: 0}),
+    ("(0)", {0: 0}),
+    ("(٣,1)", {3: 1, 1: 3}),  # an Arabic-Indic three, which int() reads
+    ("(0 1)(2,3 4)", {0: 1, 1: 0, 2: 3, 3: 4, 4: 2}),
+    ("", {}),
+])
+def test_cycle_notation_edge_forms(chunk, images):
+    assert _parse_cycles(chunk, 5) == images
+
+
+def test_malformed_cycle_notation_message_is_bounded():
+    # a long chunk is not echoed back whole
+    with pytest.raises(ValueError) as err:
+        _parse_cycles("(0 1) " * 100_000 + "x", 5)
+    assert len(str(err.value)) < 200
 
 
 def _cycle_text(perm: tuple[int, ...]) -> str:
