@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Container, KeysView, NamedTuple, Optional, Sequence
 
 from .cycles import CycleEmbedding
-from .flow import PathFamily, edge_bound_holds, max_disjoint_paths
+from .flow import PathFamily, SeparatorReport, edge_bound_holds, xy_separator
 from .graphs import Graph, iter_bits
 
 
@@ -191,21 +191,28 @@ def _aux_of(dec: SegmentDecomposition, paths: tuple[tuple[int, ...], ...]) -> Au
     return AuxGraph(m=dec.m, witness=witness, decomposition=dec)
 
 
-def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> Optional[AuxGraph]:
-    """The auxiliary graph of a maximum family of (X-M, Y-M)-paths that avoid M.
+def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding,
+             rep: Optional[SeparatorReport] = None) -> Optional[AuxGraph]:
+    """The auxiliary graph of the pair's separator family: disjoint (X-M, Y-M)-paths avoiding M.
 
-    None when the cycles share no vertex or either remainder is empty. Two
-    family paths on one segment pair raise SameSegmentPairError, as in
-    ``build_aux``. ``min_vertex_cut`` has validated the family against its
-    terminals, the two remainders, so only ``decompose`` checks the cycles.
+    ``rep`` is the pair's ``xy_separator`` report, found here when not
+    given; its flow in G - M is the only one run, and its witness is the
+    family. None when the cycles share no vertex or either remainder is
+    empty. Two family paths on one segment pair raise SameSegmentPairError,
+    as in ``build_aux``. ``min_vertex_cut`` has validated the family against
+    its terminals, so only ``decompose`` checks the cycles, and a report
+    whose terminals are not this pair's remainders raises ValueError.
     """
-    xv, yv = x.vertex_set(), y.vertex_set()
-    shared = xv & yv
-    xs, ys = xv - shared, yv - shared
-    if not (shared and xs and ys):
+    if rep is None:
+        rep = xy_separator(g, x, y)
+    family = rep.witness
+    if not (rep.m and family.source_set and family.target_set):
         return None
-    family = max_disjoint_paths(g, xs, ys, allowed=frozenset(range(g.n)) - shared)
-    return _aux_of(decompose(g, x, y), family.paths)
+    dec = decompose(g, x, y)
+    shared = dec.shared()
+    if family.source_set != x.vertex_set() - shared or family.target_set != y.vertex_set() - shared:
+        raise ValueError("separator report is not of this cycle pair")
+    return _aux_of(dec, family.paths)
 
 
 def end_orders(f: AuxGraph, i: int, k: int, j: int, l: int) -> tuple[bool, bool, bool, bool]:

@@ -132,19 +132,19 @@ def cmd_auxgraph(args) -> int:
     g = _read_graph(args.infile)
     x = _parse_cycle(g, args.x)
     y = _parse_cycle(g, args.y)
-    shared = x.vertex_set() & y.vertex_set()
-    if not shared:
+    rep = xy_separator(g, x, y)
+    if not rep.m:
         _emit({"error": "empty intersection"})
         return EXIT_FAIL
     try:
-        f = pair_aux(g, x, y)
+        f = pair_aux(g, x, y, rep)
     except SameSegmentPairError as err:
         # Prop. 2.2 rules this out for longest cycles; `certify` turns it into a longer cycle
         _emit({"error": "same segment pair", "pair": list(err.pair),
                "path1": list(err.path1), "path2": list(err.path2)})
         return EXIT_FAIL
     if f is None:
-        _emit({"m": len(shared), "edges": [], "note": "one cycle inside the other"})
+        _emit({"m": rep.m, "edges": [], "note": "one cycle inside the other"})
         return EXIT_PASS
     census = {f"({a},{b})": count for (a, b), count in sorted(type_census(f).items())}
     _emit({

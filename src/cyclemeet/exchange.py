@@ -331,8 +331,9 @@ def improve_by_exchange(
 
     Returns an improved pair covering the original edges, or None. On a pair
     of genuinely longest cycles this must always return None; a success there
-    is a correctness bug in the searcher or in the exchanges. A caller that
-    already holds the pair's ``pair_aux`` graph calls ``improve_by_four_cycles``.
+    is a correctness bug in the searcher or in the exchanges. The aux graph
+    comes from ``pair_aux`` on the pair's ``xy_separator`` flow; a caller that
+    already holds it calls ``improve_by_four_cycles``.
     """
     try:
         f = pair_aux(g, x, y)

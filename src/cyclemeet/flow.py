@@ -59,7 +59,9 @@ class SeparatorReport:
     """A vertex cut with its matching maximum disjoint-path family.
 
     For cycle-pair separators, m is the shared vertex count and bound is the
-    certified ceiling sqrt(10)*m^1.5 + 1.5*m on the cut size.
+    certified ceiling sqrt(10)*m^1.5 + 1.5*m on the cut size; the family
+    avoids the shared vertices, which the cut holds besides, so
+    |cut| = m + max_disjoint_paths.
     """
 
     cut: frozenset[int]
@@ -255,7 +257,14 @@ def _separates(
 
 
 def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorReport:
-    """Vertex cut separating two cycles: cut(V(x)-M, V(y)-M) plus M itself."""
+    """The paper's cut between two cycles: M = V(x) ∩ V(y) plus a minimum cut of G - M.
+
+    One flow, in G - M, between the remainders X - M and Y - M, so the cut
+    has m + e(F) vertices, F the pair's auxiliary graph. The witness is that
+    flow's maximum family of (X-M, Y-M)-paths that avoid M, from which
+    ``pair_aux`` builds F. When either remainder is empty the cut is M and
+    the family empty; for m = 0 the flow runs in all of G.
+    """
     xv = x.vertex_set()
     yv = y.vertex_set()
     shared = xv & yv
@@ -268,7 +277,7 @@ def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorRep
         return SeparatorReport(
             cut=frozenset(shared), max_disjoint_paths=0, witness=empty, m=m, bound=bound
         )
-    base = min_vertex_cut(g, a, b)
+    base = min_vertex_cut(g, a, b, allowed=frozenset(range(g.n)) - shared)
     return SeparatorReport(
         cut=base.cut | shared,
         max_disjoint_paths=base.max_disjoint_paths,

@@ -226,24 +226,24 @@ def verify_smith(facts: InstanceFacts) -> Outcome:
     g = facts.g
     try:
         if facts.cycles is not None and facts.cycles.truncated:
-            return Outcome("smith_k", "inconclusive", detail="enumeration truncated")
+            return Outcome("smith", "inconclusive", detail="enumeration truncated")
     except BudgetExceededError:
         pass  # reported below, once the check applies
     if g.n < 3 or not facts.connected:
-        return Outcome("smith_k", "skipped", detail="needs a connected graph")
+        return Outcome("smith", "skipped", detail="needs a connected graph")
     k = facts.connectivity
     if k < 2:
-        return Outcome("smith_k", "skipped", detail="connectivity below 2")
+        return Outcome("smith", "skipped", detail="connectivity below 2")
     try:
         cs = facts.cycles
     except BudgetExceededError as err:
-        return Outcome("smith_k", "inconclusive", detail=str(err))
+        return Outcome("smith", "inconclusive", detail=str(err))
     if len(cs) < 2:
-        return Outcome("smith_k", "pass", lhs=float(cs.length), rhs=k,
+        return Outcome("smith", "pass", lhs=float(cs.length), rhs=k,
                        detail="single longest cycle, nothing to intersect")
     m_min, pair = facts.m_min
     if k > 8:
-        return Outcome("smith_k", "observed", lhs=m_min, rhs=k,
+        return Outcome("smith", "observed", lhs=m_min, rhs=k,
                        detail="conjecture status for k > 8, reported without assertion")
     ok = m_min >= k
     return Outcome(
@@ -528,8 +528,9 @@ def _structural_checks(facts: InstanceFacts, cs: CycleSet, pairs: list,
                        stats: dict) -> list[Outcome]:
     """Pairwise checks: nonempty intersections, transversal cuts, clean aux graphs.
 
-    ``pairs`` holds each checked pair with the separator that thm14 read; each
-    pair's aux graph is built once, for the aux-graph checks and the exchange.
+    ``pairs`` holds each checked pair with the separator that thm14 read; a
+    pair with two nonempty remainders gets its aux graph from that separator's
+    path family, once, for the aux-graph checks and the exchange.
     Whether a cut meets every longest cycle depends on the cut alone, so the
     Prop. 2.1 scan runs once per distinct cut and its verdict is shared.
     The scan stops at the first failing pair: its first failed check fails with
@@ -556,8 +557,9 @@ def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
     """The first structural check one pair fails, with its witness, or (None, None).
 
     ``transversal`` maps each cut already scanned to whether it meets every
-    longest cycle; a new cut's verdict is added to it. A witness is built
-    only for a failing pair.
+    longest cycle; a new cut's verdict is added to it. The aux-graph checks
+    stop at a pair whose family has an empty side, read off ``rep``'s
+    terminals. A witness is built only for a failing pair.
     """
     def pair(**more) -> dict:
         return {"x": list(x.vertices), "y": list(y.vertices), **more}
@@ -570,12 +572,13 @@ def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
             meets_all = transversal[rep.cut] = is_t_transversal(g, cs, rep.cut, 1)
         if not meets_all:
             return "prop21_transversal", {"cut": sorted(rep.cut)}
+    family = rep.witness
+    if not (rep.m and family.source_set and family.target_set):
+        return None, None  # an empty remainder leaves nothing to connect or exchange
     try:
-        f = pair_aux(g, x, y)
+        f = pair_aux(g, x, y, rep)
     except SameSegmentPairError:
         return "lemma32_clean", pair()
-    if f is None:
-        return None, None  # an empty remainder leaves nothing to connect or exchange
     if type_census(f)[(0, 0)]:
         return "lemma32_clean", pair()
     ls = sorted(l_set(f))

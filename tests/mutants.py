@@ -279,6 +279,12 @@ MUTANTS = {
           "enumerate(sorted(set().union(*moves), reverse=True))"),),
         ("tests/test_transitive.py",),
     ),
+    "separator-flow-through-shared": Mutant(
+        "the thm14 cut is a minimum cut of all of G, where paths may pass through M, plus M",
+        ((FLOW, "min_vertex_cut(g, a, b, allowed=frozenset(range(g.n)) - shared)",
+          "min_vertex_cut(g, a, b)"),),
+        ("tests/test_flow.py",),
+    ),
     "negative-cycle-list-as-option": Mutant(
         "the CLI keeps argparse's own pattern for a negative number, so a cycle list that"
         " starts with a negative vertex is taken for an option",

@@ -23,7 +23,7 @@ from cyclemeet.auxgraph import (
     supersaturation_report,
 )
 from cyclemeet.cycles import CycleEmbedding
-from cyclemeet.flow import PathFamily, max_disjoint_paths
+from cyclemeet.flow import PathFamily, max_disjoint_paths, xy_separator
 from cyclemeet.graphs import Graph
 
 from hosts import prop22_host, type00_host
@@ -115,6 +115,18 @@ def test_pair_aux_matches_build_aux_over_a_maximum_family():
     f = pair_aux(g, x, y)
     assert f.edges == expected.edges == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert f.witness == expected.witness
+
+
+def test_pair_aux_reads_the_separator_family_and_no_other_pairs():
+    # F's edges are the separator's family paths, so the cut has m + e(F)
+    # vertices; a report of the reversed pair has the remainders swapped
+    g, x, y, _ = type00_host()
+    rep = xy_separator(g, x, y)
+    f = pair_aux(g, x, y, rep)
+    assert sorted(f.witness.values()) == sorted(rep.witness.paths)
+    assert len(rep.cut) == rep.m + f.edge_count() == 6
+    with pytest.raises(ValueError, match="separator report is not of this cycle pair"):
+        pair_aux(g, y, x, rep)
 
 
 def test_pair_aux_rejects_a_cycle_that_is_not_in_the_graph():

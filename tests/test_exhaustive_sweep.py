@@ -15,12 +15,7 @@ from cyclemeet.auxgraph import build_aux, l_set, pairwise_noncrossing, type_cens
 from cyclemeet.corpus import is_biconnected, load_connected_corpus
 from cyclemeet.cycles import enumerate_longest_cycles, is_t_transversal
 from cyclemeet.exchange import improve_by_exchange
-from cyclemeet.flow import (
-    edge_bound_holds,
-    max_disjoint_paths,
-    separator_bound_holds,
-    xy_separator,
-)
+from cyclemeet.flow import edge_bound_holds, separator_bound_holds, xy_separator
 from cyclemeet.graphs import vertex_connectivity
 
 from oracles import vertex_connectivity_by_subsets
@@ -52,10 +47,10 @@ def test_every_pair_in_the_stored_corpus():
             if two_conn:
                 assert shared, (g, x, y)
                 assert is_t_transversal(g, cs, rep.cut, 1), (g, x, y)
-            xs, ys = x.vertex_set() - shared, y.vertex_set() - shared
-            if shared and xs and ys:
-                fam = max_disjoint_paths(g, xs, ys, allowed=frozenset(range(g.n)) - shared)
-                f = build_aux(g, x, y, fam)  # raises on a same-pair event
+            if shared and rep.witness.source_set and rep.witness.target_set:
+                # F is built from the separator's own family, the flow in G - M
+                f = build_aux(g, x, y, rep.witness)  # raises on a same-pair event
+                assert len(rep.cut) == m + f.edge_count(), (g, x, y)
                 assert type_census(f)[(0, 0)] == 0, (g, x, y)
                 assert pairwise_noncrossing(sorted(l_set(f))), (g, x, y)
                 assert edge_bound_holds(f.edge_count(), f.m), (g, x, y)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from itertools import combinations, islice
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemeet.auxgraph import SameSegmentPairError, pair_aux
+from cyclemeet.cli import main
 from cyclemeet.corpus import load_connected_corpus, two_triangles_shared_vertex
 from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles, is_t_transversal
 from cyclemeet.flow import (
@@ -21,6 +23,7 @@ from cyclemeet.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    graph_from_graph6,
     grid_graph,
     is_forest,
     petersen_graph,
@@ -29,7 +32,7 @@ from cyclemeet.graphs import (
 from cyclemeet.harness import PAIR_LIMIT
 
 from hosts import menger_instances
-from oracles import min_vertex_cut_by_subsets
+from oracles import as_networkx, min_vertex_cut_by_subsets
 
 
 def bridge_graph():
@@ -145,6 +148,49 @@ def test_xy_separator_petersen_bound():
     assert rep.m is not None and rep.m >= 3
     assert separator_bound_holds(len(rep.cut), rep.m)
     assert is_t_transversal(petersen_graph(), cs, rep.cut, 1)
+
+
+def _separator_pairs():
+    """The first PAIR_LIMIT pairs of every exhaustive7 cycle set, then the E?~o pair."""
+    for g in load_connected_corpus(max_n=7):
+        if not is_forest(g):
+            for x, y in islice(combinations(enumerate_longest_cycles(g).cycles, 2), PAIR_LIMIT):
+                yield g, x, y
+    g = graph_from_graph6("E?~o")
+    yield g, CycleEmbedding.from_sequence(g, [0, 4, 1, 5]), CycleEmbedding.from_sequence(g, [2, 4, 3, 5])
+
+
+def test_xy_separator_is_m_plus_a_minimum_cut_of_g_minus_m():
+    # networkx oracle: the cut is M plus a minimum (X-M, Y-M) node cut of
+    # G - M, found between a super-source on X - M and a super-sink on Y - M,
+    # and it separates the two remainders in G itself
+    nx = pytest.importorskip("networkx")
+    flows = 0
+    for g, x, y in _separator_pairs():
+        rep = xy_separator(g, x, y)
+        shared = x.vertex_set() & y.vertex_set()
+        a, b = x.vertex_set() - shared, y.vertex_set() - shared
+        h = as_networkx(g)
+        h.add_nodes_from("st")
+        h.add_edges_from([("s", v) for v in a] + [(v, "t") for v in b])
+        inner = 0
+        if a and b:
+            inner = len(nx.minimum_node_cut(h.subgraph(set(h) - shared), "s", "t"))
+            flows += 1
+        assert shared <= rep.cut and len(rep.cut) == len(shared) + inner, (g.n, x, y)
+        assert not nx.has_path(h.subgraph(set(h) - rep.cut), "s", "t"), (g.n, x, y)
+    # the 792 exhaustive7 pairs with two nonempty remainders (5 of them
+    # disjoint, cut in all of G), and E?~o
+    assert flows == 793
+
+
+def test_cli_separator_cuts_two_cycles_at_their_shared_vertices(tmp_path, capsys):
+    # X = 0-4-1-5 and Y = 2-4-3-5 meet in M = {4, 5}, which alone separates them
+    path = tmp_path / "e.g6"
+    path.write_text("E?~o\n")
+    assert main(["separator", "--in", str(path), "--x", "0,4,1,5", "--y", "2,4,3,5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["cut"], rep["m"], rep["max_disjoint_paths"], rep["paths"]) == ([4, 5], 2, 0, [])
 
 
 def test_separator_report_json():
@@ -271,4 +317,4 @@ def test_pair_aux_graphs_are_pinned_on_exhaustive7():
                 continue
             lines.append("none" if f is None else repr((
                 sorted(f.edges), sorted((e, (p[0], p[-1])) for e, p in f.witness.items()))))
-    assert _digest(lines) == "69f2bd2e61d3c0911ea1fad7d14264bcababdca6b3ea8a6da803ea3e59e0083f"
+    assert _digest(lines) == "149995eeaaaa2960804162c28cd9fcb39fa4815f402b25e49ea70728d153c979"

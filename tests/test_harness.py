@@ -173,7 +173,7 @@ def test_exhausted_enumeration_runs_once(monkeypatch):
     status = {o.name: o.status for o in report.outcomes}
     assert status["enumeration"] == "inconclusive"
     assert status["babai"] == "inconclusive"
-    assert status["smith_k"] == "inconclusive"
+    assert status["smith"] == "inconclusive"
     assert report.cycle_length is None and report.connectivity == 3
     # babai reads c(G) from the enumeration that ran, and keeps its error
     assert counts == {"enumerate_longest_cycles": 1, "longest_cycle_length": 0}
@@ -394,21 +394,34 @@ def count_module_calls(monkeypatch, *functions):
 
 def test_each_checked_pair_is_built_once(monkeypatch):
     counts = count_module_calls(
-        monkeypatch, flow.xy_separator, flow.max_disjoint_paths, auxgraph.decompose,
-        auxgraph._aux_of, auxgraph.build_aux, harness.verify_thm14,
+        monkeypatch, flow.xy_separator, flow.min_vertex_cut, flow.max_disjoint_paths,
+        auxgraph.decompose, auxgraph._aux_of, auxgraph.build_aux, harness.verify_thm14,
     )
     report = analyze_instance("petersen", facts(petersen_graph()), CorpusSpec("smoke"), "all")
     assert report.worst_status() == "pass"
     # Petersen has 20 longest cycles, so both scans reach PAIR_LIMIT
     assert report.stats == {"thm14_pairs_checked": 25, "structural_pairs_checked": 25}
     # one separator per distinct ordered pair of vertex sets among the 25
-    # checked pairs (15), the m_min pair (pair 0) among them; 23 of the 25
-    # pairs leave both remainders nonempty and get a path family, a
-    # decomposition and an aux graph. The family is validated where it is
-    # found, so the public build_aux, which validates it again, is not called;
-    # and only the reported pair's outcome is built
-    assert counts == {"xy_separator": 15, "max_disjoint_paths": 23, "decompose": 23,
-                      "_aux_of": 23, "build_aux": 0, "verify_thm14": 1}
+    # checked pairs (15), the m_min pair (pair 0) among them; 13 of the 15
+    # leave both remainders nonempty and run the one flow, in G - M. 23 of the
+    # 25 pairs do, and get a decomposition and an aux graph built from their
+    # separator's family, so no second family is found. The family is
+    # validated where it is found, so the public build_aux, which validates it
+    # again, is not called; and only the reported pair's outcome is built
+    assert counts == {"xy_separator": 15, "min_vertex_cut": 13, "max_disjoint_paths": 0,
+                      "decompose": 23, "_aux_of": 23, "build_aux": 0, "verify_thm14": 1}
+
+
+def test_one_flow_per_checked_pair_on_exhaustive7(monkeypatch):
+    # a separator's one flow, in G - M, gives both the thm14 cut and the family
+    # the aux graph is built from: 504 flows for the distinct checked pairs
+    # with two nonempty remainders, and an aux graph for each of the 787
+    # checked pairs that have them. A change may lower this pin, never raise it
+    counts = count_module_calls(monkeypatch, flow.min_vertex_cut, flow.max_disjoint_paths,
+                                auxgraph.pair_aux)
+    reports = run_corpus(CorpusSpec.parse("exhaustive7"), "all")
+    assert len(reports) == 996 and all(r.worst_status() != "fail" for r in reports)
+    assert counts == {"min_vertex_cut": 504, "max_disjoint_paths": 0, "pair_aux": 787}
 
 
 def test_cycle_objects_are_built_only_for_the_cycles_read(monkeypatch):
@@ -484,7 +497,7 @@ def test_structural_scan_stops_at_the_first_failing_pair(monkeypatch, name):
 
     if name == "is_t_transversal":
         checked = cuts.index(bad_cut) + 1
-        assert checked == 8  # pairs 1, 5 and 8 bring the first three cuts, all with m = 7
+        assert checked == 3  # each of the ten pairs has its own cut, M itself, with m = 7
         inject = fail_on_bad_cut
     else:
         checked, inject = k, fail_on_kth_call
@@ -1220,10 +1233,10 @@ def test_cli_verify_matches_golden_report(tmp_path, args, golden, code):
 
 @pytest.mark.parametrize("args, count, digest", [
     (["--seed", "42"], 72,
-     "8960c872eeccc47dd16d682fbddfb132f0423021e11ede00974b6bbdcdefce78"),
+     "bbb77de7f5e571af66487b99f698da041a6f35a693116eb2b42631ca45316651"),
     (["--corpus", "default", "--seed", "1", "--budget", "400"], 70,
-     "eed8900e092e840233dc5eb88f9323404d3deda12726d3ee9a86dde9bc4d3e87"),
-])
+     "af5c4507334ddb2e38db4ea5ee8767cf8d3a17d17b5e5e996c6c1c64d21f350b"),
+], ids=["seed42", "seed1-budget400"])  # ids without the digest, which moves with the report
 def test_cli_verify_default_corpus_report_digest(tmp_path, args, count, digest):
     # the goldens use the smoke corpus, which never runs the default filter
     out = tmp_path / "report.json"
@@ -1238,7 +1251,7 @@ def test_cli_verify_thm14_suite_report_digest(tmp_path):
     assert main(["verify", "--suite", "thm14", "--seed", "42", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["instances"]) == 72
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "8d8d5b546d2c8aad934e405bfb6d9bf5f630d6fb845d5fe82e90ba0c01b3382c"
+        "bc8910b1c9d4b879c855fce28d51e4ca2ddcd60bb7633850475c6641192c1d1e"
     )
 
 
@@ -1258,12 +1271,12 @@ def test_cli_verify_babai_suite_report_digest(tmp_path):
 
 @pytest.mark.parametrize("args, count, digest", [
     (["--suite", "all", "--corpus", "exhaustive7"], 996,
-     "6a5e051c38c866f203a0bc67201dc6ece8e0ba909d5e413717470e611a689f33"),
+     "fffa65c607951b2dbf8289360702ba1bd34afa9f198895b08752f1cd0dadbd39"),
     (["--suite", "smith", "--seed", "42"], 72,
-     "21c9f8405ed3bbdeded7797f427e7a8fd1524d1eea24e2f64239c6691f4e02a4"),
+     "e9051c5a86a57f48246e28fd7ba2556b5a4337d10abc8b6e09ad441a026f7823"),
     (["--suite", "devos", "--seed", "42"], 72,
-     "6295c686bcdba446d8821bd86a7379d73f4f14c9c2763d1bd14024f3f30c7803"),
-])
+     "42661ae80ca3b6959add3c64698453a797b59d379bb6e1405527ac0bf63f8a0a"),
+], ids=["all-exhaustive7", "smith-seed42", "devos-seed42"])
 def test_cli_verify_report_bytes_are_pinned(tmp_path, args, count, digest):
     # the benchmark's exhaustive7 pass, and the two suites no golden covers
     out = tmp_path / "report.json"
@@ -1296,7 +1309,7 @@ def test_cli_pair_commands_stdout_is_pinned(tmp_path, capsys):
         (["intersect", "--in", str(pet)], 0,
          "6a3796e91171a5adca0b7164f100ea34095e27192420685af27e95cbb77e7a17"),
         (["separator", "--in", str(pet), "--x", x, "--y", y], 0,
-         "fad511f2f14c389eefc38c7265e54598db18613fc8a7d87a4d3eead5fa0d5fbb"),
+         "14f2c446b65f3ccd0c567cda11475b0e7a318e52ac9f4746a067448e47f044b3"),
         (["auxgraph", "--in", str(pet), "--x", x, "--y", y], 0,
          "f7ad8afa4f477f0304047c74a2eb188a1360b0e51fdae1cb6d56bc6be714c04c"),
         (["certify", "--in", str(pet), "--x", x, "--y", y], 0,
