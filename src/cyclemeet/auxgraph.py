@@ -291,64 +291,6 @@ def pairwise_noncrossing(pairs) -> bool:
     )
 
 
-def noncrossing_witness(m: int) -> tuple[tuple[int, int], ...]:
-    """The nested-plus-adjacent family of size 2m-3: all (1,t) and all (t,t+1)."""
-    fam = {(1, t) for t in range(2, m + 1)}
-    fam |= {(t, t + 1) for t in range(1, m)}
-    return tuple(sorted(fam))
-
-
-MAX_NONCROSSING_M = 12
-
-
-def max_noncrossing_family(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Exact maximum size of a pairwise non-crossing family of pairs over [m].
-
-    Branch-and-bound maximum independent set in the crossing-conflict graph,
-    seeded with the nested-plus-adjacent construction. Exact search is kept
-    to m <= 12, which covers every segment count the toolkit meets.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if m > MAX_NONCROSSING_M:
-        raise ValueError(f"exact search capped at m={MAX_NONCROSSING_M}")
-    all_pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    index = {p: t for t, p in enumerate(all_pairs)}
-    conflict = [0] * len(all_pairs)
-    for a in range(len(all_pairs)):
-        for b in range(a + 1, len(all_pairs)):
-            if is_crossing(all_pairs[a], all_pairs[b]):
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
-
-    seed = noncrossing_witness(m)
-    assert pairwise_noncrossing(seed)
-    best_size = len(seed)
-    best_mask = 0
-    for p in seed:
-        best_mask |= 1 << index[p]
-
-    def extend(chosen_mask: int, chosen_size: int, candidates: int) -> None:
-        nonlocal best_size, best_mask
-        if chosen_size + candidates.bit_count() <= best_size:
-            return
-        if not candidates:
-            if chosen_size > best_size:
-                best_size = chosen_size
-                best_mask = chosen_mask
-            return
-        low = candidates & -candidates
-        t = low.bit_length() - 1
-        extend(chosen_mask | low, chosen_size + 1, candidates & ~low & ~conflict[t])
-        extend(chosen_mask, chosen_size, candidates & ~low)
-
-    extend(0, 0, (1 << len(all_pairs)) - 1)
-    family = tuple(all_pairs[t] for t in range(len(all_pairs)) if best_mask >> t & 1)
-    if best_size > 2 * m - 3:
-        raise RuntimeError(f"non-crossing bound 2m-3 violated at m={m}: found {best_size}")
-    return best_size, family
-
-
 @dataclass(frozen=True)
 class SupersaturationReport:
     """Counting diagnostics tying e(F) to the common-neighbor mass and L-set.

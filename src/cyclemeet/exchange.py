@@ -29,7 +29,7 @@ from .auxgraph import (
     is_crossing,
     pair_aux,
 )
-from .cycles import CycleEmbedding
+from .cycles import DEFAULT_BUDGET, BudgetExceededError, CycleEmbedding
 from .graphs import Graph
 
 
@@ -143,12 +143,14 @@ def type00_certificate(
     y: CycleEmbedding,
     f: AuxGraph,
     fourcycle: tuple[int, int, int, int],
+    budget: int = DEFAULT_BUDGET,
 ) -> WinningCertificate:
     """Winning certificate from a type-(0,0) 4-cycle of the auxiliary graph.
 
-    The restitching search uses each of the four paths once per cycle, so
-    the surplus is twice the total path length. ``q1`` is the cycle that
-    keeps the X-stretch between the two path endpoints on X_i.
+    The restitching search, of at most ``budget`` nodes, uses each of the
+    four paths once per cycle, so the surplus is twice the total path
+    length. ``q1`` is the cycle that keeps the X-stretch between the two
+    path endpoints on X_i.
     """
     i, k, j, l = fourcycle
     kind = classify_four_cycle(f, i, j, k, l)
@@ -157,7 +159,7 @@ def type00_certificate(
     paths = [f.witness[key] for key in ((i, k), (i, l), (j, k), (j, l))]
     for p in paths:
         _check_clean_interior(p, x, y)
-    cert = _restitch(g, x, y, paths, "type00")
+    cert = _restitch(g, x, y, paths, "type00", budget=budget)
     # q1 keeps the X-stretch between the two endpoints on X_i, so it holds
     # the X-edge from the earlier one to its successor
     u = paths[0][0] if end_orders(f, i, k, j, l)[0] else paths[1][0]
@@ -177,12 +179,14 @@ class _Block:
         return self.seq if self.seq[0] == start else tuple(reversed(self.seq))
 
 
-def _decompose_into_two_cycles(blocks: list[_Block]) -> Optional[tuple[list[int], list[int]]]:
+def _decompose_into_two_cycles(blocks: list[_Block],
+                               budget: int) -> Optional[tuple[list[int], list[int]]]:
     """Partition the blocks into exactly two vertex-simple closed walks.
 
     Exhaustive DFS with deterministic ordering; each block is used exactly
     once, trail simplicity is enforced on host-graph vertices as the trail
-    grows.
+    grows. The DFS expands at most ``budget`` nodes and then raises
+    ``BudgetExceededError``, as the cycle search does.
     """
     incidence: dict[int, list[int]] = {}
     for blk in blocks:
@@ -191,8 +195,13 @@ def _decompose_into_two_cycles(blocks: list[_Block]) -> Optional[tuple[list[int]
     for lst in incidence.values():
         lst.sort()
     all_mask = (1 << len(blocks)) - 1
+    nodes = 0
 
     def rec(used: int, cycles: list[list[int]], trail):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"search budget of {budget} node expansions exceeded")
         if trail is None:
             if used == all_mask:
                 return cycles if len(cycles) == 2 else None
@@ -239,13 +248,15 @@ def _restitch(
     paths: Sequence[Sequence[int]],
     origin: str,
     case: Optional[tuple[int, int]] = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> WinningCertificate:
     """The certificate that uses every arc of X and Y once and every path twice.
 
     ``paths`` run from their X end to their Y end. Their endpoints cut X and Y
     into arcs, each a ``cut_at`` run with the marks at its ends; the
-    exhaustive search splits the arcs plus two copies of each path into two
-    vertex-simple cycles, whose surplus must be 2·Σ|P|.
+    exhaustive search, of at most ``budget`` nodes, splits the arcs plus two
+    copies of each path into two vertex-simple cycles, whose surplus must be
+    2·Σ|P|.
     """
     blocks: list[_Block] = []
 
@@ -262,7 +273,7 @@ def _restitch(
         first = add_block(p)
         add_block(p, twin=first)
 
-    found = _decompose_into_two_cycles(blocks)
+    found = _decompose_into_two_cycles(blocks, budget)
     if found is None:
         raise RuntimeError(f"restitching search found no {origin} certificate")
     q1 = CycleEmbedding.from_sequence(g, found[0])
@@ -284,14 +295,15 @@ def lemma33_certificate(
     f: AuxGraph,
     c1: tuple[int, int, int, int],
     c2: tuple[int, int, int, int],
+    budget: int = DEFAULT_BUDGET,
 ) -> Optional[WinningCertificate]:
     """Certificate from two type-(1,0) 4-cycles with crossing X-pairs and
     disjoint non-crossing Y-pairs.
 
     Returns None when the configuration does not match that hypothesis. The
-    restitching search handles all four endpoint-ordering cases of the eight
-    paths; the pair it finds is machine-verified, closing the case analysis
-    computationally.
+    restitching search, of at most ``budget`` nodes, handles all four
+    endpoint-ordering cases of the eight paths; the pair it finds is
+    machine-verified, closing the case analysis computationally.
     """
     i1, k1, j1, l1 = c1
     i2, k2, j2, l2 = c2
@@ -312,7 +324,7 @@ def lemma33_certificate(
     except ValueError:
         return None
 
-    return _restitch(g, x, y, paths, "lemma33", case=_lemma33_case(f, c1, c2))
+    return _restitch(g, x, y, paths, "lemma33", case=_lemma33_case(f, c1, c2), budget=budget)
 
 
 def _lemma33_case(f: AuxGraph, c1, c2) -> tuple[int, int]:
@@ -344,22 +356,24 @@ def improve_by_exchange(
 
 
 def improve_by_four_cycles(
-    g: Graph, x: CycleEmbedding, y: CycleEmbedding, f: AuxGraph
+    g: Graph, x: CycleEmbedding, y: CycleEmbedding, f: AuxGraph, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[CycleEmbedding, CycleEmbedding]]:
     """The type-(0,0) and Lemma 3.3 exchanges on the pair's auxiliary graph ``f``.
 
-    Returns an improved pair covering the original edges, or None.
+    Returns an improved pair covering the original edges, or None. Each
+    restitching search expands at most ``budget`` nodes, and then
+    ``BudgetExceededError`` is raised.
     """
     type10: list[tuple[int, int, int, int]] = []
     for fourcycle, kind in f.four_cycle_types.items():
         if kind == FourCycleType(0, 0):
-            cert = type00_certificate(g, x, y, f, fourcycle)
+            cert = type00_certificate(g, x, y, f, fourcycle, budget)
             return cert.q1, cert.q2
         if kind == FourCycleType(1, 0):
             type10.append(fourcycle)
     for a in range(len(type10)):
         for b in range(a + 1, len(type10)):
-            cert = lemma33_certificate(g, x, y, f, type10[a], type10[b])
+            cert = lemma33_certificate(g, x, y, f, type10[a], type10[b], budget)
             if cert is not None:
                 return cert.q1, cert.q2
     return None

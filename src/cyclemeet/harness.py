@@ -58,7 +58,7 @@ from .graphs import (
     mask_of,
     vertex_connectivity,
 )
-from .transitive import vertex_orbit_of_zero
+from .transitive import circulant_hamiltonian_cycle, vertex_orbit_of_zero
 
 ENUMERATION_LIMIT = 5000  # longest cycles kept per graph; more leaves the set truncated
 PAIR_LIMIT = 25  # cycle pairs checked per instance by each pairwise check
@@ -107,9 +107,10 @@ class InstanceFacts:
 
     ``cycles`` is the graph's one longest-cycle enumeration and ``length``
     its c(G), both None for a forest. ``length`` is read from the enumeration
-    when that has already run; otherwise it comes from a length-only search,
-    which keeps no cycles and, on every corpus measured, expands no more
-    nodes than the enumeration.
+    when that has already run, and from a built Hamiltonian cycle when the
+    orbit of 0 is already searched and has an n-cycle map (a circulant);
+    otherwise it comes from a length-only search, which keeps no cycles and,
+    on every corpus measured, expands no more nodes than the enumeration.
     A search that runs out of budget keeps its error (see ``_kept``), so it
     never runs twice; that holds for the automorphism searches behind
     ``orbit`` too. ``orbit`` is the orbit of vertex 0 with one automorphism
@@ -175,10 +176,18 @@ class InstanceFacts:
 
     @_kept
     def length(self) -> Optional[int]:
-        """c(G), exact; the cycles are enumerated only if something else read them."""
+        """c(G), exact; the cycles are enumerated only if something else read them.
+
+        When a check already searched the orbit of 0 and one of its maps is an
+        n-cycle, g is a circulant and c(G) = n by a built Hamiltonian cycle
+        (``circulant_hamiltonian_cycle``). It never starts the orbit search.
+        """
         if "_cycles" in vars(self) or is_forest(self.g):
             cs = self.cycles  # the enumeration that ran, or None for a forest
             return None if cs is None else cs.length
+        orbit = vars(self).get("_orbit")
+        if isinstance(orbit, dict) and circulant_hamiltonian_cycle(self.g, orbit) is not None:
+            return self.g.n
         return longest_cycle_length(self.g, self.budget)
 
     @cached_property
@@ -425,10 +434,13 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     The ``babai`` suite reads only c(G), so it reads ``facts.length`` and
     enumerates no cycles: its reports give ``cycle_length`` and leave
     ``cycle_count``, ``truncated``, ``m_min`` and the separator fields null.
-    Every other suite reads ``facts.cycles``, and an enumeration that runs
-    out of budget is reported as an inconclusive ``enumeration`` outcome.
-    Under ``babai`` the check's own outcome carries the length search's
-    budget error wherever the check applies, so no such outcome is added.
+    It reads the length after the check, as it reads κ, so that a circulant
+    whose orbit the check found gets c(G) = n from a built cycle, with no
+    length search. Every other suite reads ``facts.cycles``, and an
+    enumeration that runs out of budget is reported as an inconclusive
+    ``enumeration`` outcome. Under ``babai`` the check's own outcome carries
+    the length search's budget error wherever the check applies, so no such
+    outcome is added.
     """
     facts = copy.copy(facts)
     g = facts.g
@@ -438,13 +450,10 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     degree = facts.degree
     cycle_length = cycle_count = cs = None
     truncated = None if suite == "babai" else False
-    try:
-        if suite == "babai":
-            cycle_length = facts.length
-        else:
+    if suite != "babai":
+        try:
             cs = facts.cycles  # None for a forest: it carries no cycle checks
-    except BudgetExceededError as err:
-        if suite != "babai":  # verify_babai carries the kept error where it applies
+        except BudgetExceededError as err:
             outcomes.append(Outcome("enumeration", "inconclusive", detail=str(err)))
     complete = None
     if cs is not None:  # never under babai, so that suite enumerates nothing
@@ -491,7 +500,12 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         if suite == "all":
             outcomes.extend(_structural_checks(facts, complete, pairs, stats))
 
-    # read after the checks, so that κ uses the orbit of 0 where one of them searched it
+    # read after the checks, so that c(G) and κ use the orbit of 0 where one of them searched it
+    if suite == "babai":
+        try:
+            cycle_length = facts.length
+        except BudgetExceededError:
+            pass  # verify_babai carries the kept error where it applies
     connectivity = facts.connectivity if g.n >= 2 else None
     if degree is not None and connectivity is not None and degree >= 2 and cycle_length is not None:
         # observational ratios for the asymptotic statements (no pass/fail)
@@ -535,31 +549,43 @@ def _structural_checks(facts: InstanceFacts, cs: CycleSet, pairs: list,
     Prop. 2.1 scan runs once per distinct cut and its verdict is shared.
     The scan stops at the first failing pair: its first failed check fails with
     the witness and every other check passes. prop21 needs a 2-connected graph.
+    An exchange search that runs out of ``facts.budget`` leaves
+    ``exchange_absent`` inconclusive, naming the budget, unless a later pair
+    fails it; the scan goes on, since the exchange is a pair's last check.
     """
     g = facts.g
     two_connected = g.n >= 3 and facts.connectivity >= 2
     transversal: dict[frozenset[int], bool] = {}
-    failed = witness = None
+    failed = witness = exhausted = None
     checked = 0
     for checked, (x, y, rep) in enumerate(pairs, 1):
-        failed, witness = _pair_failure(g, cs, x, y, rep, two_connected, transversal)
+        try:
+            failed, witness = _pair_failure(g, cs, x, y, rep, two_connected, transversal,
+                                            facts.budget)
+        except BudgetExceededError as err:
+            exhausted = exhausted or err
+            continue
         if failed is not None:
             break
     stats["structural_pairs_checked"] = checked
     names = STRUCTURAL_CHECKS if two_connected else STRUCTURAL_CHECKS[2:]
-    return [Outcome(name, "fail", witness=witness) if name == failed else Outcome(name, "pass")
-            for name in names]
+    outcomes = [Outcome(name, "fail", witness=witness) if name == failed else Outcome(name, "pass")
+                for name in names]
+    if exhausted is not None and failed != "exchange_absent":  # the last check
+        outcomes[-1] = Outcome("exchange_absent", "inconclusive", detail=str(exhausted))
+    return outcomes
 
 
 def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
                   rep: SeparatorReport, two_connected: bool,
-                  transversal: dict[frozenset[int], bool]):
+                  transversal: dict[frozenset[int], bool], budget: int):
     """The first structural check one pair fails, with its witness, or (None, None).
 
     ``transversal`` maps each cut already scanned to whether it meets every
     longest cycle; a new cut's verdict is added to it. The aux-graph checks
     stop at a pair whose family has an empty side, read off ``rep``'s
-    terminals. A witness is built only for a failing pair.
+    terminals. A witness is built only for a failing pair. The exchange
+    searches run under ``budget`` and raise ``BudgetExceededError`` past it.
     """
     def pair(**more) -> dict:
         return {"x": list(x.vertices), "y": list(y.vertices), **more}
@@ -587,7 +613,7 @@ def _pair_failure(g: Graph, cs: CycleSet, x: CycleEmbedding, y: CycleEmbedding,
     sat = supersaturation_report(f)
     if sat.assumption_met and not (sat.sum_ok and sat.l_ok and sat.edge_bound_ok):
         return "supersaturation", {"m": sat.m, "edges": sat.edge_count}
-    improved = improve_by_four_cycles(g, x, y, f)
+    improved = improve_by_four_cycles(g, x, y, f, budget)
     if improved is not None:
         return "exchange_absent", pair(improved=[list(c.vertices) for c in improved])
     return None, None

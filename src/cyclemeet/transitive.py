@@ -17,16 +17,19 @@ checks the map. A search expands at most ``budget`` nodes and then raises
 permutation tuple. The orbit of vertex 0 comes with one automorphism per
 orbit vertex, which ``graphs.vertex_connectivity`` can use; whether a graph
 is vertex-transitive is read off it, for any graph up to the vertex cap. The
-node budget is the search's only limit.
+node budget is the search's only limit. A labelled circulant needs no
+search: the translation x -> x + 1 is checked in one pass and seeds the
+orbit, and an n-cycle among the orbit's maps builds a Hamiltonian cycle.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import chain
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .cycles import DEFAULT_BUDGET, BudgetExceededError
+from .cycles import DEFAULT_BUDGET, BudgetExceededError, CycleEmbedding
 from .graphs import VERTEX_CAP, Graph, check_vertex_set, is_regular, iter_bits
 
 
@@ -143,20 +146,26 @@ def automorphism_mapping(g: Graph, a: int, b: int,
 def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, tuple[int, ...]]:
     """The orbit of vertex 0 under the automorphism group, as u -> an automorphism sending 0 to u.
 
-    Automorphisms are permutation tuples. One ``automorphism_mapping`` search
-    runs for each vertex not yet in the orbit; each map found and its
-    inverse become generators. The orbit is closed under them as a Schreier
-    tree: a vertex reached as gen[w] keeps gen composed with w's map.
-    ``budget`` is per search; an exhausted one raises ``BudgetExceededError``.
+    Automorphisms are permutation tuples. When the translation x -> x + 1
+    (mod n) is an automorphism, as on a labelled circulant, it is the map for
+    vertex 1 and no search runs: its powers reach every vertex. Otherwise one
+    ``automorphism_mapping`` search runs for each vertex not yet in the
+    orbit. Each map found and its inverse become generators. The orbit is
+    closed under them as a Schreier tree: a vertex reached as gen[w] keeps
+    gen composed with w's map, so a translation gives maps[k] = x -> x + k,
+    the maps the search finds too. ``budget`` is per search; an exhausted one
+    raises ``BudgetExceededError``.
     """
     if g.n == 0:
         return {}
     maps = {0: tuple(range(g.n))}
     gens: list[tuple[int, ...]] = []
+    shift = _translation(g)
     for v in range(1, g.n):
         if v in maps:
             continue
-        auto = automorphism_mapping(g, 0, v, budget)
+        # v = 1 comes first; a translation puts every vertex in the orbit
+        auto = shift or automorphism_mapping(g, 0, v, budget)
         if auto is None:
             continue
         gens += (auto, _invert_perm(auto))
@@ -171,6 +180,63 @@ def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, tu
                     maps[img] = _compose_perm(gen, maps[w])
                     frontier.append(img)
     return maps
+
+
+def _translation(g: Graph) -> Optional[tuple[int, ...]]:
+    """x -> x + 1 (mod n) when it is an automorphism of g, else None.
+
+    It is one iff each vertex's row, rotated up by one place, is its
+    successor's row.
+    """
+    n, rows, full = g.n, g._rows, g.full_mask
+    for v in range(n):
+        if (rows[v] << 1 | rows[v] >> (n - 1)) & full != rows[(v + 1) % n]:
+            return None
+    return (*range(1, n), 0)
+
+
+def circulant_hamiltonian_cycle(g: Graph,
+                                maps: dict[int, tuple[int, ...]]) -> Optional[CycleEmbedding]:
+    """A Hamiltonian cycle of g built from an n-cycle among the orbit maps, else None.
+
+    ``maps`` is ``vertex_orbit_of_zero``'s. An automorphism σ that is one
+    n-cycle makes g a circulant: relabelled k for σ^k(0), g is
+    ``circulant(n, S)`` with S read off the neighbours of 0. Every connected
+    Cayley graph of an abelian group on at least 3 elements is Hamiltonian
+    (Chen and Quimpo, 1981), and the cycle is built as in their induction. A
+    Hamiltonian cycle C of the subgroup H = <d> (at first H = {0}) grows for
+    each s in S outside H. With r the index of H in H + <s>, the cosets
+    H + js (0 <= j < r) are the layers of a cylinder whose columns are C's
+    vertices. The new cycle runs along layer 0, snakes through layers
+    1..r-1 over columns 1..|C|-1, and returns down column 0. g is
+    disconnected, and None is returned, when S leaves H short of Z_n. The
+    result is checked as a cycle of g; a failed check is an internal error.
+    """
+    n = g.n
+    for sigma in maps.values():
+        order = [0]  # σ^k(0), k = 0, 1, ...
+        while (x := sigma[order[-1]]) != 0:
+            order.append(x)
+        if len(order) == n:
+            break
+    else:
+        return None
+    label = {v: k for k, v in enumerate(order)}
+    seq, d = [0], n
+    for s in sorted(label[v] for v in iter_bits(g._rows[0])):
+        if s % d:
+            r, m = d // gcd(d, s), len(seq)
+            for j in range(1, r):
+                cols = range(m - 1, 0, -1) if j % 2 else range(1, m)
+                seq += [(seq[i] + j * s) % n for i in cols]
+            seq += [j * s % n for j in range(r - 1, 0, -1)]
+            d = gcd(d, s)
+    if d != 1 or n < 3:
+        return None
+    try:
+        return CycleEmbedding.from_sequence(g, (order[k] for k in seq))
+    except ValueError as err:
+        raise RuntimeError(f"circulant cycle construction failed: {err}") from None
 
 
 def is_vertex_transitive(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:

@@ -29,6 +29,17 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    """g with its vertices renamed by a seeded random permutation.
+
+    A circulant so renamed is still one, yet x -> x + 1 is seldom an
+    automorphism of the copy, so its orbit of 0 is searched.
+    """
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
 def symmetric_connection_sets(max_n: int):
     """(n, steps) for every n <= max_n and every non-empty connection set of Z_n closed under -s."""
     for n in range(2, max_n + 1):

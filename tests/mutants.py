@@ -296,6 +296,24 @@ MUTANTS = {
         ((EXCHANGE, "    if {k1, l1} & {k2, l2}:\n        return None\n", ""),),
         ("tests/test_exchange.py",),
     ),
+    "translation-wrap-dropped": Mutant(
+        "the translation test drops the bit that wraps from vertex n - 1 to 0, so no"
+        " labelled circulant's orbit is seeded and every one is searched again",
+        ((TRANSITIVE, "(rows[v] << 1 | rows[v] >> (n - 1))", "(rows[v] << 1)"),),
+        ("tests/test_transitive.py", "tests/test_harness.py"),
+    ),
+    "circulant-layers-skipped": Mutant(
+        "the circulant cycle construction skips the snake through layers 1..r-1, so the"
+        " cylinder walk misses their vertices and breaks off",
+        ((TRANSITIVE, "seq += [(seq[i] + j * s) % n for i in cols]", "pass"),),
+        ("tests/test_transitive.py", "tests/test_harness.py"),
+    ),
+    "n-cycle-test-any-map": Mutant(
+        "the construction takes the first orbit map as its n-cycle, whatever its cycle"
+        " through 0",
+        ((TRANSITIVE, "if len(order) == n:", "if True:"),),
+        ("tests/test_transitive.py", "tests/test_harness.py"),
+    ),
 }
 
 

@@ -16,7 +16,6 @@ from cyclemeet.auxgraph import (
     SameSegmentPairError,
     build_aux,
     l_set,
-    max_noncrossing_family,
     pairwise_noncrossing,
     type_census,
 )
@@ -44,7 +43,7 @@ from cyclemeet.graphs import petersen_graph, vertex_connectivity
 from cyclemeet.transitive import is_vertex_transitive
 
 from hosts import lemma33_host, menger_instances, nine_vertex_sample, type00_host
-from oracles import longest_cycle_by_permutations
+from oracles import longest_cycle_by_permutations, max_noncrossing_family
 
 PETERSEN_M_STAR = 8  # regression constant: exact min pairwise 9-cycle intersection
 

@@ -16,8 +16,6 @@ from cyclemeet.auxgraph import (
     decompose,
     is_crossing,
     l_set,
-    max_noncrossing_family,
-    noncrossing_witness,
     pair_aux,
     pairwise_noncrossing,
     supersaturation_report,
@@ -27,7 +25,7 @@ from cyclemeet.flow import PathFamily, max_disjoint_paths, xy_separator
 from cyclemeet.graphs import Graph
 
 from hosts import prop22_host, type00_host
-from oracles import max_noncrossing_by_subsets
+from oracles import max_noncrossing_by_subsets, max_noncrossing_family, noncrossing_witness
 
 
 def host_c6_overlap():

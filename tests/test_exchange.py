@@ -18,7 +18,7 @@ from cyclemeet.auxgraph import (
     type_census,
 )
 from cyclemeet.corpus import pairwise_corpus
-from cyclemeet.cycles import CycleEmbedding, enumerate_longest_cycles
+from cyclemeet.cycles import BudgetExceededError, CycleEmbedding, enumerate_longest_cycles
 from cyclemeet.exchange import (
     certificate_is_sound,
     improve_by_exchange,
@@ -168,6 +168,19 @@ def test_lemma33_y_pairs_sharing_an_index_return_none():
     assert f.four_cycle_types == {(1, 1, 3, 2): (1, 0), (2, 2, 4, 3): (1, 0)}
     assert lemma33_certificate(g, x, y, f, (1, 1, 3, 2), (2, 2, 4, 3)) is None
     assert improve_by_four_cycles(g, x, y, f) is None
+
+
+def test_the_restitching_search_honours_its_node_budget():
+    # the four Lemma 3.3 hosts' searches take 1,441, 1,420, 1,320 and 1,453
+    # nodes, and the type-(0,0) host's 80; one node fewer raises the cycle
+    # search's budget error
+    hosts = [lemma33_host(*bits) for bits in itertools.product((0, 1), repeat=2)]
+    for (g, x, y, family), nodes in zip([*hosts, type00_host()], (1441, 1420, 1320, 1453, 80)):
+        f = build_aux(g, x, y, family)
+        assert improve_by_four_cycles(g, x, y, f, nodes) is not None
+        with pytest.raises(BudgetExceededError,
+                           match=f"^search budget of {nodes - 1} node expansions exceeded$"):
+            improve_by_four_cycles(g, x, y, f, nodes - 1)
 
 
 def test_each_aux_graph_types_each_four_cycle_once(monkeypatch):

@@ -25,6 +25,7 @@ from cyclemeet import harness
 from cyclemeet.cycles import (
     DEFAULT_BUDGET,
     CycleEmbedding,
+    CycleSet,
     enumerate_longest_cycles,
     is_t_transversal,
 )
@@ -59,6 +60,7 @@ from hosts import (
     lemma33_host,
     path_graph,
     prop22_host,
+    relabelled,
     symmetric_connection_sets,
     type00_host,
 )
@@ -196,17 +198,18 @@ def test_exhausted_automorphism_search_is_inconclusive_and_runs_once(monkeypatch
 
 
 def test_a_graph_above_64_vertices_gets_its_orbit_searched(monkeypatch):
-    # the node budget is the automorphism search's only limit: C70's orbit is
-    # searched as a small graph's is, and κ reads it
+    # the node budget is the automorphism search's only limit: the orbit of
+    # C70 relabelled, where x -> x + 1 is no automorphism, is searched as a
+    # small graph's is, and κ reads it
     counts = count_calls(monkeypatch, "vertex_orbit_of_zero")
     searches = count_searches(monkeypatch)
-    facts = InstanceFacts(cycle_graph(70), DEFAULT_BUDGET)
+    facts = InstanceFacts(relabelled(cycle_graph(70), 0), DEFAULT_BUDGET)
     assert verify_babai(facts).status == "pass"
     assert verify_devos(facts, frozenset(range(70)), 1).status == "pass"
     assert len(facts.orbit) == 70
-    searches["flows"] = 0
-    # the orbit rule: one flow per partner pair {w, -w}, no neighbour pair;
-    # the plain flows take 67 non-neighbours and the pair {1, 69}, 68 in all
+    assert searches == {"flows": 0, "automorphism searches": 1}
+    # the orbit rule: one flow per partner pair {w, maps[w]⁻¹(0)}, no neighbour
+    # pair; the plain flows take 67 non-neighbours and one neighbour pair, 68 in all
     assert facts.connectivity == 2
     assert searches["flows"] == 34
     assert counts == {"vertex_orbit_of_zero": 1}
@@ -217,13 +220,16 @@ def test_a_graph_above_64_vertices_gets_its_orbit_searched(monkeypatch):
 
 def test_an_exhausted_orbit_search_above_64_vertices_is_inconclusive(monkeypatch):
     # the budget guards the search on a large graph as on a small one: the
-    # error is kept, both checks name it, and κ falls back to the plain flows
+    # error is kept, both checks name it, and κ falls back to the plain flows.
+    # C70 relabelled is searched; C70 itself needs no search, so no budget
     message = "search budget of 1 node expansions exceeded"
+    c70 = relabelled(cycle_graph(70), 0)
     with pytest.raises(cycles.BudgetExceededError, match=f"^{message}$"):
-        harness.vertex_orbit_of_zero(cycle_graph(70), 1)
+        harness.vertex_orbit_of_zero(c70, 1)
+    assert len(harness.vertex_orbit_of_zero(cycle_graph(70), 1)) == 70
     counts = count_calls(monkeypatch, "vertex_orbit_of_zero")
     searches = count_searches(monkeypatch)
-    facts = InstanceFacts(cycle_graph(70), 1)
+    facts = InstanceFacts(c70, 1)
     babai = verify_babai(facts)
     devos = verify_devos(facts, frozenset(range(70)), 1)
     assert (babai.status, babai.detail) == ("inconclusive", message)
@@ -252,15 +258,17 @@ def count_searches(monkeypatch):
 # κ reads the orbit of 0 where the suite's checks searched it (babai, devos,
 # all), after them, and no suite searches it for κ alone: smith and thm14 run
 # the plain flows. Without the orbit, every row below would run the plain
-# flows: 732 on the circulants, 501 on vt and 471 on default
+# flows: 732 on the circulants, 501 on vt and 471 on default. A labelled
+# circulant's orbit is seeded by its translation and takes no search; before
+# that, the searches were 50, 50, 78, 70 and 73, with the same flows
 @pytest.mark.parametrize("corpus, seed, suite, flows, searches", [
-    ("circulants:count=50,max_n=24", 5, "babai", 203, 50),
-    ("circulants:count=50,max_n=24", 5, "all", 203, 50),
-    ("vt:count=60,max_n=16", 1, "all", 163, 78),
-    ("vt:count=60,max_n=16", 1, "devos", 270, 70),
+    ("circulants:count=50,max_n=24", 5, "babai", 203, 0),
+    ("circulants:count=50,max_n=24", 5, "all", 203, 0),
+    ("vt:count=60,max_n=16", 1, "all", 163, 36),
+    ("vt:count=60,max_n=16", 1, "devos", 270, 36),
     ("vt:count=60,max_n=16", 1, "smith", 501, 0),
     ("vt:count=60,max_n=16", 1, "thm14", 501, 0),
-    ("default", 42, "all", 268, 73),
+    ("default", 42, "all", 268, 46),
     ("default", 42, "smith", 471, 0),
 ])
 def test_flow_and_automorphism_search_counts_are_pinned(monkeypatch, corpus, seed, suite, flows,
@@ -292,14 +300,15 @@ def test_exhausted_length_search_runs_once(monkeypatch):
 
 @pytest.mark.parametrize("args, inconclusive", [
     (["--corpus", "exhaustive7", "--budget", "20"], 0),
-    (["--corpus", "smoke", "--seed", "1", "--budget", "2"], 3),
-    (["--corpus", "vt:count=60,max_n=16", "--seed", "1", "--budget", "20"], 3),
+    (["--corpus", "smoke", "--seed", "1", "--budget", "2"], 1),
+    (["--corpus", "vt:count=60,max_n=16", "--seed", "1", "--budget", "20"], 1),
 ])
 def test_babai_suite_is_inconclusive_only_where_babai_applies(tmp_path, args, inconclusive):
     # an exhausted length search leaves a report open only through the babai
     # outcome, never where babai is skipped (34 and 12 reports said so before);
-    # a Hamiltonian cycle from the rotation walk needs no search, so only
-    # non-Hamiltonian instances can exhaust a small budget
+    # a Hamiltonian cycle from the rotation walk or from a circulant's
+    # translation needs no search, so only the other instances can exhaust a
+    # small budget (3 on each of the last two corpora before the translation)
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", "babai", *args, "--out", str(out)])
     assert code == (2 if inconclusive else 0)
@@ -310,15 +319,60 @@ def test_babai_suite_is_inconclusive_only_where_babai_applies(tmp_path, args, in
 
 
 def test_babai_suite_runs_only_the_length_search(monkeypatch):
+    # a circulant's c(G) = n is built from its translation, so only the other
+    # graphs reach the length search (all 20 circulants did before)
     counts = count_calls(monkeypatch, "enumerate_longest_cycles", "longest_cycle_length")
-    reports = run_corpus(CorpusSpec.parse("circulants:count=20,max_n=16", seed=1), "babai")
-    assert len(reports) == 20 and all(r.worst_status() == "pass" for r in reports)
-    assert counts == {"enumerate_longest_cycles": 0, "longest_cycle_length": 20}
-    for r in reports:
-        assert r.cycle_length is not None
-        # fields read off the cycle set are null; truncated must not read as "complete"
-        assert (r.cycle_count, r.truncated, r.m_min, r.separator_size, r.separator_bound) == (
-            None, None, None, None, None)
+    for corpus, size, searched in (("circulants:count=20,max_n=16", 20, 0),
+                                   ("vt:count=60,max_n=16", 60, 10)):
+        counts.update(enumerate_longest_cycles=0, longest_cycle_length=0)
+        reports = run_corpus(CorpusSpec.parse(corpus, seed=1), "babai")
+        assert len(reports) == size and all(r.worst_status() == "pass" for r in reports)
+        assert counts == {"enumerate_longest_cycles": 0, "longest_cycle_length": searched}
+        for r in reports:
+            assert r.cycle_length is not None
+            # fields read off the cycle set are null; truncated must not read as "complete"
+            assert (r.cycle_count, r.truncated, r.m_min, r.separator_size, r.separator_bound) == (
+                None, None, None, None, None)
+
+
+def test_length_is_built_only_where_the_orbit_is_already_searched(monkeypatch):
+    # c(G) = n comes from a circulant's orbit maps once a check has searched
+    # them; the length alone starts no orbit search, and runs its own
+    counts = count_calls(monkeypatch, "longest_cycle_length", "vertex_orbit_of_zero")
+    g = circulant(12, {1, 5, 7, 11})
+    assert facts(g).length == 12
+    assert counts == {"longest_cycle_length": 1, "vertex_orbit_of_zero": 0}
+    f = facts(g)
+    assert f.vertex_transitive and f.length == 12
+    assert counts == {"longest_cycle_length": 1, "vertex_orbit_of_zero": 1}
+    # instance 9 of circulants:count=40,max_n=100 seed 3, whose walk closes a
+    # 67-cycle; its length search from floor 68 took about 17 minutes
+    f = facts(circulant(68, {17, 28, 40, 51}))
+    assert f.vertex_transitive and f.length == 68
+    # a relabelled circulant's n-cycle map comes from the search
+    f = facts(relabelled(cycle_graph(70), 0))
+    assert f.vertex_transitive and f.length == 70
+    # Petersen's graph has no 10-cycle automorphism: its length is searched
+    f = facts(petersen_graph())
+    assert f.vertex_transitive and f.length == 9
+    assert counts == {"longest_cycle_length": 2, "vertex_orbit_of_zero": 4}
+
+
+def test_an_exhausted_exchange_search_leaves_exchange_absent_inconclusive():
+    # the pair of a Lemma 3.3 host is not longest, so the exchange finds a
+    # longer pair; at budget 1 its restitching search runs out instead, and the
+    # check names the budget: it is neither skipped nor passed
+    g, x, y, _ = lemma33_host(0, 0)
+    cs = CycleSet(12, tuple(sorted((x.vertices, y.vertices))))
+    pairs = [(x, y, xy_separator(g, x, y))]
+    for budget, exchange in ((1, ("inconclusive", "search budget of 1 node expansions exceeded")),
+                             (DEFAULT_BUDGET, ("fail", ""))):
+        stats = {}
+        outcomes = harness._structural_checks(InstanceFacts(g, budget), cs, pairs, stats)
+        assert {o.name: (o.status, o.detail) for o in outcomes} == {
+            **{name: ("pass", "") for name in harness.STRUCTURAL_CHECKS[:-1]},
+            "exchange_absent": exchange}
+        assert stats == {"structural_pairs_checked": 1}
 
 
 def test_babai_circulants_workload_runs_no_length_search(monkeypatch):
@@ -555,8 +609,8 @@ def test_shared_separators_and_transversal_verdicts_match_direct_calls(monkeypat
     seen = []
     pair_failure = harness._pair_failure
 
-    def capture(g, cs, x, y, rep, two_connected, transversal):
-        result = pair_failure(g, cs, x, y, rep, two_connected, transversal)
+    def capture(g, cs, x, y, rep, two_connected, transversal, budget):
+        result = pair_failure(g, cs, x, y, rep, two_connected, transversal, budget)
         verdict = transversal[rep.cut] if two_connected and rep.m else None
         seen.append((g, cs, x, y, rep, verdict))
         return result
@@ -1183,28 +1237,41 @@ def test_cli_budget_error_leaving_a_command_exits_two(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("suite", ["babai", "all"])
 def test_cli_verify_searches_the_orbit_of_circulants_above_64_vertices(tmp_path, suite):
     # 16 of these circulants have more than 64 vertices; their orbits are
-    # searched under the node budget like every other. The small budget keeps
-    # the length search of the n = 68 circulant short: it, and one with
-    # n = 46, end inconclusive on that budget
+    # found under the node budget like every other. Under babai each gets
+    # c(G) = n from a built Hamiltonian cycle, so the n = 68 and n = 46
+    # circulants, whose length searches ran out of this budget, pass
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", suite, "--corpus", "circulants:count=40,max_n=100",
                  "--seed", "3", "--budget", "2000", "--out", str(out)])
-    assert code == 2
+    assert code == (0 if suite == "babai" else 2)
     payload = json.loads(out.read_text())
     assert payload["summary"]["total"] == 40 and payload["summary"]["failed"] == 0
     assert len([r for r in payload["instances"] if r["n"] > 64]) == 16
-    budget_exceeded = "search budget of 2000 node expansions exceeded"
     for r in payload["instances"]:
         for o in r["outcomes"]:
             assert "cap" not in o.get("detail", "")
         g = graph_from_graph6(r["instance_id"].split(":", 1)[1])
         assert r["connectivity"] == vertex_connectivity(g)
     if suite == "babai":
-        babai = [(r["n"], r["outcomes"][0]["status"], r["outcomes"][0].get("detail", ""))
+        babai = [(r["n"], r["outcomes"][0]["status"], r["cycle_length"])
                  for r in payload["instances"]]
-        assert [key for key in babai if key[1] != "pass"] == [
-            (68, "inconclusive", budget_exceeded), (46, "inconclusive", budget_exceeded)]
-        assert len([key for key in babai if key[0] > 64 and key[1] == "pass"]) == 15
+        assert all(status == "pass" and c == n for n, status, c in babai)
+        assert len([key for key in babai if key[0] > 64]) == 16
+
+
+def test_cli_verify_babai_builds_c_of_every_circulant_to_100_vertices(tmp_path):
+    # at the default budget the n = 68 circulant's length search took about
+    # 17 minutes; its c(G) = n is now built from its translation
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["verify", "--suite", "babai", "--corpus", "circulants:count=40,max_n=100",
+                 "--seed", "3", "--out", str(out)])
+    assert code == 0 and time.perf_counter() - start < 5
+    payload = json.loads(out.read_text())
+    assert payload["summary"] == {"failed": 0, "inconclusive": 0, "total": 40}
+    for r in payload["instances"]:
+        assert [(o["name"], o["status"]) for o in r["outcomes"]] == [("babai", "pass")]
+        assert r["cycle_length"] == r["n"]
 
 
 def test_cli_verify_exit_codes(tmp_path):

@@ -23,7 +23,6 @@ SRC = Path(cyclemeet.__file__).parent
 
 ALLOWED = {
     "Graph.edges": "the edge list of the exported Graph, which the tests read",
-    "max_noncrossing_family": "acceptance criterion 6 checks the paper's 2m - 3 against it",
     "_Parser.error": "overrides argparse.ArgumentParser.error",
 }
 

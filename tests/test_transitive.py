@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclemeet.corpus import cayley_zoo, load_connected_corpus, random_circulants
+from cyclemeet.corpus import (
+    cayley_zoo,
+    load_connected_corpus,
+    random_circulants,
+    vertex_transitive_corpus,
+)
 from cyclemeet.cycles import (
     BudgetExceededError,
     enumerate_longest_cycles,
@@ -28,9 +33,11 @@ from cyclemeet.graphs import (
 from cyclemeet.transitive import (
     _closure,
     _parse_cycles,
+    _translation as transitive_translation,
     automorphism_mapping,
     cayley,
     circulant,
+    circulant_hamiltonian_cycle,
     elementary_abelian_cube,
     is_vertex_transitive,
     parse_group,
@@ -38,7 +45,7 @@ from cyclemeet.transitive import (
     vertex_orbit_of_zero,
 )
 
-from hosts import path_graph, symmetric_connection_sets
+from hosts import path_graph, relabelled, symmetric_connection_sets
 from oracles import as_networkx, is_automorphism
 
 
@@ -269,7 +276,9 @@ def test_is_vertex_transitive_cases():
     assert not is_vertex_transitive(path_graph(3))
     for g in random_circulants(8, seed=2, max_n=20):
         assert is_vertex_transitive(g)
-    # the node budget is the search's only limit, past 64 vertices as below
+    # the node budget is the search's only limit, past 64 vertices as below:
+    # C70 relabelled is searched, and C70 itself is seeded by its translation
+    assert is_vertex_transitive(relabelled(cycle_graph(70), 0))
     assert is_vertex_transitive(cycle_graph(70))
     # one double-edge switch of circulant(70, {1, 35, 69}) leaves it connected and
     # 3-regular, with an orbit of 0 of four vertices (networkx's VF2 agrees)
@@ -292,10 +301,12 @@ def _connected_circulants(max_n: int):
 
 
 def test_one_automorphism_search_finds_the_orbit_of_a_circulant_or_complete_graph(monkeypatch):
-    # h's candidates are tried from just above u, so the first map found is
-    # translation-like and its cycle through 0 is the whole vertex set; in
-    # ascending order it would be an involution through 0 (1,116 searches on
-    # these circulants, n - 1 on K_n)
+    # a labelled circulant's orbit is seeded by the translation x -> x + 1,
+    # so it takes no search (one each before the translation test). The
+    # search still finds that translation first: h's candidates are tried
+    # from just above u, so the map 0 -> 1 is translation-like and its cycle
+    # through 0 is the whole vertex set; in ascending order it would be an
+    # involution through 0 (1,116 searches on these circulants, n - 1 on K_n)
     from cyclemeet import transitive
 
     calls = []
@@ -311,7 +322,97 @@ def test_one_automorphism_search_finds_the_orbit_of_a_circulant_or_complete_grap
     for g in graphs:
         calls.clear()
         assert sorted(vertex_orbit_of_zero(g)) == list(range(g.n)), graph_to_graph6(g)
-        assert len(calls) == 1, graph_to_graph6(g)
+        assert calls == [], graph_to_graph6(g)
+        assert automorphism_mapping(g, 0, 1) == (*range(1, g.n), 0), graph_to_graph6(g)
+    # relabelled, the translation is seldom an automorphism and the orbit is
+    # searched: 1,236 searches over the 701 circulants, none on 15 of them
+    calls.clear()
+    for seed, g in enumerate(_connected_circulants(16)):
+        assert sorted(vertex_orbit_of_zero(relabelled(g, seed))) == list(range(g.n))
+    assert len(calls) == 1236
+
+
+def _translation_graphs():
+    """The graphs whose translation x -> x + 1 is an automorphism, of three families.
+
+    The 701 connected circulants to 16 vertices, K_3..K_11, and the 181 of
+    ``vt:count=200,max_n=32`` seed 7.
+    """
+    vt = [g for g in vertex_transitive_corpus(count=200, seed=7, max_n=32)
+          if is_automorphism(g, (*range(1, g.n), 0))]
+    assert len(vt) == 181
+    return [*_connected_circulants(16), *map(complete_graph, range(3, 12)), *vt]
+
+
+def test_a_translation_seeds_the_orbit_with_the_maps_the_search_finds(monkeypatch):
+    # every map is an automorphism sending 0 where it claims, and the maps are
+    # exactly those of the search alone, so κ's orbit rule runs the same flows
+    from cyclemeet import transitive
+
+    graphs = _translation_graphs()
+    seeded = [vertex_orbit_of_zero(g) for g in graphs]
+    monkeypatch.setattr(transitive, "_translation", lambda g: None)
+    for g, maps in zip(graphs, seeded):
+        assert sorted(maps) == list(range(g.n)), graph_to_graph6(g)
+        for u, auto in maps.items():
+            assert auto[0] == u and is_automorphism(g, auto), graph_to_graph6(g)
+        assert vertex_orbit_of_zero(g) == maps, graph_to_graph6(g)
+
+
+def test_the_translation_test_reads_the_wrap_around():
+    # C_n's edge {n - 1, 0} is the translation's image of {n - 2, n - 1}: the
+    # row of n - 2 holds bit n - 1, which must wrap round to bit 0. A chord or
+    # a missing edge breaks the translation
+    for n in (5, 8, 13):
+        assert transitive_translation(cycle_graph(n)) == (*range(1, n), 0)
+        assert transitive_translation(Graph(n, [*cycle_graph(n).edges(), (0, 2)])) is None
+        assert transitive_translation(path_graph(n)) is None
+
+
+def _assert_hamiltonian(g: Graph, cycle) -> None:
+    """The cycle visits every vertex once along edges of the networkx graph."""
+    assert cycle is not None, graph_to_graph6(g)
+    h = as_networkx(g)
+    vs = cycle.vertices
+    assert sorted(vs) == list(range(g.n)), graph_to_graph6(g)
+    assert all(h.has_edge(a, b) for a, b in zip(vs, vs[1:] + vs[:1])), graph_to_graph6(g)
+
+
+def test_an_n_cycle_map_builds_a_hamiltonian_cycle():
+    # on every graph with an n-cycle among its orbit maps, including the 42
+    # circulants of random_circulants(200, 1, 128) on which the rotation walk
+    # closes no Hamiltonian cycle; relabelled circulants take σ from the search
+    from cyclemeet.cycles import _rotation_cycle
+
+    graphs = _translation_graphs()
+    randoms = random_circulants(200, seed=1, max_n=128)
+    assert sum(_rotation_cycle(g).length < g.n for g in randoms) == 42
+    built = 0
+    for g in [*graphs, *randoms]:
+        cycle = circulant_hamiltonian_cycle(g, vertex_orbit_of_zero(g))
+        _assert_hamiltonian(g, cycle)
+    for seed, g in enumerate(_connected_circulants(16)):
+        h = relabelled(g, seed)
+        cycle = circulant_hamiltonian_cycle(h, vertex_orbit_of_zero(h))
+        if cycle is not None:
+            _assert_hamiltonian(h, cycle)
+            built += 1
+    assert built == 568
+
+
+def test_no_hamiltonian_cycle_is_built_without_an_n_cycle_map_or_connection():
+    # a disconnected circulant has the translation, an n-cycle, among its maps
+    for n, steps in ((8, {2, 6}), (12, {4, 6, 8}), (9, {3, 6})):
+        g = circulant(n, steps)
+        maps = vertex_orbit_of_zero(g)
+        assert maps[1] == (*range(1, n), 0) and not is_connected(g)
+        assert circulant_hamiltonian_cycle(g, maps) is None
+    # no automorphism of Petersen's graph is a 10-cycle
+    g = petersen_graph()
+    assert circulant_hamiltonian_cycle(g, vertex_orbit_of_zero(g)) is None
+    # two vertices make no cycle
+    g = circulant(2, {1})
+    assert circulant_hamiltonian_cycle(g, vertex_orbit_of_zero(g)) is None
 
 
 def test_automorphism_mapping_rejects_a_vertex_out_of_range():
