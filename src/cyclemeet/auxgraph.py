@@ -172,18 +172,26 @@ class AuxGraph:
 
 def build_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding, p: PathFamily) -> AuxGraph:
     """Construct the auxiliary graph of a path family between two cycles."""
+    return _aux_of(g, x, y, p, "family terminals are not the cycle remainders", validate=True)
+
+
+def _aux_of(g: Graph, x: CycleEmbedding, y: CycleEmbedding, family: PathFamily,
+            mismatch: str, validate: bool = False) -> AuxGraph:
+    """The auxiliary graph of a family of paths from the X to the Y remainder.
+
+    ``decompose`` checks the cycles first; then, with ``validate``, the family
+    is checked against g. A family whose terminals are not the two remainders
+    raises ValueError(mismatch), and two paths on one segment pair raise
+    SameSegmentPairError.
+    """
     dec = decompose(g, x, y)
+    if validate:
+        family.validate(g)
     shared = dec.shared()
-    p.validate(g)
-    if p.source_set != x.vertex_set() - shared or p.target_set != y.vertex_set() - shared:
-        raise ValueError("family terminals are not the cycle remainders")
-    return _aux_of(dec, p.paths)
-
-
-def _aux_of(dec: SegmentDecomposition, paths: tuple[tuple[int, ...], ...]) -> AuxGraph:
-    """The auxiliary graph of a validated family: each path runs from the X to the Y remainder."""
+    if family.source_set != x.vertex_set() - shared or family.target_set != y.vertex_set() - shared:
+        raise ValueError(mismatch)
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
-    for path in paths:
+    for path in family.paths:
         pair = (dec.segment_of(path[0])[0], dec.segment_of(path[-1])[0])
         if pair in witness:
             raise SameSegmentPairError(pair, witness[pair], path)
@@ -208,11 +216,7 @@ def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding,
     family = rep.witness
     if not (rep.m and family.source_set and family.target_set):
         return None
-    dec = decompose(g, x, y)
-    shared = dec.shared()
-    if family.source_set != x.vertex_set() - shared or family.target_set != y.vertex_set() - shared:
-        raise ValueError("separator report is not of this cycle pair")
-    return _aux_of(dec, family.paths)
+    return _aux_of(g, x, y, family, "separator report is not of this cycle pair")
 
 
 def end_orders(f: AuxGraph, i: int, k: int, j: int, l: int) -> tuple[bool, bool, bool, bool]:

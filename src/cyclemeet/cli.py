@@ -64,9 +64,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_cycle(g: Graph, text: str) -> CycleEmbedding:
-    seq = [int(tok) for tok in text.replace(",", " ").split()]
-    return CycleEmbedding.from_sequence(g, seq)
+def _read_pair(args) -> tuple[Graph, CycleEmbedding, CycleEmbedding]:
+    """The graph of ``--in`` and the cycles ``--x`` and ``--y``, split at commas or spaces."""
+    g = _read_graph(args.infile)
+    x, y = (CycleEmbedding.from_sequence(g, [int(tok) for tok in text.replace(",", " ").split()])
+            for text in (args.x, args.y))
+    return g, x, y
 
 
 def _emit(payload: dict) -> None:
@@ -120,18 +123,14 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_separator(args) -> int:
-    g = _read_graph(args.infile)
-    x = _parse_cycle(g, args.x)
-    y = _parse_cycle(g, args.y)
+    g, x, y = _read_pair(args)
     rep = xy_separator(g, x, y)
     _emit(rep.to_json_dict())
     return EXIT_PASS if rep.bound_satisfied else EXIT_FAIL
 
 
 def cmd_auxgraph(args) -> int:
-    g = _read_graph(args.infile)
-    x = _parse_cycle(g, args.x)
-    y = _parse_cycle(g, args.y)
+    g, x, y = _read_pair(args)
     rep = xy_separator(g, x, y)
     if not rep.m:
         _emit({"error": "empty intersection"})
@@ -157,9 +156,7 @@ def cmd_auxgraph(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    g = _read_graph(args.infile)
-    x = _parse_cycle(g, args.x)
-    y = _parse_cycle(g, args.y)
+    g, x, y = _read_pair(args)
     improved = improve_by_exchange(g, x, y)
     if improved is None:
         _emit({"improved": False})
@@ -210,36 +207,28 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=cmd_gen)
 
-    cyc = sub.add_parser("cycles", help="longest cycle length or full enumeration")
-    cyc.add_argument("--in", dest="infile", required=True)
+    # options shared by several commands, each declared once
+    graph_in = argparse.ArgumentParser(add_help=False)
+    graph_in.add_argument("--in", dest="infile", required=True)
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--limit", type=_positive_int, default=None)
+    search.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    pair = argparse.ArgumentParser(add_help=False, parents=[graph_in])
+    pair.add_argument("--x", required=True, help="comma-separated cycle vertices")
+    pair.add_argument("--y", required=True)
+
+    cyc = sub.add_parser("cycles", help="longest cycle length or full enumeration",
+                         parents=[graph_in, search])
     cyc.add_argument("--enumerate", action="store_true")
-    cyc.add_argument("--limit", type=_positive_int, default=None)
-    cyc.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     cyc.set_defaults(func=cmd_cycles)
-
-    inter = sub.add_parser("intersect", help="minimum pairwise longest-cycle intersection")
-    inter.add_argument("--in", dest="infile", required=True)
-    inter.add_argument("--limit", type=_positive_int, default=None)
-    inter.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    inter.set_defaults(func=cmd_intersect)
-
-    sep = sub.add_parser("separator", help="vertex cut separating two cycles")
-    sep.add_argument("--in", dest="infile", required=True)
-    sep.add_argument("--x", required=True, help="comma-separated cycle vertices")
-    sep.add_argument("--y", required=True)
-    sep.set_defaults(func=cmd_separator)
-
-    aux = sub.add_parser("auxgraph", help="auxiliary graph, type census, counts")
-    aux.add_argument("--in", dest="infile", required=True)
-    aux.add_argument("--x", required=True)
-    aux.add_argument("--y", required=True)
-    aux.set_defaults(func=cmd_auxgraph)
-
-    cert = sub.add_parser("certify", help="attempt an exchange on a cycle pair")
-    cert.add_argument("--in", dest="infile", required=True)
-    cert.add_argument("--x", required=True)
-    cert.add_argument("--y", required=True)
-    cert.set_defaults(func=cmd_certify)
+    sub.add_parser("intersect", help="minimum pairwise longest-cycle intersection",
+                   parents=[graph_in, search]).set_defaults(func=cmd_intersect)
+    sub.add_parser("separator", help="vertex cut separating two cycles",
+                   parents=[pair]).set_defaults(func=cmd_separator)
+    sub.add_parser("auxgraph", help="auxiliary graph, type census, counts",
+                   parents=[pair]).set_defaults(func=cmd_auxgraph)
+    sub.add_parser("certify", help="attempt an exchange on a cycle pair",
+                   parents=[pair]).set_defaults(func=cmd_certify)
 
     ver = sub.add_parser("verify", help="run a verification suite over a corpus")
     ver.add_argument("--suite", choices=["babai", "smith", "thm14", "devos", "all"],

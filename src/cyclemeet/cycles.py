@@ -25,9 +25,10 @@ length together, and ``budget`` bounds both the node expansions of the whole
 pass and the cycles it keeps at once, since a replayed cycle costs no node.
 Exceeding the budget is a hard error, never a silent approximation.
 
-The length alone starts from a certificate. A deterministic rotation-extension
-walk (Pósa, "Hamiltonian circuits in random graphs", Discrete Math. 14, 1976)
-closes a cycle of some length h, a lower bound on c(G). If h = n the cycle is
+The length alone is the same search kept to one cycle (``limit=1``), started
+from a certificate. A deterministic rotation-extension walk (Pósa,
+"Hamiltonian circuits in random graphs", Discrete Math. 14, 1976) closes a
+cycle of some length h, a lower bound on c(G). If h = n the cycle is
 Hamiltonian, so c(G) = n with no search at all. Otherwise the search starts
 at floor h + 1: it finds c(G) > h, or closes nothing and c(G) = h. The
 enumeration and the search's own witness do not use the walk.
@@ -152,14 +153,15 @@ class CycleSet:
 class _Search:
     """Anchored branch-and-bound over simple paths in one graph.
 
-    A node is expanded only while its length bound reaches ``floor``. A
-    length-only search keeps ``floor = best + 1``. A collecting search keeps
-    ``floor = best``, so it meets every cycle of the best length. Once
-    ``limit`` cycles are kept it is truncated: ``floor`` returns to
+    A node is expanded only while its length bound reaches ``floor``. The
+    search keeps ``floor = best``, so it meets every cycle of the best length.
+    Once ``limit`` cycles are kept it is truncated: ``floor`` returns to
     ``best + 1`` and the rest of the pass only looks for a longer cycle,
-    which resets the kept set.
+    which resets the kept set. At ``limit=1`` that is a length search: each
+    close truncates, every later node must beat ``best``, and ``found`` holds
+    only the latest close, the witness.
 
-    Both modes close each cycle one way. At depth 2, ``closers`` becomes the
+    The search closes each cycle one way. At depth 2, ``closers`` becomes the
     anchor's neighbours above ``path[1]``, and a cycle closes only from a head
     in ``closers``; anchored at its minimum and read this way round, every
     closed path is canonical.
@@ -213,14 +215,14 @@ class _Search:
     Each cut or skipped subtree holds no cycle the search keeps, and
     ``floor`` never falls. So every search finds the c(G), the kept set and
     the ``truncated`` of a plain reachability bound that closes each cycle
-    both ways. The witness is the first cycle of length c(G) in that bound's
-    close order that is read the canonical way round; the bound's own was
-    the first of either orientation. Closing one way can delay the floor's
-    rise, so a few searches expand more nodes than that bound; nearly all
-    expand far fewer.
+    both ways. The witness ``found[0]`` is the first cycle of length c(G) in
+    that bound's close order that is read the canonical way round; the
+    bound's own was the first of either orientation. Closing one way can
+    delay the floor's rise, so a few searches expand more nodes than that
+    bound; nearly all expand far fewer.
     """
 
-    def __init__(self, g: Graph, budget: int, collect: bool = False, limit: Optional[int] = None):
+    def __init__(self, g: Graph, budget: int, limit: Optional[int] = None):
         if budget < 1:
             raise ValueError("search budget must be at least 1")
         if limit is not None and limit < 1:
@@ -230,12 +232,10 @@ class _Search:
         self.shift = g.n.bit_length()
         self.mask = (1 << self.shift) - 1
         self.budget = budget
-        self.collect = collect
         self.limit = limit
         self.nodes = 0
         self.best = 0
-        self.floor = 0 if collect else 1
-        self.best_witness: Optional[tuple[int, ...]] = None
+        self.floor = 0
         self.found: list[tuple[int, ...]] = []
         self.truncated = False
         self.memo: dict[int, tuple[int, int]] = {}
@@ -402,17 +402,14 @@ class _Search:
         """Record the cycle closed by path, of length at least floor."""
         if len(path) > self.best:
             self.best = len(path)
-            self.best_witness = tuple(path)
             self.found.clear()
             self.memo.clear()
-            self.truncated = False
-        if self.collect:
-            if len(self.found) >= self.budget:
-                raise self._kept_over_budget()
-            # anchored at its minimum and closed above path[1], path is canonical
-            self.found.append(tuple(path))
-            self.truncated = self.limit is not None and len(self.found) >= self.limit
-        self.floor = self.best + (not self.collect or self.truncated)
+        if len(self.found) >= self.budget:
+            raise self._kept_over_budget()
+        # anchored at its minimum and closed above path[1], path is canonical
+        self.found.append(tuple(path))
+        self.truncated = self.limit is not None and len(self.found) >= self.limit
+        self.floor = self.best + self.truncated
 
 
 def _rotation_cycle(g: Graph) -> Optional[CycleEmbedding]:
@@ -468,8 +465,12 @@ def longest_cycle_length(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def _length_search(g: Graph, budget: int) -> _Search:
-    """The search behind longest_cycle_length, left unrun when the walk is Hamiltonian."""
-    search = _Search(g, budget)  # rejects a budget below 1
+    """The search behind longest_cycle_length, left unrun when the walk is Hamiltonian.
+
+    It keeps one cycle (``limit=1``): the latest it closed, none when the
+    walk's floor h + 1 closes nothing.
+    """
+    search = _Search(g, budget, limit=1)  # rejects a budget below 1
     if is_forest(g):
         raise ValueError("forest has no cycle")
     cycle = _rotation_cycle(g)
@@ -486,7 +487,7 @@ def enumerate_longest_cycles(
     One pass finds c(G) and its cycles together; ``budget`` bounds that pass's
     node expansions and the cycles it keeps at once.
     """
-    search = _Search(g, budget, collect=True, limit=limit).run()
+    search = _Search(g, budget, limit=limit).run()
     cycles = tuple(sorted(search.found))
     return CycleSet(length=search.best, sequences=cycles, truncated=search.truncated)
 

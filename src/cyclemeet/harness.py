@@ -109,8 +109,8 @@ class InstanceFacts:
     its c(G), both None for a forest. ``length`` is read from the enumeration
     when that has already run, and from a built Hamiltonian cycle when the
     orbit of 0 is already searched and has an n-cycle map (a circulant);
-    otherwise it comes from a length-only search, which keeps no cycles and,
-    on every corpus measured, expands no more nodes than the enumeration.
+    otherwise it comes from the longest-cycle search kept to one cycle,
+    which on every corpus measured expands no more nodes than the enumeration.
     A search that runs out of budget keeps its error (see ``_kept``), so it
     never runs twice; that holds for the automorphism searches behind
     ``orbit`` too. ``orbit`` is the orbit of vertex 0 with one automorphism
@@ -223,11 +223,7 @@ def verify_babai(facts: InstanceFacts) -> Outcome:
         c = facts.length
     except BudgetExceededError as err:
         return Outcome("babai", "inconclusive", detail=str(err))
-    ok = c * c >= 3 * g.n
-    return Outcome(
-        "babai", "pass" if ok else "fail", lhs=c, rhs=(3 * g.n) ** 0.5,
-        witness=None if ok else {"graph6": graph_to_graph6(g), "c": c},
-    )
+    return _verdict("babai", c * c >= 3 * g.n, g, c, (3 * g.n) ** 0.5, c=c)
 
 
 def verify_smith(facts: InstanceFacts) -> Outcome:
@@ -254,15 +250,8 @@ def verify_smith(facts: InstanceFacts) -> Outcome:
     if k > 8:
         return Outcome("smith", "observed", lhs=m_min, rhs=k,
                        detail="conjecture status for k > 8, reported without assertion")
-    ok = m_min >= k
-    return Outcome(
-        "smith", "pass" if ok else "fail", lhs=m_min, rhs=k,
-        witness=None if ok else {
-            "graph6": graph_to_graph6(g),
-            "x": list(pair[0].vertices),
-            "y": list(pair[1].vertices),
-        },
-    )
+    return _verdict("smith", m_min >= k, g, m_min, k,
+                    x=list(pair[0].vertices), y=list(pair[1].vertices))
 
 
 def verify_thm14(g: Graph, x: CycleEmbedding, y: CycleEmbedding,
@@ -273,18 +262,10 @@ def verify_thm14(g: Graph, x: CycleEmbedding, y: CycleEmbedding,
     and shares with the structural checks. For m = 0 the ceiling is one cut
     vertex (``separator_bound_holds``), while ``rhs`` keeps the formula's value.
     """
-    ok = rep.bound_satisfied
-    return Outcome(
-        "thm14_bound", "pass" if ok else "fail", lhs=len(rep.cut), rhs=rep.bound,
-        detail=("disjoint cycles lie in different blocks; ceiling is one cut vertex"
-                if rep.m == 0 else ""),
-        witness=None if ok else {
-            "graph6": graph_to_graph6(g),
-            "x": list(x.vertices),
-            "y": list(y.vertices),
-            "cut": sorted(rep.cut),
-        },
-    )
+    detail = ("disjoint cycles lie in different blocks; ceiling is one cut vertex"
+              if rep.m == 0 else "")
+    return _verdict("thm14_bound", rep.bound_satisfied, g, len(rep.cut), rep.bound, detail,
+                    x=list(x.vertices), y=list(y.vertices), cut=sorted(rep.cut))
 
 
 def verify_devos(facts: InstanceFacts, a: frozenset[int], t: int) -> Outcome:
@@ -299,11 +280,13 @@ def verify_devos(facts: InstanceFacts, a: frozenset[int], t: int) -> Outcome:
     if not is_t_transversal(g, cs, a, t):
         return Outcome("devos", "skipped", detail="given set is not a t-transversal")
     c = cs.length
-    ok = c * len(a) >= t * g.n
-    return Outcome(
-        "devos", "pass" if ok else "fail", lhs=c, rhs=t * g.n / len(a),
-        witness=None if ok else {"graph6": graph_to_graph6(g), "a": sorted(a), "t": t},
-    )
+    return _verdict("devos", c * len(a) >= t * g.n, g, c, t * g.n / len(a), a=sorted(a), t=t)
+
+
+def _verdict(name: str, ok: bool, g: Graph, lhs, rhs, detail: str = "", **witness) -> Outcome:
+    """A theorem check's pass, or its fail with ``witness`` and the graph6 of g as the witness."""
+    return Outcome(name, "pass" if ok else "fail", lhs=lhs, rhs=rhs, detail=detail,
+                   witness=None if ok else {"graph6": graph_to_graph6(g), **witness})
 
 
 @dataclass(frozen=True)

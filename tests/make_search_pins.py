@@ -8,12 +8,13 @@ the plain reachability bound and are unchanged by degree-2 peeling, by the
 slack-zero forced-edge rule, by closing each cycle one way and by the
 slack-zero memo, which skips a remembered subtree that closed nothing and
 replays one that closed cycles; the node counts are those of all four, with
-the memo kept per anchor and consulted at every slack-zero child in both
-search modes. Closing
-one way can move the witness of other graphs, to the first cycle of the same
-length read the canonical way round, but moves none pinned here. Regenerate
-the file only for a change that lowers node counts, after checking that no
-other field moved.
+the memo kept per anchor and consulted at every slack-zero child, at every
+limit. The length search is the search at limit 1; its records pin c(G),
+its witness and its node count, list no cycles and read ``truncated`` false.
+Closing one way can move the witness of other graphs, to the first cycle of
+the same length read the canonical way round, but moves none pinned here.
+Regenerate the file only for a change that lowers node counts, after
+checking that no other field moved.
 """
 
 from __future__ import annotations
@@ -54,23 +55,22 @@ def pin_graphs() -> list[tuple[str, Graph]]:
 
 def search_facts(g: Graph, mode: str) -> dict:
     """One search's outputs; mode is "length" or an enumeration limit ("none", "7", ...)."""
-    if mode == "length":
-        s = _Search(g, DEFAULT_BUDGET).run()
-    else:
-        limit: Optional[int] = None if mode == "none" else int(mode)
-        s = _Search(g, DEFAULT_BUDGET, collect=True, limit=limit).run()
+    length = mode == "length"
+    limit: Optional[int] = 1 if length else None if mode == "none" else int(mode)
+    s = _Search(g, DEFAULT_BUDGET, limit=limit).run()
+    # a length search keeps its witness alone, and its records list no cycles
     return {
         "c": s.best,
-        "witness": list(s.best_witness),
-        "cycles": [list(c) for c in sorted(s.found)],
-        "truncated": s.truncated,
+        "witness": list(s.found[0]),
+        "cycles": [] if length else [list(c) for c in sorted(s.found)],
+        "truncated": s.truncated and not length,
         "nodes": s.nodes,
     }
 
 
 def pin_modes(g: Graph) -> list[str]:
     modes = ["length"] + [str(limit) for limit in LIMITS]
-    if not _Search(g, DEFAULT_BUDGET, collect=True, limit=FULL_SET_CAP + 1).run().truncated:
+    if not _Search(g, DEFAULT_BUDGET, limit=FULL_SET_CAP + 1).run().truncated:
         modes.append("none")
     return modes
 

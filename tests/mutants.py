@@ -314,6 +314,18 @@ MUTANTS = {
         ((TRANSITIVE, "if len(order) == n:", "if True:"),),
         ("tests/test_transitive.py", "tests/test_harness.py"),
     ),
+    "length-search-collects": Mutant(
+        "the length search keeps every cycle of the best length, so its floor stays at"
+        " c(G) and it collects where it should only look for a longer cycle",
+        ((CYCLES, "search = _Search(g, budget, limit=1)", "search = _Search(g, budget, limit=None)"),),
+        ("tests/test_cycles.py", "tests/test_harness.py"),
+    ),
+    "verdict-witness-on-pass": Mutant(
+        "a passing theorem check carries the graph6 and its would-be witness too",
+        ((HARNESS, 'witness=None if ok else {"graph6": graph_to_graph6(g), **witness})',
+          'witness={"graph6": graph_to_graph6(g), **witness})'),),
+        ("tests/test_harness.py",),
+    ),
 }
 
 

@@ -38,7 +38,8 @@ from oracles import all_cycles_of_length_by_permutations, longest_cycle_by_permu
 
 def search_witness(g: Graph) -> CycleEmbedding:
     """The length search's own longest cycle, the first it closes in DFS order."""
-    return CycleEmbedding(canonical_cycle(cycles._Search(g, DEFAULT_BUDGET).run().best_witness))
+    search = cycles._Search(g, DEFAULT_BUDGET, limit=1).run()
+    return CycleEmbedding(canonical_cycle(search.found[0]))
 
 
 def test_longest_cycle_basics():
@@ -84,7 +85,7 @@ def test_kept_cycles_count_against_the_budget():
 def test_a_budget_of_exactly_the_nodes_a_search_expands_is_enough():
     # the budget is the most node expansions allowed: the one past it raises
     for g in (petersen_graph(), complete_graph(6), circulant(10, {1, 3, 7, 9})):
-        nodes = cycles._Search(g, DEFAULT_BUDGET, collect=True).run().nodes
+        nodes = cycles._Search(g, DEFAULT_BUDGET).run().nodes
         assert len(enumerate_longest_cycles(g, budget=nodes)) == len(enumerate_longest_cycles(g))
         with pytest.raises(BudgetExceededError, match=f"budget of {nodes - 1} node expansions"):
             enumerate_longest_cycles(g, budget=nodes - 1)
@@ -318,15 +319,15 @@ def test_enumeration_matches_the_permutation_oracle_on_memo_test_graphs(g):
 
 
 def test_length_search_expands_no_more_nodes_than_the_enumeration():
-    # floor = best + 1 against the collecting floor = best, from floor 1 and
-    # from the rotation walk's floor as longest_cycle_length runs it: c(G)
+    # limit 1 (floor = best + 1) against the collecting floor = best, from the
+    # first anchor and from the rotation walk's floor as longest_cycle_length runs it: c(G)
     # agrees and a budget that sufficed to enumerate suffices for c(G)
     for g in load_connected_corpus(max_n=7) + ENUMERATION_CORPORA["default42"]():
         if is_forest(g):
             continue
-        full = cycles._Search(g, DEFAULT_BUDGET, collect=True, limit=ENUMERATION_LIMIT).run()
+        full = cycles._Search(g, DEFAULT_BUDGET, limit=ENUMERATION_LIMIT).run()
         label = graph_to_graph6(g)
-        plain = cycles._Search(g, DEFAULT_BUDGET).run()
+        plain = cycles._Search(g, DEFAULT_BUDGET, limit=1).run()
         for length in (plain, cycles._length_search(g, DEFAULT_BUDGET)):
             assert length.best == full.best, label
             assert length.nodes <= full.nodes, label
@@ -351,7 +352,7 @@ def random_circulants(draw):
 @example(circulant(12, {3, 9}))
 @example(graph_from_graph6("F?bFo"))
 def test_length_from_the_rotation_walk_matches_the_plain_search(g):
-    assert longest_cycle_length(g) == cycles._Search(g, DEFAULT_BUDGET).run().best
+    assert longest_cycle_length(g) == cycles._Search(g, DEFAULT_BUDGET, limit=1).run().best
 
 
 def test_petersen_length_is_proved_from_the_walk_floor():
@@ -360,9 +361,20 @@ def test_petersen_length_is_proved_from_the_walk_floor():
     assert cycle.is_valid(g) and cycle.length == 9
     # no 10-cycle closes from floor 10, in fewer nodes than the 50 from floor 1
     search = cycles._length_search(g, DEFAULT_BUDGET)
-    assert (search.best, search.floor, search.best_witness) == (9, 10, None)
+    assert (search.best, search.floor, search.found) == (9, 10, [])
     assert search.nodes <= 46
-    assert cycles._Search(g, DEFAULT_BUDGET).run().nodes == 50
+    assert cycles._Search(g, DEFAULT_BUDGET, limit=1).run().nodes == 50
+
+
+def test_length_search_keeps_one_cycle_past_the_walk():
+    # ECuw's walk closes a triangle, and the search from floor 4 meets its
+    # three 4-cycles; kept to one cycle, it keeps the first and ends at floor c + 1
+    g = graph_from_graph6("ECuw")
+    assert cycles._rotation_cycle(g).length == 3
+    assert len(enumerate_longest_cycles(g)) == 3
+    search = cycles._length_search(g, DEFAULT_BUDGET)
+    assert (search.best, search.floor, search.truncated) == (4, 5, True)
+    assert search.found == [enumerate_longest_cycles(g, limit=1).sequences[0]]
 
 
 def test_rotation_walk_closes_a_valid_cycle_on_exhaustive7():
@@ -375,7 +387,7 @@ def test_rotation_walk_closes_a_valid_cycle_on_exhaustive7():
         # a walk whose end meets only its predecessor stops and may close nothing
         h = 0 if cycle is None else cycle.length
         assert cycle is None or cycle.is_valid(g), label
-        c = cycles._Search(g, DEFAULT_BUDGET).run().best
+        c = cycles._Search(g, DEFAULT_BUDGET, limit=1).run().best
         assert h <= c, label
         closed += h > 0
         reached += h == c

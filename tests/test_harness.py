@@ -125,6 +125,26 @@ def test_verify_devos():
     assert notrans.status == "skipped"
 
 
+def test_babai_smith_and_devos_fail_with_their_witnesses():
+    # no real graph breaks these theorems, so each check reads one false fact:
+    # c(C12) = 5 < sqrt(36), κ(K5) = 6 above its m_min of 5, and c(C6) = 5
+    # with A = {0} a 1-transversal, 5 * 1 < 1 * 6. The fail carries the
+    # graph6 and the check's own witness; thm14's fail is pinned below
+    babai_facts = facts(cycle_graph(12))
+    vars(babai_facts)["_length"] = 5
+    assert verify_babai(babai_facts) == Outcome(
+        "babai", "fail", lhs=5, rhs=6.0, witness={"graph6": "KhCGGC@?G?o@", "c": 5})
+    smith_facts = facts(complete_graph(5))
+    vars(smith_facts)["connectivity"] = 6
+    assert verify_smith(smith_facts) == Outcome(
+        "smith", "fail", lhs=5, rhs=6,
+        witness={"graph6": "D~{", "x": [0, 1, 2, 3, 4], "y": [0, 1, 2, 4, 3]})
+    devos_facts = facts(cycle_graph(6))
+    vars(devos_facts)["_cycles"] = dataclasses.replace(devos_facts.cycles, length=5)
+    assert verify_devos(devos_facts, frozenset({0}), 1) == Outcome(
+        "devos", "fail", lhs=5, rhs=6.0, witness={"graph6": "EhEG", "a": [0], "t": 1})
+
+
 def test_truncated_enumeration():
     k9 = facts(complete_graph(9))  # 20160 Hamiltonian cycles, above the enumeration limit
     assert k9.cycles.truncated
@@ -1067,12 +1087,30 @@ def test_cli_empty_graph_file_is_a_usage_error(tmp_path, capsys):
     ["cycles", "--enumerate", "--limit", "-3"],
     ["intersect", "--budget", "0"],
     ["intersect", "--limit", "0"],
+    ["cycles", "--limit", "0"],
 ])
 def test_cli_rejects_budget_or_limit_below_one(tmp_path, capsys, args):
+    # --limit and --budget are declared once, in a parent parser, and the
+    # error names the option
     path = tmp_path / "k4.g6"
     path.write_text(graph_to_graph6(complete_graph(4)) + "\n")
     assert main([*args, "--in", str(path)]) == 3
-    assert "must be at least 1" in capsys.readouterr().err
+    assert f"argument {args[-2]}: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["separator", "auxgraph", "certify"])
+def test_cli_pair_commands_name_a_missing_option(tmp_path, capsys, command):
+    # --in, --x and --y are declared once, in parent parsers, and each pair
+    # command still requires them
+    path = tmp_path / "pet.g6"
+    path.write_text(graph_to_graph6(petersen_graph()) + "\n")
+    cycle = "0,1,2,3,4"
+    for args, missing in ((["--in", str(path), "--x", cycle], "--y"),
+                          (["--x", cycle, "--y", cycle], "--in")):
+        assert main([command, *args]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f"error: the following arguments are required: {missing}\n")
 
 
 def test_cli_verify_rejects_budget_below_one(capsys):
@@ -1323,7 +1361,7 @@ def test_cli_verify_thm14_suite_report_digest(tmp_path):
 
 
 def test_cli_verify_babai_suite_report_digest(tmp_path):
-    # the babai suite reads c(G) from a length-only search and enumerates nothing,
+    # the babai suite reads c(G) from the length search and enumerates nothing,
     # so the fields read off the cycle set are null
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "babai", "--corpus", "circulants:count=50,max_n=24",
