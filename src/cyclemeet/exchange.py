@@ -169,10 +169,7 @@ def type00_certificate(
 
 @dataclass(frozen=True)
 class _Block:
-    bid: int
-    a: int
-    b: int
-    seq: tuple[int, ...]
+    seq: tuple[int, ...]  # its ends are seq[0] and seq[-1]; its id is its index in the list
     twin: Optional[int] = None  # second copy of a path defers to the first
 
     def oriented(self, start: int) -> tuple[int, ...]:
@@ -188,12 +185,10 @@ def _decompose_into_two_cycles(blocks: list[_Block],
     grows. The DFS expands at most ``budget`` nodes and then raises
     ``BudgetExceededError``, as the cycle search does.
     """
-    incidence: dict[int, list[int]] = {}
-    for blk in blocks:
-        incidence.setdefault(blk.a, []).append(blk.bid)
-        incidence.setdefault(blk.b, []).append(blk.bid)
-    for lst in incidence.values():
-        lst.sort()
+    incidence: dict[int, list[int]] = {}  # each end's blocks, ascending as they are added
+    for bid, blk in enumerate(blocks):
+        incidence.setdefault(blk.seq[0], []).append(bid)
+        incidence.setdefault(blk.seq[-1], []).append(bid)
     all_mask = (1 << len(blocks)) - 1
     nodes = 0
 
@@ -209,8 +204,8 @@ def _decompose_into_two_cycles(blocks: list[_Block],
                 return None
             free = ~used & all_mask
             bid = (free & -free).bit_length() - 1
-            blk = blocks[bid]
-            return rec(used | 1 << bid, cycles, (blk.a, blk.b, list(blk.seq), set(blk.seq)))
+            seq = blocks[bid].seq
+            return rec(used | 1 << bid, cycles, (seq[0], seq[-1], list(seq), set(seq)))
         start, head, seq, vset = trail
         for bid in incidence.get(head, ()):
             if used >> bid & 1:
@@ -259,19 +254,12 @@ def _restitch(
     2·Σ|P|.
     """
     blocks: list[_Block] = []
-
-    def add_block(seq: Sequence[int], twin: Optional[int] = None) -> int:
-        bid = len(blocks)
-        blocks.append(_Block(bid=bid, a=seq[0], b=seq[-1], seq=tuple(seq), twin=twin))
-        return bid
-
     for cyc, ends in ((x, {p[0] for p in paths}), (y, {p[-1] for p in paths})):
         marks, runs = cut_at(cyc.vertices, ends)
-        for t, run in enumerate(runs):
-            add_block((marks[t], *run, marks[(t + 1) % len(marks)]))
+        blocks += (_Block((marks[t], *run, marks[(t + 1) % len(marks)]))
+                   for t, run in enumerate(runs))
     for p in paths:
-        first = add_block(p)
-        add_block(p, twin=first)
+        blocks += (_Block(tuple(p)), _Block(tuple(p), twin=len(blocks)))
 
     found = _decompose_into_two_cycles(blocks, budget)
     if found is None:

@@ -188,17 +188,6 @@ def _menger(g: Graph, a: int, b: int, allowed: int, cutoff: Optional[int]):
     return value, succ, carry & a, None
 
 
-def _terminals(g: Graph, a: Iterable[int], b: Iterable[int],
-               allowed: Optional[Iterable[int]]) -> tuple[frozenset[int], frozenset[int], int]:
-    """Checked disjoint terminal sets and the allowed mask, terminals included."""
-    avs = check_vertex_set(g, a)
-    bvs = check_vertex_set(g, b)
-    if avs & bvs:
-        raise ValueError("overlapping terminals")
-    allowed_mask = g.full_mask if allowed is None else mask_of(check_vertex_set(g, allowed))
-    return avs, bvs, allowed_mask | mask_of(avs) | mask_of(bvs)
-
-
 def _solve(g: Graph, a: frozenset[int], b: frozenset[int], allowed_mask: int):
     value, succ, starts, (entered, left) = _menger(g, mask_of(a), mask_of(b), allowed_mask, None)
     paths = []
@@ -232,8 +221,21 @@ def min_vertex_cut(
     b: Iterable[int],
     allowed: Optional[Iterable[int]] = None,
 ) -> SeparatorReport:
-    """Minimum vertex set meeting every (a,b)-path, with its Menger witness."""
-    avs, bvs, allowed_mask = _terminals(g, a, b, allowed)
+    """Minimum vertex set meeting every (a,b)-path, with its Menger witness.
+
+    a and b must be disjoint vertex sets; paths may pass through ``allowed``
+    (default: all) besides them. Three checks cross-check the flow, and a
+    failed one is an internal error: the path family is validated, the cut
+    has as many vertices as the family has paths (Menger's equality), and a
+    search from a inside ``allowed`` minus the cut reaches no vertex of b.
+    """
+    avs = check_vertex_set(g, a)
+    bvs = check_vertex_set(g, b)
+    if avs & bvs:
+        raise ValueError("overlapping terminals")
+    a_mask, b_mask = mask_of(avs), mask_of(bvs)
+    allowed_mask = g.full_mask if allowed is None else mask_of(check_vertex_set(g, allowed))
+    allowed_mask |= a_mask | b_mask
     value, paths, cut = _solve(g, avs, bvs, allowed_mask)
     family = PathFamily(paths=tuple(paths), source_set=avs, target_set=bvs)
     if len(family.paths) != value:
@@ -241,19 +243,10 @@ def min_vertex_cut(
     family.validate(g)
     if len(cut) != value:
         raise RuntimeError(f"Menger equality violated: |cut|={len(cut)} paths={value}")
-    if not _separates(g, avs, bvs, cut, allowed_mask):
+    live = allowed_mask & ~mask_of(cut)
+    if g.reach_mask(a_mask & live, live) & b_mask:
         raise RuntimeError("cut fails to separate its terminal sets")
     return SeparatorReport(cut=cut, max_disjoint_paths=value, witness=family)
-
-
-def _separates(
-    g: Graph, a: frozenset[int], b: frozenset[int], cut: frozenset[int], allowed_mask: int
-) -> bool:
-    """BFS soundness check: no (a,b)-path survives deleting the cut."""
-    live = allowed_mask & ~mask_of(cut)
-    start = mask_of(a) & live
-    reach = g.reach_mask(start, live)
-    return not reach & mask_of(b)
 
 
 def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorReport:

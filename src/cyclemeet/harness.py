@@ -9,13 +9,15 @@ witness serialized. Budget exhaustion is inconclusive, never a failure.
 Reports contain no wall-clock data, so identical corpus + seed reproduce
 byte-identical output. ``json_text`` writes them, and every other JSON
 document of the CLI, exactly as ``json.dumps(..., indent=2, sort_keys=True)``
-would, without building a dict per report.
+would, without building a dict per report; a float's text is json's own.
+A report reads c(G) and κ once, after the checks, the same way under every
+suite, so that both use the orbit of 0 where a check searched it.
 """
 
 from __future__ import annotations
 
 import copy
-import math
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
@@ -76,30 +78,26 @@ class Outcome:
     witness: Optional[dict] = None
 
 
-class _kept:
-    """A fact computed at most once and kept under ``_<name>``, or its budget error.
+def _kept(compute) -> property:
+    """A property that keeps its fact under ``_<name>``, computed at most once, or its budget error.
 
     A kept ``BudgetExceededError`` is raised again, the same object, on every
     read, so the search behind the fact never runs twice.
     """
+    key = "_" + compute.__name__
 
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, facts, owner=None):
+    def read(facts):
         kept = vars(facts)
-        if self.key not in kept:
+        if key not in kept:
             try:
-                kept[self.key] = self.compute(facts)
+                kept[key] = compute(facts)
             except BudgetExceededError as err:
-                kept[self.key] = err
-        if isinstance(kept[self.key], BudgetExceededError):
-            raise kept[self.key]
-        return kept[self.key]
+                kept[key] = err
+        if isinstance(kept[key], BudgetExceededError):
+            raise kept[key]
+        return kept[key]
+
+    return property(read, doc=compute.__doc__)
 
 
 class InstanceFacts:
@@ -111,15 +109,16 @@ class InstanceFacts:
     orbit of 0 is already searched and has an n-cycle map (a circulant);
     otherwise it comes from the longest-cycle search kept to one cycle,
     which on every corpus measured expands no more nodes than the enumeration.
-    A search that runs out of budget keeps its error (see ``_kept``), so it
-    never runs twice; that holds for the automorphism searches behind
-    ``orbit`` too. ``orbit`` is the orbit of vertex 0 with one automorphism
-    per orbit vertex; it is searched only for a connected regular graph
-    (``degree``), and only for the checks that read ``vertex_transitive``.
-    ``connectivity`` reads it when one of them already has, so the report
-    reads κ after the checks: then ``vertex_connectivity`` drops the C(d, 2)
-    neighbour-pair flows when the orbit is larger than the degree d, and
-    runs one flow per pair {w, maps[w]⁻¹(0)} of non-neighbours of 0.
+    ``_kept`` makes a searched fact a property that keeps its value or its
+    budget error, so a search that runs out of budget never runs twice;
+    that holds for the automorphism searches behind ``orbit`` too. ``orbit``
+    is the orbit of vertex 0 with one automorphism per orbit vertex; it is
+    searched only for a connected regular graph (``degree``), and only for
+    the checks that read ``vertex_transitive``. ``connectivity`` reads it
+    when one of them already has, so the report reads κ after the checks:
+    then ``vertex_connectivity`` drops the C(d, 2) neighbour-pair flows when
+    the orbit is larger than the degree d, and runs one flow per pair
+    {w, maps[w]⁻¹(0)} of non-neighbours of 0.
 
     ``corpus_instances`` makes one per instance. A fact that set-up reads
     (the ``default`` filter reads ``complete``) is reused by the analysis,
@@ -277,6 +276,8 @@ def verify_devos(facts: InstanceFacts, a: frozenset[int], t: int) -> Outcome:
         cs = facts.cycles
     except BudgetExceededError as err:
         return Outcome("devos", "inconclusive", detail=str(err))
+    if cs is None:  # K1 and K2: connected and vertex-transitive, with no cycle
+        return Outcome("devos", "skipped", detail="needs a graph with a cycle")
     if not is_t_transversal(g, cs, a, t):
         return Outcome("devos", "skipped", detail="given set is not a t-transversal")
     c = cs.length
@@ -414,16 +415,16 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     what the analysis adds dies with the call. ``spec`` is unread (the budget
     comes with the facts); it stays so that four-argument callers still work.
 
-    The ``babai`` suite reads only c(G), so it reads ``facts.length`` and
-    enumerates no cycles: its reports give ``cycle_length`` and leave
-    ``cycle_count``, ``truncated``, ``m_min`` and the separator fields null.
-    It reads the length after the check, as it reads κ, so that a circulant
-    whose orbit the check found gets c(G) = n from a built cycle, with no
-    length search. Every other suite reads ``facts.cycles``, and an
-    enumeration that runs out of budget is reported as an inconclusive
-    ``enumeration`` outcome. Under ``babai`` the check's own outcome carries
-    the length search's budget error wherever the check applies, so no such
-    outcome is added.
+    Under every suite ``cycle_length`` is ``facts.length``, read once after
+    the checks, as κ is: the enumeration's c(G) where one ran, and n from a
+    built cycle for a circulant whose orbit a check found, with no length
+    search. The ``babai`` suite reads only c(G), so it enumerates no cycles
+    and leaves ``cycle_count``, ``truncated``, ``m_min`` and the separator
+    fields null. Every other suite reads ``facts.cycles`` before the checks,
+    and an enumeration that runs out of budget is reported as an
+    inconclusive ``enumeration`` outcome. Under ``babai`` the check's own
+    outcome carries the length search's budget error wherever the check
+    applies, so no such outcome is added.
     """
     facts = copy.copy(facts)
     g = facts.g
@@ -431,16 +432,12 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
     observations: dict = {}
     stats: dict = {}
     degree = facts.degree
-    cycle_length = cycle_count = cs = None
-    truncated = None if suite == "babai" else False
-    if suite != "babai":
+    cs = complete = None
+    if suite != "babai":  # babai reads c(G) alone, so that suite enumerates nothing
         try:
             cs = facts.cycles  # None for a forest: it carries no cycle checks
         except BudgetExceededError as err:
             outcomes.append(Outcome("enumeration", "inconclusive", detail=str(err)))
-    complete = None
-    if cs is not None:  # never under babai, so that suite enumerates nothing
-        cycle_length, cycle_count, truncated = cs.length, len(cs), cs.truncated
         complete = facts.complete
     m_min, m_pair = facts.m_min if complete is not None else (None, None)
     separator_size = separator_bound = m_rep = None
@@ -484,11 +481,10 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
             outcomes.extend(_structural_checks(facts, complete, pairs, stats))
 
     # read after the checks, so that c(G) and κ use the orbit of 0 where one of them searched it
-    if suite == "babai":
-        try:
-            cycle_length = facts.length
-        except BudgetExceededError:
-            pass  # verify_babai carries the kept error where it applies
+    try:
+        cycle_length = facts.length
+    except BudgetExceededError:
+        cycle_length = None  # the enumeration's outcome, or babai's, carries the kept error
     connectivity = facts.connectivity if g.n >= 2 else None
     if degree is not None and connectivity is not None and degree >= 2 and cycle_length is not None:
         # observational ratios for the asymptotic statements (no pass/fail)
@@ -506,8 +502,8 @@ def analyze_instance(instance_id: str, facts: InstanceFacts, spec: CorpusSpec,
         degree=degree,
         connectivity=connectivity,
         cycle_length=cycle_length,
-        cycle_count=cycle_count,
-        truncated=truncated,
+        cycle_count=None if cs is None else len(cs),
+        truncated=None if suite == "babai" else cs is not None and cs.truncated,
         m_min=m_min,
         separator_size=separator_size,
         separator_bound=separator_bound,
@@ -635,9 +631,11 @@ def json_text(value) -> str:
     is written as the object of its fields and an ``Outcome`` as the object of
     its fields that are set (neither None nor ""), with no dict built for
     either; tuples are written as lists. A dict key that is not a ``str``
-    raises ``TypeError``. Each object, a report included, is joined into one
-    string once; the text of each distinct witness-free outcome is written
-    once per document, at each indent it appears at, and then reused.
+    raises ``TypeError``. A float is written by ``json.dumps`` itself, so its
+    text, ``NaN`` and ``Infinity`` included, is json's by construction. Each
+    object, a report included, is joined into one string once; the text of
+    each distinct witness-free outcome is written once per document, at each
+    indent it appears at, and then reused.
     """
     out: list[str] = []
     _write(value, out, "\n", {})
@@ -697,22 +695,11 @@ def _write(value, out: list[str], newline: str, memo: dict) -> None:
         memo[key] = out[-1]
 
 
-def _float_text(x: float) -> str:
-    """A float as json writes it, non-finite values included."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# the text of each scalar, by exact type
+# the text of each scalar, by exact type; a float's is json's own
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
+    float: json.dumps,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }

@@ -78,21 +78,30 @@ def _split(rows: Sequence[int], cell: int, split: int, near: int) -> dict[int, i
     return parts
 
 
-def _search(g: Graph, cells_g: list[int], cells_h: list[int],
-            queue: list[tuple[int, int]], budget: int) -> Optional[tuple[int, ...]]:
-    """An automorphism of g sending left cell i onto right cell i, or None; complete.
+def automorphism_mapping(g: Graph, a: int, b: int,
+                         budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, ...]]:
+    """An automorphism of g sending a to b, as its permutation tuple, or None; complete.
 
-    ``cells_g`` and ``cells_h`` are two partitions of g, and the root is
-    refined by the splitter pairs in ``queue``. A branch on u tries the
-    right cell's candidates in cyclic order from just above u: those above
-    u ascending, then the rest. The search then tends to find a
+    The root partition is ({a}, rest) against ({b}, rest). For a regular g
+    only the singletons split it: the unit partition is equitable, so a
+    vertex's count into the rest is d minus its count into the singleton
+    (McKay, 1981), and the rest as a splitter would repeat that split.
+    Below the root, left cell i maps only onto right cell i. A branch on u
+    tries the right cell's candidates in cyclic order from just above u:
+    those above u ascending, then the rest. The search then tends to find a
     translation-like map first, whose cycle through 0 is long, rather than
     an involution such as a circulant's reflection x -> v - x. On a
     complete graph the search 0 -> 1 finds x -> x + 1 (mod n), not the
     transposition (0 1).
     """
+    check_vertex_set(g, (a, b))
     if budget < 1:
         raise ValueError("search budget must be at least 1")
+    cells_g = [c for c in (1 << a, g.full_mask ^ 1 << a) if c]
+    cells_h = [c for c in (1 << b, g.full_mask ^ 1 << b) if c]
+    queue = list(zip(cells_g, cells_h))
+    if is_regular(g) is not None:
+        queue = queue[:1]
     nodes = 0
 
     def node(cells_g, cells_h, queue):
@@ -105,8 +114,8 @@ def _search(g: Graph, cells_g: list[int], cells_h: list[int],
         at = next((i for i, cell in enumerate(cells_g) if cell & (cell - 1)), None)
         if at is None:
             perm = [0] * g.n
-            for a, b in zip(cells_g, cells_h):
-                perm[a.bit_length() - 1] = b.bit_length() - 1
+            for left, right in zip(cells_g, cells_h):
+                perm[left.bit_length() - 1] = right.bit_length() - 1
             for u, row in enumerate(g._rows):
                 if sum(1 << perm[v] for v in iter_bits(row)) != g._rows[perm[u]]:
                     return None
@@ -123,24 +132,6 @@ def _search(g: Graph, cells_g: list[int], cells_h: list[int],
         return None
 
     return node(cells_g, cells_h, queue)
-
-
-def automorphism_mapping(g: Graph, a: int, b: int,
-                         budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, ...]]:
-    """An automorphism of g sending a to b, as its permutation tuple, or None.
-
-    The root partition is ({a}, rest) against ({b}, rest). For a regular g
-    only the singletons split it: the unit partition is equitable, so a
-    vertex's count into the rest is d minus its count into the singleton
-    (McKay, 1981), and the rest as a splitter would repeat that split.
-    """
-    check_vertex_set(g, (a, b))
-    cells_g = [c for c in (1 << a, g.full_mask ^ 1 << a) if c]
-    cells_h = [c for c in (1 << b, g.full_mask ^ 1 << b) if c]
-    queue = list(zip(cells_g, cells_h))
-    if is_regular(g) is not None:
-        queue = queue[:1]
-    return _search(g, cells_g, cells_h, queue, budget)
 
 
 def vertex_orbit_of_zero(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, tuple[int, ...]]:

@@ -77,7 +77,14 @@ MUTANTS = {
     ),
     "kept-error-dropped": Mutant(
         "a fact's budget error is raised but not kept, so its search runs again on the next read",
-        ((HARNESS, "kept[self.key] = err", "raise"),),
+        ((HARNESS, "kept[key] = err", "raise"),),
+        ("tests/test_harness.py",),
+    ),
+    "cycle-length-from-enumeration": Mutant(
+        "the report's cycle_length is the enumeration's, not facts.length, so every babai"
+        " report, which enumerates nothing, gives a null cycle_length",
+        ((HARNESS, "cycle_length = facts.length",
+          "cycle_length = None if cs is None else cs.length"),),
         ("tests/test_harness.py",),
     ),
     "corpus-default-changed": Mutant(

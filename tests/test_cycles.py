@@ -277,8 +277,8 @@ def memo_test_graphs(draw, max_n: int = 9):
 # A slack-zero child's state is remembered only if its search left floor and
 # best where they stood. A child entered after an earlier sibling's close
 # raised floor is cut for length, not searched, so its state must not be
-# remembered as closing nothing. Doing so moved the witness in length mode
-# (HRaYpQw), dropped the second kept cycle and cleared truncated with limit 2
+# remembered as closing nothing. Doing so moved the witness with limit 1, the
+# length search (HRaYpQw), dropped the second kept cycle and cleared truncated with limit 2
 # (H`fiSSa), and dropped one of three longest cycles with limit 7 (HPrZ@|@).
 # In a truncated search a child can close a cycle of length floor that
 # becomes the new best at the same floor and clears the kept set; remembering
@@ -300,7 +300,7 @@ def memo_test_graphs(draw, max_n: int = 9):
 @example(graph_from_graph6("E}zw"))
 @example(graph_from_graph6("Dzk"))
 def test_dead_state_memo_matches_the_search_without_it(g):
-    for mode in ("length", "1", "2", "7", "none"):
+    for mode in ("1", "2", "7", "none"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cycles, "DEAD_STATE_CAP", 0)
             plain = search_facts(g, mode)

@@ -125,6 +125,17 @@ def test_verify_devos():
     assert notrans.status == "skipped"
 
 
+def test_babai_smith_and_devos_skip_the_graphs_without_a_cycle():
+    # K1 and K2 are connected and vertex-transitive but have no cycle, so
+    # devos has no longest cycle to read a transversal against
+    for g in (complete_graph(1), complete_graph(2)):
+        f = facts(g)
+        assert f.vertex_transitive and f.cycles is None
+        assert verify_babai(f).status == verify_smith(f).status == "skipped"
+        assert verify_devos(f, frozenset({0}), 1) == Outcome(
+            "devos", "skipped", detail="needs a graph with a cycle")
+
+
 def test_babai_smith_and_devos_fail_with_their_witnesses():
     # no real graph breaks these theorems, so each check reads one false fact:
     # c(C12) = 5 < sqrt(36), κ(K5) = 6 above its m_min of 5, and c(C6) = 5
