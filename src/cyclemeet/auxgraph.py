@@ -13,7 +13,7 @@ Segment labels are 1-based (x_1..x_m, y_1..y_m) throughout this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -171,25 +171,26 @@ class AuxGraph:
 
 
 def build_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding, p: PathFamily) -> AuxGraph:
-    """Construct the auxiliary graph of a path family between two cycles."""
-    return _aux_of(g, x, y, p, "family terminals are not the cycle remainders", validate=True)
+    """Construct the auxiliary graph of a path family between two cycles.
+
+    The family is validated against g first (``PathFamily.validate``), then
+    ``_aux_of`` checks the cycles and the family's terminals.
+    """
+    p.validate(g)
+    return _aux_of(g, x, y, p)
 
 
-def _aux_of(g: Graph, x: CycleEmbedding, y: CycleEmbedding, family: PathFamily,
-            mismatch: str, validate: bool = False) -> AuxGraph:
+def _aux_of(g: Graph, x: CycleEmbedding, y: CycleEmbedding, family: PathFamily) -> AuxGraph:
     """The auxiliary graph of a family of paths from the X to the Y remainder.
 
-    ``decompose`` checks the cycles first; then, with ``validate``, the family
-    is checked against g. A family whose terminals are not the two remainders
-    raises ValueError(mismatch), and two paths on one segment pair raise
-    SameSegmentPairError.
+    ``decompose`` checks the cycles. A family whose terminals are not the two
+    remainders raises ValueError, and two paths on one segment pair raise
+    SameSegmentPairError. The paths themselves are taken as valid.
     """
     dec = decompose(g, x, y)
-    if validate:
-        family.validate(g)
     shared = dec.shared()
     if family.source_set != x.vertex_set() - shared or family.target_set != y.vertex_set() - shared:
-        raise ValueError(mismatch)
+        raise ValueError("family terminals are not the cycle remainders")
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
     for path in family.paths:
         pair = (dec.segment_of(path[0])[0], dec.segment_of(path[-1])[0])
@@ -206,17 +207,17 @@ def pair_aux(g: Graph, x: CycleEmbedding, y: CycleEmbedding,
     ``rep`` is the pair's ``xy_separator`` report, found here when not
     given; its flow in G - M is the only one run, and its witness is the
     family. None when the cycles share no vertex or either remainder is
-    empty. Two family paths on one segment pair raise SameSegmentPairError,
-    as in ``build_aux``. ``min_vertex_cut`` has validated the family against
-    its terminals, so only ``decompose`` checks the cycles, and a report
-    whose terminals are not this pair's remainders raises ValueError.
+    empty. ``min_vertex_cut`` has validated the family, so ``_aux_of`` checks
+    only the cycles and the terminals: a report of another pair raises
+    ValueError, as in ``build_aux``, and two family paths on one segment pair
+    raise SameSegmentPairError.
     """
     if rep is None:
         rep = xy_separator(g, x, y)
     family = rep.witness
     if not (rep.m and family.source_set and family.target_set):
         return None
-    return _aux_of(g, x, y, family, "separator report is not of this cycle pair")
+    return _aux_of(g, x, y, family)
 
 
 def end_orders(f: AuxGraph, i: int, k: int, j: int, l: int) -> tuple[bool, bool, bool, bool]:
@@ -300,8 +301,10 @@ class SupersaturationReport:
     """Counting diagnostics tying e(F) to the common-neighbor mass and L-set.
 
     Lower bounds are the convexity estimates valid whenever e(F) >= m; the
-    edge bound is the sqrt(10)*m^1.5 + m/2 ceiling on e(F). Inequality flags
-    are evaluated in exact arithmetic.
+    edge bound is the sqrt(10)*m^1.5 + m/2 ceiling on e(F). The five
+    inequality fields are None when e(F) < m; the flags are evaluated in
+    exact arithmetic. ``to_json_dict`` writes every field, the two bounds as
+    floats, plus the edge bound and a note on a skipped chain.
     """
 
     m: int
@@ -315,47 +318,31 @@ class SupersaturationReport:
     l_ok: Optional[bool] = None
     edge_bound_ok: Optional[bool] = None
 
-    def edge_bound_value(self) -> float:
-        return math.sqrt(10) * self.m**1.5 + self.m / 2
-
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "edge_count": self.edge_count,
-            "assumption_met": self.assumption_met,
-            "sum_common": self.sum_common,
-            "l_size": self.l_size,
-            "sum_lower_bound": None if self.sum_lower_bound is None else float(self.sum_lower_bound),
-            "l_lower_bound": None if self.l_lower_bound is None else float(self.l_lower_bound),
-            "sum_ok": self.sum_ok,
-            "l_ok": self.l_ok,
-            "edge_bound": self.edge_bound_value(),
-            "edge_bound_ok": self.edge_bound_ok,
-            "note": None if self.assumption_met else "assumption e(F) >= m not met; inequalities skipped",
-        }
+        out = dict(vars(self))
+        for key in ("sum_lower_bound", "l_lower_bound"):
+            out[key] = None if out[key] is None else float(out[key])
+        out["edge_bound"] = math.sqrt(10) * self.m**1.5 + self.m / 2
+        out["note"] = (None if self.assumption_met
+                       else "assumption e(F) >= m not met; inequalities skipped")
+        return out
 
 
 def supersaturation_report(f: AuxGraph) -> SupersaturationReport:
-    """Evaluate the convexity chain on one auxiliary graph."""
+    """Evaluate the convexity chain on one auxiliary graph.
+
+    The five shared fields are always filled; the two bounds and the three
+    flags only when e(F) >= m, the chain's assumption. The flags compare
+    exactly: integers against ``Fraction`` bounds, and ``edge_bound_holds``.
+    """
     m = f.m
     ecount = f.edge_count()
     total = sum(map(len, f.common_neighbors.values()))
     lsize = len(l_set(f))
+    rep = SupersaturationReport(m, ecount, ecount >= m, total, lsize)
     if ecount < m:
-        return SupersaturationReport(
-            m=m, edge_count=ecount, assumption_met=False, sum_common=total, l_size=lsize
-        )
+        return rep
     sum_lb = Fraction(ecount * (ecount - m), 2 * m)
     l_lb = Fraction(ecount * (ecount - m), 2 * m * m) - 3 * (m - 1)
-    return SupersaturationReport(
-        m=m,
-        edge_count=ecount,
-        assumption_met=True,
-        sum_common=total,
-        l_size=lsize,
-        sum_lower_bound=sum_lb,
-        l_lower_bound=l_lb,
-        sum_ok=Fraction(total) >= sum_lb,
-        l_ok=Fraction(lsize) >= l_lb,
-        edge_bound_ok=edge_bound_holds(ecount, m),
-    )
+    return replace(rep, sum_lower_bound=sum_lb, l_lower_bound=l_lb, sum_ok=total >= sum_lb,
+                   l_ok=lsize >= l_lb, edge_bound_ok=edge_bound_holds(ecount, m))

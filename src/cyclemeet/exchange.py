@@ -167,28 +167,25 @@ def type00_certificate(
     return replace(cert, q1=q1, q2=q2)
 
 
-@dataclass(frozen=True)
-class _Block:
-    seq: tuple[int, ...]  # its ends are seq[0] and seq[-1]; its id is its index in the list
-    twin: Optional[int] = None  # second copy of a path defers to the first
-
-    def oriented(self, start: int) -> tuple[int, ...]:
-        return self.seq if self.seq[0] == start else tuple(reversed(self.seq))
-
-
-def _decompose_into_two_cycles(blocks: list[_Block],
+def _decompose_into_two_cycles(blocks: list[tuple[tuple[int, ...], int]],
                                budget: int) -> Optional[tuple[list[int], list[int]]]:
     """Partition the blocks into exactly two vertex-simple closed walks.
 
+    A block is a (seq, twin) pair: its vertex sequence, whose ends are
+    seq[0] and seq[-1], and the index of the block it is a second copy of,
+    which it must follow, or -1; its id is its index in the list.
     Exhaustive DFS with deterministic ordering; each block is used exactly
     once, trail simplicity is enforced on host-graph vertices as the trail
     grows. The DFS expands at most ``budget`` nodes and then raises
-    ``BudgetExceededError``, as the cycle search does.
+    ``BudgetExceededError``, as the cycle search does; a budget below 1 is
+    a ValueError before it starts.
     """
+    if budget < 1:
+        raise ValueError("search budget must be at least 1")
     incidence: dict[int, list[int]] = {}  # each end's blocks, ascending as they are added
-    for bid, blk in enumerate(blocks):
-        incidence.setdefault(blk.seq[0], []).append(bid)
-        incidence.setdefault(blk.seq[-1], []).append(bid)
+    for bid, (seq, _) in enumerate(blocks):
+        incidence.setdefault(seq[0], []).append(bid)
+        incidence.setdefault(seq[-1], []).append(bid)
     all_mask = (1 << len(blocks)) - 1
     nodes = 0
 
@@ -204,16 +201,16 @@ def _decompose_into_two_cycles(blocks: list[_Block],
                 return None
             free = ~used & all_mask
             bid = (free & -free).bit_length() - 1
-            seq = blocks[bid].seq
+            seq = blocks[bid][0]
             return rec(used | 1 << bid, cycles, (seq[0], seq[-1], list(seq), set(seq)))
         start, head, seq, vset = trail
         for bid in incidence.get(head, ()):
             if used >> bid & 1:
                 continue
-            blk = blocks[bid]
-            if blk.twin is not None and not used >> blk.twin & 1:
-                continue
-            walk = blk.oriented(head)
+            block, twin = blocks[bid]
+            if twin >= 0 and not used >> twin & 1:
+                continue  # a path's second copy follows its first
+            walk = block if block[0] == head else block[::-1]
             nxt = walk[-1]
             interior = set(walk[1:-1])
             if interior & vset:
@@ -253,13 +250,13 @@ def _restitch(
     copies of each path into two vertex-simple cycles, whose surplus must be
     2·Σ|P|.
     """
-    blocks: list[_Block] = []
+    blocks: list[tuple[tuple[int, ...], int]] = []
     for cyc, ends in ((x, {p[0] for p in paths}), (y, {p[-1] for p in paths})):
         marks, runs = cut_at(cyc.vertices, ends)
-        blocks += (_Block((marks[t], *run, marks[(t + 1) % len(marks)]))
+        blocks += (((marks[t], *run, marks[(t + 1) % len(marks)]), -1)
                    for t, run in enumerate(runs))
     for p in paths:
-        blocks += (_Block(tuple(p)), _Block(tuple(p), twin=len(blocks)))
+        blocks += ((tuple(p), -1), (tuple(p), len(blocks)))
 
     found = _decompose_into_two_cycles(blocks, budget)
     if found is None:
@@ -291,7 +288,10 @@ def lemma33_certificate(
     Returns None when the configuration does not match that hypothesis. The
     restitching search, of at most ``budget`` nodes, handles all four
     endpoint-ordering cases of the eight paths; the pair it finds is
-    machine-verified, closing the case analysis computationally.
+    machine-verified, closing the case analysis computationally. The
+    certificate's ``case`` says which of the four the second 4-cycle
+    realizes, after orienting both cycles by the first: whether the two
+    agree in their end orders on X_i, and on Y_k.
     """
     i1, k1, j1, l1 = c1
     i2, k2, j2, l2 = c2
@@ -311,17 +311,9 @@ def lemma33_certificate(
             _check_clean_interior(p, x, y)
     except ValueError:
         return None
-
-    return _restitch(g, x, y, paths, "lemma33", case=_lemma33_case(f, c1, c2), budget=budget)
-
-
-def _lemma33_case(f: AuxGraph, c1, c2) -> tuple[int, int]:
-    """Which of the four endpoint-ordering cases the second 4-cycle realizes,
-    after orienting both cycles by the first 4-cycle: whether the two agree
-    in their end orders on X_i, and on Y_k."""
     x1, _, y1, _ = end_orders(f, *c1)
     x2, _, y2, _ = end_orders(f, *c2)
-    return int(x1 == x2), int(y1 == y2)
+    return _restitch(g, x, y, paths, "lemma33", case=(int(x1 == x2), int(y1 == y2)), budget=budget)
 
 
 def improve_by_exchange(

@@ -188,18 +188,6 @@ def _menger(g: Graph, a: int, b: int, allowed: int, cutoff: Optional[int]):
     return value, succ, carry & a, None
 
 
-def _solve(g: Graph, a: frozenset[int], b: frozenset[int], allowed_mask: int):
-    value, succ, starts, (entered, left) = _menger(g, mask_of(a), mask_of(b), allowed_mask, None)
-    paths = []
-    for s in iter_bits(starts):
-        path = [s]
-        while succ[path[-1]] >= 0:
-            path.append(succ[path[-1]])
-        paths.append(tuple(path))
-    # the cut nearest the sources: vertices whose entry side alone is reached
-    return value, paths, frozenset(iter_bits(entered & ~left))
-
-
 def max_disjoint_paths(
     g: Graph,
     a: Iterable[int],
@@ -224,7 +212,10 @@ def min_vertex_cut(
     """Minimum vertex set meeting every (a,b)-path, with its Menger witness.
 
     a and b must be disjoint vertex sets; paths may pass through ``allowed``
-    (default: all) besides them. Three checks cross-check the flow, and a
+    (default: all) besides them. One ``_menger`` run gives both sides: the
+    paths follow its successor lists from the sources that start one, and
+    the cut, nearest the sources, is the vertices whose entry side alone the
+    final residual search reached. Three checks cross-check the flow, and a
     failed one is an internal error: the path family is validated, the cut
     has as many vertices as the family has paths (Menger's equality), and a
     search from a inside ``allowed`` minus the cut reaches no vertex of b.
@@ -236,7 +227,14 @@ def min_vertex_cut(
     a_mask, b_mask = mask_of(avs), mask_of(bvs)
     allowed_mask = g.full_mask if allowed is None else mask_of(check_vertex_set(g, allowed))
     allowed_mask |= a_mask | b_mask
-    value, paths, cut = _solve(g, avs, bvs, allowed_mask)
+    value, succ, starts, (entered, left) = _menger(g, a_mask, b_mask, allowed_mask, None)
+    paths = []
+    for s in iter_bits(starts):
+        path = [s]
+        while succ[path[-1]] >= 0:
+            path.append(succ[path[-1]])
+        paths.append(tuple(path))
+    cut = frozenset(iter_bits(entered & ~left))
     family = PathFamily(paths=tuple(paths), source_set=avs, target_set=bvs)
     if len(family.paths) != value:
         raise RuntimeError("flow decomposition lost a path")

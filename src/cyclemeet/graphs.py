@@ -132,18 +132,6 @@ def is_connected(g: Graph) -> bool:
     return g.reach_mask(1, g.full_mask) == g.full_mask
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Component masks, ordered by smallest member vertex."""
-    remaining = g.full_mask
-    comps = []
-    while remaining:
-        start = remaining & -remaining
-        comp = g.reach_mask(start, remaining)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
 def is_regular(g: Graph) -> Optional[int]:
     """The common degree d when g is d-regular, else None."""
     if g.n == 0:
@@ -217,7 +205,17 @@ def _one_per_partner(far: Iterable[int], maps: Mapping[int, tuple[int, ...]]) ->
 
 
 def is_forest(g: Graph) -> bool:
-    return g.edge_count == g.n - len(connected_components(g))
+    """True iff g has no cycle, that is, n - e(G) is its number of components.
+
+    Each round takes one component off the remaining vertices, the one that
+    holds the lowest of them.
+    """
+    remaining = g.full_mask
+    components = 0
+    while remaining:
+        remaining &= ~g.reach_mask(remaining & -remaining, remaining)
+        components += 1
+    return g.edge_count == g.n - components
 
 
 # -- named graphs -----------------------------------------------------------

@@ -226,13 +226,14 @@ def verify_babai(facts: InstanceFacts) -> Outcome:
 
 
 def verify_smith(facts: InstanceFacts) -> Outcome:
-    """Two longest cycles meet in >= k vertices; asserted only for k <= 8."""
+    """Two longest cycles meet in >= k vertices; asserted only for k <= 8.
+
+    The cycle set is read once, after the skip tests, so a graph the check
+    does not apply to (disconnected, or κ < 2) is skipped whether or not its
+    set is complete. On a 2-connected graph an enumeration that ran out of
+    budget or was truncated leaves the check inconclusive.
+    """
     g = facts.g
-    try:
-        if facts.cycles is not None and facts.cycles.truncated:
-            return Outcome("smith", "inconclusive", detail="enumeration truncated")
-    except BudgetExceededError:
-        pass  # reported below, once the check applies
     if g.n < 3 or not facts.connected:
         return Outcome("smith", "skipped", detail="needs a connected graph")
     k = facts.connectivity
@@ -242,6 +243,8 @@ def verify_smith(facts: InstanceFacts) -> Outcome:
         cs = facts.cycles
     except BudgetExceededError as err:
         return Outcome("smith", "inconclusive", detail=str(err))
+    if cs.truncated:
+        return Outcome("smith", "inconclusive", detail="enumeration truncated")
     if len(cs) < 2:
         return Outcome("smith", "pass", lhs=float(cs.length), rhs=k,
                        detail="single longest cycle, nothing to intersect")

@@ -207,7 +207,7 @@ MUTANTS = {
     "lemma33-case-x-bit-flipped": Mutant(
         "the Lemma 3.3 case's X bit is 1 when the two 4-cycles' X_i orders differ,"
         " not when they agree",
-        ((EXCHANGE, "return int(x1 == x2), int(y1 == y2)", "return int(x1 != x2), int(y1 == y2)"),),
+        ((EXCHANGE, "case=(int(x1 == x2), int(y1 == y2))", "case=(int(x1 != x2), int(y1 == y2))"),),
         ("tests/test_exchange.py",),
     ),
     "cut-at-wrap-reversed": Mutant(
@@ -332,6 +332,34 @@ MUTANTS = {
         ((HARNESS, 'witness=None if ok else {"graph6": graph_to_graph6(g), **witness})',
           'witness={"graph6": graph_to_graph6(g), **witness})'),),
         ("tests/test_harness.py",),
+    ),
+    "supersaturation-edge-bound-dropped": Mutant(
+        "a supersaturation report with e(F) >= m leaves edge_bound_ok as None, so the"
+        " harness reads its chain as failed and the report writes a null flag",
+        ((AUXGRAPH, "l_ok=lsize >= l_lb, edge_bound_ok=edge_bound_holds(ecount, m))",
+          "l_ok=lsize >= l_lb)"),),
+        ("tests/test_auxgraph.py", "tests/test_harness.py"),
+    ),
+    "smith-truncated-before-skips": Mutant(
+        "smith reads a truncated cycle set before its skip tests, so a graph it does not"
+        " apply to is inconclusive instead of skipped",
+        ((HARNESS, '    if g.n < 3 or not facts.connected:\n'
+                   '        return Outcome("smith", "skipped", detail="needs a connected graph")\n',
+          '    try:\n'
+          '        if facts.cycles is not None and facts.cycles.truncated:\n'
+          '            return Outcome("smith", "inconclusive", detail="enumeration truncated")\n'
+          '    except BudgetExceededError:\n'
+          '        pass\n'
+          '    if g.n < 3 or not facts.connected:\n'
+          '        return Outcome("smith", "skipped", detail="needs a connected graph")\n'),),
+        ("tests/test_harness.py",),
+    ),
+    "restitch-budget-unchecked": Mutant(
+        "the restitching search takes a budget below 1 and raises its budget error at the"
+        " first node",
+        ((EXCHANGE, '    if budget < 1:\n'
+                    '        raise ValueError("search budget must be at least 1")\n', ""),),
+        ("tests/test_exchange.py",),
     ),
 }
 

@@ -23,6 +23,7 @@ from cyclemeet.auxgraph import (
 from cyclemeet.cycles import CycleEmbedding
 from cyclemeet.flow import PathFamily, max_disjoint_paths, xy_separator
 from cyclemeet.graphs import Graph
+from cyclemeet.harness import json_text
 
 from hosts import prop22_host, type00_host
 from oracles import max_noncrossing_by_subsets, max_noncrossing_family, noncrossing_witness
@@ -123,7 +124,7 @@ def test_pair_aux_reads_the_separator_family_and_no_other_pairs():
     f = pair_aux(g, x, y, rep)
     assert sorted(f.witness.values()) == sorted(rep.witness.paths)
     assert len(rep.cut) == rep.m + f.edge_count() == 6
-    with pytest.raises(ValueError, match="separator report is not of this cycle pair"):
+    with pytest.raises(ValueError, match="family terminals are not the cycle remainders"):
         pair_aux(g, y, x, rep)
 
 
@@ -354,6 +355,36 @@ def test_supersaturation_below_assumption():
     assert not rep.assumption_met
     assert rep.sum_ok is None and rep.l_ok is None
     assert "skipped" in rep.to_json_dict()["note"]
+
+
+_K33 = {(i, j) for i in range(1, 4) for j in range(1, 4)}
+_TWO_SQUARES_AND_A_MATCHING = {(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (4, 4)}
+
+
+@pytest.mark.parametrize("m, edges, text", [
+    # e(F) >= m: the five inequality fields are filled, the bounds as floats
+    pytest.param(3, _K33, (
+        '{\n  "assumption_met": true,\n  "edge_bound": 17.931676725154986,\n'
+        '  "edge_bound_ok": true,\n  "edge_count": 9,\n  "l_lower_bound": -3.0,\n'
+        '  "l_ok": true,\n  "l_size": 0,\n  "m": 3,\n  "note": null,\n'
+        '  "sum_common": 9,\n  "sum_lower_bound": 9.0,\n  "sum_ok": true\n}\n'), id="K33"),
+    pytest.param(4, _TWO_SQUARES_AND_A_MATCHING, (
+        '{\n  "assumption_met": true,\n  "edge_bound": 27.298221281347036,\n'
+        '  "edge_bound_ok": true,\n  "edge_count": 6,\n  "l_lower_bound": -8.625,\n'
+        '  "l_ok": true,\n  "l_size": 0,\n  "m": 4,\n  "note": null,\n'
+        '  "sum_common": 2,\n  "sum_lower_bound": 1.5,\n  "sum_ok": true\n}\n'),
+        id="fractional-bounds"),
+    # e(F) < m: the inequality fields are null and the note says why
+    pytest.param(4, {(1, 1)}, (
+        '{\n  "assumption_met": false,\n  "edge_bound": 27.298221281347036,\n'
+        '  "edge_bound_ok": null,\n  "edge_count": 1,\n  "l_lower_bound": null,\n'
+        '  "l_ok": null,\n  "l_size": 0,\n  "m": 4,\n'
+        '  "note": "assumption e(F) >= m not met; inequalities skipped",\n'
+        '  "sum_common": 0,\n  "sum_lower_bound": null,\n  "sum_ok": null\n}\n'),
+        id="below-assumption"),
+])
+def test_supersaturation_report_json_is_pinned(m, edges, text):
+    assert json_text(supersaturation_report(_synthetic_aux(m, edges)).to_json_dict()) == text
 
 
 def test_supersaturation_random_graphs_hold():

@@ -183,6 +183,19 @@ def test_the_restitching_search_honours_its_node_budget():
             improve_by_four_cycles(g, x, y, f, nodes - 1)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_the_restitching_search_refuses_a_budget_below_one(budget):
+    # as the cycle and automorphism searches do, before any node is expanded
+    for g, x, y, family in (type00_host(), lemma33_host(0, 0)):
+        f = build_aux(g, x, y, family)
+        with pytest.raises(ValueError, match="^search budget must be at least 1$"):
+            improve_by_four_cycles(g, x, y, f, budget)
+    g, x, y, family = type00_host()
+    f = build_aux(g, x, y, family)
+    with pytest.raises(ValueError, match="^search budget must be at least 1$"):
+        type00_certificate(g, x, y, f, (1, 1, 2, 2), budget)
+
+
 def test_each_aux_graph_types_each_four_cycle_once(monkeypatch):
     # the census, the L-set, the supersaturation counts and the exchanges all
     # read one typing per 4-cycle and one count of common neighbours

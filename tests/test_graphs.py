@@ -10,6 +10,7 @@ from cyclemeet.graphs import (
     graph_from_graph6,
     graph_to_graph6,
     is_connected,
+    is_forest,
     is_regular,
     mask_of,
     petersen_graph,
@@ -61,6 +62,18 @@ def test_is_connected_cases():
     assert not is_connected(two_triangles)
     assert not is_connected(Graph(3))
     assert is_connected(Graph(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_is_forest_matches_networkx_on_random_graphs(n, data):
+    # at most n edges, so forests of several trees and graphs with one or
+    # two cycles are both drawn often
+    nx = pytest.importorskip("networkx")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    g = Graph(n, edges)
+    assert is_forest(g) == nx.is_forest(as_networkx(g))
 
 
 def test_vertex_connectivity_examples():

@@ -136,6 +136,32 @@ def test_babai_smith_and_devos_skip_the_graphs_without_a_cycle():
             "devos", "skipped", detail="needs a graph with a cycle")
 
 
+def _two_k5(second: tuple[int, ...]) -> Graph:
+    """A K5 on 0..4 and a K5 on the five vertices ``second``."""
+    return Graph(max(second) + 1, [e for part in ((0, 1, 2, 3, 4), second)
+                                   for e in combinations(part, 2)])
+
+
+@pytest.mark.parametrize("g, outcome", [
+    # κ = 1, with 24 longest 5-cycles
+    pytest.param(_two_k5((0, 5, 6, 7, 8)),
+                 Outcome("smith", "skipped", detail="connectivity below 2"),
+                 id="two-K5-sharing-a-vertex"),
+    pytest.param(_two_k5((5, 6, 7, 8, 9)),
+                 Outcome("smith", "skipped", detail="needs a connected graph"),
+                 id="two-disjoint-K5"),
+    # 2-connected, with 12 longest cycles: the check applies and the set is cut short
+    pytest.param(complete_graph(5),
+                 Outcome("smith", "inconclusive", detail="enumeration truncated"), id="K5"),
+])
+def test_smith_on_a_truncated_cycle_set_is_inconclusive_only_where_it_applies(
+        monkeypatch, g, outcome):
+    monkeypatch.setattr(harness, "ENUMERATION_LIMIT", 2)
+    f = facts(g)
+    assert f.cycles.truncated and len(f.cycles) == 2
+    assert verify_smith(f) == outcome
+
+
 def test_babai_smith_and_devos_fail_with_their_witnesses():
     # no real graph breaks these theorems, so each check reads one false fact:
     # c(C12) = 5 < sqrt(36), κ(K5) = 6 above its m_min of 5, and c(C6) = 5
@@ -1246,13 +1272,16 @@ def test_cli_small_pairwise_corpus_without_random_graphs_runs(capsys):
 def test_cli_invariant_failure_exits_one_with_json_error(tmp_path, capsys, monkeypatch):
     from cyclemeet import flow
 
-    solve = flow._solve
+    menger = flow._menger
 
-    def cut_one_too_big(g, a, b, allowed_mask):
-        value, paths, cut = solve(g, a, b, allowed_mask)
-        return value, paths, cut | {min(set(range(g.n)) - cut)}
+    def cut_one_too_big(g, a, b, allowed, cutoff):
+        # the lowest vertex outside the cut is marked entered but not left
+        value, succ, starts, (entered, left) = menger(g, a, b, allowed, cutoff)
+        outside = g.full_mask & ~(entered & ~left)
+        low = outside & -outside
+        return value, succ, starts, (entered | low, left & ~low)
 
-    monkeypatch.setattr(flow, "_solve", cut_one_too_big)
+    monkeypatch.setattr(flow, "_menger", cut_one_too_big)
     g = petersen_graph()
     path = tmp_path / "pet.g6"
     path.write_text(graph_to_graph6(g) + "\n")
