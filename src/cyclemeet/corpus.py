@@ -93,8 +93,12 @@ def random_connected_graphs(
 
 
 def is_biconnected(g: Graph) -> bool:
-    """2-connected: connected, n >= 3, and no cut vertex."""
-    if g.n < 3 or not is_connected(g):
+    """2-connected: n >= 3, and no vertex whose removal leaves the rest disconnected.
+
+    No connectedness test is needed first: a disconnected graph on n >= 3
+    vertices always has such a vertex.
+    """
+    if g.n < 3:
         return False
     full = g.full_mask
     for v in range(g.n):

@@ -77,19 +77,6 @@ def _check_clean_interior(path: Sequence[int], x: CycleEmbedding, y: CycleEmbedd
         raise ValueError(f"path interior touches the cycles at {sorted(touched)}")
 
 
-def _orient_path(
-    path: Sequence[int], x: CycleEmbedding, y: CycleEmbedding, shared: frozenset[int]
-) -> tuple[int, ...]:
-    """Return the path running from its X-side endpoint to its Y-side endpoint."""
-    xs = x.vertex_set() - shared
-    ys = y.vertex_set() - shared
-    if path[0] in xs and path[-1] in ys:
-        return tuple(path)
-    if path[0] in ys and path[-1] in xs:
-        return tuple(reversed(path))
-    raise ValueError("path endpoints are not on the cycle remainders")
-
-
 def prop22_certificate(
     g: Graph,
     x: CycleEmbedding,
@@ -104,29 +91,32 @@ def prop22_certificate(
     the earlier endpoint u to u's predecessor. q_y does the same on Y. ``q1``
     is q_x unless the X-stretch is longer than the Y-stretch, so ``q1``
     replaces the shorter stretch and beats the cycle it modifies (both, when
-    |x| = |y|).
+    |x| = |y|). Each path runs from X - M to Y - M, as a family path does;
+    one given Y end first, or with an end off the remainders, is a
+    ValueError.
     """
     dec = decompose(g, x, y)
     shared = dec.shared()
-    p1 = _orient_path(path1, x, y, shared)
-    p2 = _orient_path(path2, x, y, shared)
-    if set(p1) & set(p2):
+    xs, ys = x.vertex_set() - shared, y.vertex_set() - shared
+    if any(p[0] not in xs or p[-1] not in ys for p in (path1, path2)):
+        raise ValueError("path does not run from X - M to Y - M")
+    if set(path1) & set(path2):
         raise ValueError("paths are not disjoint")
-    for p in (p1, p2):
+    for p in (path1, path2):
         for a, b in zip(p, p[1:]):
             if not g.has_edge(a, b):
                 raise ValueError(f"missing edge ({a},{b})")
         _check_clean_interior(p, x, y)
-    i1, posu1 = dec.segment_of(p1[0])
-    i2, posu2 = dec.segment_of(p2[0])
-    j1, posv1 = dec.segment_of(p1[-1])
-    j2, posv2 = dec.segment_of(p2[-1])
+    i1, posu1 = dec.segment_of(path1[0])
+    i2, posu2 = dec.segment_of(path2[0])
+    j1, posv1 = dec.segment_of(path1[-1])
+    j2, posv2 = dec.segment_of(path2[-1])
     if i1 != i2 or j1 != j2:
         raise ValueError("paths do not land on one segment pair")
-    cert = _restitch(g, x, y, (p1, p2), "prop22")
+    cert = _restitch(g, x, y, (path1, path2), "prop22")
     # q_x replaces the X-stretch between the endpoints by the detour through
     # Y, so it keeps the X-edge from the earlier endpoint to its predecessor
-    u = p1[0] if posu1 < posu2 else p2[0]
+    u = path1[0] if posu1 < posu2 else path2[0]
     q_x, q_y = _holding_first(cert, u, x.vertices[x.vertices.index(u) - 1])
     if abs(posu1 - posu2) > abs(posv1 - posv2):
         q1, q2, modified = q_y, q_x, y

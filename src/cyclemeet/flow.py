@@ -12,7 +12,7 @@ one run and can be cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .cycles import CycleEmbedding
@@ -254,28 +254,22 @@ def xy_separator(g: Graph, x: CycleEmbedding, y: CycleEmbedding) -> SeparatorRep
     has m + e(F) vertices, F the pair's auxiliary graph. The witness is that
     flow's maximum family of (X-M, Y-M)-paths that avoid M, from which
     ``pair_aux`` builds F. When either remainder is empty the cut is M and
-    the family empty; for m = 0 the flow runs in all of G.
+    the family empty; for m = 0 the flow runs in all of G. Either way the
+    report is the flow's, or the empty family's, with M added to the cut
+    and m and the bound set.
     """
     xv = x.vertex_set()
     yv = y.vertex_set()
     shared = xv & yv
-    m = len(shared)
-    bound = math.sqrt(10) * m**1.5 + 1.5 * m
     a = xv - shared
     b = yv - shared
-    if not a or not b:
-        empty = PathFamily(paths=(), source_set=frozenset(a), target_set=frozenset(b))
-        return SeparatorReport(
-            cut=frozenset(shared), max_disjoint_paths=0, witness=empty, m=m, bound=bound
-        )
-    base = min_vertex_cut(g, a, b, allowed=frozenset(range(g.n)) - shared)
-    return SeparatorReport(
-        cut=base.cut | shared,
-        max_disjoint_paths=base.max_disjoint_paths,
-        witness=base.witness,
-        m=m,
-        bound=bound,
-    )
+    if a and b:
+        base = min_vertex_cut(g, a, b, allowed=frozenset(range(g.n)) - shared)
+    else:
+        empty = PathFamily(paths=(), source_set=a, target_set=b)
+        base = SeparatorReport(cut=frozenset(), max_disjoint_paths=0, witness=empty)
+    m = len(shared)
+    return replace(base, cut=base.cut | shared, m=m, bound=math.sqrt(10) * m**1.5 + 1.5 * m)
 
 
 def local_vertex_connectivity(g: Graph, s: int, t: int, cutoff: Optional[int] = None) -> int:

@@ -26,10 +26,11 @@ class Graph:
     """Simple undirected graph with vertices 0..n-1, immutable after construction.
 
     Self-loops are rejected; duplicate edges collapse. Instances hash and
-    compare by value, so they are safe dict keys and cache keys.
+    compare by value, so they are safe set members and dict keys; the hash
+    is computed when asked, not kept.
     """
 
-    __slots__ = ("n", "_rows", "edge_count", "_hash")
+    __slots__ = ("n", "_rows", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -50,7 +51,6 @@ class Graph:
         self.n = n
         self._rows = tuple(rows)
         self.edge_count = count
-        self._hash = hash((n, self._rows))
 
     # -- basic accessors -------------------------------------------------
 
@@ -80,7 +80,7 @@ class Graph:
         return self.n == other.n and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -126,9 +126,11 @@ def check_vertex_set(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff g has exactly one connected component (vacuously true for n=0)."""
-    if g.n == 0:
-        return True
+    """True iff g has at most one connected component: vertex 0 reaches every vertex.
+
+    The empty graph is connected, vacuously: its full mask is empty, and so
+    is what bit 0 reaches inside it.
+    """
     return g.reach_mask(1, g.full_mask) == g.full_mask
 
 
@@ -145,15 +147,18 @@ def is_regular(g: Graph) -> Optional[int]:
 def vertex_connectivity(g: Graph, maps: Optional[Mapping[int, tuple[int, ...]]] = None) -> int:
     """Minimum number of vertices whose removal disconnects g or leaves one vertex.
 
-    Equals n-1 for complete graphs. Otherwise it follows Esfahanian and
-    Hakimi (1984): take v of least degree d; N(v) is a cut, so the answer
-    is at most d. A minimum cut S either misses v, and then separates v
-    from some non-neighbour w, or contains v; then v has a neighbour in
-    every component of g - S (else S - v would still be a cut), so S
-    separates two non-adjacent neighbours of v. Hence the answer is the
-    least of d, the local connectivity of v to each non-neighbour, and that
-    of each non-adjacent pair in N(v). Each local connectivity stops once
-    it reaches the best value so far.
+    It follows Esfahanian and Hakimi (1984): take v of least degree d; N(v)
+    is a cut, or g - N(v) is the one vertex v, so the answer is at most d.
+    A minimum cut S either misses v, and then separates v from some
+    non-neighbour w, or contains v; then v has a neighbour in every
+    component of g - S (else S - v would still be a cut), so S separates
+    two non-adjacent neighbours of v. Hence the answer is the least of d,
+    the local connectivity of v to each non-neighbour, and that of each
+    non-adjacent pair in N(v). Each local connectivity stops once it
+    reaches the best value so far. No special case is needed: K_n has no
+    non-adjacent pair, so the answer is d = n - 1 with no flow; in a
+    disconnected g some non-neighbour of v lies in another component, its
+    local connectivity is 0, and every later flow stops at once.
 
     ``maps``, when given, is the orbit of vertex 0 from
     ``transitive.vertex_orbit_of_zero``: each orbit vertex u with an
@@ -167,10 +172,6 @@ def vertex_connectivity(g: Graph, maps: Optional[Mapping[int, tuple[int, ...]]] 
     """
     if g.n < 2:
         raise ValueError("undefined connectivity")
-    if g.edge_count == g.n * (g.n - 1) // 2:
-        return g.n - 1
-    if not is_connected(g):
-        return 0
     from .flow import local_vertex_connectivity
 
     v = min(range(g.n), key=g.degree)  # the first of least degree: 0 whenever 0 is one
@@ -282,14 +283,12 @@ def prism_graph(n: int) -> Graph:
 
 
 def graph_to_graph6(g: Graph) -> str:
+    """The graph6 text of g; above 62 vertices the header is "~" and three 6-bit
+    size bytes, the first "?" (0), since no graph exceeds VERTEX_CAP."""
     if g.n <= 62:
         header = bytes([g.n + 63])
-    elif g.n <= 258047:
-        header = bytes(
-            [126, ((g.n >> 12) & 0x3F) + 63, ((g.n >> 6) & 0x3F) + 63, (g.n & 0x3F) + 63]
-        )
     else:
-        raise ValueError("graph too large for graph6")
+        header = bytes([126, 63, (g.n >> 6) + 63, (g.n & 0x3F) + 63])
     acc = 0  # the upper triangle, column by column, first bit highest
     for j in range(1, g.n):
         row = g._rows[j]

@@ -361,6 +361,19 @@ MUTANTS = {
                     '        raise ValueError("search budget must be at least 1")\n', ""),),
         ("tests/test_exchange.py",),
     ),
+    "menger-cancel-reset-dropped": Mutant(
+        "an augmenting path that cancels all of a vertex's flow leaves its old successor"
+        " set, so a later path walks off it and the cut fails to separate",
+        ((FLOW, "                if succ[v] == u:\n                    succ[v] = -1\n", ""),),
+        ("tests/test_flow.py",),
+    ),
+    "kappa-far-pairs-own-component": Mutant(
+        "κ's flows to the non-neighbours of v reach only v's own component, so a"
+        " disconnected graph gets the connectivity of that component",
+        ((GRAPHS, "far = iter_bits(g.full_mask & ~around & ~(1 << v))",
+          "far = iter_bits(g.reach_mask(1 << v, g.full_mask) & ~around & ~(1 << v))"),),
+        ("tests/test_graphs.py",),
+    ),
 }
 
 

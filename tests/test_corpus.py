@@ -14,7 +14,7 @@ from cyclemeet.corpus import (
     random_connected_graphs,
     vertex_transitive_corpus,
 )
-from cyclemeet.graphs import cycle_graph, graph_to_graph6, is_connected
+from cyclemeet.graphs import Graph, cycle_graph, graph_to_graph6, is_connected
 from cyclemeet.harness import CorpusSpec, corpus_instances
 from cyclemeet.transitive import is_vertex_transitive
 
@@ -69,6 +69,18 @@ def test_biconnectivity_predicate():
     assert not is_biconnected(path_graph(4))
     # the shared-vertex host has a cut vertex
     assert not is_biconnected(two_triangles_shared_vertex())
+
+
+def test_biconnectivity_matches_networkx_on_every_graph_to_five_vertices():
+    # every labelled graph on n <= 5 vertices, disconnected ones included;
+    # networkx calls K2 biconnected, the predicate asks n >= 3
+    nx = pytest.importorskip("networkx")
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for picks in range(1 << len(pairs)):
+            g = Graph(n, [pair for k, pair in enumerate(pairs) if picks >> k & 1])
+            expected = n >= 3 and nx.is_biconnected(as_networkx(g))
+            assert is_biconnected(g) == expected, graph_to_graph6(g)
 
 
 def test_seeded_families_are_deterministic():

@@ -76,6 +76,18 @@ def test_prop22_rejects_shared_endpoint():
         prop22_certificate(g, x, y, p1, p1).q1
 
 
+@pytest.mark.parametrize("path1, path2", [
+    ((8, 2), (3, 10)),  # given Y end first
+    ((2, 8), (10, 3)),
+    ((0, 2), (3, 10)),  # an end on M, not on X - M
+    ((2, 3), (3, 10)),  # both ends on X
+], ids=["first-reversed", "second-reversed", "end-on-m", "ends-on-x"])
+def test_prop22_takes_paths_only_from_x_minus_m_to_y_minus_m(path1, path2):
+    g, x, y, _, _ = prop22_host()
+    with pytest.raises(ValueError, match="path does not run from X - M to Y - M"):
+        prop22_certificate(g, x, y, path1, path2)
+
+
 def test_prop22_rejects_split_segments():
     # paths landing on different X-segments violate the precondition
     g, x, y, _, _ = prop22_host()

@@ -123,6 +123,23 @@ def test_min_cut_size_matches_networkx_between_super_terminals(n, data):
     assert len(min_vertex_cut(Graph(n, edges), a, b).cut) == len(nx.minimum_node_cut(h, "s", "t"))
 
 
+@pytest.mark.parametrize("text, a, b, cut", [
+    ("T_?i?AA??Q?I_@???@?OG??_g??GRC@CB??@", {2, 3, 12, 17}, {6, 15}, {12, 15}),
+    ("RGp__Q?OA@@K?C@?IqD?GGgOGGCAA?", {4, 8, 11, 15, 17}, {1, 2, 3, 5, 9, 13, 18}, {1, 8, 15, 18}),
+], ids=["n21", "n19"])
+def test_min_cut_where_an_augmenting_path_cancels_all_flow_out_of_a_vertex(text, a, b, cut):
+    # an augmenting path here undoes the one flow edge out of a vertex, and
+    # the walk back must clear that vertex's successor; the cut size is
+    # checked against networkx between super terminals
+    nx = pytest.importorskip("networkx")
+    g = graph_from_graph6(text)
+    rep = min_vertex_cut(g, a, b)
+    assert rep.cut == cut and rep.max_disjoint_paths == len(cut)
+    h = as_networkx(g)
+    h.add_edges_from([("s", v) for v in a] + [(v, "t") for v in b])
+    assert nx.node_connectivity(h, "s", "t") == len(cut)
+
+
 def test_xy_separator_shared_vertex_host():
     g = two_triangles_shared_vertex()
     x = CycleEmbedding.from_sequence(g, [0, 1, 2])

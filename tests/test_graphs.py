@@ -235,6 +235,8 @@ def test_graph6_known_encodings():
     assert graph_to_graph6(complete_graph(4)) == "C~"
     assert graph_to_graph6(cycle_graph(5)) == "Dhc"
     assert graph_to_graph6(petersen_graph()) == "IheA@GUAo"
+    # the reader also takes the optional ">>graph6<<" prefix
+    assert graph_from_graph6(">>graph6<<IheA@GUAo\n") == petersen_graph()
 
 
 def test_graph6_roundtrip_small():
@@ -255,6 +257,15 @@ def test_graph6_rejects_garbage():
         graph_from_graph6("")
     with pytest.raises(ValueError):
         graph_from_graph6("C~~~")  # wrong body length
+    with pytest.raises(ValueError, match="truncated graph6 header"):
+        graph_from_graph6("~?")
+    # the 8-byte header of graphs above 258,047 vertices is refused
+    with pytest.raises(ValueError, match="beyond 258047 vertices"):
+        graph_from_graph6("~~??????")
+    # K2 is "A_": its one edge bit, then five padding bits that must be zero
+    assert graph_from_graph6("A_") == complete_graph(2)
+    with pytest.raises(ValueError, match="nonzero padding bits"):
+        graph_from_graph6("A`")
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,8 +278,9 @@ def test_graph6_roundtrip_random(n, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 62), st.data())
+@given(st.integers(0, 128), st.data())
 def test_graph6_matches_networkx_encoder(n, data):
+    # n above 62 takes the 4-byte header "~" plus three size bytes
     nx = pytest.importorskip("networkx")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = data.draw(st.integers(0, (1 << len(pairs)) - 1))
@@ -279,3 +291,21 @@ def test_graph6_matches_networkx_encoder(n, data):
     text = graph_to_graph6(Graph(n, edges))
     assert text == nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
     assert graph_from_graph6(text) == Graph(n, edges)
+
+
+@pytest.mark.parametrize("n", [63, 64, 100, 127, 128])
+def test_graph6_long_header_matches_networkx_encoder(n):
+    # a writer and a reader that share a header bug still round-trip, so the
+    # 4-byte header is pinned against networkx's encoder at its edges
+    nx = pytest.importorskip("networkx")
+    import random
+
+    rng = random.Random(n)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    h = nx.Graph()
+    h.add_nodes_from(range(n))  # the encoder reads the vertices in insertion order
+    h.add_edges_from(g.edges())
+    text = graph_to_graph6(g)
+    assert text[:2] == "~?"
+    assert text == nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+    assert graph_from_graph6(text) == g

@@ -182,6 +182,15 @@ def test_babai_smith_and_devos_fail_with_their_witnesses():
         "devos", "fail", lhs=5, rhs=6.0, witness={"graph6": "EhEG", "a": [0], "t": 1})
 
 
+def test_smith_above_connectivity_eight_is_observed_without_assertion():
+    # κ(K10) = 9; two Hamiltonian cycles share all 10 vertices
+    f = facts(complete_graph(10))
+    vars(f)["_cycles"] = CycleSet(10, (tuple(range(10)), (0, 1, 2, 3, 4, 5, 6, 7, 9, 8)))
+    assert verify_smith(f) == Outcome(
+        "smith", "observed", lhs=10, rhs=9,
+        detail="conjecture status for k > 8, reported without assertion")
+
+
 def test_truncated_enumeration():
     k9 = facts(complete_graph(9))  # 20160 Hamiltonian cycles, above the enumeration limit
     assert k9.cycles.truncated
@@ -806,6 +815,34 @@ def test_cli_rejects_a_corpus_parameter_the_kind_does_not_read(capsys, corpus, n
     assert main(["verify", "--suite", "babai", "--corpus", corpus]) == 3
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and names in out.err
+
+
+def test_cli_rejects_an_unknown_corpus_kind(capsys):
+    assert main(["verify", "--suite", "all", "--corpus", "vt7"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: unknown corpus kind 'vt7'\n"
+
+
+def test_cli_verify_stops_at_the_first_failure_and_exits_one(capsys, monkeypatch):
+    # no real pair breaks Theorem 1.4, so the bound test rejects every pair
+    # from its 40th call on: the sixth smoke instance fails, and the run
+    # stops there with the fail's witness
+    real = flow.separator_bound_holds
+    calls = []
+
+    def rejects_from_the_40th_call(cut_size, m):
+        calls.append(m)
+        return len(calls) < 40 and real(cut_size, m)
+
+    monkeypatch.setattr(flow, "separator_bound_holds", rejects_from_the_40th_call)
+    assert main(["verify", "--suite", "thm14", "--corpus", "smoke"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"total": 6, "failed": 1, "inconclusive": 0}
+    assert len(doc["instances"]) == 6 < len(harness.corpus_instances(CorpusSpec.parse("smoke")))
+    assert [o["status"] for r in doc["instances"][:5] for o in r["outcomes"]] == ["pass"] * 5
+    (fail,) = doc["instances"][5]["outcomes"]
+    assert fail["name"] == "thm14_bound" and fail["status"] == "fail"
+    assert sorted(fail["witness"]) == ["cut", "graph6", "x", "y"]
 
 
 # -- the JSON writer ----------------------------------------------------------

@@ -540,6 +540,23 @@ def test_automorphism_mapping_rejects_a_discrete_partition_whose_map_fails():
     assert automorphism_mapping(g, 0, 2) is None
 
 
+def test_automorphism_mapping_returns_none_once_every_branch_fails():
+    # 4-regular on 10 vertices with |Aut| = 4, all fixing 0: refinement
+    # cannot rule out 0 -> 5 at the root, so the search branches, and every
+    # candidate of the branch fails; 5 nodes in all, so budget 4 runs out
+    g = graph_from_graph6("IUDH[pdw_")
+    assert is_regular(g) == 4
+    assert automorphism_mapping(g, 0, 5, budget=5) is None
+    with pytest.raises(BudgetExceededError):
+        automorphism_mapping(g, 0, 5, budget=4)
+    assert _orbit_by_graph_matcher(g) == {0}
+    _check_orbit(g, {0})
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = as_networkx(g)
+    assert sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()) == 4
+
+
 def test_automorphism_search_honours_its_node_budget():
     g = petersen_graph()
     message = "search budget of 2 node expansions exceeded"
