@@ -126,7 +126,7 @@ class AuxGraph:
     last vertex. Simple by construction: a duplicate is a mathematical event
     and raises SameSegmentPairError instead. Every count on the graph is
     derived from the map once and kept: the common neighbourhoods of the
-    X-side pairs, and the type of each 4-cycle.
+    X-side pairs that have one, and the type of each 4-cycle.
     """
 
     m: int
@@ -142,15 +142,17 @@ class AuxGraph:
 
     @cached_property
     def common_neighbors(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """N(x_i) ∩ N(x_j), ascending, for every 1 <= i < j <= m."""
-        rows = [0] * (self.m + 1)
+        """N(x_i) ∩ N(x_j), ascending, keyed (i, j) with i < j in ascending order.
+
+        Only pairs that share a neighbour are keys, and only X labels that
+        carry an edge are paired, so an edgeless F gives {}; read a missing
+        pair as ``common_neighbors.get((i, j), ())``.
+        """
+        rows: dict[int, int] = {}
         for i, k in self.witness:
-            rows[i] |= 1 << k
-        return {
-            (i, j): tuple(iter_bits(rows[i] & rows[j]))
-            for i in range(1, self.m + 1)
-            for j in range(i + 1, self.m + 1)
-        }
+            rows[i] = rows.get(i, 0) | 1 << k
+        return {(i, j): tuple(iter_bits(rows[i] & rows[j]))
+                for i, j in combinations(sorted(rows), 2) if rows[i] & rows[j]}
 
     @cached_property
     def four_cycle_types(self) -> dict[tuple[int, int, int, int], FourCycleType]:

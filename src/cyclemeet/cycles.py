@@ -159,7 +159,8 @@ class _Search:
     ``best + 1`` and the rest of the pass only looks for a longer cycle,
     which resets the kept set. At ``limit=1`` that is a length search: each
     close truncates, every later node must beat ``best``, and ``found`` holds
-    only the latest close, the witness.
+    only the latest close, the witness. Making a search refuses a forest, so
+    each search tests for one once, run or not.
 
     The search closes each cycle one way. At depth 2, ``closers`` becomes the
     anchor's neighbours above ``path[1]``, and a cycle closes only from a head
@@ -227,6 +228,8 @@ class _Search:
             raise ValueError("search budget must be at least 1")
         if limit is not None and limit < 1:
             raise ValueError("enumeration limit must be at least 1")
+        if is_forest(g):
+            raise ValueError("forest has no cycle")
         self.g = g
         self.rows = g._rows
         self.shift = g.n.bit_length()
@@ -242,8 +245,6 @@ class _Search:
         self.closers = 0
 
     def run(self) -> "_Search":
-        if is_forest(self.g):
-            raise ValueError("forest has no cycle")
         n = self.g.n
         for anchor in range(n):
             # cycles whose minimum vertex is the anchor
@@ -470,9 +471,7 @@ def _length_search(g: Graph, budget: int) -> _Search:
     It keeps one cycle (``limit=1``): the latest it closed, none when the
     walk's floor h + 1 closes nothing.
     """
-    search = _Search(g, budget, limit=1)  # rejects a budget below 1
-    if is_forest(g):
-        raise ValueError("forest has no cycle")
+    search = _Search(g, budget, limit=1)  # rejects a budget below 1, then a forest
     cycle = _rotation_cycle(g)
     h = cycle.length if cycle else 0
     search.best, search.floor = h, h + 1

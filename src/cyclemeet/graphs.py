@@ -27,10 +27,12 @@ class Graph:
 
     Self-loops are rejected; duplicate edges collapse. Instances hash and
     compare by value, so they are safe set members and dict keys; the hash
-    is computed when asked, not kept.
+    is computed when asked, not kept. A graph read by ``graph_from_graph6``
+    from the text ``graph_to_graph6`` would write keeps that text in
+    ``_graph6``, which equality and hashing ignore; any other graph holds None.
     """
 
-    __slots__ = ("n", "_rows", "edge_count")
+    __slots__ = ("n", "_rows", "edge_count", "_graph6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -51,6 +53,7 @@ class Graph:
         self.n = n
         self._rows = tuple(rows)
         self.edge_count = count
+        self._graph6: Optional[str] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -282,26 +285,39 @@ def prism_graph(n: int) -> Graph:
 # big-endian 6-bit groups.
 
 
+def _graph6_header(n: int) -> bytes:
+    """The size header: one byte for n <= 62, else "~" and three 6-bit size bytes,
+    the first "?" (0), since no graph exceeds VERTEX_CAP."""
+    return bytes([n + 63]) if n <= 62 else bytes([126, 63, (n >> 6) + 63, (n & 0x3F) + 63])
+
+
 def graph_to_graph6(g: Graph) -> str:
-    """The graph6 text of g; above 62 vertices the header is "~" and three 6-bit
-    size bytes, the first "?" (0), since no graph exceeds VERTEX_CAP."""
-    if g.n <= 62:
-        header = bytes([g.n + 63])
-    else:
-        header = bytes([126, 63, (g.n >> 6) + 63, (g.n & 0x3F) + 63])
+    """The graph6 text of g: the text it was read from when it kept one, else
+    built with one bit set per edge."""
+    if g._graph6 is not None:
+        return g._graph6
+    top = g.n * (g.n - 1) // 2
+    top += -top % 6  # the body's bit count, padding included
     acc = 0  # the upper triangle, column by column, first bit highest
     for j in range(1, g.n):
-        row = g._rows[j]
-        for i in range(j):
-            acc = acc << 1 | (row >> i & 1)
-    length = g.n * (g.n - 1) // 2
-    pad = -length % 6
-    acc <<= pad
-    body = bytes([(acc >> k & 63) + 63 for k in range(length + pad - 6, -1, -6)])
-    return (header + body).decode("ascii")
+        below = g._rows[j] & ((1 << j) - 1)  # bit i is the edge (i, j), i < j
+        base = top - j * (j - 1) // 2  # (0, j) is bit base - 1
+        while below:
+            low = below & -below
+            acc |= 1 << (base - low.bit_length())
+            below ^= low
+    body = bytes([(acc >> k & 63) + 63 for k in range(top - 6, -1, -6)])
+    return (_graph6_header(g.n) + body).decode("ascii")
 
 
 def graph_from_graph6(text: str) -> Graph:
+    """The graph of a graph6 text, with or without the ">>graph6<<" prefix.
+
+    The body is checked and packed into one integer; its padding bits must be
+    zero, and each column's edges are read off its set bits. When the header
+    is the one ``graph_to_graph6`` writes, the graph keeps the text (prefix
+    and surrounding whitespace removed) as its graph6.
+    """
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[10:]
@@ -320,22 +336,28 @@ def graph_from_graph6(text: str) -> Graph:
         body = raw[1:]
     if n < 0:
         raise ValueError("invalid graph6 header byte")
-    need = (n * (n - 1) // 2 + 5) // 6
+    length = n * (n - 1) // 2
+    need = (length + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bits = []
+    if body and not (63 <= min(body) and max(body) <= 126):
+        raise ValueError("invalid graph6 body byte")
+    acc = 0
     for byte in body:
-        val = byte - 63
-        if not 0 <= val < 64:
-            raise ValueError("invalid graph6 body byte")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    if any(bits[idx:]):
+        acc = acc << 6 | byte - 63
+    pad = 6 * need - length
+    if acc & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in graph6 body")
-    return Graph(n, edges)
+    acc >>= pad
+    edges = []
+    for j in range(n - 1, 0, -1):  # the last column holds the lowest bits
+        column = acc & ((1 << j) - 1)  # bit b is the edge (j - 1 - b, j)
+        acc >>= j
+        while column:
+            low = column & -column
+            edges.append((j - low.bit_length(), j))
+            column ^= low
+    g = Graph(n, edges)
+    if raw.startswith(_graph6_header(n)):
+        g._graph6 = data
+    return g

@@ -374,6 +374,24 @@ MUTANTS = {
           "far = iter_bits(g.reach_mask(1 << v, g.full_mask) & ~around & ~(1 << v))"),),
         ("tests/test_graphs.py",),
     ),
+    "graph6-text-kept-for-any-header": Mutant(
+        "a graph read under a header the writer does not give keeps its text, so C5"
+        " read as ~??Dhc is written back as ~??Dhc",
+        ((GRAPHS, "if raw.startswith(_graph6_header(n)):", "if True:"),),
+        ("tests/test_graphs.py",),
+    ),
+    "graph6-decoder-column-shifted": Mutant(
+        "the decoder moves on by one bit too few after each column, so every column"
+        " but the last reads the first bit of the column after it",
+        ((GRAPHS, "        acc >>= j\n", "        acc >>= j - 1\n"),),
+        ("tests/test_graphs.py",),
+    ),
+    "common-neighbors-drop-singletons": Mutant(
+        "common_neighbors drops the X-pairs with exactly one common neighbour, which"
+        " no 4-cycle and no L-set pair needs but the supersaturation sum counts",
+        ((AUXGRAPH, "if rows[i] & rows[j]}", "if (rows[i] & rows[j]).bit_count() > 1}"),),
+        ("tests/test_auxgraph.py",),
+    ),
 }
 
 

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from cyclemeet.auxgraph import is_crossing, pairwise_noncrossing
+from cyclemeet.auxgraph import AuxGraph, is_crossing, pairwise_noncrossing
 from cyclemeet.cycles import canonical_cycle
 from cyclemeet.graphs import Graph, iter_bits, mask_of
 
@@ -153,6 +153,37 @@ def max_noncrossing_family(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     if best_size > 2 * m - 3:
         raise RuntimeError(f"non-crossing bound 2m-3 violated at m={m}: found {best_size}")
     return best_size, family
+
+
+def common_neighbors_by_pairs(f: AuxGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """N(x_i) ∩ N(x_j) of F for every pair 1 <= i < j <= m, empty ones included,
+    by asking the path map about every Y label."""
+    labels = range(1, f.m + 1)
+    return {(i, j): tuple(k for k in labels if (i, k) in f.witness and (j, k) in f.witness)
+            for i, j in itertools.combinations(labels, 2)}
+
+
+def four_cycle_types_by_scan(f: AuxGraph) -> dict[tuple[int, int, int, int], tuple[int, int]]:
+    """(alpha, beta) of every 4-cycle x_i y_k x_j y_l of F, keyed (i, k, j, l) with
+    i < j and k < l, from a scan of every pair of X-pairs and Y-pairs.
+
+    alpha is 1 when the (i, k)- and (i, l)-paths' X ends come in one order on
+    X_i and the other on X_j; beta is the same for the Y ends on Y_k and Y_l.
+    """
+    dec = f.decomposition
+    place = {v: t for seg in dec.x_segments + dec.y_segments for t, v in enumerate(seg)}
+    w = f.witness
+    out = {}
+    for i, j in itertools.combinations(range(1, f.m + 1), 2):
+        for k, l in itertools.combinations(range(1, f.m + 1), 2):
+            if not all((a, b) in w for a in (i, j) for b in (k, l)):
+                continue
+            on_x_i = place[w[i, k][0]] < place[w[i, l][0]]
+            on_x_j = place[w[j, k][0]] < place[w[j, l][0]]
+            on_y_k = place[w[i, k][-1]] < place[w[j, k][-1]]
+            on_y_l = place[w[i, l][-1]] < place[w[j, l][-1]]
+            out[i, k, j, l] = (int(on_x_i != on_x_j), int(on_y_k != on_y_l))
+    return out
 
 
 def is_automorphism(g: Graph, perm) -> bool:

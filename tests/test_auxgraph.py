@@ -15,6 +15,7 @@ from cyclemeet.auxgraph import (
     cut_at,
     decompose,
     is_crossing,
+    L_SET_THRESHOLD,
     l_set,
     pair_aux,
     pairwise_noncrossing,
@@ -26,7 +27,13 @@ from cyclemeet.graphs import Graph
 from cyclemeet.harness import json_text
 
 from hosts import prop22_host, type00_host
-from oracles import max_noncrossing_by_subsets, max_noncrossing_family, noncrossing_witness
+from oracles import (
+    common_neighbors_by_pairs,
+    four_cycle_types_by_scan,
+    max_noncrossing_by_subsets,
+    max_noncrossing_family,
+    noncrossing_witness,
+)
 
 
 def host_c6_overlap():
@@ -256,10 +263,54 @@ def _synthetic_aux(m, edges):
 def test_common_neighbor_counts():
     k22 = _synthetic_aux(2, {(1, 1), (1, 2), (2, 1), (2, 2)})
     assert k22.common_neighbors == {(1, 2): (1, 2)}
+    # only pairs that share a neighbour are keys, so an edgeless F has none
     empty = _synthetic_aux(3, set())
-    assert empty.common_neighbors == {(1, 2): (), (1, 3): (), (2, 3): ()}
+    assert empty.common_neighbors == {}
     k27 = _synthetic_aux(7, {(i, j) for i in (1, 2) for j in range(1, 8)})
     assert k27.common_neighbors[(1, 2)] == tuple(range(1, 8))
+
+
+def _random_aux(m, edges, rng):
+    """AuxGraph with a two-vertex path per edge, each end at a random place in its segment."""
+    xs = [[] for _ in range(m)]
+    ys = [[] for _ in range(m)]
+    witness = {}
+    for t, (i, k) in enumerate(sorted(edges)):
+        witness[i, k] = (2 * t, 2 * t + 1)
+        xs[i - 1].append(2 * t)
+        ys[k - 1].append(2 * t + 1)
+    for seg in xs + ys:
+        rng.shuffle(seg)
+    shared = tuple(range(2 * len(edges), 2 * len(edges) + m))
+    dec = SegmentDecomposition(m=m, m_order_x=shared, m_order_y=shared,
+                               x_segments=tuple(map(tuple, xs)), y_segments=tuple(map(tuple, ys)))
+    return AuxGraph(m=m, witness=witness, decomposition=dec)
+
+
+def test_sparse_common_neighbors_match_the_dense_reference():
+    # only pairs that share a neighbour are keys; every count read off the
+    # map agrees with the dense scans, in the same key order
+    rng = random.Random(36)
+    seen_one = seen_l = 0
+    for _ in range(80):
+        m = rng.randint(1, 10)
+        p = rng.choice((0.0, 0.1, 0.3, 0.6, 0.9))
+        edges = {(i, k) for i in range(1, m + 1) for k in range(1, m + 1) if rng.random() < p}
+        f = _random_aux(m, edges, rng)
+        dense = common_neighbors_by_pairs(f)
+        for pair, common in dense.items():
+            assert f.common_neighbors.get(pair, ()) == common, (m, sorted(edges), pair)
+        assert {pair: common for pair, common in dense.items() if common} == f.common_neighbors
+        assert list(f.common_neighbors) == sorted(f.common_neighbors)
+        assert list(f.four_cycle_types.items()) == list(four_cycle_types_by_scan(f).items())
+        expected_l = {pair for pair, common in dense.items() if len(common) >= L_SET_THRESHOLD}
+        assert l_set(f) == expected_l
+        rep = supersaturation_report(f)
+        assert rep.sum_common == sum(map(len, dense.values()))
+        assert rep.l_size == len(expected_l)
+        seen_one += sum(len(common) == 1 for common in dense.values())
+        seen_l += len(expected_l)
+    assert seen_one and seen_l  # pairs with one common neighbour, and L-set pairs, were met
 
 
 def test_l_set_threshold():

@@ -53,6 +53,37 @@ def test_forest_is_an_error():
         longest_cycle_length(path_graph(5))
 
 
+@pytest.mark.parametrize("search", [longest_cycle_length, enumerate_longest_cycles])
+@pytest.mark.parametrize("g, forest", [
+    (Graph(0), True), (Graph(1), True), (complete_graph(2), True), (path_graph(5), True),
+    (cycle_graph(6), False), (petersen_graph(), False),
+], ids=["empty", "K1", "K2", "P5", "C6", "petersen"])
+def test_each_search_tests_for_a_forest_once(monkeypatch, search, g, forest):
+    # the walk of Graph(0) finds h = 0 = n, so the length search must still
+    # refuse it before it reads the walk; C6's walk is Hamiltonian and
+    # Petersen's is not, so the length search is left unrun on one and run on
+    # the other
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return is_forest(h)
+
+    monkeypatch.setattr(cycles, "is_forest", counted)
+    if forest:
+        with pytest.raises(ValueError, match="forest has no cycle"):
+            search(g)
+    else:
+        search(g)
+    assert calls == [g]
+
+
+def test_a_bad_budget_is_refused_before_a_forest():
+    for search in (longest_cycle_length, enumerate_longest_cycles):
+        with pytest.raises(ValueError, match="search budget must be at least 1"):
+            search(Graph(0), budget=0)
+
+
 def test_budget_error_carries_lower_bound():
     # the rotation walk closes a 9-cycle, and 3 nodes cannot rule out a 10-cycle
     g = petersen_graph()

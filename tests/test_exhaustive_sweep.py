@@ -2,16 +2,20 @@
 
 Set CYCLEMEET_EXHAUSTIVE=1 to run (about a minute). The regular acceptance
 suite covers the required corpora; this pushes the same checks across all
-~1.7M pairs of the full n <= 8 corpus, and checks the connectivity of every
-stored graph against the all-pairs oracle.
+~1.7M pairs of the full n <= 8 corpus, checks the connectivity of every
+stored graph against the all-pairs oracle, and pins the bytes of the n <= 8
+census report, ``verify --suite all --corpus exhaustive8``.
 """
 
+import hashlib
 import itertools
+import json
 import os
 
 import pytest
 
 from cyclemeet.auxgraph import build_aux, l_set, pairwise_noncrossing, type_census
+from cyclemeet.cli import main
 from cyclemeet.corpus import is_biconnected, load_connected_corpus
 from cyclemeet.cycles import enumerate_longest_cycles, is_t_transversal
 from cyclemeet.exchange import improve_by_exchange
@@ -65,3 +69,13 @@ def test_connectivity_of_every_stored_graph():
             assert vertex_connectivity(g) == vertex_connectivity_by_subsets(g), g
             checked += 1
     assert checked == 12_112
+
+
+def test_the_n_le_8_census_report_is_pinned(tmp_path):
+    # every connected graph on at most 8 vertices, through every suite
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--corpus", "exhaustive8", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["instances"]) == 12_113
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "de37517993b1ff430f7dc58d11f0871b64f6bc287f0529a8ad9d7d0792611df1"
+    )

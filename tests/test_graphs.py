@@ -266,6 +266,21 @@ def test_graph6_rejects_garbage():
     assert graph_from_graph6("A_") == complete_graph(2)
     with pytest.raises(ValueError, match="nonzero padding bits"):
         graph_from_graph6("A`")
+    # each message, and which check comes first when a text breaks two
+    for text, message in [
+        ("  \n", "empty graph6 string"),
+        (">>graph6<<", "empty graph6 string"),
+        ("~~", "beyond 258047 vertices"),
+        ("~>??", "invalid graph6 header byte"),
+        (">", "invalid graph6 header byte"),
+        ("C>>", "graph6 body has 2 bytes, expected 1"),  # the length before the bytes
+        ("C>", "invalid graph6 body byte"),
+        ("C\x7f", "invalid graph6 body byte"),
+        ("A>", "invalid graph6 body byte"),  # the bytes before the padding
+        ("D?@", "nonzero padding bits"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            graph_from_graph6(text)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,3 +324,43 @@ def test_graph6_long_header_matches_networkx_encoder(n):
     assert text[:2] == "~?"
     assert text == nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
     assert graph_from_graph6(text) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 128), st.data())
+def test_graph6_decoder_matches_networkx_decoder(n, data):
+    # the text comes from networkx's encoder, so the decoder is checked on its own
+    nx = pytest.importorskip("networkx")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picks = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(pair for k, pair in enumerate(pairs) if picks >> k & 1)
+    raw = nx.to_graph6_bytes(h, header=False).strip()
+    g = graph_from_graph6(raw.decode("ascii"))
+    expected = nx.from_graph6_bytes(raw)
+    assert g.n == expected.number_of_nodes()
+    assert sorted(g.edges()) == sorted(tuple(sorted(e)) for e in expected.edges())
+
+
+def test_graph6_text_is_kept_only_in_the_form_the_writer_gives():
+    # C5 under the 4-byte header, which the writer keeps for n > 62
+    g = graph_from_graph6("~??Dhc")
+    assert g == cycle_graph(5)
+    assert graph_to_graph6(g) == "Dhc"
+    # the prefix and the line end are not part of the kept text
+    assert graph_to_graph6(graph_from_graph6(">>graph6<<IheA@GUAo\n")) == "IheA@GUAo"
+    assert graph_to_graph6(graph_from_graph6("  Dhc ")) == "Dhc"
+    # the one-byte header DEL reads as n = 64, which the writer gives as "~?@?"
+    edgeless = graph_from_graph6("\x7f" + "?" * 336)
+    assert edgeless == Graph(64)
+    assert graph_to_graph6(edgeless) == "~?@?" + "?" * 336
+
+
+def test_graph6_kept_text_is_not_part_of_the_value():
+    read, built, long_header = graph_from_graph6("Dhc"), cycle_graph(5), graph_from_graph6("~??Dhc")
+    assert read == built == long_header
+    assert hash(read) == hash(built) == hash(long_header)
+    assert len({read, built, long_header}) == 1
+    assert read != graph_from_graph6("Dhg")  # five edges, but not a 5-cycle
+    assert graph_to_graph6(built) == graph_to_graph6(read) == "Dhc"

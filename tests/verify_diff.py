@@ -38,6 +38,7 @@ RUNS = (
     ("--suite", "all", "--corpus", "circulants:count=50,max_n=24", "--seed", "5"),
     ("--suite", "all", "--corpus", "random:count=40,max_n=10", "--seed", "2"),
     ("--suite", "smith", "--seed", "42", "--budget", "400"),
+    ("--suite", "all", "--corpus", "exhaustive8"),  # the n <= 8 census, 12,113 instances
 )
 
 
