@@ -115,14 +115,15 @@ def _check_cycle(g: Graph, vs: tuple[int, ...]) -> None:
 class CycleSet:
     """All cycles of one length, canonicalized and lexicographically ordered.
 
-    ``sequences`` holds each cycle's canonical vertex tuple in that order.
-    ``cycles`` wraps them as ``CycleEmbedding`` objects on first read, so a
-    caller that reads only counts, masks or a few cycles builds no object
-    for the rest.
+    ``sequences`` holds each cycle's canonical vertex tuple in that order,
+    and ``n`` is the order of the graph they lie in. ``cycles`` wraps them
+    as ``CycleEmbedding`` objects on first read, so a caller that reads only
+    counts, masks or a few cycles builds no object for the rest.
     """
 
     length: int
     sequences: tuple[tuple[int, ...], ...]
+    n: int
     truncated: bool = False
 
     def __len__(self) -> int:
@@ -138,7 +139,13 @@ class CycleSet:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        """The vertex bitmask of each cycle, built on first use."""
+        """The vertex bitmask of each cycle, built on first use.
+
+        At length n every cycle covers all n vertices, so each mask is the
+        full mask and no cycle is read.
+        """
+        if self.length == self.n:
+            return ((1 << self.n) - 1,) * len(self.sequences)
         return tuple(map(mask_of, self.sequences))
 
     def to_json_dict(self) -> dict:
@@ -488,7 +495,7 @@ def enumerate_longest_cycles(
     """
     search = _Search(g, budget, limit=limit).run()
     cycles = tuple(sorted(search.found))
-    return CycleSet(length=search.best, sequences=cycles, truncated=search.truncated)
+    return CycleSet(length=search.best, sequences=cycles, n=g.n, truncated=search.truncated)
 
 
 def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, CycleEmbedding]]:
@@ -500,9 +507,15 @@ def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, 
     Hamiltonian-rich graphs stay cheap. The witness is the first pair in that
     order to reach the minimum: two distinct sets, or else the earliest cycle
     whose set repeats, with the first cycle on that set.
+
+    Two cycles of length c on n vertices share at least 2c − n of them, so
+    the scan stops at the first pair sharing max(2c − n, 0): no later pair
+    shares fewer, and the value and witness are the full scan's. At c = n
+    that is the first repeated set, since every cycle covers V.
     """
     if len(cs) < 2:
         raise ValueError("need two cycles")
+    floor = max(2 * cs.length - cs.n, 0)  # the pigeonhole minimum
     first: dict[int, int] = {}  # vertex mask -> index of its first cycle
     best: Optional[int] = None
     witness: Optional[tuple[int, int]] = None
@@ -510,22 +523,37 @@ def min_pairwise_intersection(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, 
         j = first.setdefault(mask, i)
         if j != i and witness is None:
             best, witness = mask.bit_count(), (j, i)
+            if best == floor:
+                break
     distinct = list(first.items())
     for a, (amask, i) in enumerate(distinct):
+        if best == floor:
+            break
         for bmask, j in distinct[a + 1:]:
             size = (amask & bmask).bit_count()
             if best is None or size < best:
                 best, witness = size, (i, j)
+                if size == floor:
+                    break
     assert best is not None and witness is not None
     i, j = witness
     return best, (CycleEmbedding(cs.sequences[i]), CycleEmbedding(cs.sequences[j]))
 
 
 def is_t_transversal(g: Graph, cs: CycleSet, a: Iterable[int], t: int) -> bool:
-    """True iff every longest cycle of g, all listed in cs, meets a in at least t vertices."""
+    """True iff every longest cycle of g, all listed in cs, meets a in at least t vertices.
+
+    t must be at least 1, cs must be complete and a must lie in V(g), checked
+    in that order. A cycle of length c misses only n − c vertices, so it
+    meets a in at least |a| − (n − c) of them: when that reaches t the answer
+    is True with no cycle read, and otherwise every cycle's mask is scanned.
+    """
     if t < 1:
         raise ValueError("t must be at least 1")
     if cs.truncated:
         raise ValueError("truncated cycle set does not list every longest cycle")
-    amask = mask_of(check_vertex_set(g, a))
+    vs = check_vertex_set(g, a)
+    if len(vs) - (g.n - cs.length) >= t:
+        return True
+    amask = mask_of(vs)
     return all((amask & cmask).bit_count() >= t for cmask in cs.masks)

@@ -109,6 +109,35 @@ MUTANTS = {
         ((CYCLES, "if best is None or size < best:", "if best is None or size <= best:"),),
         ("tests/test_harness.py", "tests/test_cycles.py"),
     ),
+    "transversal-rule-n-minus-c-off-by-one": Mutant(
+        "is_t_transversal counts a cycle as missing n - c - 1 vertices, not n - c, so"
+        " one vertex of Petersen's graph passes as meeting every 9-cycle",
+        ((CYCLES, "if len(vs) - (g.n - cs.length) >= t:",
+          "if len(vs) - (g.n - cs.length - 1) >= t:"),),
+        ("tests/test_cycles.py", "tests/test_harness.py"),
+    ),
+    "transversal-rule-dropped": Mutant(
+        "is_t_transversal scans every cycle even where counting settles the verdict",
+        ((CYCLES, "    if len(vs) - (g.n - cs.length) >= t:\n        return True\n", ""),),
+        ("tests/test_cycles.py", "tests/test_harness.py"),
+    ),
+    "m-stop-one-above-floor": Mutant(
+        "min_pairwise_intersection stops at the first pair sharing 2c - n + 1, which a"
+        " later pair may undercut",
+        ((CYCLES, "floor = max(2 * cs.length - cs.n, 0)", "floor = max(2 * cs.length - cs.n + 1, 0)"),),
+        ("tests/test_cycles.py", "tests/test_harness.py"),
+    ),
+    "m-stop-dropped": Mutant(
+        "min_pairwise_intersection scans every pair, past one sharing 2c - n",
+        ((CYCLES, "floor = max(2 * cs.length - cs.n, 0)", "floor = -1"),),
+        ("tests/test_cycles.py", "tests/test_harness.py"),
+    ),
+    "hamiltonian-mask-one-bit-short": Mutant(
+        "a Hamiltonian set's shared mask leaves out vertex n - 1",
+        ((CYCLES, "return ((1 << self.n) - 1,) * len(self.sequences)",
+          "return ((1 << self.n - 1) - 1,) * len(self.sequences)"),),
+        ("tests/test_cycles.py", "tests/test_harness.py"),
+    ),
     "leaf-row-check": Mutant(
         "a discrete partition's map is returned without checking its rows",
         ((TRANSITIVE, "!= g._rows[perm[u]]:", "!= g._rows[perm[u]] and False:"),),

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from cyclemeet.auxgraph import AuxGraph, is_crossing, pairwise_noncrossing
-from cyclemeet.cycles import canonical_cycle
+from cyclemeet.cycles import CycleEmbedding, CycleSet, canonical_cycle
 from cyclemeet.graphs import Graph, iter_bits, mask_of
 
 
@@ -39,6 +39,40 @@ def all_cycles_of_length_by_permutations(g: Graph, k: int) -> set[tuple[int, ...
             if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:] + (anchor,))):
                 found.add(canonical_cycle(seq))
     return found
+
+
+def min_pairwise_intersection_by_full_scan(cs: CycleSet) -> tuple[int, tuple[CycleEmbedding, CycleEmbedding]]:
+    """min_pairwise_intersection by the scan with no early stop.
+
+    Every cycle's mask is built from its vertices. The first cycle on each
+    vertex set is kept, and the earliest cycle whose set repeats pairs with
+    it at |V(X)|. Then every pair of distinct sets is counted, in order of
+    first appearance, and a pair replaces the witness only when it shares
+    fewer vertices.
+    """
+    if len(cs) < 2:
+        raise ValueError("need two cycles")
+    first: dict[int, int] = {}
+    best = witness = None
+    for i, mask in enumerate(mask_of(seq) for seq in cs.sequences):
+        j = first.setdefault(mask, i)
+        if j != i and witness is None:
+            best, witness = mask.bit_count(), (j, i)
+    distinct = list(first.items())
+    for a, (amask, i) in enumerate(distinct):
+        for bmask, j in distinct[a + 1:]:
+            size = (amask & bmask).bit_count()
+            if best is None or size < best:
+                best, witness = size, (i, j)
+    i, j = witness
+    return best, (CycleEmbedding(cs.sequences[i]), CycleEmbedding(cs.sequences[j]))
+
+
+def is_t_transversal_by_full_scan(g: Graph, cs: CycleSet, a, t: int) -> bool:
+    """is_t_transversal by meeting a with every listed cycle, each mask built from its vertices."""
+    assert t >= 1 and not cs.truncated and all(0 <= v < g.n for v in a)
+    amask = mask_of(a)
+    return all((amask & mask_of(seq)).bit_count() >= t for seq in cs.sequences)
 
 
 def vertex_connectivity_by_subsets(g: Graph) -> int:

@@ -26,6 +26,7 @@ from cyclemeet.graphs import (
     graph_to_graph6,
     is_connected,
     is_forest,
+    mask_of,
     petersen_graph,
 )
 from cyclemeet.harness import ENUMERATION_LIMIT
@@ -574,8 +575,33 @@ def test_min_pairwise_intersection():
     m_star, _ = min_pairwise_intersection(pet)
     assert m_star == 8  # regression constant; at least 3 by 3-connectivity
 
+    # two 4-cycles on 6 vertices share at least 2 * 4 - 6 = 2 vertices. The
+    # three 4-cycles of E?zo pairwise share 3, above that floor, so the scan
+    # runs to its last pair and keeps the first pair at the minimum
+    cs = enumerate_longest_cycles(graph_from_graph6("E?zo"))
+    assert (cs.length, cs.n, len(cs)) == (4, 6, 3)
+    assert min_pairwise_intersection(cs) == (3, (cs.cycles[0], cs.cycles[1]))
+    # the first four pairs of E?~o share 2c - n + 1 = 3 and the fifth shares
+    # the floor: the scan goes past the four and stops at the fifth
+    cs = enumerate_longest_cycles(graph_from_graph6("E?~o"))
+    assert (cs.length, cs.n, len(cs)) == (4, 6, 6)
+    assert [len(cs.cycles[0].vertex_set() & y.vertex_set()) for y in cs.cycles[1:]] == [
+        3, 3, 3, 3, 2]
+    assert min_pairwise_intersection(cs) == (2, (cs.cycles[0], cs.cycles[5]))
+
     with pytest.raises(ValueError, match="need two cycles"):
         min_pairwise_intersection(enumerate_longest_cycles(cycle_graph(5)))
+
+
+def test_hamiltonian_masks_are_the_full_mask_without_reading_a_cycle(monkeypatch):
+    # K5's 12 Hamiltonian cycles each cover all five vertices; a 5-cycle with
+    # a pendant vertex is not Hamiltonian, so its one mask is built
+    k5 = enumerate_longest_cycles(complete_graph(5))
+    c5 = enumerate_longest_cycles(Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)]))
+    built = []
+    monkeypatch.setattr(cycles, "mask_of", lambda vs: built.append(vs) or mask_of(vs))
+    assert k5.masks == (0b11111,) * 12 and not built
+    assert c5.masks == (0b11111,) and built == [(0, 1, 2, 3, 4)]
 
 
 def test_is_t_transversal():
@@ -588,6 +614,21 @@ def test_is_t_transversal():
     assert is_t_transversal(pet, cs, cs.cycles[0].vertex_set(), m_star)
     with pytest.raises(ValueError):
         is_t_transversal(c5, enumerate_longest_cycles(c5), {0}, 0)
+
+
+def test_is_t_transversal_counts_before_it_scans(monkeypatch):
+    # a 9-cycle of Petersen's graph misses one vertex, so it meets a set S in
+    # at least |S| - 1 vertices: two vertices meet every one, and counting
+    # settles that. One vertex need not, and the scan finds a 9-cycle without 0
+    pet = petersen_graph()
+    cs = enumerate_longest_cycles(pet)
+    assert len(cs.masks) == 20  # built before mask_of is counted
+    scanned = []
+    monkeypatch.setattr(cycles, "mask_of", lambda vs: scanned.append(vs) or mask_of(vs))
+    assert is_t_transversal(pet, cs, {0, 5}, 1) and not scanned
+    assert not is_t_transversal(pet, cs, {0}, 1) and scanned == [frozenset({0})]
+    assert is_t_transversal(pet, cs, range(10), 9)
+    assert not is_t_transversal(pet, cs, range(9), 9)
 
 
 def test_is_t_transversal_rejects_truncated_set():

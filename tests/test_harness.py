@@ -64,6 +64,7 @@ from hosts import (
     symmetric_connection_sets,
     type00_host,
 )
+from oracles import is_t_transversal_by_full_scan, min_pairwise_intersection_by_full_scan
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,7 +186,7 @@ def test_babai_smith_and_devos_fail_with_their_witnesses():
 def test_smith_above_connectivity_eight_is_observed_without_assertion():
     # κ(K10) = 9; two Hamiltonian cycles share all 10 vertices
     f = facts(complete_graph(10))
-    vars(f)["_cycles"] = CycleSet(10, (tuple(range(10)), (0, 1, 2, 3, 4, 5, 6, 7, 9, 8)))
+    vars(f)["_cycles"] = CycleSet(10, (tuple(range(10)), (0, 1, 2, 3, 4, 5, 6, 7, 9, 8)), 10)
     assert verify_smith(f) == Outcome(
         "smith", "observed", lhs=10, rhs=9,
         detail="conjecture status for k > 8, reported without assertion")
@@ -429,7 +430,7 @@ def test_an_exhausted_exchange_search_leaves_exchange_absent_inconclusive():
     # longer pair; at budget 1 its restitching search runs out instead, and the
     # check names the budget: it is neither skipped nor passed
     g, x, y, _ = lemma33_host(0, 0)
-    cs = CycleSet(12, tuple(sorted((x.vertices, y.vertices))))
+    cs = CycleSet(12, tuple(sorted((x.vertices, y.vertices))), g.n)
     pairs = [(x, y, xy_separator(g, x, y))]
     for budget, exchange in ((1, ("inconclusive", "search budget of 1 node expansions exceeded")),
                              (DEFAULT_BUDGET, ("fail", ""))):
@@ -542,6 +543,77 @@ def test_one_flow_per_checked_pair_on_exhaustive7(monkeypatch):
     reports = run_corpus(CorpusSpec.parse("exhaustive7"), "all")
     assert len(reports) == 996 and all(r.worst_status() != "fail" for r in reports)
     assert counts == {"min_vertex_cut": 504, "max_disjoint_paths": 0, "pair_aux": 787}
+
+
+@pytest.mark.parametrize("corpus, seed, pinned", [
+    ("exhaustive7", 0, (724, 259, 676, 12)),
+    ("default", 42, (48, 0, 134, 0)),
+    ("default", 1, (52, 1, 140, 0)),
+    ("vt:count=60,max_n=16", 1, (33, 0, 96, 0)),
+    ("random:count=200,max_n=12", 3, (126, 42, 101, 0)),
+])
+def test_pigeonhole_rules_match_the_full_scans(monkeypatch, corpus, seed, pinned):
+    # every m_min the analysis reads and every is_t_transversal it asks (each
+    # Prop. 2.1 cut and each devos set) equals the scan with no pigeonhole
+    # rule. pinned: (sets with two or more cycles, those whose m_min lies above
+    # max(2c - n, 0), transversal calls, those that |A| - (n - c) >= t leaves
+    # to the scan)
+    sets = above = calls = scanned = 0
+    m_min, transversal = harness.min_pairwise_intersection, harness.is_t_transversal
+
+    def checked_m_min(cs):
+        nonlocal sets, above
+        result = m_min(cs)
+        assert result == min_pairwise_intersection_by_full_scan(cs)
+        sets += 1
+        above += result[0] > max(2 * cs.length - cs.n, 0)
+        return result
+
+    def checked_transversal(g, cs, a, t):
+        nonlocal calls, scanned
+        verdict = transversal(g, cs, a, t)
+        assert verdict == is_t_transversal_by_full_scan(g, cs, a, t), (graph_to_graph6(g), a, t)
+        calls += 1
+        scanned += len(a) - (g.n - cs.length) < t
+        return verdict
+
+    monkeypatch.setattr(harness, "min_pairwise_intersection", checked_m_min)
+    monkeypatch.setattr(harness, "is_t_transversal", checked_transversal)
+    run_corpus(CorpusSpec.parse(corpus, seed), "all")
+    assert (sets, above, calls, scanned) == pinned
+
+
+@pytest.mark.parametrize("corpus, seed, pinned", [
+    ("default", 42, {"masks": 78, "is_t_transversal": 0, "intersections": 7}),
+    ("exhaustive7", 0, {"masks": 1840, "is_t_transversal": 12, "intersections": 483}),
+])
+def test_pigeonhole_rules_spare_the_masks_and_scans(monkeypatch, corpus, seed, pinned):
+    # the rules change no output, so only the work shows them. A Hamiltonian
+    # set's masks are built without reading a cycle, m_min stops at the first
+    # pair sharing 2c - n, and a transversal that counting settles builds no
+    # mask of its own and scans nothing. Without the rules a pass builds
+    # 5,819 and 7,149 cycle masks, scans 134 and 676 times and takes 11,784
+    # and 8,330 intersections. A change may lower this pin, never raise it.
+    # cycles.mask_of calls are counted by caller, and a mask it builds counts
+    # each & it takes part in
+    counts = {"masks": 0, "is_t_transversal": 0, "intersections": 0}
+    real = cycles.mask_of
+
+    class CountedMask(int):
+        def __and__(self, other):
+            counts["intersections"] += 1
+            return int(self) & int(other)
+
+        __rand__ = __and__
+
+    def counted_mask_of(vertices):
+        counts[sys._getframe(1).f_code.co_name] += 1
+        return CountedMask(real(vertices))
+
+    monkeypatch.setattr(cycles, "mask_of", counted_mask_of)
+    reports = run_corpus(CorpusSpec.parse(corpus, seed), "all")
+    assert all(r.worst_status() != "fail" for r in reports)
+    assert counts == pinned
 
 
 def test_cycle_objects_are_built_only_for_the_cycles_read(monkeypatch):

@@ -39,6 +39,8 @@ RUNS = (
     ("--suite", "all", "--corpus", "random:count=40,max_n=10", "--seed", "2"),
     ("--suite", "smith", "--seed", "42", "--budget", "400"),
     ("--suite", "all", "--corpus", "exhaustive8"),  # the n <= 8 census, 12,113 instances
+    ("--suite", "all", "--corpus", "vt:count=60,max_n=16", "--seed", "1"),
+    ("--suite", "all", "--corpus", "random:count=200,max_n=12", "--seed", "3"),
 )
 
 
